@@ -208,4 +208,10 @@ std::size_t ClusterModel::audit_stuck_qps(sim::DurationNs stale_after) const {
   return total;
 }
 
+rnic::PortCounters ClusterModel::wire_counters() const {
+  rnic::PortCounters total;
+  for (const auto& [h, dev] : devices_) total += dev->counters();
+  return total;
+}
+
 }  // namespace migr::cluster

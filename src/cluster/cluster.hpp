@@ -118,6 +118,8 @@ class ClusterModel {
 
   /// Fleet-wide QP health check: total stuck QPs across every device.
   std::size_t audit_stuck_qps(sim::DurationNs stale_after) const;
+  /// Port counters summed over every device (the fleet's wire split).
+  rnic::PortCounters wire_counters() const;
 
   void run_for(sim::DurationNs d) { loop().run_until(loop().now() + d); }
 

@@ -64,6 +64,7 @@ Status DrainWorkflow::start(net::HostId host, DoneCb done, DrainOptions options)
 
   active_ = true;
   outstanding_ = residents.size();
+  wire_at_start_ = model_.wire_counters();
 
   last_egress_bytes_ = egress_bytes(model_.fabric(), host);
   sampler_ = model_.loop().schedule_every(options_.sample_interval, [this, host] {
@@ -100,6 +101,7 @@ void DrainWorkflow::finalize() {
   sampler_.cancel();
   active_ = false;
   report_.finished_at = model_.loop().now();
+  report_.wire = model_.wire_counters() - wire_at_start_;
   report_.ok = report_.failed == 0 && report_.completed == report_.migrations;
   if (!report_.ok) report_.error = std::to_string(report_.failed) + " migration(s) failed";
 
@@ -234,6 +236,14 @@ std::string format_drain_report(const DrainReport& r) {
                 static_cast<long long>(r.blackout_p99),
                 static_cast<long long>(r.blackout_max), r.egress_gbps.size());
   out += line;
+  const rnic::PortCounters& w = r.wire;
+  std::snprintf(line, sizeof(line),
+                "wire rx=%" PRIu64 " in_order=%" PRIu64 " duplicate=%" PRIu64
+                " out_of_sequence=%" PRIu64 " rnr_drop=%" PRIu64 " tx=%" PRIu64
+                " retransmitted=%" PRIu64 " rnr_waits=%" PRIu64 "\n",
+                w.rx_packets, w.rx_in_order, w.rx_duplicate, w.out_of_sequence,
+                w.rx_rnr_drop, w.tx_packets, w.tx_retransmit_packets, w.rnr_waits);
+  out += line;
   // Mux rollup line only when some migration ran with stream fan-out: the
   // legacy rendering stays byte-identical to the committed baselines.
   std::uint32_t xf_streams = 0;
@@ -324,6 +334,16 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
     out += buf;
   }
   out += "]";
+
+  const rnic::PortCounters& w = r.wire;
+  std::snprintf(buf, sizeof(buf),
+                ",\"wire\":{\"rx_packets\":%" PRIu64 ",\"rx_in_order\":%" PRIu64
+                ",\"rx_duplicate\":%" PRIu64 ",\"rx_out_of_sequence\":%" PRIu64
+                ",\"rx_rnr_drop\":%" PRIu64 ",\"tx_packets\":%" PRIu64
+                ",\"tx_retransmitted\":%" PRIu64 ",\"rnr_waits\":%" PRIu64 "}",
+                w.rx_packets, w.rx_in_order, w.rx_duplicate, w.out_of_sequence,
+                w.rx_rnr_drop, w.tx_packets, w.tx_retransmit_packets, w.rnr_waits);
+  out += buf;
 
   // Fleet causal rollup, present only when critical-path attribution ran —
   // cp-off artifacts stay byte-identical to pre-feature ones. All edge

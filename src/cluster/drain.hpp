@@ -82,6 +82,11 @@ struct DrainReport {
 
   std::vector<BandwidthSample> egress_gbps;
 
+  // Fleet wire split over the drain window: what became of the packets
+  // every device received and sent (RNR drops, out-of-sequence drops,
+  // duplicates and retransmissions are the wasted share).
+  rnic::PortCounters wire;
+
   // Blackout anatomy across the fleet: which phase dominated each
   // migration's blackout, sorted by phase name (deterministic).
   std::vector<PhaseAttribution> phase_rollup;
@@ -140,6 +145,7 @@ class DrainWorkflow {
   bool active_ = false;
   std::size_t outstanding_ = 0;
   std::uint64_t last_egress_bytes_ = 0;
+  rnic::PortCounters wire_at_start_;
   sim::EventHandle sampler_;
   obs::Histogram blackouts_;  // exact mode: nearest-rank, byte-identical reports
   std::uint64_t slo_alerts_at_start_ = 0;

@@ -884,6 +884,12 @@ void FtController::phase_promote() {
 }
 
 void FtController::phase_ft_resume(std::uint64_t released, std::uint64_t dropped) {
+  // Partners held their sends to the guest since the switch; it runs again.
+  for (GuestId pid : partners_) {
+    GuestContext* partner = partner_guest(pid);
+    if (partner == nullptr) continue;
+    if (auto st = partner->partner_resume(guest_id_); !st.is_ok()) return fail(st);
+  }
   finished_ = true;
   report_.resume_at = loop_.now();
   obs::SliHub::global().on_resume(guest_id_, report_.resume_at);

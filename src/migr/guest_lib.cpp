@@ -349,7 +349,7 @@ Status GuestContext::translate_send_wr(QpVirt& qp, rnic::SendWr& wr) {
 Status GuestContext::post_send(VQpn vqpn, rnic::SendWr wr) {
   QpVirt* qp = find_qp(vqpn);
   if (qp == nullptr) return common::err(Errc::not_found, "no such vQP");
-  if (qp->suspended) {
+  if (qp->suspended || qp->hold_sends) {
     // Intercept and pretend the WR hit the wire (§3.4): the application
     // keeps its asynchronous view and just sees completions arrive later.
     qp->intercepted_sends.push_back(std::move(wr));
@@ -686,7 +686,7 @@ Status GuestContext::partner_switch_qp(VQpn vqpn, GuestId peer_new_identity) {
   qp->rec.peer_guest = peer_new_identity;
 
   // Replay RECVs that were posted on the old QP but never matched (§3.4),
-  // then the RECVs and sends intercepted during suspension.
+  // then the RECVs intercepted during suspension.
   MIGR_RETURN_IF_ERROR(replay_recv_shadows(*qp));
 
   // All completions of the old QP were parked in fake CQs by WBS; the old
@@ -697,7 +697,12 @@ Status GuestContext::partner_switch_qp(VQpn vqpn, GuestId peer_new_identity) {
 
   invalidate_peer_cache(peer_new_identity);
 
+  // RECVs the application posted during suspension join them now, so the
+  // peer's replayed sends find a full RQ. Sends stay held until
+  // partner_resume: the peer cannot re-post its own RQ before it runs
+  // again, so messages sent earlier would only draw RNR NAKs.
   qp->suspended = false;
+  qp->hold_sends = true;
   MIGR_RETURN_IF_ERROR(flush_intercepted(*qp));
   // Leave suspend_active_ set until every transitioning QP has switched.
   bool any_suspended = false;
@@ -707,6 +712,15 @@ Status GuestContext::partner_switch_qp(VQpn vqpn, GuestId peer_new_identity) {
   if (!any_suspended) {
     suspend_active_ = false;
     wbs_done_ = false;
+  }
+  return Status::ok();
+}
+
+Status GuestContext::partner_resume(GuestId peer) {
+  for (auto& [vqpn, qp] : qps_) {
+    if (!qp.hold_sends || qp.rec.peer_guest != peer) continue;
+    qp.hold_sends = false;
+    MIGR_RETURN_IF_ERROR(flush_intercepted(qp));
   }
   return Status::ok();
 }
@@ -766,7 +780,7 @@ Status GuestContext::flush_intercepted(QpVirt& qp) {
     return Status::ok();
   };
   // Timeout-harvested WRs replay first (§3.4 "buggy network situations").
-  MIGR_RETURN_IF_ERROR(post_send_bounded(qp.timeout_replays));
+  if (!qp.hold_sends) MIGR_RETURN_IF_ERROR(post_send_bounded(qp.timeout_replays));
   while (!qp.intercepted_recvs.empty()) {
     rnic::RecvWr wr = qp.intercepted_recvs.front();
     MIGR_RETURN_IF_ERROR(translate_sges(wr.sge));
@@ -778,7 +792,7 @@ Status GuestContext::flush_intercepted(QpVirt& qp) {
     MIGR_RETURN_IF_ERROR(st);
     qp.intercepted_recvs.pop_front();
   }
-  if (!qp.timeout_replays.empty()) return Status::ok();  // keep ordering
+  if (qp.hold_sends || !qp.timeout_replays.empty()) return Status::ok();  // keep ordering
   MIGR_RETURN_IF_ERROR(post_send_bounded(qp.intercepted_sends));
   return Status::ok();
 }

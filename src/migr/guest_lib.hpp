@@ -174,10 +174,16 @@ class GuestContext {
   /// switched replacement QPs for connections to `peer`. Traffic keeps
   /// flowing on the original QPs, which were never touched.
   void partner_abort_prepared(GuestId peer);
-  /// Step 7: retire the old QP, remap the virtual QPN onto the new one,
-  /// replay un-received RECVs and flush intercepted WRs, update the QP's
-  /// destination metadata, and invalidate cached rkeys/QPNs of the peer.
+  /// Step 7, once the peer's RDMA state is restored: retire the old QP,
+  /// remap the virtual QPN onto the new one, replay un-received and
+  /// intercepted RECVs, update the QP's destination metadata, invalidate
+  /// cached rkeys/QPNs of the peer, and lift the suspension — except that
+  /// sends to the peer stay intercepted until partner_resume.
   common::Status partner_switch_qp(VQpn vqpn, GuestId peer_new_identity);
+  /// Step 7, when the peer resumes: on every QP switched to it, flush the
+  /// sends held since the switch (and intercepted during suspension) and
+  /// send normally again.
+  common::Status partner_resume(GuestId peer);
 
   /// Drop all cached rkey/remote-QPN translations belonging to a peer
   /// (done when that peer migrates, §3.3).
@@ -235,6 +241,9 @@ class GuestContext {
     rnic::Qpn old_pqpn = 0;  // partner transition: retired QP, destroyed at switch
     rnic::Qpn new_pqpn = 0;  // partner transition: prepared replacement
     bool suspended = false;
+    // Partner transition: switched to the peer's new QP, but sends stay
+    // intercepted until the peer resumes (RECVs post normally).
+    bool hold_sends = false;
     bool drained = false;    // WBS verdict for this QP
     std::uint64_t peer_n_sent = kNoPeerCount;
     bool peer_count_received = false;

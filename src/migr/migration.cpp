@@ -904,7 +904,8 @@ void MigrationController::phase_final_restore(Bytes payload) {
   rdma_cost += plugin_.take_cost();
   report_.restore_rdma = rdma_cost;
 
-  // Partners switch to the pre-established QPs (step 7 on the partner).
+  // Partners switch to the pre-established QPs (step 7 on the partner) and
+  // re-post their RECVs there; their sends to the guest wait for its resume.
   for (GuestId pid : partners_) {
     GuestContext* partner = partner_guest(pid);
     if (partner == nullptr) continue;
@@ -949,6 +950,11 @@ void MigrationController::phase_final_restore(Bytes payload) {
 
 void MigrationController::phase_resume() {
   phase_ = "resume";
+  for (GuestId pid : partners_) {
+    GuestContext* partner = partner_guest(pid);
+    if (partner == nullptr) continue;
+    if (auto st = partner->partner_resume(guest_id_); !st.is_ok()) return fail(st);
+  }
   sync_mux_stats();
   report_.resume_at = loop_.now();
   const bool postcopy = options_.mode == MigrationMode::postcopy;

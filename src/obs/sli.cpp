@@ -45,8 +45,8 @@ std::string BrownoutAttribution::json() const {
   std::snprintf(buf, sizeof buf,
                 ",\"baseline_p99_ns\":%" PRId64
                 ",\"baseline_goodput_bps\":%.1f,\"goodput_loss_bytes\":%.1f"
-                ",\"recovery_ns\":%" PRId64,
-                baseline_p99_ns, baseline_goodput_bps, goodput_loss_bytes,
+                ",\"retransmits\":%" PRIu64 ",\"recovery_ns\":%" PRId64,
+                baseline_p99_ns, baseline_goodput_bps, goodput_loss_bytes, retransmits,
                 recovery_ns);
   out += buf;
   out += ",\"precopy_p99\":[";
@@ -296,6 +296,7 @@ BrownoutAttribution SliHub::attribution(std::uint32_t id) const {
     if (w.start < g.mig_start_) continue;
     if (w.phase == ServicePhase::precopy || w.phase == ServicePhase::frozen ||
         w.phase == ServicePhase::postcopy || w.phase == ServicePhase::recovery) {
+      a.retransmits += w.retransmits;
       const double loss_bps = a.baseline_goodput_bps - w.goodput_bps();
       if (loss_bps > 0) {
         a.goodput_loss_bytes +=

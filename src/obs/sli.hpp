@@ -95,6 +95,12 @@ struct BrownoutAttribution {
   /// migration cost the service.
   double goodput_loss_bytes = 0;
 
+  /// Transport go-back-N rewinds on the guest's own QPs over the same
+  /// episode windows: the wasted-retransmission side of the brownout.
+  /// (Waste a partner suffers toward the guest shows on the partner's
+  /// windows and in the fleet wire split of the drain report.)
+  std::uint64_t retransmits = 0;
+
   /// p99 per pre-copy iteration, and its inflation over the baseline.
   struct IterInflation {
     std::int32_t iter = 0;

@@ -3,6 +3,7 @@
 #include "rnic/device.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/log.hpp"
 
@@ -14,6 +15,40 @@ using common::Status;
 
 namespace {
 constexpr std::uint32_t kMaxSge = 16;
+
+// Every port counter, named as the registry exports it.
+struct PortField {
+  const char* name;
+  std::uint64_t PortCounters::*member;
+};
+constexpr PortField kPortFields[] = {
+    {"tx_bytes", &PortCounters::tx_bytes},
+    {"rx_bytes", &PortCounters::rx_bytes},
+    {"tx_packets", &PortCounters::tx_packets},
+    {"rx_packets", &PortCounters::rx_packets},
+    {"retransmits", &PortCounters::retransmits},
+    {"rx_in_order", &PortCounters::rx_in_order},
+    {"rx_duplicate", &PortCounters::rx_duplicate},
+    {"out_of_sequence", &PortCounters::out_of_sequence},
+    {"rx_rnr_drop", &PortCounters::rx_rnr_drop},
+    {"tx_retransmit_packets", &PortCounters::tx_retransmit_packets},
+    {"rnr_waits", &PortCounters::rnr_waits},
+};
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// PortCounters
+// ---------------------------------------------------------------------------
+
+PortCounters& PortCounters::operator+=(const PortCounters& o) {
+  for (const PortField& f : kPortFields) this->*f.member += o.*f.member;
+  return *this;
+}
+
+PortCounters PortCounters::operator-(const PortCounters& o) const {
+  PortCounters d = *this;
+  for (const PortField& f : kPortFields) d.*f.member -= o.*f.member;
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -56,14 +91,12 @@ Device::Device(sim::EventLoop& loop, net::Fabric& fabric, net::HostId host,
   metrics_.qp_to_reset = &reg.counter("rnic.qp_transitions", {{"host", std::to_string(host_)}, {"to", "reset"}});
   // Ethtool-style port counters surface through the same registry snapshot.
   port_source_id_ = reg.register_source("rnic.port", labels, [this] {
-    return std::vector<std::pair<std::string, double>>{
-        {"tx_bytes", static_cast<double>(counters_.tx_bytes)},
-        {"rx_bytes", static_cast<double>(counters_.rx_bytes)},
-        {"tx_packets", static_cast<double>(counters_.tx_packets)},
-        {"rx_packets", static_cast<double>(counters_.rx_packets)},
-        {"out_of_sequence", static_cast<double>(counters_.out_of_sequence)},
-        {"retransmits", static_cast<double>(counters_.retransmits)},
-    };
+    std::vector<std::pair<std::string, double>> out;
+    out.reserve(std::size(kPortFields));
+    for (const PortField& f : kPortFields) {
+      out.emplace_back(f.name, static_cast<double>(counters_.*f.member));
+    }
+    return out;
   });
 }
 
@@ -426,6 +459,8 @@ Status Context::modify_qp_reset(Qpn qpn) {
   qp->rq.clear();
   qp->next_psn = qp->acked_psn = qp->expected_psn = 0;
   qp->last_nak_psn = static_cast<Psn>(-1);
+  qp->tx_high_psn = 0;
+  qp->rnr_hold_until = 0;
   qp->emit_cursor = 0;
   qp->route = nullptr;  // re-resolved at the next RTR transition
   qp->recv_active = false;

@@ -184,11 +184,19 @@ struct Qp {
   // so per-packet arming is deduplicated; with faults active every
   // emission arms its own timer, exactly as before.
   std::uint32_t rtx_outstanding = 0;
+  // One past the highest request PSN ever put on the wire: an emission
+  // below it is a retransmitted packet.
+  Psn tx_high_psn = 0;
+  // RNR wait: after an RNR NAK the requester emits nothing on this QP until
+  // the peer's advertised RNR timer has elapsed.
+  sim::TimeNs rnr_hold_until = 0;
 
   // --- responder (receive) engine ---
   common::Ring<RecvWr> rq;
   Psn expected_psn = 0;
   Psn last_nak_psn = static_cast<Psn>(-1);
+  // Advertised in this QP's RNR NAKs.
+  RnrTimer min_rnr_timer = kDefaultMinRnrTimer;
   // Assembly state for the in-progress inbound SEND message.
   bool recv_active = false;
   RecvWr recv_cur;
@@ -215,8 +223,20 @@ struct PortCounters {
   std::uint64_t rx_bytes = 0;
   std::uint64_t tx_packets = 0;
   std::uint64_t rx_packets = 0;
-  std::uint64_t out_of_sequence = 0;  // gap events seen by responders
   std::uint64_t retransmits = 0;      // go-back-N rewinds
+  // What became of every inbound RC request packet (send/write/read/atomic
+  // requests; acks and responses are the rest of rx_packets):
+  std::uint64_t rx_in_order = 0;      // accepted at the expected PSN
+  std::uint64_t rx_duplicate = 0;     // below it: go-back-N replay, re-acked
+  std::uint64_t out_of_sequence = 0;  // beyond a PSN gap: dropped
+  std::uint64_t rx_rnr_drop = 0;      // at it, but no receive WQE: RNR NAKed
+  // Request packets emitted again after a rewind, and RNR NAKs received
+  // (each holds the requester for the peer's RNR timer).
+  std::uint64_t tx_retransmit_packets = 0;
+  std::uint64_t rnr_waits = 0;
+
+  PortCounters& operator+=(const PortCounters& o);
+  PortCounters operator-(const PortCounters& o) const;
 };
 
 /// Opaque QP transport state blob for the MigrOS ablation (migration-aware
@@ -411,6 +431,11 @@ class Device {
   void on_atomic_resp(Qp& qp, const WirePacket& pkt);
   void send_ack(Qp& qp);
   void send_nak(Qp& qp, bool rnr = false);
+  // Requester side of an RNR NAK: hold the QP for `delay`, then re-kick it.
+  void hold_for_rnr(Qp& qp, sim::DurationNs delay);
+  bool rnr_held(const Qp& qp) const { return loop_.now() < qp.rnr_hold_until; }
+  // Classify an emitted request packet as first transmission or retransmit.
+  void note_request_tx(Qp& qp, Psn psn);
 
   // Remote-key validation across every context on this device.
   struct RkeyTarget {

@@ -19,9 +19,11 @@ namespace {
 constexpr std::uint8_t kErrNone = 0;
 constexpr std::uint8_t kErrRemoteAccess = 1;
 // NAK syndrome (carried in the spare atomic_op byte, like kErrRemoteAccess):
-// receiver-not-ready is flow control — the requester retries without
-// consuming retry budget (IB's separate, default-infinite rnr_retry) —
-// whereas a plain sequence-error NAK counts against the budget.
+// receiver-not-ready is flow control — the requester waits out the
+// responder's RNR timer (carried in the NAK's imm field, as IB's AETH
+// carries it in the syndrome) and retries without consuming retry budget
+// (IB's separate, default-infinite rnr_retry) — whereas a plain
+// sequence-error NAK counts against the budget.
 constexpr std::uint8_t kNakRnr = 2;
 
 // Largest packet train handed to the fabric in one coalesced emission.
@@ -305,7 +307,7 @@ void Device::pump() {
 
 bool Device::emit_burst(Qp& qp) {
   if (qp.state != QpState::rts || qp.type != QpType::rc || qp.route == nullptr) return false;
-  if (under_ctrl_pressure() || !fabric_.data_fast_path()) return false;
+  if (under_ctrl_pressure() || !fabric_.data_fast_path() || rnr_held(qp)) return false;
   if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
   if (qp.emit_cursor >= qp.sq.tail()) return false;
   SendWqe& wqe = qp.sq.at(static_cast<std::size_t>(qp.emit_cursor - qp.sq.head()));
@@ -370,6 +372,7 @@ bool Device::emit_burst(Qp& qp) {
     pkt.payload = wqe.msg_buf.slice(offset, chunk);
     counters_.tx_packets++;
     counters_.tx_bytes += chunk;
+    note_request_tx(qp, pkt.psn);
 
     net::Packet raw;
     raw.src = host_;
@@ -387,7 +390,7 @@ bool Device::emit_burst(Qp& qp) {
 }
 
 bool Device::emit_next_packet(Qp& qp) {
-  if (qp.state != QpState::rts) return false;
+  if (qp.state != QpState::rts || rnr_held(qp)) return false;
   const std::uint32_t mtu = fabric_.config().mtu;
   if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
 
@@ -499,6 +502,7 @@ bool Device::emit_next_packet(Qp& qp) {
         break;
     }
 
+    if (qp.type == QpType::rc) note_request_tx(qp, pkt.psn);
     transmit(std::move(pkt), dst_host,
              qp.type == QpType::rc ? qp.route : fabric_.route(host_, dst_host));
     wqe.emitted_pkts++;
@@ -513,6 +517,14 @@ bool Device::emit_next_packet(Qp& qp) {
     return true;
   }
   return false;
+}
+
+void Device::note_request_tx(Qp& qp, Psn psn) {
+  if (psn < qp.tx_high_psn) {
+    counters_.tx_retransmit_packets++;
+  } else {
+    qp.tx_high_psn = psn + 1;
+  }
 }
 
 void Device::transmit(WirePacket pkt, net::HostId dst, net::Fabric::Route* route) {
@@ -589,8 +601,9 @@ void Device::on_retransmit_timer(Qpn qpn) {
   if (qp.rtx_outstanding > 0) qp.rtx_outstanding--;
   if (qp.state != QpState::rts || qp.type != QpType::rc) return;
   if (qp.sq.empty()) return;
-  // Anything left unacked and quiet for a full timeout?
-  if (loop_.now() - qp.last_progress < costs().retransmit_timeout) {
+  // Anything left unacked and quiet for a full timeout? An RNR wait is the
+  // responder's explicit "alive, retry later", not silence.
+  if (loop_.now() - qp.last_progress < costs().retransmit_timeout || rnr_held(qp)) {
     // Progress happened since this timer was armed — but nothing else arms
     // one (ACK progress does not), so keep a timer alive until the SQ
     // drains; otherwise a tail left unacked after a partial cumulative ACK
@@ -655,7 +668,20 @@ void Device::send_nak(Qp& qp, bool rnr) {
   nak.dst_qpn = qp.remote_qpn;
   nak.psn = qp.expected_psn;
   nak.atomic_op = rnr ? kNakRnr : kErrNone;
+  if (rnr) nak.imm = qp.min_rnr_timer;
   transmit(std::move(nak), qp.remote_host, qp.route);
+}
+
+void Device::hold_for_rnr(Qp& qp, sim::DurationNs delay) {
+  counters_.rnr_waits++;
+  const sim::TimeNs until = loop_.now() + delay;
+  if (until <= qp.rnr_hold_until) return;  // an earlier NAK already holds longer
+  qp.rnr_hold_until = until;
+  const Qpn qpn = qp.qpn;
+  loop_.post_at(until, [this, qpn] {
+    auto it = qp_routes_.find(qpn);
+    if (it != qp_routes_.end() && it->second->state == QpState::rts) kick(*it->second);
+  });
 }
 
 void Device::on_ack(Qp& qp, const WirePacket& pkt) {
@@ -698,6 +724,13 @@ void Device::on_ack(Qp& qp, const WirePacket& pkt) {
     qp.retransmits++;
     metrics_.retransmits->inc();
     rewind_to(qp, retransmit_point(qp));
+    if (pkt.atomic_op == kNakRnr) {
+      // Go back to the NAKed PSN only once the peer's RNR timer expires;
+      // re-kicking now would replay the window into an empty RQ at line
+      // rate, every packet behind the first dropped out of sequence.
+      hold_for_rnr(qp, rnr_timer_delay(static_cast<RnrTimer>(pkt.imm)));
+      return;
+    }
     kick(qp);
   }
 }
@@ -826,6 +859,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
   // --- RC PSN discipline ---
   if (pkt.psn < qp.expected_psn) {
     // Duplicate from a go-back-N replay. Re-ack; replay read/atomic results.
+    counters_.rx_duplicate++;
     switch (pkt.op) {
       case PktOp::read_req:
         on_request_read(qp, pkt);  // reads are idempotent: re-execute
@@ -867,12 +901,14 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         if (qp.srq != 0) {
           auto* srq = qp.ctx->srqs_.find(qp.srq)->second.get();
           if (srq->wqes.empty()) {
+            counters_.rx_rnr_drop++;
             send_nak(qp, /*rnr=*/true);  // receiver-not-ready; sender will retry
             return;
           }
           wr = srq->wqes.pop();
         } else {
           if (qp.rq.empty()) {
+            counters_.rx_rnr_drop++;
             send_nak(qp, /*rnr=*/true);
             return;
           }
@@ -901,6 +937,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         qp.recv_written += static_cast<std::uint32_t>(pkt.payload.size());
       }
       qp.expected_psn = pkt.psn + 1;
+      counters_.rx_in_order++;
       if (pkt.last) {
         qp.recv_active = false;
         qp.n_recv++;
@@ -942,12 +979,14 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         }
         if (!have) {
           qp.expected_psn = pkt.psn;  // un-consume; retry like RNR
+          counters_.rx_rnr_drop++;
           send_nak(qp, /*rnr=*/true);
           return;
         }
         qp.n_recv++;
         deliver_recv_cqe(qp, wr, pkt.msg_len, true, pkt.imm, qp.remote_qpn);
       }
+      counters_.rx_in_order++;
       if (pkt.last) {
         send_ack(qp);
       } else if ((qp.expected_psn & 0xF) == 0) {
@@ -957,6 +996,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
     }
     case PktOp::read_req:
       qp.expected_psn = pkt.psn + 1;
+      counters_.rx_in_order++;
       on_request_read(qp, pkt);
       return;
     case PktOp::atomic_req: {
@@ -969,6 +1009,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         return;
       }
       qp.expected_psn = pkt.psn + 1;
+      counters_.rx_in_order++;
       std::uint8_t buf[8];
       (void)target->ctx->process().mem().read(pkt.remote_addr, buf);
       std::uint64_t orig;

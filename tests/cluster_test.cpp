@@ -7,6 +7,8 @@
 //  * ClusterDrain: zero-guest drain completes immediately, the acceptance
 //    drain (8 hosts, concurrency 4) is deterministic down to the rendered
 //    report, leaves no stuck QPs, and beats concurrency 1 on makespan;
+//  * ClusterDrainWire: the canonical 8-guest drain wastes under 1% of the
+//    packets it receives (no post-migration RNR retransmit storm);
 //  * ClusterDrainLossy: a drain survives a seeded lossy fabric with a
 //    mid-drain source partition — aborted attempts are retried to
 //    completion.
@@ -278,6 +280,50 @@ TEST(ClusterDrainTest, EightHostDrainIsDeterministicAndScalesWithConcurrency) {
   const DrainRun c1 = run_acceptance_drain(1, 7);
   EXPECT_TRUE(c1.all_completed) << c1.rendered;
   EXPECT_LT(c4a.makespan, c1.makespan);  // strictly better at concurrency 4
+}
+
+// The canonical drain (bench_cluster_drain's default, the benchmark's
+// drain8): eight guests on host 1 sending 2 KiB every 20 us to partners on
+// hosts 2..8. Partners re-post their RECVs on the replacement QPs when they
+// switch but hold their sends until the migrated guest resumes, so no
+// message meets an empty RQ: no RNR, and no go-back-N replays dropped out
+// of sequence behind one.
+TEST(ClusterDrainWireTest, CleanDrainWastesUnderOnePercentOfReceivedPackets) {
+  ClusterConfig cfg;
+  cfg.hosts = 8;
+  cfg.seed = 42;
+  ClusterModel model(cfg);
+  TrafficProfile profile;
+  profile.send_interval = sim::usec(20);
+  profile.msg_bytes = 2048;
+  profile.extra_mem_bytes = 2 << 20;
+  profile.dirty_interval = sim::msec(1);
+  for (GuestId g = 0; g < 8; ++g) {
+    ASSERT_TRUE(model.add_guest(1, 100 + g, profile).is_ok());
+    ASSERT_TRUE(model.add_guest(2 + g % 7, 200 + g, profile).is_ok());
+    ASSERT_TRUE(model.connect_guests(100 + g, 200 + g).is_ok());
+  }
+  model.run_for(sim::msec(5));
+
+  SchedulerConfig scfg;
+  scfg.limits.max_concurrent_fleet = 4;
+  scfg.limits.max_concurrent_per_source = 4;
+  scfg.limits.max_concurrent_per_dest = 4;
+  MigrationScheduler sched(model, scfg);
+  DrainWorkflow drain(model, sched);
+  const DrainReport rep = drain.run(1);
+  ASSERT_TRUE(rep.ok) << format_drain_report(rep);
+  EXPECT_EQ(model.audit_stuck_qps(sim::msec(10)), 0u);
+
+  const rnic::PortCounters& w = rep.wire;
+  ASSERT_GT(w.rx_packets, 100'000u);
+  EXPECT_EQ(w.rx_rnr_drop, 0u);
+  EXPECT_EQ(w.rnr_waits, 0u);
+  EXPECT_LT(w.out_of_sequence * 100, w.rx_packets) << format_drain_report(rep);
+  EXPECT_LT(w.tx_retransmit_packets * 100, w.tx_packets);
+  // The request-packet split never claims more packets than arrived.
+  EXPECT_LE(w.rx_in_order + w.rx_duplicate + w.out_of_sequence + w.rx_rnr_drop,
+            w.rx_packets);
 }
 
 TEST(ClusterDrainLossyTest, DrainSurvivesLossAndMidDrainPartition) {

@@ -154,11 +154,9 @@ TEST(DeterminismTest, MultifdSuppressedDrainReportIsByteIdenticalAcrossRuns) {
 // Pre-change baseline guard
 // ---------------------------------------------------------------------------
 
-// tests/data/drain_report_{clean,lossy}.txt were captured (via
-// MIGR_DUMP_DRAIN_REPORT) from the build preceding the adaptive pre-copy /
-// post-copy work. With the dirty-rate estimator disabled — the default — the
-// reworked controller must render the same drains byte-identically: the
-// accounting fixes move *when* counters increment, never which events run.
+// tests/data/drain_report_{clean,lossy}.txt were captured via
+// MIGR_DUMP_DRAIN_REPORT. A diff means a change altered which events run;
+// re-capture them only in a change that explains why.
 std::string read_baseline(const char* name) {
   const std::string path =
       std::string(MIGR_TEST_DATA_DIR) + "/drain_report_" + name + ".txt";

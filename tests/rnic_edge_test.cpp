@@ -416,6 +416,81 @@ TEST_F(RnicEdgeTest, RnrNaksDoNotConsumeRetryBudget) {
   EXPECT_EQ(wait_cqe(ctx_b_, cq_b_).status, CqeStatus::success);
 }
 
+TEST_F(RnicEdgeTest, RnrTimerCodesDecodeAsInTheIbSpec) {
+  EXPECT_EQ(rnr_timer_delay(0), sim::usec(655360));  // 0 is the longest wait
+  EXPECT_EQ(rnr_timer_delay(1), sim::usec(10));
+  EXPECT_EQ(rnr_timer_delay(kDefaultMinRnrTimer), sim::usec(640));
+  EXPECT_EQ(rnr_timer_delay(14), sim::usec(1280));
+  EXPECT_EQ(rnr_timer_delay(31), sim::usec(491520));
+}
+
+TEST_F(RnicEdgeTest, RnrNakHoldsRequesterForTheAdvertisedTimer) {
+  // The responder advertises its min_rnr_timer in every RNR NAK. The
+  // requester stays silent for that long, then replays the window once —
+  // instead of re-kicking at once and looping into the empty RQ at line
+  // rate, every packet behind the head dropped out of sequence.
+  constexpr RnrTimer kCode = 14;  // 1.28 ms, not the default
+  const sim::DurationNs hold = rnr_timer_delay(kCode);
+  auto [qa, qb] = pair();
+  ctx_b_->find_qp_mut(qb)->min_rnr_timer = kCode;
+
+  Buf sb = buf(ctx_a_, pd_a_, 4096);
+  Buf rb = buf(ctx_b_, pd_b_, 8 * 64);
+  constexpr std::uint64_t kWindow = 8;  // single-packet SENDs, no RECV yet
+  for (std::uint64_t i = 0; i < kWindow; ++i) {
+    SendWr wr;
+    wr.wr_id = i;
+    wr.opcode = WrOpcode::send;
+    wr.sge = {{sb.addr, 64, sb.mr.lkey}};
+    ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  }
+  const sim::TimeNs t0 = world_.loop().now();
+  const PortCounters& a = dev_a_->counters();
+  const PortCounters& b = dev_b_->counters();
+
+  // Round 1: the head is RNR-dropped and NAKed, the rest fall out of
+  // sequence, and the NAK starts one hold on the requester.
+  world_.loop().run_until(t0 + sim::usec(50));
+  EXPECT_EQ(b.rx_rnr_drop, 1u);
+  EXPECT_EQ(b.out_of_sequence, kWindow - 1);
+  EXPECT_EQ(a.rnr_waits, 1u);
+  const sim::TimeNs until = ctx_a_->find_qp(qa)->rnr_hold_until;
+  EXPECT_GT(until, t0 + hold);
+  EXPECT_LT(until, t0 + hold + sim::usec(50));
+
+  // Nothing leaves the requester before the timer expires...
+  world_.loop().run_until(until - 1);
+  EXPECT_EQ(b.rx_rnr_drop, 1u);
+  EXPECT_EQ(a.tx_retransmit_packets, 0u);
+  // ...then exactly one go-back-N replay of the window, and a new hold.
+  world_.loop().run_until(until + sim::usec(50));
+  EXPECT_EQ(b.rx_rnr_drop, 2u);
+  EXPECT_EQ(a.tx_retransmit_packets, kWindow);
+  EXPECT_EQ(a.rnr_waits, 2u);
+
+  // One round per hold from then on, budget-free: the QP stays in RTS.
+  world_.loop().run_until(t0 + sim::msec(10));
+  EXPECT_GE(b.rx_rnr_drop, static_cast<std::uint64_t>(sim::msec(10) / (hold + sim::usec(50))));
+  EXPECT_LE(b.rx_rnr_drop, static_cast<std::uint64_t>(sim::msec(10) / hold + 1));
+  EXPECT_EQ(b.rx_packets, b.rx_rnr_drop * kWindow);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::rts);
+
+  // RECVs appear: the window lands at the next retry, not before it.
+  const sim::TimeNs next_retry = ctx_a_->find_qp(qa)->rnr_hold_until;
+  for (std::uint64_t i = 0; i < kWindow; ++i) {
+    RecvWr rwr;
+    rwr.sge = {{rb.addr + i * 64, 64, rb.mr.lkey}};
+    ASSERT_TRUE(ctx_b_->post_recv(qb, rwr).is_ok());
+  }
+  Cqe cqe = wait_cqe(ctx_b_, cq_b_);
+  EXPECT_EQ(cqe.status, CqeStatus::success);
+  EXPECT_GE(world_.loop().now(), next_retry);
+  for (std::uint64_t i = 0; i < kWindow; ++i) {
+    EXPECT_EQ(wait_cqe(ctx_a_, cq_a_).status, CqeStatus::success);
+  }
+  EXPECT_LT(world_.loop().now(), next_retry + sim::usec(100));
+}
+
 TEST_F(RnicEdgeTest, NakSentinelClearedAcrossReconnect) {
   // The one-NAK-per-gap-event sentinel must not leak across a QP's
   // reconnect (reset->init->rtr), or a stale value equal to the new

@@ -253,6 +253,30 @@ TEST_F(SliHubTest, RetransmitDeltasClampOnCounterReset) {
   EXPECT_EQ(ws[2].retransmits, 0u);  // clamped, not wrapped
 }
 
+TEST_F(SliHubTest, AttributionCountsOnlyTheEpisodesRetransmits) {
+  SKIP_IF_OBS_DISABLED();
+  auto& hub = SliHub::global();
+  GuestSli* g = hub.guest(6, 0);
+  ASSERT_NE(g, nullptr);
+  std::uint64_t counter = 0;
+  hub.set_retransmit_source(6, 0, [&counter] { return counter; });
+
+  g->rtt(sim::usec(50), sim::usec(5));
+  hub.flush(sim::usec(100));  // priming poll
+  counter = 40;               // idle-time retransmits: not the migration's
+  hub.on_migration_start(6, sim::usec(200));
+  counter = 45;               // pre-copy
+  hub.on_freeze(6, sim::usec(300));
+  hub.on_resume(6, sim::usec(400));
+  counter = 52;               // recovery
+  hub.flush(sim::usec(500));
+
+  const BrownoutAttribution att = hub.attribution(6);
+  ASSERT_TRUE(att.valid);
+  EXPECT_EQ(att.retransmits, 12u);
+  EXPECT_NE(att.json().find("\"retransmits\":12"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // SLO spec grammar
 // ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ accounting must balance against the rollup, committed epochs must be
 monotone, and a failover's blackout waterfall must tile [killed_at,
 resume_at] gap-free.
 
+--drain also pins the fleet wire split: the inbound request-packet classes
+(in order, duplicate, out of sequence, RNR drop) never exceed the packets
+received, and retransmitted packets never exceed those sent. --max-wasted P
+fails the drain when out-of-sequence plus RNR drops exceed P of received
+packets (a clean drain has no post-migration retransmit storm).
+
 --drain additionally pins the parallel-stream mux rollup: bytes_attempted ==
 bytes_delivered + bytes_lost (in total and per stream), per-stream counters
 sum back to the rollup, and suppression conserves raw bytes (raw == shipped
@@ -227,7 +233,11 @@ def check_slo(path, expect_alert=False):
 DRAIN_TOP_FIELDS = {
     "kind", "version", "scenario", "mode", "host", "ok", "migrations",
     "completed", "failed", "retries", "aborts", "makespan_ns", "blackout_ns",
-    "phases", "postcopy", "xfer", "guests",
+    "phases", "wire", "postcopy", "xfer", "guests",
+}
+WIRE_FIELDS = {
+    "rx_packets", "rx_in_order", "rx_duplicate", "rx_out_of_sequence",
+    "rx_rnr_drop", "tx_packets", "tx_retransmitted", "rnr_waits",
 }
 XFER_FIELDS = {
     "streams", "migrations", "bytes_attempted", "bytes_delivered",
@@ -269,7 +279,28 @@ def check_xfer_streams(path, label, per_stream, totals):
     return True
 
 
-def check_drain(path, expect_streams=0):
+def check_wire(path, w, max_wasted=None):
+    """Fleet wire split: classes are sub-counts of what arrived / was sent."""
+    missing = WIRE_FIELDS - w.keys()
+    if missing:
+        return fail(path, f"wire block missing {sorted(missing)}")
+    classified = (w["rx_in_order"] + w["rx_duplicate"] +
+                  w["rx_out_of_sequence"] + w["rx_rnr_drop"])
+    if classified > w["rx_packets"]:
+        return fail(path, f"wire: {classified} classified request packets "
+                          f"exceed {w['rx_packets']} received")
+    if w["tx_retransmitted"] > w["tx_packets"]:
+        return fail(path, f"wire: {w['tx_retransmitted']} retransmitted packets "
+                          f"exceed {w['tx_packets']} sent")
+    if max_wasted is not None and w["rx_packets"] > 0:
+        wasted = (w["rx_out_of_sequence"] + w["rx_rnr_drop"]) / w["rx_packets"]
+        if wasted > max_wasted:
+            return fail(path, f"wire: {wasted:.2%} of received packets dropped "
+                              f"(out of sequence or RNR), limit {max_wasted:.2%}")
+    return True
+
+
+def check_drain(path, expect_streams=0, max_wasted=None):
     with open(path) as f:
         doc = json.load(f)
     if doc.get("kind") != "drain_report":
@@ -279,6 +310,8 @@ def check_drain(path, expect_streams=0):
     missing = DRAIN_TOP_FIELDS - doc.keys()
     if missing:
         return fail(path, f"missing top-level fields {sorted(missing)}")
+    if not check_wire(path, doc["wire"], max_wasted):
+        return False
 
     # Parallel-stream mux rollup: present in every report (all-zero with the
     # mux off); attempted bytes must balance against delivered + lost both in
@@ -667,6 +700,14 @@ def main():
              "every stream carrying chunks",
     )
     ap.add_argument(
+        "--max-wasted",
+        type=float,
+        default=None,
+        metavar="P",
+        help="fail when a --drain report drops more than this fraction of its "
+             "received packets out of sequence or for RNR",
+    )
+    ap.add_argument(
         "--ft",
         action="append",
         default=[],
@@ -706,7 +747,8 @@ def main():
     if args.slo:
         ok = check_slo(args.slo, expect_alert=args.expect_alert) and ok
     for path in args.drain:
-        ok = check_drain(path, expect_streams=args.expect_streams) and ok
+        ok = check_drain(path, expect_streams=args.expect_streams,
+                         max_wasted=args.max_wasted) and ok
         if args.critical_path:
             ok = check_drain_critical_path(
                 path, expect_retry_edges=args.expect_retry_edges,
