@@ -163,11 +163,11 @@ void DrainWorkflow::finalize() {
       for (std::size_t c = 0; c < obs::kEdgeClassCount; ++c) {
         classes[c].p50 = dists[c].percentile(50);
         classes[c].p99 = dists[c].percentile(99);
+        // The fleet's dominant edge is the one that took the most blackout
+        // time summed over the fleet, so one long retry outweighs many
+        // migrations each dominated by a short edge.
         if (static_cast<obs::EdgeClass>(c) != obs::EdgeClass::slack &&
-            (fleet_dom == nullptr ||
-             classes[c].dominant_count > fleet_dom->dominant_count ||
-             (classes[c].dominant_count == fleet_dom->dominant_count &&
-              classes[c].total > fleet_dom->total))) {
+            (fleet_dom == nullptr || classes[c].total > fleet_dom->total)) {
           fleet_dom = &classes[c];
         }
       }

@@ -97,7 +97,7 @@ struct DrainReport {
   // so the JSON schema is fixed. Empty when cp_migrations == 0.
   std::uint64_t cp_migrations = 0;  // outcomes carrying a valid critical path
   std::vector<EdgeAttribution> cp_rollup;
-  std::string cp_dominant;  // fleet dominant edge (slack excluded)
+  std::string cp_dominant;  // most summed blackout time (slack excluded)
 
   sim::DurationNs makespan() const { return finished_at - started_at; }
 };

@@ -268,6 +268,9 @@ void FtController::fail(const Status& st) {
   stop_timers();
   if (mux_) mux_->cancel();  // chunk timers must not outlive protection
   protected_ = false;
+  // Once failover started, partners may have switched QPs and be holding
+  // their sends for a resume that will never come: release them.
+  if (failed_over_) (void)migrlib::resume_partners(directory_, partners_, guest_id_);
   // Never strand buffered egress: a protection failure falls back to
   // unprotected operation, not to withholding the service's output.
   if (node_ != nullptr && node_->output_commit_armed()) node_->disarm_output_commit();
@@ -885,10 +888,8 @@ void FtController::phase_promote() {
 
 void FtController::phase_ft_resume(std::uint64_t released, std::uint64_t dropped) {
   // Partners held their sends to the guest since the switch; it runs again.
-  for (GuestId pid : partners_) {
-    GuestContext* partner = partner_guest(pid);
-    if (partner == nullptr) continue;
-    if (auto st = partner->partner_resume(guest_id_); !st.is_ok()) return fail(st);
+  if (auto st = migrlib::resume_partners(directory_, partners_, guest_id_); !st.is_ok()) {
+    return fail(st);
   }
   finished_ = true;
   report_.resume_at = loop_.now();

@@ -717,12 +717,13 @@ Status GuestContext::partner_switch_qp(VQpn vqpn, GuestId peer_new_identity) {
 }
 
 Status GuestContext::partner_resume(GuestId peer) {
+  Status first = Status::ok();
   for (auto& [vqpn, qp] : qps_) {
     if (!qp.hold_sends || qp.rec.peer_guest != peer) continue;
     qp.hold_sends = false;
-    MIGR_RETURN_IF_ERROR(flush_intercepted(qp));
+    if (auto st = flush_intercepted(qp); !st.is_ok() && first.is_ok()) first = st;
   }
-  return Status::ok();
+  return first;
 }
 
 void GuestContext::invalidate_peer_cache(GuestId peer) {

@@ -182,7 +182,8 @@ class GuestContext {
   common::Status partner_switch_qp(VQpn vqpn, GuestId peer_new_identity);
   /// Step 7, when the peer resumes: on every QP switched to it, flush the
   /// sends held since the switch (and intercepted during suspension) and
-  /// send normally again.
+  /// send normally again. Every QP is released even if a flush fails; the
+  /// first error is returned.
   common::Status partner_resume(GuestId peer);
 
   /// Drop all cached rkey/remote-QPN translations belonging to a peer

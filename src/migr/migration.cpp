@@ -194,6 +194,9 @@ void MigrationController::fail(const Status& st) {
   reset_throttle();
   if (mux_) mux_->cancel();
   sync_mux_stats();
+  // Past the commit point partners may have switched QPs and be holding
+  // their sends for the guest's resume, which will never come: release them.
+  if (committed_) (void)resume_partners(directory_, partners_, guest_id_);
   report_.ok = false;
   report_.error = st.to_string();
   report_.end = loop_.now();
@@ -294,6 +297,18 @@ void MigrationController::abort(const Status& st) {
 GuestContext* MigrationController::partner_guest(GuestId id) const {
   MigrRdmaRuntime* rt = directory_.runtime_of(id);
   return rt == nullptr ? nullptr : rt->find_guest(id);
+}
+
+Status resume_partners(const GuestDirectory& directory, const std::vector<GuestId>& partners,
+                       GuestId guest) {
+  Status first = Status::ok();
+  for (GuestId pid : partners) {
+    MigrRdmaRuntime* rt = directory.runtime_of(pid);
+    GuestContext* partner = rt == nullptr ? nullptr : rt->find_guest(pid);
+    if (partner == nullptr) continue;
+    if (auto st = partner->partner_resume(guest); !st.is_ok() && first.is_ok()) first = st;
+  }
+  return first;
 }
 
 std::uint64_t MigrationController::effective_bytes_threshold() const {
@@ -950,11 +965,7 @@ void MigrationController::phase_final_restore(Bytes payload) {
 
 void MigrationController::phase_resume() {
   phase_ = "resume";
-  for (GuestId pid : partners_) {
-    GuestContext* partner = partner_guest(pid);
-    if (partner == nullptr) continue;
-    if (auto st = partner->partner_resume(guest_id_); !st.is_ok()) return fail(st);
-  }
+  if (auto st = resume_partners(directory_, partners_, guest_id_); !st.is_ok()) return fail(st);
   sync_mux_stats();
   report_.resume_at = loop_.now();
   const bool postcopy = options_.mode == MigrationMode::postcopy;

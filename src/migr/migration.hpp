@@ -245,6 +245,13 @@ class MigratableApp {
   virtual void on_migrated(proc::SimProcess& new_proc) = 0;
 };
 
+/// Step 7 on the partners once the guest runs again, or once its migration
+/// or failover fails after they switched QPs: release the sends every one of
+/// `partners` holds for `guest` (GuestContext::partner_resume). Every
+/// partner is released; the first error is returned.
+common::Status resume_partners(const GuestDirectory& directory,
+                               const std::vector<GuestId>& partners, GuestId guest);
+
 class MigrationController {
  public:
   MigrationController(sim::EventLoop& loop, net::Fabric& fabric, GuestDirectory& directory,

@@ -188,15 +188,13 @@ struct Qp {
   // below it is a retransmitted packet.
   Psn tx_high_psn = 0;
   // RNR wait: after an RNR NAK the requester emits nothing on this QP until
-  // the peer's advertised RNR timer has elapsed.
+  // kRnrHold has elapsed.
   sim::TimeNs rnr_hold_until = 0;
 
   // --- responder (receive) engine ---
   common::Ring<RecvWr> rq;
   Psn expected_psn = 0;
   Psn last_nak_psn = static_cast<Psn>(-1);
-  // Advertised in this QP's RNR NAKs.
-  RnrTimer min_rnr_timer = kDefaultMinRnrTimer;
   // Assembly state for the in-progress inbound SEND message.
   bool recv_active = false;
   RecvWr recv_cur;
@@ -231,7 +229,7 @@ struct PortCounters {
   std::uint64_t out_of_sequence = 0;  // beyond a PSN gap: dropped
   std::uint64_t rx_rnr_drop = 0;      // at it, but no receive WQE: RNR NAKed
   // Request packets emitted again after a rewind, and RNR NAKs received
-  // (each holds the requester for the peer's RNR timer).
+  // (each holds the requester for kRnrHold).
   std::uint64_t tx_retransmit_packets = 0;
   std::uint64_t rnr_waits = 0;
 
@@ -431,8 +429,8 @@ class Device {
   void on_atomic_resp(Qp& qp, const WirePacket& pkt);
   void send_ack(Qp& qp);
   void send_nak(Qp& qp, bool rnr = false);
-  // Requester side of an RNR NAK: hold the QP for `delay`, then re-kick it.
-  void hold_for_rnr(Qp& qp, sim::DurationNs delay);
+  // Requester side of an RNR NAK: hold the QP for kRnrHold, then re-kick it.
+  void hold_for_rnr(Qp& qp);
   bool rnr_held(const Qp& qp) const { return loop_.now() < qp.rnr_hold_until; }
   // Classify an emitted request packet as first transmission or retransmit.
   void note_request_tx(Qp& qp, Psn psn);

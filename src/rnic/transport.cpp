@@ -19,11 +19,9 @@ namespace {
 constexpr std::uint8_t kErrNone = 0;
 constexpr std::uint8_t kErrRemoteAccess = 1;
 // NAK syndrome (carried in the spare atomic_op byte, like kErrRemoteAccess):
-// receiver-not-ready is flow control — the requester waits out the
-// responder's RNR timer (carried in the NAK's imm field, as IB's AETH
-// carries it in the syndrome) and retries without consuming retry budget
-// (IB's separate, default-infinite rnr_retry) — whereas a plain
-// sequence-error NAK counts against the budget.
+// receiver-not-ready is flow control — the requester waits kRnrHold and
+// retries without consuming retry budget (IB's separate, default-infinite
+// rnr_retry) — whereas a plain sequence-error NAK counts against the budget.
 constexpr std::uint8_t kNakRnr = 2;
 
 // Largest packet train handed to the fabric in one coalesced emission.
@@ -601,9 +599,8 @@ void Device::on_retransmit_timer(Qpn qpn) {
   if (qp.rtx_outstanding > 0) qp.rtx_outstanding--;
   if (qp.state != QpState::rts || qp.type != QpType::rc) return;
   if (qp.sq.empty()) return;
-  // Anything left unacked and quiet for a full timeout? An RNR wait is the
-  // responder's explicit "alive, retry later", not silence.
-  if (loop_.now() - qp.last_progress < costs().retransmit_timeout || rnr_held(qp)) {
+  // Anything left unacked and quiet for a full timeout?
+  if (loop_.now() - qp.last_progress < costs().retransmit_timeout) {
     // Progress happened since this timer was armed — but nothing else arms
     // one (ACK progress does not), so keep a timer alive until the SQ
     // drains; otherwise a tail left unacked after a partial cumulative ACK
@@ -668,14 +665,13 @@ void Device::send_nak(Qp& qp, bool rnr) {
   nak.dst_qpn = qp.remote_qpn;
   nak.psn = qp.expected_psn;
   nak.atomic_op = rnr ? kNakRnr : kErrNone;
-  if (rnr) nak.imm = qp.min_rnr_timer;
   transmit(std::move(nak), qp.remote_host, qp.route);
 }
 
-void Device::hold_for_rnr(Qp& qp, sim::DurationNs delay) {
+void Device::hold_for_rnr(Qp& qp) {
   counters_.rnr_waits++;
-  const sim::TimeNs until = loop_.now() + delay;
-  if (until <= qp.rnr_hold_until) return;  // an earlier NAK already holds longer
+  const sim::TimeNs until = loop_.now() + kRnrHold;
+  if (until <= qp.rnr_hold_until) return;  // a NAK at this instant already holds it
   qp.rnr_hold_until = until;
   const Qpn qpn = qp.qpn;
   loop_.post_at(until, [this, qpn] {
@@ -725,10 +721,12 @@ void Device::on_ack(Qp& qp, const WirePacket& pkt) {
     metrics_.retransmits->inc();
     rewind_to(qp, retransmit_point(qp));
     if (pkt.atomic_op == kNakRnr) {
-      // Go back to the NAKed PSN only once the peer's RNR timer expires;
+      // The responder is alive, only not ready: that is progress for the
+      // retransmit timer. Go back to the NAKed PSN once the RNR wait ends;
       // re-kicking now would replay the window into an empty RQ at line
       // rate, every packet behind the first dropped out of sequence.
-      hold_for_rnr(qp, rnr_timer_delay(static_cast<RnrTimer>(pkt.imm)));
+      qp.last_progress = loop_.now();
+      hold_for_rnr(qp);
       return;
     }
     kick(qp);

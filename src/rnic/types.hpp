@@ -88,21 +88,11 @@ struct QpCaps {
   std::uint32_t max_recv_wr = 128;
 };
 
-/// RNR NAK timer (IBTA Table 45, ibv_qp_attr::min_rnr_timer). A responder
-/// that finds no receive WQE for an incoming message advertises this 5-bit
-/// code in its RNR NAK; the requester holds the QP for the decoded delay
-/// before it retransmits. Code 0 is the longest wait, not "no wait".
-using RnrTimer = std::uint8_t;
-/// 0.64 ms: what perftest and rdma-core's pingpong examples configure.
-constexpr RnrTimer kDefaultMinRnrTimer = 12;
-
-constexpr sim::DurationNs rnr_timer_delay(RnrTimer code) {
-  constexpr std::int64_t kUsec[32] = {
-      655360, 10,    20,    30,    40,    60,     80,     120,    160,    240,   320,
-      480,    640,   960,   1280,  1920,  2560,   3840,   5120,   7680,   10240, 15360,
-      20480,  30720, 40960, 61440, 81920, 122880, 163840, 245760, 327680, 491520};
-  return kUsec[code & 0x1F] * sim::kMicrosecond;
-}
+/// RNR wait: a responder that finds no receive WQE for an incoming message
+/// answers with an RNR NAK, and the requester emits nothing on the QP for
+/// this long before it retransmits. 0.64 ms is the min_rnr_timer perftest
+/// and rdma-core's pingpong examples configure.
+constexpr sim::DurationNs kRnrHold = sim::usec(640);
 
 /// Scatter/gather element.
 struct Sge {

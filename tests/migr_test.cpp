@@ -785,6 +785,50 @@ TEST_F(MigrTest, InterceptedSendsFlushAfterRestore) {
   }
 }
 
+TEST_F(MigrTest, FailurePastCommitReleasesPartnersHeldSends) {
+  // Past the commit point a partner switches to its replacement QP and holds
+  // its sends to the guest until the guest resumes. If the migration fails
+  // there instead, the guest never resumes: the partner must not go on
+  // swallowing its sends.
+  App a = make_app(1, 10, "a");
+  App b = make_app(3, 20, "b");
+  VQpn qa = make_qp(a), qb = make_qp(b);
+  connect(a, qa, b, qb);
+  Buf sbuf = make_buf(b, 4096);
+
+  auto& dest_proc = world_.add_process("dest-proc");
+  MigrationController ctl(world_.loop(), world_.fabric(), directory_);
+  MigrationReport rep;
+  bool done = false;
+  ASSERT_TRUE(ctl.start(10, 2, dest_proc, nullptr, [&](const MigrationReport& r) {
+                   rep = r;
+                   done = true;
+                 })
+                  .is_ok());
+  // While b is suspended it intercepts a RECV with a key it never
+  // registered; re-posting it fails b's switch, after the hold was set.
+  while (!done && !a.proc->frozen()) run_for(sim::usec(1));
+  ASSERT_FALSE(done);
+  ASSERT_TRUE(b.guest->suspended());
+  RecvWr bad;
+  bad.sge = {{sbuf.addr, 64, /*lkey=*/999}};
+  ASSERT_TRUE(b.guest->post_recv(qb, bad).is_ok());
+  const sim::TimeNs deadline = world_.loop().now() + sim::sec(5);
+  while (!done && world_.loop().now() < deadline) run_for(sim::msec(1));
+  ASSERT_TRUE(done);
+  ASSERT_FALSE(rep.ok);
+  EXPECT_FALSE(rep.aborted);  // past the commit point: no rollback
+
+  // b's send goes on the wire instead of into the hold.
+  SendWr swr;
+  swr.opcode = WrOpcode::send;
+  swr.sge = {{sbuf.addr, 64, sbuf.mr.vlkey}};
+  const std::uint64_t tx_before = devices_[3]->counters().tx_packets;
+  ASSERT_TRUE(b.guest->post_send(qb, swr).is_ok());
+  run_for(sim::msec(1));
+  EXPECT_GT(devices_[3]->counters().tx_packets, tx_before);
+}
+
 TEST_F(MigrTest, MigrateBothEndpointsSequentially) {
   App a = make_app(1, 10, "a");
   App b = make_app(3, 20, "b");

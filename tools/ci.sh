@@ -102,10 +102,10 @@ echo "==> [5/10] blackout critical-path attribution (lossy drain, retry-dominant
 # out and retry. The validator pins the critical_path schema, the tiling
 # invariant (per-guest edge sums == blackout_ns, gap-free edge walk), and
 # that the injected loss actually shows up as the story the report tells:
-# chunk_retry edges present and dominant across the fleet. Dominance needs
-# at least 4 of the 8 final image transfers lost, which at 30% ctrl loss
-# holds for roughly one seed in four; seed 18 is one (a 4-4 tie on
-# migration count, won on total time).
+# chunk_retry edges present and dominant across the fleet. Fleet dominance
+# is summed blackout time, so one lost final image transfer (a 1 s retry)
+# already outweighs the eight ~14 ms dumps; 8 of seeds 11-20 lose at least
+# one. Seed 18 loses 4, so it keeps passing if the loss draws shift.
 build/bench/bench_cluster_drain --loss 0.01 --ctrl-loss 0.3 --seed 18 --conc 4 \
   --critical-path --restore-ms 2 --drain-out "$ART_DIR/drain.cp.json"
 python3 tools/validate_artifacts.py --drain "$ART_DIR/drain.cp.json" \
