@@ -11,8 +11,8 @@
 // observability artifacts instead of the sweep — the CI blackout-anatomy
 // stage and EXPERIMENTS.md recipes drive it this way:
 //
-//   bench_cluster_drain --loss 0.01 --seed 11 --conc 4 \
-//       --trace drain.trace.json --timeseries drain.ts.csv --record drain.cap.json
+//   bench_cluster_drain --loss 0.01 --seed 11 --conc 4 --trace drain.trace.json
+//       --timeseries drain.ts.csv --record drain.cap.json      (one command)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

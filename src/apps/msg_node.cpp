@@ -205,7 +205,7 @@ void MsgNode::drain_gate() {
 void MsgNode::start() {
   if (running_) return;
   running_ = true;
-  task_ = proc_->spawn_poller(config_.poll_interval, [this] { tick(); });
+  task_ = proc_->spawn_task(config_.poll_interval, [this] { return tick(); });
 }
 
 void MsgNode::stop() {
@@ -217,7 +217,7 @@ void MsgNode::on_migrated(proc::SimProcess& new_proc) {
   proc_ = &new_proc;
   if (running_) {
     task_.cancel();
-    task_ = proc_->spawn_poller(config_.poll_interval, [this] { tick(); });
+    task_ = proc_->spawn_task(config_.poll_interval, [this] { return tick(); });
   }
 }
 
@@ -236,12 +236,14 @@ void MsgNode::repost_recv(Peer& peer, std::uint64_t wr_id) {
   if (!guest_->post_recv(peer.vqpn, wr).is_ok()) errors_++;
 }
 
-void MsgNode::tick() {
+bool MsgNode::tick() {
   if (!gate_q_.empty()) drain_gate();
+  bool polled = false;
   Cqe batch[32];
   for (;;) {
     const int n = guest_->poll_cq(cq_, batch);
     if (n <= 0) break;
+    polled = true;
     for (int i = 0; i < n; ++i) {
       const Cqe& cqe = batch[i];
       Peer* peer = peer_by_vqpn(cqe.qpn);
@@ -291,6 +293,7 @@ void MsgNode::tick() {
     }
     if (n < 32) break;
   }
+  return polled;
 }
 
 }  // namespace migr::apps

@@ -61,7 +61,8 @@ class MsgNode : public migrlib::MigratableApp {
   /// A new checkpoint interval opened: subsequent sends belong to `epoch`.
   void set_output_epoch(std::uint64_t epoch) noexcept { gate_epoch_ = epoch; }
   /// The backup ACKed `epoch`: release every held message it covers. Wire
-  /// posting respects send-window credits; leftovers drain on later ticks.
+  /// posting respects send-window credits; leftovers drain on the ticks
+  /// that poll the completions returning those credits.
   void release_through(std::uint64_t epoch);
   /// Failover promotion: drop held messages of epochs newer than
   /// `committed_epoch` (never externally visible). Returns the drop count.
@@ -133,7 +134,9 @@ class MsgNode : public migrlib::MigratableApp {
     sim::TimeNs enqueued = 0;
   };
 
-  void tick();
+  /// Drain the gate and poll the CQ; false when it polled no completion
+  /// (gate leftovers wait on the completions that return credits).
+  bool tick();
   void repost_recv(Peer& peer, std::uint64_t wr_id);
   Peer* peer_by_vqpn(VQpn vqpn);
   common::Status send_now(GuestId peer_id, const common::Bytes& payload);

@@ -126,7 +126,7 @@ void PerftestPeer::start() {
       in_ready_[i] = true;
     }
   }
-  task_ = proc_->spawn_poller(config_.poll_interval, [this] { tick(); });
+  task_ = proc_->spawn_task(config_.poll_interval, [this] { return tick(); });
 }
 
 void PerftestPeer::stop() {
@@ -154,7 +154,7 @@ void PerftestPeer::on_migrated(proc::SimProcess& new_proc) {
   proc_ = &new_proc;
   if (running_) {
     task_.cancel();
-    task_ = proc_->spawn_poller(config_.poll_interval, [this] { tick(); });
+    task_ = proc_->spawn_task(config_.poll_interval, [this] { return tick(); });
   }
 }
 
@@ -163,11 +163,13 @@ PerftestPeer::QpSlot* PerftestPeer::slot_by_vqpn(VQpn vqpn) {
   return it == slot_index_.end() ? nullptr : &slots_[it->second];
 }
 
-void PerftestPeer::tick() {
+bool PerftestPeer::tick() {
+  bool polled = false;
   Cqe batch[64];
   for (;;) {
     const int n = guest_->poll_cq(cq_, batch);
     if (n <= 0) break;
+    polled = true;
     for (int i = 0; i < n; ++i) handle_cqe(batch[i]);
     if (n < 64) break;
   }
@@ -179,6 +181,7 @@ void PerftestPeer::tick() {
     }
     ready_.clear();
   }
+  return polled;
 }
 
 void PerftestPeer::pump_sender(QpSlot& slot) {

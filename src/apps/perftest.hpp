@@ -109,7 +109,9 @@ class PerftestPeer : public migrlib::MigratableApp {
     std::vector<sim::TimeNs> post_ts;
   };
 
-  void tick();
+  /// Poll the CQ and refill drained windows; false when it polled no
+  /// completion (only completions make refill work).
+  bool tick();
   void pump_sender(QpSlot& slot);
   void handle_cqe(const rnic::Cqe& cqe);
   QpSlot* slot_by_vqpn(VQpn vqpn);

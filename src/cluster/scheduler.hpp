@@ -81,7 +81,7 @@ struct MigrationRequest {
   int priority = 0;      // higher runs first; ties in submission order
   // Pre/post-copy override for this request; unset = SchedulerConfig default
   // (postcopy_dirty_bps policy, else config_.migration.mode).
-  std::optional<migrlib::MigrationMode> mode;
+  std::optional<migrlib::MigrationMode> mode{};
 };
 
 /// Lifecycle record of one request, kept from submit to terminal state.

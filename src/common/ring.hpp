@@ -77,7 +77,8 @@ class Ring {
 /// For software rotations (e.g. the device's transmit scheduler) where a
 /// std::deque's steady-state pop_front/push_back cycling crosses a chunk
 /// boundary every few dozen rotations and allocates each time; this only
-/// allocates on high-water-mark growth.
+/// allocates on high-water-mark growth. The capacity is a power of two, so
+/// indexing is a mask.
 template <typename T>
 class GrowRing {
  public:
@@ -86,12 +87,12 @@ class GrowRing {
 
   void push_back(T v) {
     if (size() == slots_.size()) grow();
-    slots_[tail_ % slots_.size()] = std::move(v);
+    slots_[tail_ & (slots_.size() - 1)] = std::move(v);
     ++tail_;
   }
   T& front() {
     assert(!empty());
-    return slots_[head_ % slots_.size()];
+    return slots_[head_ & (slots_.size() - 1)];
   }
   void pop_front() {
     assert(!empty());
@@ -104,7 +105,7 @@ class GrowRing {
     std::vector<T> bigger(slots_.empty() ? 16 : slots_.size() * 2);
     const std::size_t n = size();
     for (std::size_t i = 0; i < n; ++i) {
-      bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
     }
     slots_ = std::move(bigger);
     head_ = 0;

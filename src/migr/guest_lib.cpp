@@ -23,10 +23,11 @@ GuestContext::GuestContext(MigrRdmaRuntime& runtime, proc::SimProcess& proc, Gue
   lkey_table_.resize(64, 0);
   runtime_->indirection().register_guest(this);
   // The wait-before-stop thread is spawned when the library is loaded into
-  // the process (§3.4) and sleeps until the indirection layer signals it.
-  // It must keep running once CRIU freezes the application's own threads,
-  // hence a daemon.
-  wbs_task_ = proc_->spawn_daemon(config_.wbs_poll_interval, [this] { wbs_tick(); });
+  // the process (§3.4) and sleeps until it is signalled: by suspend(), or by
+  // an intercepted backlog it must drain (pending_flush_). It is a daemon,
+  // so a freeze does not stop it mid-duty.
+  wbs_task_ = proc_->spawn_task(config_.wbs_poll_interval, [this] { return wbs_tick(); },
+                                /*daemon=*/true);
 }
 
 GuestContext::~GuestContext() {
@@ -445,6 +446,7 @@ void GuestContext::suspend(const SuspendScope& scope) {
   suspend_active_ = true;
   wbs_done_ = !any;  // nothing to wait for
   wbs_counts_sent_ = false;
+  wake_wbs();
   if (wbs_done_ && wbs_done_cb_) wbs_done_cb_();
 }
 
@@ -457,6 +459,7 @@ void GuestContext::deliver_peer_n_sent(VQpn vqpn, std::uint64_t peer_n_sent) {
 
 void GuestContext::drain_real_cqs() {
   std::vector<rnic::Cqe> batch(config_.cq_drain_batch);
+  bool parked_any = false;
   for (auto& [vcq, cq] : cqs_) {
     for (;;) {
       const int n = ctx_->poll_cq(cq.pcq, batch);
@@ -466,19 +469,22 @@ void GuestContext::drain_real_cqs() {
         cqe.qpn = runtime_->indirection().translate_qpn(cqe.qpn);
         cq.fake.push_back(cqe);
       }
+      parked_any = true;
       if (n < static_cast<int>(batch.size())) break;
     }
   }
+  // The application polls the fake CQs: it has completions again.
+  if (parked_any) proc_->wake_tasks();
 }
 
-void GuestContext::wbs_tick() {
+bool GuestContext::wbs_tick() {
   if (!suspend_active_) {
     // Post-restore duty: keep draining intercepted backlogs that exceeded
     // the queue capacity at flush time.
     if (pending_flush_) drain_pending_flush();
-    return;
+    return pending_flush_;
   }
-  if (wbs_done_) return;
+  if (wbs_done_) return false;
 
   // One-shot n_sent exchange with the peers of the suspended QPs.
   if (!wbs_counts_sent_) {
@@ -496,6 +502,7 @@ void GuestContext::wbs_tick() {
   // Keep consuming completions on behalf of the application.
   drain_real_cqs();
   check_wbs_termination();
+  return !wbs_done_;
 }
 
 void GuestContext::check_wbs_termination() {
@@ -589,7 +596,13 @@ Status GuestContext::abort_suspension() {
   suspend_active_ = false;
   wbs_done_ = false;
   wbs_counts_sent_ = false;
+  on_suspension_lifted();
   return first;
+}
+
+void GuestContext::on_suspension_lifted() {
+  proc_->wake_tasks();
+  if (pending_flush_) wake_wbs();
 }
 
 // ---------------------------------------------------------------------------
@@ -712,6 +725,7 @@ Status GuestContext::partner_switch_qp(VQpn vqpn, GuestId peer_new_identity) {
   if (!any_suspended) {
     suspend_active_ = false;
     wbs_done_ = false;
+    on_suspension_lifted();
   }
   return Status::ok();
 }
@@ -773,6 +787,7 @@ Status GuestContext::flush_intercepted(QpVirt& qp) {
       const auto st = ctx_->post_send(qp.pqpn, std::move(wr));
       if (st.code() == Errc::resource_exhausted) {
         pending_flush_ = true;
+        wake_wbs();
         return Status::ok();  // retry from the WBS thread
       }
       MIGR_RETURN_IF_ERROR(st);
@@ -788,6 +803,7 @@ Status GuestContext::flush_intercepted(QpVirt& qp) {
     const auto st = ctx_->post_recv(qp.pqpn, std::move(wr));
     if (st.code() == Errc::resource_exhausted) {
       pending_flush_ = true;
+      wake_wbs();
       return Status::ok();
     }
     MIGR_RETURN_IF_ERROR(st);

@@ -11,8 +11,9 @@
 //    fetch-on-first-use cache (§3.3 type 4).
 //
 // The library also implements the wait-before-stop machinery (§3.4): the
-// per-process WBS thread, WR interception during suspension, fake CQs that
-// keep the application's poll loop live, n_sent/n_recv exchange for receive
+// per-process WBS thread (parked until a suspension or an intercepted
+// backlog needs it), WR interception during suspension, fake CQs that keep
+// the application's poll loop live, n_sent/n_recv exchange for receive
 // drain, CQ-event counting, and the timeout path for buggy networks.
 //
 // Checkpoint/restore entry points at the bottom are the "MigrRDMA Host Lib"
@@ -306,7 +307,12 @@ class GuestContext {
   const QpVirt* find_qp(VQpn vqpn) const;
   common::Status translate_send_wr(QpVirt& qp, rnic::SendWr& wr);
   common::Status translate_sges(std::span<rnic::Sge> sge);
-  void wbs_tick();
+  /// One WBS-thread tick; false once it has nothing left to do (parks).
+  bool wbs_tick();
+  void wake_wbs() { proc_->loop().wake(wbs_task_); }
+  /// Completions hidden by a suspension are visible to poll_cq again, and
+  /// the WBS thread may now drain a backlog left from the suspension.
+  void on_suspension_lifted();
   void drain_real_cqs();
   void check_wbs_termination();
   common::Status flush_intercepted(QpVirt& qp);

@@ -339,7 +339,8 @@ Status GuestContext::adopt_staged(StagedRestore&& staged) {
   }
 
   runtime_->indirection().register_guest(this);
-  wbs_task_ = proc_->spawn_daemon(config_.wbs_poll_interval, [this] { wbs_tick(); });
+  wbs_task_ = proc_->spawn_task(config_.wbs_poll_interval, [this] { return wbs_tick(); },
+                                /*daemon=*/true);
   return Status::ok();
 }
 
@@ -428,6 +429,8 @@ Status GuestContext::finalize_restore(const RdmaImage& final_image) {
   suspend_active_ = false;
   wbs_done_ = false;
   wbs_counts_sent_ = false;
+  // The lift also covers the fake-CQ residue loaded above.
+  on_suspension_lifted();
 
   // WRs the NIC never completed (timeout path) replay first, then the WRs
   // intercepted during suspension (§3.4). Loading them back into the

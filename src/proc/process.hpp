@@ -1,5 +1,5 @@
 // A simulated process: an address space plus application tasks on the event
-// loop. Freezing a process (what CRIU does at stop-and-copy) parks its tasks
+// loop. Freezing a process (what CRIU does at stop-and-copy) stops its tasks
 // — but deliberately does NOT stop the RNIC, which keeps executing posted
 // work requests against the process's memory. That asymmetry is the core
 // difficulty the paper's wait-before-stop exists to solve.
@@ -38,32 +38,52 @@ class SimProcess {
 
   /// Freeze application tasks (they stop firing until thawed). Idempotent.
   void freeze() noexcept { frozen_ = true; }
-  void thaw() noexcept { frozen_ = false; }
+  /// Thawing wakes the tasks that parked while frozen.
+  void thaw() {
+    frozen_ = false;
+    wake_tasks();
+  }
 
   /// Terminate: all tasks cancelled, process marked dead.
   void kill() {
     alive_ = false;
     for (auto& h : tasks_) h.cancel();
     tasks_.clear();
+    wakeable_.clear();
   }
 
-  /// Run `fn` every `period` ns while the process is alive and not frozen.
-  /// This is how application "threads" (perftest loops, Hadoop workers, the
-  /// MigrRDMA guest-lib threads) are modelled. Note: a guest-lib task that
-  /// must keep running across the freeze (the wait-before-stop thread before
-  /// the freeze point) uses spawn_daemon instead.
-  sim::EventHandle spawn_poller(sim::DurationNs period, std::function<void()> fn) {
-    auto handle = loop_.schedule_every(period, [this, fn = std::move(fn)]() {
-      if (alive_ && !frozen_) fn();
+  /// Run `tick` every `period` ns, on the grid spawn time + k * period, for
+  /// as long as it reports work. A tick that returns false parks the task:
+  /// its event leaves the loop until a wake re-arms it at its next grid tick,
+  /// so an idle poller costs nothing. This is how polling "threads" (message
+  /// and perftest loops, the MigrRDMA wait-before-stop thread) are modelled.
+  /// An application task also parks while the process is frozen; a `daemon`
+  /// keeps running through a freeze, and only its owner wakes it (through
+  /// loop().wake). Every task stops on kill.
+  sim::EventHandle spawn_task(sim::DurationNs period, std::function<bool()> tick,
+                              bool daemon = false) {
+    auto handle = loop_.schedule_parkable(period, [this, daemon, tick = std::move(tick)]() {
+      return alive_ && (daemon || !frozen_) && tick();
     });
     tasks_.push_back(handle);
+    if (!daemon) wakeable_.push_back(handle);
     return handle;
   }
 
-  /// Like spawn_poller but keeps firing while frozen (still stops on kill).
-  sim::EventHandle spawn_daemon(sim::DurationNs period, std::function<void()> fn) {
+  /// Re-arm every parked application task; a frozen process waits for
+  /// thaw(). Called wherever a task may have work again: a completion
+  /// pushed to one of the process's CQs, a suspension lift, a thaw.
+  void wake_tasks() {
+    if (frozen_) return;
+    for (const auto& h : wakeable_) loop_.wake(h);
+  }
+
+  /// Run `fn` every `period` ns while the process is alive and not frozen,
+  /// without ever parking — for tasks that generate work rather than poll
+  /// for it (traffic sources, heartbeats).
+  sim::EventHandle spawn_poller(sim::DurationNs period, std::function<void()> fn) {
     auto handle = loop_.schedule_every(period, [this, fn = std::move(fn)]() {
-      if (alive_) fn();
+      if (alive_ && !frozen_) fn();
     });
     tasks_.push_back(handle);
     return handle;
@@ -77,6 +97,7 @@ class SimProcess {
   bool frozen_ = false;
   bool alive_ = true;
   std::vector<sim::EventHandle> tasks_;
+  std::vector<sim::EventHandle> wakeable_;  // the application tasks of tasks_
 };
 
 }  // namespace migr::proc

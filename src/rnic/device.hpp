@@ -79,7 +79,7 @@ struct Mr {
 
 struct CompChannel {
   Handle handle = 0;
-  std::deque<Handle> pending;        // CQs with undelivered events
+  std::deque<Handle> pending{};      // CQs with undelivered events
   std::uint64_t events_delivered = 0;
   std::uint64_t events_acked = 0;
 };

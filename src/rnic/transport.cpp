@@ -244,6 +244,10 @@ void Context::push_cqe(Handle cq_handle, Cqe cqe) {
     auto ch = channels_.find(cq.channel);
     if (ch != channels_.end()) ch->second.pending.push_back(cq_handle);
   }
+  // The completion is work for the owning process's parked pollers. The
+  // context belongs to one process for life (a migrated guest opens a new
+  // one on its destination), so there is no per-CQ hook to move.
+  proc_.wake_tasks();
 }
 
 // ---------------------------------------------------------------------------

@@ -106,13 +106,51 @@ void EventLoop::do_post(TimeNs at, detail::EventFn fn) {
 }
 
 void EventLoop::push_entry(TimeNs at, std::uint32_t slot, std::uint32_t gen) {
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, gen});
+  push_heap_entry(HeapEntry{at, next_seq_++, slot, gen});
+}
+
+void EventLoop::push_heap_entry(const HeapEntry& e) {
+  heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventLoop::pop_entry() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
+}
+
+void EventLoop::wake(const EventHandle& h) {
+  detail::SlotTable& t = *table_;
+  if (h.slot_ >= t.slots.size()) return;
+  detail::Slot& s = t.slots[h.slot_];
+  if (s.gen != h.gen_) return;
+  if (h.slot_ == t.running) {
+    t.running_woken = true;
+    return;
+  }
+  if (!s.parked) return;
+  s.parked = false;  // its queued skipped tick goes stale
+  push_heap_entry(HeapEntry{s.next_at, s.next_seq, h.slot_, s.gen});
+}
+
+void EventLoop::skip_parked_ticks(const HeapEntry& next) {
+  auto& slots = table_->slots;
+  for (;;) {
+    ParkedQueue* first = nullptr;
+    for (ParkedQueue& q : parked_) {
+      if (q.ticks.empty()) continue;
+      if (first == nullptr || Later{}(first->ticks.front(), q.ticks.front())) first = &q;
+    }
+    parked_front_ = first != nullptr ? first->ticks.front() : kNoParkedTick;
+    if (!Later{}(next, parked_front_)) return;
+    const HeapEntry e = first->ticks.front();
+    first->ticks.pop_front();
+    detail::Slot& s = slots[e.slot];
+    if (s.gen != e.gen || !s.parked || s.next_seq != e.seq) continue;
+    s.next_at = e.at + s.period;
+    s.next_seq = next_seq_++;
+    first->ticks.push_back(HeapEntry{s.next_at, s.next_seq, e.slot, e.gen});
+  }
 }
 
 bool EventLoop::dispatch_one(TimeNs deadline) {
@@ -124,6 +162,7 @@ bool EventLoop::dispatch_one(TimeNs deadline) {
       continue;
     }
     if (top.at > deadline) return false;
+    if (Later{}(top, parked_front_)) skip_parked_ticks(top);
     pop_entry();
     assert(top.at >= now_);
     now_ = top.at;
@@ -135,10 +174,22 @@ bool EventLoop::dispatch_one(TimeNs deadline) {
       // so a self-cancel from inside the callback defers the slot release.
       table_->running = top.slot;
       table_->running_cancelled = false;
+      table_->running_idle = false;
+      table_->running_woken = false;
       s.fn();
       table_->running = detail::kNoSlot;
       if (table_->running_cancelled) {
         table_->release(top.slot);
+      } else if (table_->running_idle && !table_->running_woken) {
+        s.parked = true;
+        s.next_at = now_ + s.period;
+        s.next_seq = next_seq_++;
+        auto q = std::find_if(parked_.begin(), parked_.end(),
+                              [&](const ParkedQueue& pq) { return pq.period == s.period; });
+        if (q == parked_.end()) q = parked_.insert(parked_.end(), ParkedQueue{s.period, {}});
+        const HeapEntry skipped{s.next_at, s.next_seq, top.slot, s.gen};
+        q->ticks.push_back(skipped);
+        if (Later{}(parked_front_, skipped)) parked_front_ = skipped;
       } else {
         push_entry(now_ + s.period, top.slot, s.gen);
       }
@@ -160,7 +211,6 @@ std::uint64_t EventLoop::run() {
   const TimeNs sim_start = now_;
   const std::int64_t wall_start = wall_now_ns();
   std::uint64_t n = 0;
-  constexpr TimeNs kForever = std::numeric_limits<TimeNs>::max();
   while (!stopped_ && dispatch_one(kForever)) ++n;
   account_run(sim_start, wall_start);
   return n;
@@ -172,7 +222,13 @@ std::uint64_t EventLoop::run_until(TimeNs deadline) {
   const std::int64_t wall_start = wall_now_ns();
   std::uint64_t n = 0;
   while (!stopped_ && dispatch_one(deadline)) ++n;
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  if (!stopped_) {
+    // Skipped ticks up to the deadline take their places now, before
+    // anything the caller schedules at it.
+    const HeapEntry end_of_deadline{deadline, ~std::uint64_t{0}, detail::kNoSlot, 0};
+    if (Later{}(end_of_deadline, parked_front_)) skip_parked_ticks(end_of_deadline);
+    if (now_ < deadline) now_ = deadline;
+  }
   account_run(sim_start, wall_start);
   return n;
 }

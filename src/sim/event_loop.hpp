@@ -12,7 +12,10 @@
 // check instead of a per-event shared_ptr<bool>, and the ready queue is a
 // binary heap of 24-byte POD entries over a slot table that recycles
 // storage. A handle-free post_at() covers fire-and-forget events (packet
-// deliveries, pump slots) without any handle bookkeeping.
+// deliveries, pump slots) without any handle bookkeeping. A parkable
+// periodic task leaves the heap after a tick that found no work; its skipped
+// ticks keep their place in the dispatch order, so wake() puts it back
+// exactly where an always-ticking task would be (DESIGN.md §10).
 #pragma once
 
 #include <cassert>
@@ -21,12 +24,14 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/ring.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
@@ -140,7 +145,11 @@ constexpr std::uint32_t kNoSlot = 0xFFFF'FFFF;
 /// generation counter detects stale heap entries and stale handles.
 struct Slot {
   std::uint32_t gen = 0;
+  bool parked = false;    // parkable task off the heap until woken
   DurationNs period = 0;  // > 0: periodic task, fn retained across firings
+  // Parked: the key its next tick would have in the heap.
+  TimeNs next_at = 0;
+  std::uint64_t next_seq = 0;
   EventFn fn;
 };
 
@@ -152,6 +161,8 @@ struct SlotTable {
   std::vector<std::uint32_t> free_list;
   std::uint32_t running = kNoSlot;  // slot whose periodic fn is executing
   bool running_cancelled = false;   // cancel() arrived during that execution
+  bool running_idle = false;        // that execution found no work
+  bool running_woken = false;       // wake() arrived during that execution
 
   std::uint32_t acquire() {
     if (!free_list.empty()) {
@@ -166,6 +177,7 @@ struct SlotTable {
   void release(std::uint32_t slot) {
     Slot& s = slots[slot];
     s.gen++;
+    s.parked = false;
     s.period = 0;
     s.fn.reset();
     free_list.push_back(slot);
@@ -203,6 +215,7 @@ class EventHandle {
     if (auto table = table_.lock()) table->cancel(slot_, gen_);
   }
   /// True while the event is still scheduled (not yet fired, not cancelled).
+  /// A parked task counts as scheduled.
   bool pending() const noexcept {
     auto table = table_.lock();
     return table && table->pending(slot_, gen_);
@@ -249,6 +262,28 @@ class EventLoop : public common::SimTimeSource {
     const DurationNs delay = first_delay >= 0 ? first_delay : period;
     return do_schedule(now_ + delay, period, detail::EventFn(std::forward<F>(fn)));
   }
+
+  /// Like schedule_every, but `fn` returns whether its tick found work. A
+  /// tick that returns false parks the task: it keeps its slot and its grid
+  /// (first firing + k * period) but leaves the heap until wake(). Its
+  /// skipped ticks still take their sequence numbers in order, so every
+  /// other event keeps the place it had beside an always-ticking task.
+  template <typename F>
+  EventHandle schedule_parkable(DurationNs period, F&& fn, DurationNs first_delay = -1) {
+    return schedule_every(
+        period,
+        [table = table_.get(), f = std::forward<F>(fn)]() mutable {
+          if (!f()) table->running_idle = true;
+        },
+        first_delay);
+  }
+
+  /// Re-arm a parked task of this loop: its next tick enters the heap with
+  /// the time and sequence number it would have had had it never parked.
+  /// Called from inside the task's own tick, it keeps the task armed
+  /// whatever the tick returns. A no-op for armed, cancelled and one-shot
+  /// events.
+  void wake(const EventHandle& h);
 
   /// Fire-and-forget fast path: like schedule_at but returns no handle, so
   /// the hot paths (packet delivery, pump pacing) skip handle bookkeeping.
@@ -297,11 +332,16 @@ class EventLoop : public common::SimTimeSource {
       return a.seq > b.seq;
     }
   };
+  static constexpr TimeNs kForever = std::numeric_limits<TimeNs>::max();
 
   EventHandle do_schedule(TimeNs at, DurationNs period, detail::EventFn fn);
   void do_post(TimeNs at, detail::EventFn fn);
   void push_entry(TimeNs at, std::uint32_t slot, std::uint32_t gen);
+  void push_heap_entry(const HeapEntry& e);
   void pop_entry();
+  /// Give every skipped tick of a parked task ordered before `next` its
+  /// sequence number, in order, as its re-push would have taken it.
+  void skip_parked_ticks(const HeapEntry& next);
   /// Dispatch the earliest live event at or before `deadline`; false if none.
   bool dispatch_one(TimeNs deadline);
 
@@ -312,6 +352,18 @@ class EventLoop : public common::SimTimeSource {
   bool stopped_ = false;
   std::shared_ptr<detail::SlotTable> table_;
   std::vector<HeapEntry> heap_;
+  // The next skipped tick of each parked task, one queue per period. Each
+  // queue is in heap order: a skipped tick re-queues one period later with
+  // the newest sequence number. Entries of woken or cancelled tasks go
+  // stale and are dropped when they reach the front.
+  struct ParkedQueue {
+    DurationNs period = 0;
+    common::GrowRing<HeapEntry> ticks;
+  };
+  std::vector<ParkedQueue> parked_;
+  // The earliest front of parked_ (possibly stale), or kNoParkedTick.
+  static constexpr HeapEntry kNoParkedTick{kForever, ~std::uint64_t{0}, detail::kNoSlot, 0};
+  HeapEntry parked_front_ = kNoParkedTick;
 
   // Telemetry (process-wide registry; several loops aggregate).
   std::uint64_t dispatched_ = 0;

@@ -200,6 +200,21 @@ TEST_F(AppsTest, MsgNodeDelivery) {
   EXPECT_EQ(b.errors(), 0u);
 }
 
+TEST_F(AppsTest, IdleMsgNodePairCostsAtMostOneTickPerTask) {
+  // Nothing to send and no suspension: each node's poller and each guest's
+  // wait-before-stop thread ticks once, finds nothing, and parks.
+  MsgNode a(*runtimes_[1], world_.add_process("a"), 10);
+  MsgNode b(*runtimes_[2], world_.add_process("b"), 20);
+  ASSERT_TRUE(MsgNode::connect(a, b).is_ok());
+  a.start();
+  b.start();
+  ASSERT_FALSE(a.guest().suspended());
+  ASSERT_FALSE(b.guest().suspended());
+  const std::uint64_t before = world_.loop().events_dispatched();
+  run_for(sim::msec(10));
+  EXPECT_LE(world_.loop().events_dispatched() - before, 4u);
+}
+
 TEST_F(AppsTest, MsgNodeWindowBackpressure) {
   MsgNodeConfig cfg;
   cfg.depth = 4;

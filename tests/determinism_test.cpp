@@ -7,8 +7,8 @@
 // ordering effect, or wall-clock leakage into the sim shows up as a diff.
 //
 // Set MIGR_DUMP_DRAIN_REPORT=<dir> to also write the rendered reports to
-// <dir>/drain_report_{clean,lossy}.txt — used to diff the fast path against
-// a pre-change baseline build.
+// <dir>/<fixture>.txt (the names under tests/data) — used to diff the fast
+// path against a pre-change baseline build.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +20,7 @@
 
 #include "cluster/drain.hpp"
 #include "fault/fault.hpp"
+#include "ft_scenario.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sli.hpp"
@@ -97,10 +98,92 @@ std::string run_drain_once(bool lossy, std::uint32_t streams = 1,
   return rendered;
 }
 
-void maybe_dump(const std::string& rendered, const char* name) {
+/// A seeded offset in [0, span) ns (splitmix64), as the benchmark phases
+/// its traffic sources.
+sim::DurationNs seeded_phase(std::uint64_t& rng, sim::DurationNs span) {
+  std::uint64_t z = (rng += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return static_cast<sim::DurationNs>((z ^ (z >> 31)) % static_cast<std::uint64_t>(span));
+}
+
+// The repository benchmark's drain8 fleet: 8 pairs sending 2 KiB every
+// 20 us and dirtying 2 MiB per 1 ms, each pair connected after a seeded
+// phase, host 1 drained at concurrency 4. Beside the text and JSON reports
+// it renders fleet totals (messages delivered, ctrl-plane bytes) that move
+// with the exact tick at which a poller first sees a completion, so a lost
+// poller wakeup shows up as a byte diff.
+std::string run_drain8_once(std::uint64_t seed) {
+  ClusterConfig cfg;
+  cfg.hosts = 8;
+  cfg.seed = seed;
+  ClusterModel model(cfg);
+  TrafficProfile p;
+  p.send_interval = sim::usec(20);
+  p.msg_bytes = 2048;
+  p.extra_mem_bytes = 2 << 20;
+  p.dirty_interval = sim::msec(1);
+  std::uint64_t rng = seed;
+  for (GuestId g = 0; g < 8; ++g) {
+    EXPECT_TRUE(model.add_guest(1, 100 + g, p).is_ok());
+    EXPECT_TRUE(model.add_guest(2 + g % 7, 200 + g, p).is_ok());
+    // The pair's pollers and traffic start off its WBS threads' grid.
+    model.run_for(seeded_phase(rng, p.send_interval));
+    EXPECT_TRUE(model.connect_guests(100 + g, 200 + g).is_ok());
+  }
+  model.run_for(sim::msec(5));
+
+  SchedulerConfig scfg;
+  scfg.limits.max_concurrent_fleet = 4;
+  scfg.limits.max_concurrent_per_source = 4;
+  scfg.limits.max_concurrent_per_dest = 4;
+  MigrationScheduler sched(model, scfg);
+  DrainWorkflow drain(model, sched);
+  const DrainReport rep = drain.run(1);
+  EXPECT_TRUE(rep.ok) << format_drain_report(rep);
+  model.run_for(sim::msec(20));
+
+  std::uint64_t sent = 0, received = 0, ctrl_bytes = 0, ctrl_msgs = 0;
+  for (GuestId id : model.all_guests()) {
+    sent += model.guest(id)->sent();
+    received += model.guest(id)->received();
+  }
+  for (net::HostId h = 1; h <= cfg.hosts; ++h) {
+    ctrl_bytes += model.fabric().stats(h).ctrl_bytes_tx;
+    ctrl_msgs += model.fabric().stats(h).ctrl_messages_tx;
+  }
+  return format_drain_report(rep) + drain_report_json(rep, "precopy", "drain8") +
+         "\nfleet sent=" + std::to_string(sent) + " received=" + std::to_string(received) +
+         " ctrl_bytes=" + std::to_string(ctrl_bytes) + " ctrl_msgs=" +
+         std::to_string(ctrl_msgs) + " now_ns=" + std::to_string(model.loop().now()) + "\n";
+}
+
+// A seeded kill-primary failover under 1% data-plane loss: the ft_report
+// plus every sequence number the partner received and when.
+std::string run_lossy_ft_kill_once() {
+  testing_ft::FtScenario s(/*seed=*/7);
+  net::Faults faults;
+  faults.data_loss_prob = 0.01;
+  s.world_.fabric().set_faults(faults);
+  EXPECT_TRUE(s.protect().is_ok());
+  EXPECT_TRUE(s.run_until_protected());
+  s.run_for(sim::msec(20));
+  s.ctrl_->kill_primary();
+  EXPECT_TRUE(s.run_until_done());
+  s.run_for(sim::msec(20));
+  EXPECT_TRUE(s.report_.ok) << s.report_.error;
+  EXPECT_TRUE(s.report_.failed_over);
+  std::string out = s.report_.json() + "\nreceived=" + std::to_string(s.received_.size()) + "\n";
+  for (std::size_t i = 0; i < s.received_.size(); ++i) {
+    out += std::to_string(s.received_[i]) + "@" + std::to_string(s.received_at_[i]) + "\n";
+  }
+  return out;
+}
+
+void maybe_dump(const std::string& rendered, const char* fixture) {
   const char* dir = std::getenv("MIGR_DUMP_DRAIN_REPORT");
   if (dir == nullptr || *dir == '\0') return;
-  std::ofstream out(std::string(dir) + "/drain_report_" + name + ".txt");
+  std::ofstream out(std::string(dir) + "/" + fixture + ".txt");
   out << rendered;
 }
 
@@ -108,14 +191,28 @@ TEST(DeterminismTest, FaultFreeDrainReportIsByteIdenticalAcrossRuns) {
   const std::string first = run_drain_once(/*lossy=*/false);
   const std::string second = run_drain_once(/*lossy=*/false);
   EXPECT_EQ(first, second);
-  maybe_dump(first, "clean");
+  maybe_dump(first, "drain_report_clean");
 }
 
 TEST(DeterminismTest, LossyDrainReportIsByteIdenticalAcrossRuns) {
   const std::string first = run_drain_once(/*lossy=*/true);
   const std::string second = run_drain_once(/*lossy=*/true);
   EXPECT_EQ(first, second);
-  maybe_dump(first, "lossy");
+  maybe_dump(first, "drain_report_lossy");
+}
+
+TEST(DeterminismTest, Drain8ReportIsByteIdenticalAcrossRuns) {
+  const std::string first = run_drain8_once(/*seed=*/2);
+  const std::string second = run_drain8_once(/*seed=*/2);
+  EXPECT_EQ(first, second);
+  maybe_dump(first, "drain_report_drain8");
+}
+
+TEST(DeterminismTest, LossyFtKillReportIsByteIdenticalAcrossRuns) {
+  const std::string first = run_lossy_ft_kill_once();
+  const std::string second = run_lossy_ft_kill_once();
+  EXPECT_EQ(first, second);
+  maybe_dump(first, "ft_report_lossy_kill");
 }
 
 // ---------------------------------------------------------------------------
@@ -154,12 +251,13 @@ TEST(DeterminismTest, MultifdSuppressedDrainReportIsByteIdenticalAcrossRuns) {
 // Pre-change baseline guard
 // ---------------------------------------------------------------------------
 
-// tests/data/drain_report_{clean,lossy}.txt were captured via
-// MIGR_DUMP_DRAIN_REPORT. A diff means a change altered which events run;
-// re-capture them only in a change that explains why.
-std::string read_baseline(const char* name) {
-  const std::string path =
-      std::string(MIGR_TEST_DATA_DIR) + "/drain_report_" + name + ".txt";
+// tests/data/*.txt were captured via MIGR_DUMP_DRAIN_REPORT. A diff means a
+// change altered which events run; re-capture them only in a change that
+// explains why. drain_report_drain8 and ft_report_lossy_kill were captured
+// while every poller still ticked each period: parking an idle poller must
+// not move them.
+std::string read_baseline(const char* fixture) {
+  const std::string path = std::string(MIGR_TEST_DATA_DIR) + "/" + fixture + ".txt";
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "missing baseline " << path;
   std::string body((std::istreambuf_iterator<char>(in)),
@@ -168,11 +266,19 @@ std::string read_baseline(const char* name) {
 }
 
 TEST(DeterminismTest, CleanDrainReportMatchesPreChangeBaseline) {
-  EXPECT_EQ(run_drain_once(/*lossy=*/false), read_baseline("clean"));
+  EXPECT_EQ(run_drain_once(/*lossy=*/false), read_baseline("drain_report_clean"));
 }
 
 TEST(DeterminismTest, LossyDrainReportMatchesPreChangeBaseline) {
-  EXPECT_EQ(run_drain_once(/*lossy=*/true), read_baseline("lossy"));
+  EXPECT_EQ(run_drain_once(/*lossy=*/true), read_baseline("drain_report_lossy"));
+}
+
+TEST(DeterminismTest, Drain8ReportMatchesPreChangeBaseline) {
+  EXPECT_EQ(run_drain8_once(/*seed=*/2), read_baseline("drain_report_drain8"));
+}
+
+TEST(DeterminismTest, LossyFtKillReportMatchesPreChangeBaseline) {
+  EXPECT_EQ(run_lossy_ft_kill_once(), read_baseline("ft_report_lossy_kill"));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // down the contract of the pooled fast path: slot reuse and generation
 // counters must not let a cancelled or stale handle touch a recycled slot,
 // and dispatch order must stay FIFO among equal timestamps (the fabric's
-// in-order delivery guarantee rides on that tie-break).
+// in-order delivery guarantee rides on that tie-break). A parked task must
+// leave the heap and come back exactly where it would have been.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -98,6 +99,85 @@ TEST(EventLoopCore, ScheduleAtClampsPastTimesToNow) {
   const std::string now_s = std::to_string(usec(10));
   EXPECT_EQ(order, (std::vector<std::string>{"outer", "past@" + now_s, "neg@" + now_s}));
   EXPECT_EQ(loop.now(), usec(10));
+}
+
+TEST(EventLoopCore, ParkedTaskLeavesTheHeapAndWakesOnItsGrid) {
+  EventLoop loop;
+  std::vector<TimeNs> ticks;
+  bool work = false;
+  // Grid: 3, 8, 13, ... us. Idle from the first tick on.
+  EventHandle h = loop.schedule_parkable(
+      usec(5),
+      [&] {
+        ticks.push_back(loop.now());
+        const bool had = work;
+        work = false;
+        return had;
+      },
+      usec(3));
+  loop.run_until(usec(100));
+  EXPECT_EQ(ticks, (std::vector<TimeNs>{usec(3)}));
+  EXPECT_TRUE(h.pending());  // parked, not cancelled
+  const std::uint64_t events = loop.events_dispatched();
+
+  // Woken between grid ticks: fires on the next one, then once more to find
+  // nothing, and parks again.
+  work = true;
+  loop.wake(h);
+  loop.wake(h);  // idempotent while armed
+  loop.run_until(usec(200));
+  EXPECT_EQ(ticks, (std::vector<TimeNs>{usec(3), usec(103), usec(108)}));
+  EXPECT_EQ(loop.events_dispatched() - events, 2u);
+
+  h.cancel();
+  loop.wake(h);  // stale handle: no-op
+  loop.run_until(usec(300));
+  EXPECT_EQ(ticks.back(), usec(108));
+  EXPECT_TRUE(loop.empty());
+}
+
+TEST(EventLoopCore, WakeOnAGridTickKeepsTheAlwaysTickingOrder) {
+  // Work landing exactly on a grid tick is seen on that tick only if the
+  // landing event was queued before the tick was, one period earlier. A
+  // parked task must see it exactly where an always-ticking one does.
+  auto first_seen = [](bool parks, TimeNs queued_at) {
+    EventLoop loop;
+    bool work = false;
+    TimeNs seen = -1;
+    auto tick = [&] {
+      if (work && seen < 0) seen = loop.now();
+      const bool had = work;
+      work = false;
+      return had;
+    };
+    // Grid: 5, 10, 15, ... us; the work lands at 100 us.
+    EventHandle task = parks ? loop.schedule_parkable(usec(5), tick)
+                             : loop.schedule_every(usec(5), [&] { (void)tick(); });
+    loop.run_until(queued_at);
+    loop.schedule_at(usec(100), [&] {
+      work = true;
+      loop.wake(task);  // a no-op for the always-ticking task
+    });
+    loop.run_until(usec(200));
+    return seen;
+  };
+  EXPECT_EQ(first_seen(/*parks=*/false, usec(50)), usec(100));
+  EXPECT_EQ(first_seen(/*parks=*/false, usec(97)), usec(105));
+  EXPECT_EQ(first_seen(/*parks=*/true, usec(50)), usec(100));
+  EXPECT_EQ(first_seen(/*parks=*/true, usec(97)), usec(105));
+}
+
+TEST(EventLoopCore, WakeDuringOwnIdleTickKeepsTheTaskArmed) {
+  EventLoop loop;
+  int ticks = 0;
+  EventHandle h;
+  h = loop.schedule_parkable(usec(5), [&] {
+    // The first tick finds nothing but learns, mid-tick, that work arrived.
+    if (++ticks == 1) loop.wake(h);
+    return false;
+  });
+  loop.run_until(usec(100));
+  EXPECT_EQ(ticks, 2);
 }
 
 }  // namespace

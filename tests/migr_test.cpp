@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <vector>
 
 #include "migr/guest_lib.hpp"
 #include "migr/migration.hpp"
@@ -85,6 +87,63 @@ class MigrTest : public ::testing::Test {
   }
 
   void run_for(sim::DurationNs d) { world_.loop().run_until(world_.loop().now() + d); }
+
+  /// The application's poll loop on a parking task, the way MsgNode polls:
+  /// it records when it first polled a completion. Its grid is its spawn
+  /// time + k * kPoll.
+  static constexpr sim::DurationNs kPoll = sim::usec(5);
+  struct Poller {
+    sim::TimeNs origin = 0;
+    sim::TimeNs seen_at = -1;
+    int ticks = 0;
+  };
+  void spawn_parking_poller(App& app, Poller& p) {
+    p.origin = world_.loop().now();
+    app.proc->spawn_task(kPoll, [this, &app, &p] {
+      p.ticks++;
+      Cqe cqe;
+      if (app.guest->poll_cq(app.cq, {&cqe, 1}) <= 0) return false;
+      if (p.seen_at < 0) p.seen_at = world_.loop().now();
+      return true;
+    });
+  }
+  /// The tick at or after `t` of a task on the grid `origin` + k * kPoll:
+  /// where a poller that never parks first sees work that appeared at `t`.
+  static sim::TimeNs grid_tick(sim::TimeNs origin, sim::TimeNs t) {
+    return origin + (t - origin + kPoll - 1) / kPoll * kPoll;
+  }
+
+  /// a and b connected, a with one RECV posted; b's send() lands in it.
+  struct RecvPair {
+    App a, b;
+    VQpn qa = 0, qb = 0;
+    Buf sbuf;
+  };
+  RecvPair make_recv_pair() {
+    RecvPair r;
+    r.a = make_app(1, 10, "a");
+    r.b = make_app(3, 20, "b");
+    r.qa = make_qp(r.a);
+    r.qb = make_qp(r.b);
+    connect(r.a, r.qa, r.b, r.qb);
+    Buf rbuf = make_buf(r.a, 4096);
+    r.sbuf = make_buf(r.b, 4096);
+    RecvWr rwr;
+    rwr.sge = {{rbuf.addr, 4096, rbuf.mr.vlkey}};
+    EXPECT_TRUE(r.a.guest->post_recv(r.qa, rwr).is_ok());
+    return r;
+  }
+  /// b sends to a; returns when a's completion was pushed to its real CQ.
+  sim::TimeNs send_to_a(RecvPair& r) {
+    sim::TimeNs cqe_at = -1;
+    r.a.guest->raw().watch_next_cqe([&] { cqe_at = world_.loop().now(); });
+    SendWr wr;
+    wr.opcode = WrOpcode::send;
+    wr.sge = {{r.sbuf.addr, 64, r.sbuf.mr.vlkey}};
+    EXPECT_TRUE(r.b.guest->post_send(r.qb, wr).is_ok());
+    run_for(sim::msec(1));
+    return cqe_at;
+  }
 
   void write_u64(App& app, std::uint64_t addr, std::uint64_t v) {
     ASSERT_TRUE(app.proc->mem().write(addr, {reinterpret_cast<std::uint8_t*>(&v), 8}).is_ok());
@@ -944,6 +1003,177 @@ TEST_F(MigrTest, BlackoutComponentsArePopulated) {
   EXPECT_GE(report.comm_blackout(), report.service_blackout());
   EXPECT_GE(report.freeze_at, report.suspend_at);
   EXPECT_GE(report.resume_at, report.freeze_at);
+}
+
+// ---------------------------------------------------------------------------
+// Parked pollers (DESIGN.md §10): each wake source re-arms a parked poller
+// so that it sees its work on the grid tick a poller that never parked would.
+// Work appears off the grid in each test, so that tick is simply the next.
+// (EventLoopCore.WakeOnAGridTickKeepsTheAlwaysTickingOrder covers on-grid.)
+// ---------------------------------------------------------------------------
+
+TEST_F(MigrTest, CqePushWakesParkedPoller) {
+  RecvPair r = make_recv_pair();
+  run_for(sim::usec(2));
+  Poller p;
+  spawn_parking_poller(r.a, p);
+  run_for(sim::msec(1));
+  ASSERT_EQ(p.ticks, 1);  // found nothing and parked
+
+  const sim::TimeNs cqe_at = send_to_a(r);
+  ASSERT_GT(cqe_at, 0);
+  ASSERT_NE((cqe_at - p.origin) % kPoll, 0);
+  EXPECT_EQ(p.seen_at, grid_tick(p.origin, cqe_at));
+}
+
+TEST_F(MigrTest, FakeCqPushWakesParkedPoller) {
+  // While a is suspended toward b only its WBS thread polls the real CQ,
+  // moving completions to the fake CQ the application polls. The app's
+  // grid runs 1 ns ahead of the WBS thread's (a's creation time, 0): the
+  // completion's own wake finds the fake CQ still empty, and only the
+  // fake-CQ push brings the app back.
+  RecvPair r = make_recv_pair();
+  world_.loop().run_until(kPoll - 1);
+  Poller p;
+  spawn_parking_poller(r.a, p);
+  run_for(sim::msec(1));
+  ASSERT_EQ(p.ticks, 1);
+
+  r.a.guest->suspend(SuspendScope{false, r.b.guest->id()});
+  const sim::TimeNs cqe_at = send_to_a(r);
+  ASSERT_GT(cqe_at, 0);
+  ASSERT_NE(cqe_at % kPoll, 0);
+  ASSERT_NE((cqe_at - p.origin) % kPoll, 0);
+  const sim::TimeNs drained_at = grid_tick(0, cqe_at);  // the WBS thread's tick
+  EXPECT_EQ(p.seen_at, grid_tick(p.origin, drained_at));
+  EXPECT_TRUE(r.a.guest->abort_suspension().is_ok());
+}
+
+TEST_F(MigrTest, SuspensionLiftWakesParkedPoller) {
+  // A completion that lands after the WBS thread finished stays on the real
+  // CQ, hidden from the application until the suspension lifts.
+  RecvPair r = make_recv_pair();
+  run_for(sim::usec(2));
+  Poller p;
+  spawn_parking_poller(r.a, p);
+  r.a.guest->suspend(SuspendScope{true, 0});
+  r.a.guest->deliver_peer_n_sent(r.qa, 0);  // b sent nothing yet
+  run_for(sim::msec(1));
+  ASSERT_TRUE(r.a.guest->wbs_done());
+
+  ASSERT_GT(send_to_a(r), 0);
+  ASSERT_EQ(p.seen_at, -1);
+  const sim::TimeNs lift_at = world_.loop().now() + 1234;
+  ASSERT_NE((lift_at - p.origin) % kPoll, 0);
+  world_.loop().schedule_at(lift_at, [&] { EXPECT_TRUE(r.a.guest->abort_suspension().is_ok()); });
+  run_for(sim::msec(1));
+  EXPECT_EQ(p.seen_at, grid_tick(p.origin, lift_at));
+}
+
+TEST_F(MigrTest, ThawWakesParkedPoller) {
+  // A completion that lands while the process is frozen waits for the thaw.
+  RecvPair r = make_recv_pair();
+  run_for(sim::usec(2));
+  Poller p;
+  spawn_parking_poller(r.a, p);
+  run_for(sim::msec(1));
+  r.a.proc->freeze();
+  ASSERT_GT(send_to_a(r), 0);
+  ASSERT_EQ(p.seen_at, -1);
+  const sim::TimeNs thaw_at = world_.loop().now() + 1234;
+  ASSERT_NE((thaw_at - p.origin) % kPoll, 0);
+  world_.loop().schedule_at(thaw_at, [&] { r.a.proc->thaw(); });
+  run_for(sim::msec(1));
+  EXPECT_EQ(p.seen_at, grid_tick(p.origin, thaw_at));
+}
+
+TEST_F(MigrTest, SuspendWakesParkedWbsThread) {
+  // An unconnected QP leaves nothing to wait for: the WBS thread finishes on
+  // its first tick after suspend(). Its grid is a's creation time, 0.
+  App a = make_app(1, 10, "a");
+  make_qp(a);
+  run_for(sim::msec(1));
+  sim::TimeNs done_at = -1;
+  a.guest->set_wbs_done_callback([&] { done_at = world_.loop().now(); });
+  const sim::TimeNs suspend_at = world_.loop().now() + 1234;
+  world_.loop().schedule_at(suspend_at, [&] { a.guest->suspend(SuspendScope{true, 0}); });
+  run_for(sim::msec(1));
+  EXPECT_EQ(done_at, grid_tick(0, suspend_at));
+}
+
+TEST_F(MigrTest, InterceptedBacklogWakesParkedWbsThread) {
+  // b's sends to a wait out a's migration in the library. At a's resume they
+  // flush into b's one-slot send queue: one posts and the parked WBS thread
+  // must post each of the rest on its first grid tick (b's creation time,
+  // 0, + k * kPoll) after the completion that freed the slot.
+  App a = make_app(1, 10, "a");
+  App b = make_app(3, 20, "b");
+  VQpn qa = make_qp(a);
+  GuestQpAttr attr;
+  attr.vpd = b.pd;
+  attr.vsend_cq = b.cq;
+  attr.vrecv_cq = b.cq;
+  attr.caps = {1, 16};
+  VQpn qb = b.guest->create_qp(attr).value();
+  connect(a, qa, b, qb);
+  Buf rbuf = make_buf(a, 16 * 64);
+  Buf sbuf = make_buf(b, 4096);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    RecvWr rwr;
+    rwr.sge = {{rbuf.addr + i * 64, 64, rbuf.mr.vlkey}};
+    ASSERT_TRUE(a.guest->post_recv(qa, rwr).is_ok());
+  }
+  constexpr std::uint64_t kBacklog = 8;
+  std::uint64_t posted = 0;
+  b.proc->spawn_poller(sim::usec(1), [&] {
+    while (b.guest->suspended() && posted < kBacklog) {
+      SendWr wr;
+      wr.wr_id = posted++;
+      wr.opcode = WrOpcode::send;
+      wr.sge = {{sbuf.addr, 64, sbuf.mr.vlkey}};
+      EXPECT_TRUE(b.guest->post_send(qb, wr).is_ok());
+    }
+  });
+  // Only b's sends complete at b.
+  std::vector<sim::TimeNs> completions;
+  std::function<void()> watch = [&] {
+    completions.push_back(world_.loop().now());
+    b.guest->raw().watch_next_cqe(watch);
+  };
+  b.guest->raw().watch_next_cqe(watch);
+  // b's send count on its current physical QP, 1 ns after each WBS tick:
+  // post_ticks[k] is the tick that posted the (k+1)-th send on it.
+  std::vector<sim::TimeNs> post_ticks;
+  rnic::Qpn sampled_qpn = 0;
+  auto sampler = world_.loop().schedule_every(
+      kPoll,
+      [&] {
+        const rnic::Qpn pqpn = b.guest->physical_qpn(qb).value();
+        if (pqpn != sampled_qpn) {
+          sampled_qpn = pqpn;
+          post_ticks.clear();
+        }
+        const rnic::Qp* q = b.guest->raw().find_qp(pqpn);
+        while (q != nullptr && post_ticks.size() < q->n_sent) {
+          post_ticks.push_back(world_.loop().now() - 1);
+        }
+      },
+      kPoll + 1);
+
+  auto report = migrate(a, 2);
+  ASSERT_TRUE(report.ok) << report.error;
+  run_for(sim::msec(1));
+  sampler.cancel();
+  ASSERT_EQ(posted, kBacklog);
+  ASSERT_EQ(completions.size(), kBacklog);
+  ASSERT_EQ(post_ticks.size(), kBacklog);
+  // The first send posted at the resume itself; each later one waited for a
+  // slot and the WBS thread's next tick.
+  EXPECT_GE(completions.front(), report.resume_at);
+  for (std::size_t k = 1; k < kBacklog; ++k) {
+    ASSERT_NE(completions[k - 1] % kPoll, 0);
+    EXPECT_EQ(post_ticks[k], grid_tick(0, completions[k - 1])) << "send " << k;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "proc/address_space.hpp"
 #include "proc/process.hpp"
@@ -157,7 +158,13 @@ TEST(SimProcess, DaemonSurvivesFreezeButNotKill) {
   sim::EventLoop loop;
   SimProcess p(2, "daemon-holder", loop);
   int ticks = 0;
-  p.spawn_daemon(10, [&] { ticks++; });
+  p.spawn_task(
+      10,
+      [&] {
+        ticks++;
+        return true;
+      },
+      /*daemon=*/true);
   p.freeze();
   loop.run_until(100);
   EXPECT_GT(ticks, 5);
@@ -165,6 +172,52 @@ TEST(SimProcess, DaemonSurvivesFreezeButNotKill) {
   p.kill();
   loop.run_until(200);
   EXPECT_EQ(ticks, before);
+}
+
+TEST(SimProcess, IdleTaskParksAndFreezeDefersItsWakeToThaw) {
+  sim::EventLoop loop;
+  SimProcess p(3, "app", loop);
+  std::vector<sim::TimeNs> ticks;
+  int work = 0;
+  p.spawn_task(10, [&] {
+    ticks.push_back(loop.now());
+    if (work == 0) return false;
+    work--;
+    return true;
+  });
+  loop.run_until(100);
+  EXPECT_EQ(ticks, (std::vector<sim::TimeNs>{10}));
+
+  // Work arrives while frozen: the wake waits for the thaw.
+  p.freeze();
+  work = 1;
+  p.wake_tasks();
+  loop.run_until(200);
+  EXPECT_EQ(ticks.size(), 1u);
+  loop.schedule_at(205, [&] { p.thaw(); });
+  loop.run_until(300);
+  EXPECT_EQ(ticks, (std::vector<sim::TimeNs>{10, 210, 220}));
+}
+
+TEST(SimProcess, WakeTasksLeavesDaemonsToTheirOwner) {
+  sim::EventLoop loop;
+  SimProcess p(4, "lib", loop);
+  int ticks = 0;
+  sim::EventHandle daemon = p.spawn_task(
+      10,
+      [&] {
+        ticks++;
+        return false;
+      },
+      /*daemon=*/true);
+  loop.run_until(100);
+  EXPECT_EQ(ticks, 1);
+  p.wake_tasks();
+  loop.run_until(200);
+  EXPECT_EQ(ticks, 1);
+  loop.wake(daemon);
+  loop.run_until(300);
+  EXPECT_EQ(ticks, 2);
 }
 
 }  // namespace

@@ -49,14 +49,21 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   return ::operator new(n, std::nothrow);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+// Every delete frees through one out-of-line helper: std::free inlined
+// into a caller that got the pointer from operator new reads to GCC as
+// a mismatched pair (-Wmismatched-new-delete), though operator new here
+// is malloc.
+namespace {
+[[gnu::noinline]] void free_counted(void* p) noexcept { std::free(p); }
+}  // namespace
+void operator delete(void* p) noexcept { free_counted(p); }
+void operator delete(void* p, std::size_t) noexcept { free_counted(p); }
+void operator delete(void* p, std::align_val_t) noexcept { free_counted(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { free_counted(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { free_counted(p); }
+void operator delete[](void* p) noexcept { free_counted(p); }
+void operator delete[](void* p, std::size_t) noexcept { free_counted(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { free_counted(p); }
 
 namespace migr::obs {
 namespace {

@@ -28,7 +28,12 @@ BENCH_FILES = ["BENCH_simrate.json", "BENCH_xfer.json", "BENCH_ft.json"]
 
 # Metric name substrings where *larger* is better (rates, ratios, speedups);
 # everything else numeric is treated as smaller-is-better (times, counts).
-HIGHER_IS_BETTER = ("events_per_sec", "speedup", "ratio", "epochs_committed")
+HIGHER_IS_BETTER = ("speedup", "ratio", "epochs_committed")
+
+# Per-event rates, shown but never flagged: removing wasted events lowers
+# events_per_sec and raises allocs_per_event while the run gets cheaper.
+# events, wall_ns and allocs carry the signal.
+UNSCORED = ("events_per_sec", "allocs_per_event")
 
 # Leaves that are configuration echoes or identities, not measurements:
 # comparing them produces noise (e.g. the scenario string, schema version).
@@ -89,7 +94,7 @@ def compare_file(name, base_path, cur_path, threshold):
         mark = ""
         regressed = (ratio > threshold if not better_is_higher(metric)
                      else ratio < 1.0 / threshold)
-        if b != 0 and regressed:
+        if b != 0 and regressed and not any(tok in metric for tok in UNSCORED):
             mark = "  <-- regressed"
             flagged += 1
         print(f"    {metric:<52} {b:>14.6g} {c:>14.6g} {ratio:>7.2f}{mark}")
