@@ -20,11 +20,11 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len, std::uint64_t h) 
 }  // namespace
 
 std::uint64_t DirtyRateEstimator::hash_page(proc::VirtAddr page) const {
-  // A page that was never materialized (or is marked missing) hashes to the
-  // offset basis; if it later gains contents the hash changes and it counts
-  // as dirtied, which is the right call for rate purposes.
-  auto phys = proc_.mem().page_at(page);
-  if (!phys) return kFnvOffset;
+  // page_at materializes a never-written page as zeros, so zero bytes
+  // written to it later do not count as dirtying. An address unmapped since
+  // sampling hashes to the offset basis.
+  const proc::PhysPage* phys = proc_.mem().page_at(page);
+  if (phys == nullptr) return kFnvOffset;
   return fnv1a(phys->data.data(), phys->data.size(), kFnvOffset);
 }
 

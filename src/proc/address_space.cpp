@@ -1,6 +1,7 @@
 #include "proc/address_space.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace migr::proc {
@@ -9,26 +10,65 @@ using common::Errc;
 using common::Result;
 using common::Status;
 
+namespace {
+
+// The entry of `vmas` whose VMA holds `addr`, or vmas.end(). A template so
+// const and mutable callers share it.
+template <typename Map>
+auto entry_at(Map& vmas, VirtAddr addr) {
+  auto it = vmas.upper_bound(addr);
+  if (it == vmas.begin()) return vmas.end();
+  --it;
+  return it->second.vma.contains(addr, 1) ? it : vmas.end();
+}
+
+// The entry holding `addr` when all of [addr, addr+len) is mapped, through
+// adjacent VMAs if need be; vmas.end() otherwise, and for a range that wraps.
+// `len` is non-zero.
+template <typename Map>
+auto range_entry(Map& vmas, VirtAddr addr, std::uint64_t len) {
+  auto first = entry_at(vmas, addr);
+  if (first == vmas.end() || first->second.vma.contains(addr, len)) return first;
+  const VirtAddr last = addr + len;
+  if (last < addr) return vmas.end();
+  VirtAddr reach = first->second.vma.end();
+  for (auto next = std::next(first); reach < last; ++next) {
+    if (next == vmas.end() || next->first != reach) return vmas.end();
+    reach = next->second.vma.end();
+  }
+  return first;
+}
+
+// What a never-written slot reads as.
+const PhysPage kZeroPage{};
+
+// Out of line so the copy stays a call to the C library's memcpy. Inlined,
+// with a size it can bound by one page, GCC expands the copy to `rep movsq`,
+// which is about twice as slow on 64-byte copies.
+[[gnu::noinline]] void copy_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+  std::memcpy(dst, src, n);
+}
+
+Status unmapped() { return common::err(Errc::permission_denied, "unmapped address"); }
+
+}  // namespace
+
 Status AddressSpace::mmap_fixed(VirtAddr addr, std::uint64_t length, std::string tag) {
   if (length == 0 || addr != page_floor(addr)) {
     return common::err(Errc::invalid_argument, "mmap_fixed: unaligned or empty");
   }
   length = page_ceil(length);
-  // Overlap check against neighbours in the ordered map.
-  auto next = vmas_.lower_bound(addr);
-  if (next != vmas_.end() && next->second.overlaps(addr, length)) {
+  if (addr + length <= addr) {  // also a length that rounded up to 0
+    return common::err(Errc::invalid_argument, "mmap_fixed: range wraps");
+  }
+  if (!range_free(addr, length, nullptr)) {
     return common::err(Errc::already_exists, "mmap_fixed: overlaps existing vma");
   }
-  if (next != vmas_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->second.overlaps(addr, length)) {
-      return common::err(Errc::already_exists, "mmap_fixed: overlaps existing vma");
-    }
-  }
-  vmas_.emplace(addr, Vma{addr, length, std::move(tag)});
-  for (VirtAddr p = addr; p < addr + length; p += kPageSize) {
-    pages_.emplace(p, std::make_shared<PhysPage>());
-  }
+  const std::uint64_t npages = length / kPageSize;
+  Mapping& m = vmas_.emplace(addr, Mapping{}).first->second;
+  m.vma = Vma{addr, length, std::move(tag)};
+  m.pages.resize(npages);
+  m.dirty.resize((npages + 63) / 64);
   mapped_bytes_ += length;
   return Status::ok();
 }
@@ -44,12 +84,11 @@ Result<VirtAddr> AddressSpace::mmap(std::uint64_t length, std::string tag) {
 Status AddressSpace::munmap(VirtAddr addr) {
   auto it = vmas_.find(addr);
   if (it == vmas_.end()) return common::err(Errc::not_found, "munmap: no vma at address");
-  for (VirtAddr p = addr; p < it->second.end(); p += kPageSize) {
-    pages_.erase(p);
-    dirty_.erase(p);
-    missing_.erase(p);
+  const Vma& vma = it->second.vma;
+  if (!missing_.empty()) {
+    for (VirtAddr p = vma.start; p < vma.end(); p += kPageSize) missing_.erase(p);
   }
-  mapped_bytes_ -= it->second.length;
+  mapped_bytes_ -= vma.length;
   vmas_.erase(it);
   return Status::ok();
 }
@@ -61,96 +100,85 @@ Status AddressSpace::mremap(VirtAddr old_addr, VirtAddr new_addr) {
     return common::err(Errc::invalid_argument, "mremap: unaligned target");
   }
   if (new_addr == old_addr) return Status::ok();
-  Vma vma = it->second;
-
-  // The target range must be free (ignoring the vma being moved, which we
+  const std::uint64_t length = it->second.vma.length;
+  if (new_addr + length <= new_addr) {
+    return common::err(Errc::invalid_argument, "mremap: target wraps");
+  }
+  // The target range must be free, ignoring the VMA being moved (which we
   // conceptually remove first).
-  for (auto& [start, other] : vmas_) {
-    if (start == old_addr) continue;
-    if (other.overlaps(new_addr, vma.length)) {
-      return common::err(Errc::already_exists, "mremap: target overlaps existing vma");
-    }
+  if (!range_free(new_addr, length, &it->second)) {
+    return common::err(Errc::already_exists, "mremap: target overlaps existing vma");
   }
-
-  // Move physical pages and their dirty bits, preserving identity.
-  std::vector<std::pair<VirtAddr, PhysPagePtr>> moved;
-  moved.reserve(vma.length / kPageSize);
-  for (VirtAddr off = 0; off < vma.length; off += kPageSize) {
-    auto page_it = pages_.find(old_addr + off);
-    moved.emplace_back(new_addr + off, page_it->second);
-    const bool was_dirty = dirty_.erase(old_addr + off) > 0;
-    pages_.erase(page_it);
-    if (was_dirty) dirty_.emplace(new_addr + off, 1);
-  }
-  for (auto& [a, p] : moved) pages_.emplace(a, std::move(p));
-
-  vmas_.erase(old_addr);
-  vma.start = new_addr;
-  vmas_.emplace(new_addr, vma);
+  // Move the node with its page table: physical pages keep their identity
+  // and dirty bits stay with them.
+  auto node = vmas_.extract(it);
+  node.key() = new_addr;
+  node.mapped().vma.start = new_addr;
+  vmas_.insert(std::move(node));
   return Status::ok();
 }
 
+bool AddressSpace::range_free(VirtAddr addr, std::uint64_t len, const Mapping* ignore) const {
+  // Only the neighbours around `addr` can overlap: VMAs are disjoint and
+  // sorted, and the one before an ignored VMA ends before `addr`.
+  auto next = vmas_.lower_bound(addr);
+  if (next != vmas_.begin()) {
+    auto prev = std::prev(next);
+    if (&prev->second != ignore && prev->second.vma.overlaps(addr, len)) return false;
+  }
+  if (next != vmas_.end() && &next->second == ignore) ++next;
+  return next == vmas_.end() || !next->second.vma.overlaps(addr, len);
+}
+
 bool AddressSpace::mapped(VirtAddr addr, std::uint64_t length) const {
-  return check_range_mapped(addr, length).is_ok();
+  return length == 0 || range_entry(vmas_, addr, length) != vmas_.end();
 }
 
 const Vma* AddressSpace::find_vma(VirtAddr addr) const {
-  auto it = vmas_.upper_bound(addr);
-  if (it == vmas_.begin()) return nullptr;
-  --it;
-  return it->second.contains(addr, 1) ? &it->second : nullptr;
+  auto it = entry_at(vmas_, addr);
+  return it == vmas_.end() ? nullptr : &it->second.vma;
 }
 
 std::vector<Vma> AddressSpace::vmas() const {
   std::vector<Vma> out;
   out.reserve(vmas_.size());
-  for (auto& [_, v] : vmas_) out.push_back(v);
+  for (auto& [_, m] : vmas_) out.push_back(m.vma);
   return out;
 }
 
-Status AddressSpace::check_range_mapped(VirtAddr addr, std::uint64_t len) const {
-  // The range may span several adjacent VMAs; walk them.
-  VirtAddr cur = addr;
-  const VirtAddr end = addr + len;
-  while (cur < end) {
-    const Vma* vma = find_vma(cur);
-    if (vma == nullptr) {
-      return common::err(Errc::permission_denied, "unmapped address");
-    }
-    cur = vma->end();
-  }
-  return Status::ok();
-}
-
 Status AddressSpace::read(VirtAddr addr, std::span<std::uint8_t> out) const {
-  MIGR_RETURN_IF_ERROR(check_range_mapped(addr, out.size()));
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const VirtAddr page = page_floor(addr + done);
-    const std::uint64_t off = (addr + done) - page;
+  if (out.empty()) return Status::ok();
+  auto it = range_entry(vmas_, addr, out.size());
+  if (it == vmas_.end()) return unmapped();
+  for (std::size_t done = 0; done < out.size();) {
+    const VirtAddr cur = addr + done;
+    if (cur == it->second.vma.end()) ++it;  // into the adjacent VMA
+    const Mapping& m = it->second;
+    const std::uint64_t idx = (cur - m.vma.start) / kPageSize;
+    const std::uint64_t off = (cur - m.vma.start) % kPageSize;
     const std::size_t n = std::min<std::size_t>(out.size() - done, kPageSize - off);
-    if (!missing_.empty()) fault_in(page);
-    auto it = pages_.find(page);
-    std::memcpy(out.data() + done, it->second->data.data() + off, n);
+    if (!missing_.empty()) fault_in(page_floor(cur));
+    const PhysPage& page = m.pages[idx] ? *m.pages[idx] : kZeroPage;
+    copy_bytes(out.data() + done, page.data.data() + off, n);
     done += n;
   }
   return Status::ok();
 }
 
 Status AddressSpace::write(VirtAddr addr, std::span<const std::uint8_t> in) {
-  MIGR_RETURN_IF_ERROR(check_range_mapped(addr, in.size()));
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const VirtAddr page = page_floor(addr + done);
-    const std::uint64_t off = (addr + done) - page;
+  if (in.empty()) return Status::ok();
+  auto it = range_entry(vmas_, addr, in.size());
+  if (it == vmas_.end()) return unmapped();
+  for (std::size_t done = 0; done < in.size();) {
+    const VirtAddr cur = addr + done;
+    if (cur == it->second.vma.end()) ++it;  // into the adjacent VMA
+    Mapping& m = it->second;
+    const std::uint64_t idx = (cur - m.vma.start) / kPageSize;
+    const std::uint64_t off = (cur - m.vma.start) % kPageSize;
     const std::size_t n = std::min<std::size_t>(in.size() - done, kPageSize - off);
-    if (!missing_.empty()) fault_in(page);
-    auto it = pages_.find(page);
-    std::memcpy(it->second->data.data() + off, in.data() + done, n);
-    // try_emplace, not emplace: emplace allocates its node before the
-    // duplicate check, which costs an alloc+free on every write to an
-    // already-dirty page — the common case for steady-state DMA traffic.
-    dirty_.try_emplace(page, 1);
+    if (!missing_.empty()) fault_in(page_floor(cur));
+    copy_bytes(m.materialize(idx).data.data() + off, in.data() + done, n);
+    m.mark_dirty(idx);
     done += n;
   }
   return Status::ok();
@@ -164,29 +192,46 @@ void AddressSpace::fault_in(VirtAddr page) const {
   }
 }
 
-PhysPagePtr AddressSpace::page_at(VirtAddr page_addr) const {
-  auto it = pages_.find(page_floor(page_addr));
-  return it == pages_.end() ? nullptr : it->second;
-}
-
-void AddressSpace::install_page(VirtAddr page_addr, PhysPagePtr page) {
-  pages_[page_floor(page_addr)] = std::move(page);
+PhysPage* AddressSpace::page_at(VirtAddr page_addr) {
+  auto it = entry_at(vmas_, page_addr);
+  if (it == vmas_.end()) return nullptr;
+  Mapping& m = it->second;
+  return &m.materialize((page_addr - m.vma.start) / kPageSize);
 }
 
 std::vector<VirtAddr> AddressSpace::collect_dirty(bool clear) {
   std::vector<VirtAddr> out;
-  out.reserve(dirty_.size());
-  for (auto& [page, _] : dirty_) {
-    // A page may have been unmapped after being dirtied.
-    if (pages_.contains(page)) out.push_back(page);
+  out.reserve(dirty_count());
+  // VMAs in address order, bits in page order: the result comes out sorted.
+  for (auto& [start, m] : vmas_) {
+    if (m.dirty_pages == 0) continue;
+    for (std::size_t w = 0; w < m.dirty.size(); w++) {
+      for (std::uint64_t bits = m.dirty[w]; bits != 0; bits &= bits - 1) {
+        const std::uint64_t idx = w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+        out.push_back(start + idx * kPageSize);
+      }
+    }
+    if (clear) {
+      std::fill(m.dirty.begin(), m.dirty.end(), 0);
+      m.dirty_pages = 0;
+    }
   }
-  std::sort(out.begin(), out.end());
-  if (clear) dirty_.clear();
   return out;
 }
 
 void AddressSpace::mark_all_dirty() {
-  for (auto& [page, _] : pages_) dirty_.emplace(page, 1);
+  for (auto& [_, m] : vmas_) {
+    const std::size_t npages = m.pages.size();
+    std::fill(m.dirty.begin(), m.dirty.end(), ~std::uint64_t{0});
+    if (npages % 64 != 0) m.dirty.back() = (std::uint64_t{1} << (npages % 64)) - 1;
+    m.dirty_pages = npages;
+  }
+}
+
+std::size_t AddressSpace::dirty_count() const noexcept {
+  std::size_t n = 0;
+  for (const auto& [_, m] : vmas_) n += m.dirty_pages;
+  return n;
 }
 
 }  // namespace migr::proc

@@ -9,9 +9,11 @@
 // dirty tracking for iterative pre-copy, and NIC-initiated DMA that dirties
 // pages behind the application's back.
 //
-// Physical pages are reference-counted blocks; mremap() moves the virtual
-// mapping while preserving physical identity, exactly like the mremap(2)
-// behaviour the paper relies on for on-chip memory and MR structures.
+// Each VMA owns a flat page table: one slot per page, allocated zeroed on
+// first write, plus a dirty bitmap. mremap() moves the VMA together with
+// its table, so physical identity and dirty bits survive the move, exactly
+// like the mremap(2) behaviour the paper relies on for on-chip memory and
+// MR structures.
 #pragma once
 
 #include <array>
@@ -21,7 +23,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,11 +37,11 @@ constexpr std::uint64_t kPageSize = 4096;
 inline VirtAddr page_floor(VirtAddr a) { return a & ~(kPageSize - 1); }
 inline VirtAddr page_ceil(VirtAddr a) { return page_floor(a + kPageSize - 1); }
 
-/// One physical page. Shared between virtual mappings across mremap.
+/// One physical page. Owned by its VMA's page table; keeps its identity
+/// across mremap.
 struct PhysPage {
   std::array<std::uint8_t, kPageSize> data{};
 };
-using PhysPagePtr = std::shared_ptr<PhysPage>;
 
 /// A virtual memory area: a contiguous, page-aligned mapping.
 struct Vma {
@@ -50,7 +51,7 @@ struct Vma {
 
   VirtAddr end() const noexcept { return start + length; }
   bool contains(VirtAddr a, std::uint64_t len) const noexcept {
-    return a >= start && a + len <= end();
+    return a >= start && a - start <= length && len <= length - (a - start);
   }
   bool overlaps(VirtAddr a, std::uint64_t len) const noexcept {
     return a < end() && a + len > start;
@@ -79,30 +80,34 @@ class AddressSpace {
   const Vma* find_vma(VirtAddr addr) const;
   std::vector<Vma> vmas() const;
 
-  /// Byte-granularity access; fails (permission_denied) on unmapped ranges.
-  /// Writes mark the touched pages dirty — this is what both application
-  /// stores and NIC DMA go through, so one-sided WRITEs from a remote peer
-  /// dirty pages the pre-copy loop will pick up.
+  /// Byte-granularity access; fails (permission_denied) and touches nothing
+  /// unless the whole range is mapped, which a range that wraps past the top
+  /// of the address space never is. Writes mark the touched pages dirty —
+  /// this is what both application stores and NIC DMA go through, so
+  /// one-sided WRITEs from a remote peer dirty pages the pre-copy loop will
+  /// pick up.
   common::Status read(VirtAddr addr, std::span<std::uint8_t> out) const;
   common::Status write(VirtAddr addr, std::span<const std::uint8_t> in);
 
-  /// Direct physical-page access for checkpoint/restore machinery.
-  PhysPagePtr page_at(VirtAddr page_addr) const;
-  void install_page(VirtAddr page_addr, PhysPagePtr page);
+  /// Direct physical-page access for checkpoint/restore machinery: the page
+  /// backing `page_addr`, materialized as a zero page if it was never
+  /// written; nullptr if unmapped. Filling it neither dirties nor faults.
+  /// The pointer stays valid across mremap, until the VMA is unmapped.
+  PhysPage* page_at(VirtAddr page_addr);
 
-  /// Dirty-page tracking for pre-copy. Returns addresses of dirty pages;
-  /// `clear` resets the bits (soft-dirty style).
+  /// Dirty-page tracking for pre-copy. Returns addresses of dirty pages in
+  /// ascending order; `clear` resets the bits (soft-dirty style).
   std::vector<VirtAddr> collect_dirty(bool clear = true);
   void mark_all_dirty();
-  std::size_t dirty_count() const noexcept { return dirty_.size(); }
+  std::size_t dirty_count() const noexcept;
 
-  /// Post-copy missing pages: a page marked missing has a phys page (zeroed
-  /// or stale) but its authoritative contents still live on the migration
-  /// source. Any read/write touching it first invokes the fault hook — the
-  /// userfaultfd analogue — which is expected to fill the page (page_at /
-  /// install_page, so the fill itself does not dirty or re-fault). The mark
-  /// is cleared *before* the hook runs, so a hook that triggers nested
-  /// access to the same page cannot recurse.
+  /// Post-copy missing pages: a page marked missing is mapped but its
+  /// authoritative contents still live on the migration source. Any
+  /// read/write touching it first invokes the fault hook — the userfaultfd
+  /// analogue — which is expected to fill the page through page_at, so the
+  /// fill itself does not dirty or re-fault. The mark is cleared *before*
+  /// the hook runs, so a hook that triggers nested access to the same page
+  /// cannot recurse.
   using FaultHook = std::function<void(VirtAddr page)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
   void mark_missing(VirtAddr page_addr) { missing_.insert(page_floor(page_addr)); }
@@ -122,12 +127,34 @@ class AddressSpace {
   void set_mmap_cursor(VirtAddr v) noexcept { mmap_base_ = v; }
 
  private:
-  common::Status check_range_mapped(VirtAddr addr, std::uint64_t len) const;
+  /// A VMA and its page table. Slot i backs page vma.start + i * kPageSize;
+  /// a null slot was never written and reads as zeros. Bit i of `dirty` is
+  /// that page's soft-dirty bit; `dirty_pages` counts the set bits.
+  struct Mapping {
+    Vma vma;
+    std::vector<std::unique_ptr<PhysPage>> pages;
+    std::vector<std::uint64_t> dirty;
+    std::size_t dirty_pages = 0;
+
+    PhysPage& materialize(std::uint64_t idx) {
+      auto& slot = pages[idx];
+      if (!slot) slot = std::make_unique<PhysPage>();
+      return *slot;
+    }
+    void mark_dirty(std::uint64_t idx) {
+      std::uint64_t& word = dirty[idx / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+      if ((word & bit) == 0) {
+        word |= bit;
+        dirty_pages++;
+      }
+    }
+  };
+
+  bool range_free(VirtAddr addr, std::uint64_t len, const Mapping* ignore) const;
   void fault_in(VirtAddr page) const;
 
-  std::map<VirtAddr, Vma> vmas_;  // keyed by start
-  std::unordered_map<VirtAddr, PhysPagePtr> pages_;  // keyed by page addr
-  std::unordered_map<VirtAddr, char> dirty_;  // page addr -> present (set)
+  std::map<VirtAddr, Mapping> vmas_;  // keyed by start
   // mutable: a read() of a missing page is logically const for the process
   // but must fill the page (demand paging), like a real MMU fault.
   mutable std::unordered_set<VirtAddr> missing_;

@@ -27,6 +27,12 @@ constexpr std::uint8_t kNakRnr = 2;
 // Largest packet train handed to the fabric in one coalesced emission.
 constexpr std::uint32_t kMaxBurst = 64;
 
+// Whether [addr, addr+len) lies inside [base, base+size). Written without
+// `addr + len`, which a hostile remote address can wrap past 2^64.
+bool in_bounds(std::uint64_t base, std::uint64_t size, std::uint64_t addr, std::uint64_t len) {
+  return addr >= base && len <= size && addr - base <= size - len;
+}
+
 CqeOpcode send_cqe_opcode(WrOpcode op) {
   switch (op) {
     case WrOpcode::send:
@@ -53,7 +59,7 @@ Status Device::validate_sges(Context& ctx, std::span<const Sge> sge, bool need_w
     if (s.length == 0) continue;
     const Mr* mr = ctx.find_mr(s.lkey);
     if (mr == nullptr) return common::err(Errc::permission_denied, "bad lkey");
-    if (s.addr < mr->addr || s.addr + s.length > mr->addr + mr->length) {
+    if (!in_bounds(mr->addr, mr->length, s.addr, s.length)) {
       return common::err(Errc::permission_denied, "SGE outside MR bounds");
     }
     if (need_write && (mr->access & kAccessLocalWrite) == 0) {
@@ -156,7 +162,7 @@ Result<Rkey> Context::bind_mw(Qpn qpn, Handle mw_handle, Lkey mr_lkey, proc::Vir
   if ((mr->access & kAccessMwBind) == 0) {
     return common::err(Errc::permission_denied, "MR lacks MW-bind access");
   }
-  if (addr < mr->addr || addr + length > mr->addr + mr->length) {
+  if (!in_bounds(mr->addr, mr->length, addr, length)) {
     return common::err(Errc::invalid_argument, "MW range outside MR");
   }
   Qp* qp = find_qp_mut(qpn);
@@ -955,8 +961,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
       const RkeyTarget* target = find_rkey(pkt.rkey);
       if (target == nullptr || target->ctx != qp.ctx || target->pd != qp.pd ||
           (target->access & kAccessRemoteWrite) == 0 ||
-          pkt.remote_addr < target->addr ||
-          pkt.remote_addr + pkt.payload.size() > target->addr + target->length) {
+          !in_bounds(target->addr, target->length, pkt.remote_addr, pkt.payload.size())) {
         reply_remote_error(qp);
         return;
       }
@@ -1005,8 +1010,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
       const RkeyTarget* target = find_rkey(pkt.rkey);
       if (target == nullptr || target->ctx != qp.ctx || target->pd != qp.pd ||
           (target->access & kAccessRemoteAtomic) == 0 ||
-          pkt.remote_addr < target->addr ||
-          pkt.remote_addr + 8 > target->addr + target->length) {
+          !in_bounds(target->addr, target->length, pkt.remote_addr, 8)) {
         reply_remote_error(qp);
         return;
       }
@@ -1047,8 +1051,8 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
 void Device::on_request_read(Qp& qp, const WirePacket& pkt) {
   const RkeyTarget* target = find_rkey(pkt.rkey);
   if (target == nullptr || target->ctx != qp.ctx || target->pd != qp.pd ||
-      (target->access & kAccessRemoteRead) == 0 || pkt.remote_addr < target->addr ||
-      pkt.remote_addr + pkt.msg_len > target->addr + target->length) {
+      (target->access & kAccessRemoteRead) == 0 ||
+      !in_bounds(target->addr, target->length, pkt.remote_addr, pkt.msg_len)) {
     reply_remote_error(qp);
     return;
   }

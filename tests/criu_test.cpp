@@ -264,6 +264,18 @@ TEST_F(CriuTest, DirtyRateEstimatorEstimatesChurnFraction) {
   const std::uint64_t quiet = est.end_interval(sim::sec(2));
   EXPECT_EQ(quiet, 0u);
   EXPECT_NEAR(est.pages_per_sec(), static_cast<double>(pages) / 2, 1.0);
+
+  // A mapping that was never written hashes as zero pages: storing zeros
+  // into every page changes no content, storing anything else changes all.
+  const VirtAddr fresh = dst_.mem().mmap(64 * kPageSize, "fresh").value();
+  DirtyRateEstimator fresh_est(dst_, DirtyRateConfig{});
+  for (const std::uint8_t b : {std::uint8_t{0}, std::uint8_t{0x5A}}) {
+    fresh_est.begin_interval(sim::sec(2));
+    for (VirtAddr p = 0; p < 64; ++p) {
+      ASSERT_TRUE(dst_.mem().write(fresh + p * kPageSize, {&b, 1}).is_ok());
+    }
+    EXPECT_EQ(fresh_est.end_interval(sim::sec(3)), b == 0 ? 0u : 64u) << "byte " << int{b};
+  }
 }
 
 TEST_F(CriuTest, FinalDumpLazyListsDirtyPagesInsteadOfCopying) {

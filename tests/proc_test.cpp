@@ -28,6 +28,23 @@ TEST(AddressSpace, UnmappedAccessFails) {
   EXPECT_EQ(mem.write(0x5000, b).code(), Errc::permission_denied);
 }
 
+TEST(AddressSpace, WrappingRangeIsUnmapped) {
+  AddressSpace mem;
+  const VirtAddr top = ~std::uint64_t{0} - kPageSize + 1;  // last page
+  ASSERT_TRUE(mem.mmap_fixed(0x10000, kPageSize, "low").is_ok());
+  // 2^64 - 2048 plus 4096 bytes wraps to 2048.
+  const VirtAddr wrapping = ~std::uint64_t{0} - 2047;
+  std::vector<std::uint8_t> buf(kPageSize, 0xEE);
+  EXPECT_FALSE(mem.mapped(wrapping, buf.size()));
+  EXPECT_EQ(mem.read(wrapping, buf).code(), Errc::permission_denied);
+  EXPECT_EQ(mem.write(wrapping, buf).code(), Errc::permission_denied);
+  // A wrapping range starting inside a VMA is unmapped too.
+  EXPECT_FALSE(mem.mapped(0x10000 + 1, ~std::uint64_t{0}));
+  // No VMA may end past the top of the address space.
+  EXPECT_EQ(mem.mmap_fixed(top, kPageSize, "top").code(), Errc::invalid_argument);
+  EXPECT_EQ(mem.mremap(0x10000, top).code(), Errc::invalid_argument);
+}
+
 TEST(AddressSpace, OverlappingMmapRejected) {
   AddressSpace mem;
   ASSERT_TRUE(mem.mmap_fixed(0x10000, 8192, "a").is_ok());
@@ -100,7 +117,7 @@ TEST(AddressSpace, MremapPreservesContentAndPhysicalIdentity) {
   ASSERT_TRUE(mem.mmap_fixed(0x10000, 2 * kPageSize, "buf").is_ok());
   std::uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   ASSERT_TRUE(mem.write(0x10000 + kPageSize, data).is_ok());
-  auto phys_before = mem.page_at(0x10000 + kPageSize);
+  const PhysPage* phys_before = mem.page_at(0x10000 + kPageSize);
 
   ASSERT_TRUE(mem.mremap(0x10000, 0x40000).is_ok());
   EXPECT_FALSE(mem.mapped(0x10000, 1));
@@ -108,7 +125,7 @@ TEST(AddressSpace, MremapPreservesContentAndPhysicalIdentity) {
   ASSERT_TRUE(mem.read(0x40000 + kPageSize, out).is_ok());
   EXPECT_EQ(std::memcmp(data, out, 8), 0);
   // Same physical page object after the move (mremap keeps phys pages).
-  EXPECT_EQ(phys_before.get(), mem.page_at(0x40000 + kPageSize).get());
+  EXPECT_EQ(phys_before, mem.page_at(0x40000 + kPageSize));
 }
 
 TEST(AddressSpace, MremapCarriesDirtyBits) {

@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <map>
+#include <set>
 
 #include "apps/perftest.hpp"
 #include "common/rng.hpp"
@@ -388,59 +389,128 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ImageRoundTrip, ::testing::Values(1, 2, 3, 7, 42
 class AddressSpaceModel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AddressSpaceModel, RandomOpsAgreeWithReferenceModel) {
+  using proc::kPageSize;
+  using proc::VirtAddr;
   common::Rng rng(GetParam());
   proc::AddressSpace mem;
-  std::map<std::uint64_t, std::uint8_t> model;  // addr -> byte
-  std::vector<std::pair<proc::VirtAddr, std::uint64_t>> vmas;
+  std::map<VirtAddr, std::uint8_t> model;  // addr -> byte
+  std::set<VirtAddr> dirty;                // pages written since the last collect
+  std::map<VirtAddr, std::uint64_t> vmas;  // start -> length
+
+  // Whether every byte of [a, a+n) lies in some VMA, crossing adjacent ones.
+  auto model_mapped = [&](VirtAddr a, std::uint64_t n) {
+    for (VirtAddr cur = a; cur < a + n;) {
+      auto it = vmas.upper_bound(cur);
+      if (it == vmas.begin()) return false;
+      --it;
+      if (cur >= it->first + it->second) return false;
+      cur = it->first + it->second;
+    }
+    return true;
+  };
+  // Every mapped byte of [a, a+n) reads back as the model says.
+  auto expect_model = [&](VirtAddr a, std::uint64_t n) {
+    for (const auto& [start, len] : vmas) {
+      const VirtAddr lo = std::max(a, start);
+      const VirtAddr hi = std::min(a + n, start + len);
+      if (lo >= hi) continue;
+      std::vector<std::uint8_t> got(hi - lo);
+      ASSERT_TRUE(mem.read(lo, got).is_ok());
+      for (VirtAddr i = lo; i < hi; ++i) {
+        auto it = model.find(i);
+        ASSERT_EQ(got[i - lo], it == model.end() ? 0 : it->second) << "addr " << std::hex << i;
+      }
+    }
+  };
+  // Moves (target != 0) or drops the model state of the VMA at `start`.
+  auto carry = [&](VirtAddr start, std::uint64_t len, VirtAddr target) {
+    std::map<VirtAddr, std::uint8_t> moved;
+    for (auto it = model.lower_bound(start); it != model.end() && it->first < start + len;) {
+      if (target != 0) moved[target + (it->first - start)] = it->second;
+      it = model.erase(it);
+    }
+    model.merge(moved);
+    std::set<VirtAddr> moved_dirty;
+    for (auto it = dirty.lower_bound(start); it != dirty.end() && *it < start + len;) {
+      if (target != 0) moved_dirty.insert(target + (*it - start));
+      it = dirty.erase(it);
+    }
+    dirty.merge(moved_dirty);
+  };
+  // A random access range: anywhere in a VMA, or starting near its end and
+  // running on into whatever follows (an adjacent VMA, a gap, or both).
+  auto pick_range = [&]() -> std::pair<VirtAddr, std::uint64_t> {
+    auto it = std::next(vmas.begin(), static_cast<std::ptrdiff_t>(rng.below(vmas.size())));
+    const auto [start, len] = *it;
+    if (rng.below(2) == 0) {
+      const std::uint64_t off = rng.below(len);
+      return {start + off, rng.range(1, std::min<std::uint64_t>(len - off, 64))};
+    }
+    return {start + len - rng.range(1, 64), rng.range(1, 2 * kPageSize + 128)};
+  };
 
   for (int step = 0; step < 400; ++step) {
-    const auto op = rng.range(0, 9);
-    if (op <= 2 || vmas.empty()) {  // mmap
-      const std::uint64_t len = rng.range(1, 4) * proc::kPageSize;
+    const auto op = rng.range(0, 10);
+    if (op <= 1 || vmas.empty()) {  // mmap
+      const std::uint64_t len = rng.range(1, 4) * kPageSize;
       auto r = mem.mmap(len, "m");
       ASSERT_TRUE(r.is_ok());
-      vmas.emplace_back(r.value(), len);
-    } else if (op <= 5) {  // write
-      const auto& [start, len] = vmas[rng.below(vmas.size())];
-      const std::uint64_t off = rng.below(len);
-      const std::uint64_t n = rng.range(1, std::min<std::uint64_t>(len - off, 64));
+      vmas.emplace(r.value(), len);
+    } else if (op == 2) {  // two mmap_fixed VMAs, adjacent or one page apart
+      const VirtAddr base = 0x3000'0000'0000ULL + step * (1ull << 24);
+      const std::uint64_t la = rng.range(1, 3) * kPageSize;
+      const std::uint64_t lb = rng.range(1, 3) * kPageSize;
+      const VirtAddr b = base + la + (rng.below(2) == 0 ? 0 : kPageSize);
+      ASSERT_TRUE(mem.mmap_fixed(base, la, "a").is_ok());
+      ASSERT_TRUE(mem.mmap_fixed(b, lb, "b").is_ok());
+      vmas.emplace(base, la);
+      vmas.emplace(b, lb);
+    } else if (op <= 5) {  // write: all of it lands, or none of it does
+      const auto [a, n] = pick_range();
       std::vector<std::uint8_t> data(n);
       for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-      ASSERT_TRUE(mem.write(start + off, data).is_ok());
-      for (std::uint64_t i = 0; i < n; ++i) model[start + off + i] = data[i];
+      if (model_mapped(a, n)) {
+        ASSERT_TRUE(mem.write(a, data).is_ok());
+        for (std::uint64_t i = 0; i < n; ++i) model[a + i] = data[i];
+        for (VirtAddr p = proc::page_floor(a); p < a + n; p += kPageSize) dirty.insert(p);
+      } else {
+        ASSERT_EQ(mem.write(a, data).code(), common::Errc::permission_denied);
+        expect_model(a, n);
+      }
     } else if (op <= 7) {  // read
-      const auto& [start, len] = vmas[rng.below(vmas.size())];
-      const std::uint64_t off = rng.below(len);
-      const std::uint64_t n = rng.range(1, std::min<std::uint64_t>(len - off, 64));
+      const auto [a, n] = pick_range();
       std::vector<std::uint8_t> data(n);
-      ASSERT_TRUE(mem.read(start + off, data).is_ok());
-      for (std::uint64_t i = 0; i < n; ++i) {
-        auto it = model.find(start + off + i);
-        const std::uint8_t expect = it == model.end() ? 0 : it->second;
-        ASSERT_EQ(data[i], expect) << "addr " << std::hex << start + off + i;
+      if (model_mapped(a, n)) {
+        ASSERT_TRUE(mem.read(a, data).is_ok());
+        expect_model(a, n);
+      } else {
+        ASSERT_EQ(mem.read(a, data).code(), common::Errc::permission_denied);
       }
-    } else if (op == 8 && !vmas.empty()) {  // mremap to a fresh spot
-      const std::size_t vi = rng.below(vmas.size());
-      auto [start, len] = vmas[vi];
-      const proc::VirtAddr target = 0x2000'0000'0000ULL + step * (1ull << 24);
+    } else if (op == 8) {  // mremap to a fresh spot
+      auto it = std::next(vmas.begin(), static_cast<std::ptrdiff_t>(rng.below(vmas.size())));
+      const auto [start, len] = *it;
+      const VirtAddr target = 0x2000'0000'0000ULL + step * (1ull << 24);
+      const std::uint64_t off = rng.below(len / kPageSize) * kPageSize;
+      const proc::PhysPage* phys = mem.page_at(start + off);
+      ASSERT_NE(phys, nullptr);
       ASSERT_TRUE(mem.mremap(start, target).is_ok());
-      // Move the model entries.
-      std::map<std::uint64_t, std::uint8_t> moved;
-      for (auto it = model.lower_bound(start); it != model.end() && it->first < start + len;) {
-        moved[target + (it->first - start)] = it->second;
-        it = model.erase(it);
-      }
-      model.merge(moved);
-      vmas[vi] = {target, len};
-    } else {  // munmap
-      const std::size_t vi = rng.below(vmas.size());
-      auto [start, len] = vmas[vi];
+      EXPECT_EQ(mem.page_at(target + off), phys) << "mremap must keep the physical page";
+      carry(start, len, target);
+      vmas.erase(it);
+      vmas.emplace(target, len);
+      expect_model(target, len);
+    } else if (op == 9) {  // munmap
+      auto it = std::next(vmas.begin(), static_cast<std::ptrdiff_t>(rng.below(vmas.size())));
+      const auto [start, len] = *it;
       ASSERT_TRUE(mem.munmap(start).is_ok());
-      for (auto it = model.lower_bound(start); it != model.end() && it->first < start + len;) {
-        it = model.erase(it);
-      }
-      vmas.erase(vmas.begin() + static_cast<std::ptrdiff_t>(vi));
+      carry(start, len, 0);
+      vmas.erase(it);
+    } else {  // collect_dirty: pages written since the last collect, sorted
+      const std::vector<VirtAddr> want(dirty.begin(), dirty.end());
+      ASSERT_EQ(mem.collect_dirty(), want);
+      dirty.clear();
     }
+    ASSERT_EQ(mem.dirty_count(), dirty.size()) << "step " << step;
   }
 }
 

@@ -184,6 +184,25 @@ TEST_F(RnicEdgeTest, AtomicDeniedWithoutRemoteAtomicAccess) {
   EXPECT_EQ(wait_cqe(ctx_a_, cq_a_).status, CqeStatus::remote_access_err);
 }
 
+TEST_F(RnicEdgeTest, RemoteRangeWrappingPastTopOfAddressSpaceRejected) {
+  // remote_addr + 4096 wraps to 2048, which an `addr + len > end` bounds
+  // check lets through to the responder's DMA with a valid rkey.
+  const proc::VirtAddr wrapping = ~std::uint64_t{0} - 2047;  // 2^64 - 2048
+  for (WrOpcode op : {WrOpcode::rdma_write, WrOpcode::rdma_read}) {
+    auto [qa, qb] = pair();  // a fresh pair: the error moves the QP out of RTS
+    Buf lb = buf(ctx_a_, pd_a_, 4096);
+    Buf rb = buf(ctx_b_, pd_b_, 4096);
+    SendWr wr;
+    wr.opcode = op;
+    wr.remote_addr = wrapping;
+    wr.rkey = rb.mr.rkey;
+    wr.sge = {{lb.addr, 4096, lb.mr.lkey}};
+    ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+    EXPECT_EQ(wait_cqe(ctx_a_, cq_a_).status, CqeStatus::remote_access_err)
+        << "opcode " << static_cast<int>(op);
+  }
+}
+
 TEST_F(RnicEdgeTest, MwRebindInvalidatesOldRkey) {
   auto [qa, qb] = pair();
   Buf sb = buf(ctx_a_, pd_a_, 4096);

@@ -12,7 +12,8 @@
 # failover stage (kill-primary under a lossy seed, gated on the output-
 # commit invariant and the validated ft_report incl. its critical path), a
 # bench-delta advisory (tools/bench_diff.py vs the committed BENCH_*.json
-# baselines), then the sanitizer pass.
+# baselines), the repository benchmark's correctness gates (migrbench on
+# every declared workload), then the sanitizer pass.
 #
 #   tools/ci.sh              # everything
 #   tools/ci.sh --fast       # skip the sanitizer pass
@@ -24,12 +25,12 @@ cd "$REPO_ROOT"
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
-echo "==> [1/10] plain build + full test suite"
+echo "==> [1/11] plain build + full test suite"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> [2/10] lossy-seed suites (fault injection, adversarial migrations, lossy drain)"
+echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, lossy drain)"
 # Deterministic seeded runs: the fault scenario suite, every property test
 # that drives traffic through injected loss/reordering/partitions, and the
 # cluster suite (scheduler admission/retry plus the seeded lossy drain with
@@ -37,7 +38,7 @@ echo "==> [2/10] lossy-seed suites (fault injection, adversarial migrations, los
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
   -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain)'
 
-echo "==> [3/10] perf smoke (bench_simrate vs BENCH_simrate.json baseline)"
+echo "==> [3/11] perf smoke (bench_simrate vs BENCH_simrate.json baseline)"
 # Advisory, not a gate: wall time on shared CI machines is noisy, so a
 # regression prints a loud warning instead of failing the pipeline. The
 # fresh numbers land in build/BENCH_simrate.json for inspection; refresh
@@ -69,7 +70,7 @@ else
   echo "    no checked-in BENCH_simrate.json baseline; skipping comparison"
 fi
 
-echo "==> [4/10] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
+echo "==> [4/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
 # trace, metric time series, and the wire flight recorder. The python
 # validator pins the artifact schemas so downstream tooling (trace viewers,
@@ -95,7 +96,7 @@ build/bench/bench_cluster_drain --loss 0.2 --seed 11 --conc 4 \
   --sli-csv "$ART_DIR/drain.sli.csv"
 python3 tools/validate_artifacts.py --slo "$ART_DIR/drain.slo.json" --expect-alert
 
-echo "==> [5/10] blackout critical-path attribution (lossy drain, retry-dominant)"
+echo "==> [5/11] blackout critical-path attribution (lossy drain, retry-dominant)"
 # Causal attribution stage (DESIGN.md §16): a wire-bound drain — restore
 # pre-synced like the FT standby (--restore-ms 2) so the blackout is not
 # restore-dominated — under heavy ctrl-plane loss, so image transfers time
@@ -118,7 +119,7 @@ build/bench/bench_cluster_drain --loss 0.01 --seed 18 --conc 4 \
 python3 tools/validate_artifacts.py --drain "$ART_DIR/drain.cp_clean.json" \
   --critical-path --expect-dominant restore_apply
 
-echo "==> [6/10] pre-copy vs post-copy drain comparison (write-heavy fleet)"
+echo "==> [6/11] pre-copy vs post-copy drain comparison (write-heavy fleet)"
 # The same write-heavy drain (8 MiB dirty MR per guest, clean fabric) run
 # once per migration mode. The validator pins the drain_report schema on
 # both legs — including gap-free waterfall tiling and the post-copy fault
@@ -135,7 +136,7 @@ python3 tools/validate_artifacts.py --max-wasted 0.01 \
   --drain "$ART_DIR/drain.postcopy.json" \
   --expect-postcopy-faster "$ART_DIR/drain.precopy.json" "$ART_DIR/drain.postcopy.json"
 
-echo "==> [7/10] multifd scale-out (1-stream vs 4-stream drain)"
+echo "==> [7/11] multifd scale-out (1-stream vs 4-stream drain)"
 # The same write-heavy drain run once with a single paced 25 Gbps transfer
 # stream and once with the 4-stream mux (4 x 25 Gbps). Concurrency is pinned
 # to 1: at --conc 4 four concurrent migrations already fill the 100 Gbps
@@ -178,7 +179,7 @@ if ratio < 1.5:
              f"by >= 1.5x (got {ratio:.2f}x)")
 EOF
 
-echo "==> [8/10] FT failover comparison (kill-primary under a lossy seed)"
+echo "==> [8/11] FT failover comparison (kill-primary under a lossy seed)"
 # Continuous-protection stage: the seeded 8-host scenario with data-plane
 # loss, primary killed mid-traffic. The bench itself gates on the output-
 # commit invariant (zero duplicate client-visible messages) and on the FT
@@ -190,17 +191,27 @@ build/bench/bench_ft_failover --loss 0.01 --seed 11 --critical-path \
   --bench-out build/BENCH_ft.json
 python3 tools/validate_artifacts.py --ft "$ART_DIR/ft_report.json" --critical-path
 
-echo "==> [9/10] bench delta vs committed baselines (advisory)"
+echo "==> [9/11] bench delta vs committed baselines (advisory)"
 # Per-metric delta table over every BENCH_*.json pair (simrate from stage 3,
 # ft from stage 8, xfer regenerated here). Advisory like the perf smoke:
 # shared-machine wall times are noisy; refresh baselines from a quiet box.
 build/bench/bench_xfer --out build/BENCH_xfer.json
 python3 tools/bench_diff.py
 
+echo "==> [10/11] repository benchmark correctness gates (migrbench)"
+# A short run of every workload BENCHMARK.json declares. run.py exits
+# non-zero on a build error, a metric-extraction test failure or a failed
+# correctness gate (drain completes, no stuck QPs, no corruption, exactly-
+# once FT, exact repeats). Wall times are printed, not gated.
+for workload in drain8 stream_rw ft_lossy; do
+  CARGO_TARGET_DIR=build python3 migrbench/run.py --workload "$workload" \
+    --seed 1 --seconds 5 --trace 0
+done
+
 if [[ "$FAST" == "1" ]]; then
-  echo "==> [10/10] sanitizer pass skipped (--fast)"
+  echo "==> [11/11] sanitizer pass skipped (--fast)"
   exit 0
 fi
 
-echo "==> [10/10] sanitizer pass (address)"
+echo "==> [11/11] sanitizer pass (address)"
 tools/run_sanitized.sh address
