@@ -12,6 +12,7 @@
 //    raw == shipped + suppressed balance pinned.
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
 
 #include "criu/pagedelta.hpp"
@@ -58,12 +59,15 @@ sim::DurationNs timed_transfer(std::uint32_t streams) {
   return done_at - t0;
 }
 
-criu::PageSet::Page page_of(proc::VirtAddr addr, std::uint8_t fill) {
-  criu::PageSet::Page p;
-  p.addr = addr;
-  p.data.assign(proc::kPageSize, fill);
-  return p;
-}
+// Page sets only view their pages; the legs keep the contents here.
+// Deque elements never move, so the views stay valid as pages are added.
+struct PageStore {
+  std::deque<common::Bytes> contents;
+
+  criu::PageSet::Page page(proc::VirtAddr addr, std::uint8_t fill) {
+    return {addr, contents.emplace_back(proc::kPageSize, fill)};
+  }
+};
 
 struct SuppressionLeg {
   std::uint64_t raw = 0;
@@ -78,8 +82,9 @@ struct SuppressionLeg {
 // 1024 zero pages: the kZero marker path.
 SuppressionLeg zero_leg() {
   criu::PageDeltaEncoder enc;
+  PageStore store;
   criu::PageSet set;
-  for (int i = 0; i < 1024; i++) set.pages.push_back(page_of(0x1000ull * (i + 1), 0));
+  for (int i = 0; i < 1024; i++) set.pages.push_back(store.page(0x1000ull * (i + 1), 0));
   const common::Bytes wire = enc.encode(set);
   SuppressionLeg leg;
   leg.raw = set.byte_size();
@@ -94,16 +99,20 @@ SuppressionLeg zero_leg() {
 // per page — the kDelta XOR-run path against the previous round's content.
 SuppressionLeg sparse_leg() {
   criu::PageDeltaEncoder enc;
+  PageStore store;
   criu::PageSet r1;
   for (int i = 0; i < 256; i++) {
-    r1.pages.push_back(page_of(0x1000ull * (i + 1), static_cast<std::uint8_t>(i + 1)));
+    r1.pages.push_back(store.page(0x1000ull * (i + 1), static_cast<std::uint8_t>(i + 1)));
   }
   (void)enc.encode(r1);
-  criu::PageSet r2 = r1;
   // Dirty 16 bytes per page with the complement of the fill so every page
   // genuinely changes (a 0x5A fill overwritten with 0x5A would encode kSame).
-  for (auto& p : r2.pages) {
-    std::memset(p.data.data() + 128, static_cast<int>(p.data[0] ^ 0xFF), 16);
+  criu::PageSet r2;
+  for (int i = 0; i < 256; i++) {
+    const auto fill = static_cast<std::uint8_t>(i + 1);
+    criu::PageSet::Page p = store.page(0x1000ull * (i + 1), fill);
+    std::memset(store.contents.back().data() + 128, fill ^ 0xFF, 16);
+    r2.pages.push_back(p);
   }
   criu::PageDeltaStats batch;
   const common::Bytes wire = enc.encode(r2, &batch);

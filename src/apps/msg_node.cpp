@@ -20,6 +20,7 @@ MsgNode::MsgNode(MigrRdmaRuntime& runtime, proc::SimProcess& proc, GuestId id,
   guest_ = runtime.create_guest(proc, id).value();
   pd_ = guest_->alloc_pd().value();
   cq_ = guest_->create_cq(4096).value();
+  rx_payload_.reserve(config_.max_msg);
 }
 
 MsgNode::~MsgNode() { stop(); }
@@ -91,7 +92,7 @@ common::Result<VQpn> MsgNode::qp_to(GuestId peer) const {
 Status MsgNode::send(GuestId peer_id, const common::Bytes& payload) {
   if (gate_armed_) {
     if (!peers_.contains(peer_id)) return common::err(Errc::not_found, "peer not connected");
-    if (payload.size() + 4 > config_.max_msg) {
+    if (payload.size() + kLenBytes > config_.max_msg) {
       return common::err(Errc::invalid_argument, "message exceeds slot size");
     }
     GatedMsg m;
@@ -109,7 +110,7 @@ Status MsgNode::send_now(GuestId peer_id, const common::Bytes& payload) {
   auto it = peers_.find(peer_id);
   if (it == peers_.end()) return common::err(Errc::not_found, "peer not connected");
   Peer& peer = it->second;
-  if (payload.size() + 4 > config_.max_msg) {
+  if (payload.size() + kLenBytes > config_.max_msg) {
     return common::err(Errc::invalid_argument, "message exceeds slot size");
   }
   if (peer.send_credits == 0) {
@@ -117,15 +118,19 @@ Status MsgNode::send_now(GuestId peer_id, const common::Bytes& payload) {
   }
   const std::uint32_t slot = peer.send_slot % config_.depth;
   const std::uint64_t addr = peer.send_buf + std::uint64_t{slot} * config_.max_msg;
-  common::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.raw(payload);
-  MIGR_RETURN_IF_ERROR(proc_->mem().write(addr, w.data()));
+  // The slot holds a little-endian u32 length, then the payload, both
+  // written straight into it.
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const std::uint8_t hdr[kLenBytes] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16), static_cast<std::uint8_t>(len >> 24)};
+  MIGR_RETURN_IF_ERROR(proc_->mem().write(addr, hdr));
+  MIGR_RETURN_IF_ERROR(proc_->mem().write(addr + kLenBytes, payload));
 
   SendWr wr;
   wr.wr_id = peer.send_slot;
   wr.opcode = rnic::WrOpcode::send;
-  wr.sge = {{addr, static_cast<std::uint32_t>(w.size()), peer.send_mr.vlkey}};
+  wr.sge = {{addr, kLenBytes + len, peer.send_mr.vlkey}};
   MIGR_RETURN_IF_ERROR(guest_->post_send(peer.vqpn, wr));
   if (sli_ != nullptr) {
     if (peer.send_ts.empty()) {
@@ -236,6 +241,31 @@ void MsgNode::repost_recv(Peer& peer, std::uint64_t wr_id) {
   if (!guest_->post_recv(peer.vqpn, wr).is_ok()) errors_++;
 }
 
+void MsgNode::deliver(const Peer& peer, const Cqe& cqe) {
+  const std::uint64_t addr = peer.recv_buf + (cqe.wr_id % config_.depth) * config_.max_msg;
+  std::uint8_t hdr[kLenBytes];
+  if (cqe.byte_len < kLenBytes) {
+    errors_++;
+    return;
+  }
+  if (!proc_->mem().read(addr, hdr).is_ok()) return;
+  common::ByteReader r{hdr};
+  const std::uint32_t len = r.u32().value();
+  if (len > cqe.byte_len - kLenBytes) {
+    errors_++;
+    return;
+  }
+  rx_payload_.resize(len);
+  if (!proc_->mem().read(addr + kLenBytes, rx_payload_).is_ok()) return;
+  received_++;
+  if (sli_ != nullptr) sli_->delivered(proc_->loop().now(), len);
+  GuestId from = 0;
+  for (auto& [pid, p] : peers_) {
+    if (&p == &peer) from = pid;
+  }
+  if (handler_) handler_(from, rx_payload_);
+}
+
 bool MsgNode::tick() {
   if (!gate_q_.empty()) drain_gate();
   bool polled = false;
@@ -259,25 +289,7 @@ bool MsgNode::tick() {
         continue;
       }
       if (cqe.opcode == CqeOpcode::recv) {
-        const std::uint64_t addr =
-            peer->recv_buf + (cqe.wr_id % config_.depth) * config_.max_msg;
-        std::vector<std::uint8_t> raw(cqe.byte_len);
-        if (proc_->mem().read(addr, raw).is_ok()) {
-          common::ByteReader r{raw};
-          auto len = r.u32();
-          if (len.is_ok() && r.remaining() >= len.value()) {
-            common::Bytes payload(raw.begin() + 4, raw.begin() + 4 + len.value());
-            received_++;
-            if (sli_ != nullptr) sli_->delivered(proc_->loop().now(), payload.size());
-            GuestId from = 0;
-            for (auto& [pid, p] : peers_) {
-              if (&p == peer) from = pid;
-            }
-            if (handler_) handler_(from, payload);
-          } else {
-            errors_++;
-          }
-        }
+        deliver(*peer, cqe);
         repost_recv(*peer, peer->next_recv_seq++);
       } else {
         if (sli_ != nullptr && !peer->send_ts.empty()) {

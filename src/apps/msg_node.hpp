@@ -137,6 +137,9 @@ class MsgNode : public migrlib::MigratableApp {
   /// Drain the gate and poll the CQ; false when it polled no completion
   /// (gate leftovers wait on the completions that return credits).
   bool tick();
+  /// Hand a received message to the handler, read out of its slot into
+  /// rx_payload_ (the slot's length word first, then the payload).
+  void deliver(const Peer& peer, const rnic::Cqe& cqe);
   void repost_recv(Peer& peer, std::uint64_t wr_id);
   Peer* peer_by_vqpn(VQpn vqpn);
   common::Status send_now(GuestId peer_id, const common::Bytes& payload);
@@ -150,7 +153,11 @@ class MsgNode : public migrlib::MigratableApp {
   GuestContext* guest_ = nullptr;
   VHandle pd_ = 0;
   VHandle cq_ = 0;
+  static constexpr std::uint32_t kLenBytes = 4;  // a slot's length word
   std::unordered_map<GuestId, Peer> peers_;
+  // The payload handed to the handler, reused message to message and
+  // reserved for a full slot, so delivery allocates nothing.
+  common::Bytes rx_payload_;
   Handler handler_;
   RawCqeHandler raw_handler_;
   sim::EventHandle task_;

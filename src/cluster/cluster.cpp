@@ -102,6 +102,7 @@ Status ClusterModel::connect_guests(GuestId a, GuestId b) {
 void ClusterModel::start_generator(GuestRecord& rec) {
   if (rec.generating || rec.profile.send_interval <= 0) return;
   rec.generating = true;
+  rec.payload.assign(rec.profile.msg_bytes, 0xA5);
   // Scheduled on the raw loop (not a process poller) so it survives the
   // source process being killed at migration commit; it checks the guest's
   // *current* process each tick and idles while that process is frozen.
@@ -112,10 +113,9 @@ void ClusterModel::start_generator(GuestRecord& rec) {
     if (r.peers.empty() || r.node->process().frozen()) return;
     if (throttled_tick(r.throttle, r.traffic_acc)) return;
     const GuestId peer = r.peers[r.rr_cursor++ % r.peers.size()];
-    common::Bytes payload(r.profile.msg_bytes, 0xA5);
     // Window-full / suspension failures are dropped; the generator offers
     // fresh load on its next tick (open-loop source).
-    (void)r.node->send(peer, payload);
+    (void)r.node->send(peer, r.payload);
   });
 }
 

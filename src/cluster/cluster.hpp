@@ -129,6 +129,7 @@ class ClusterModel {
     TrafficProfile profile;
     std::unique_ptr<apps::MsgNode> node;
     std::vector<GuestId> peers;       // connected traffic targets
+    common::Bytes payload;            // what every generator tick sends
     std::uint64_t extra_buf = 0;      // base address of the extra MR
     std::size_t rr_cursor = 0;        // round-robin over peers
     std::uint8_t dirty_stamp = 0;     // rolling byte written by the dirtier

@@ -61,6 +61,9 @@ class SmallBytes {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Room for `capacity` bytes up front: a writer sized to its exact output
+  /// never reallocates, and take() hands over a buffer with no slack.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { append_le(v); }
@@ -86,6 +89,18 @@ class ByteWriter {
   /// Raw append without length prefix (caller tracks framing).
   void raw(std::span<const std::uint8_t> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
+  }
+
+  /// Length-prefixed (u32) encoding of `s`, written in place: the same bytes
+  /// as bytes(s.serialize()) without the intermediate buffer. `S` provides
+  /// serialized_size() and serialize_into(ByteWriter&).
+  template <typename S>
+  void section(const S& s) {
+    const std::size_t n = s.serialized_size();
+    u32(static_cast<std::uint32_t>(n));
+    [[maybe_unused]] const std::size_t start = buf_.size();
+    s.serialize_into(*this);
+    assert(buf_.size() - start == n);
   }
 
   std::size_t size() const noexcept { return buf_.size(); }
@@ -128,23 +143,36 @@ class ByteReader {
   }
 
   Result<Bytes> bytes() {
+    MIGR_ASSIGN_OR_RETURN(auto v, view());
+    return Bytes(v.begin(), v.end());
+  }
+  /// bytes() without the copy: a view into the buffer being read, valid for
+  /// as long as that buffer is.
+  Result<std::span<const std::uint8_t>> view() {
     MIGR_ASSIGN_OR_RETURN(auto n, u32());
+    return view(n);
+  }
+  /// The next `n` bytes as a view (no length prefix).
+  Result<std::span<const std::uint8_t>> view(std::size_t n) {
     if (remaining() < n) return truncated();
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    auto out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
-  Result<std::string> str() {
-    MIGR_ASSIGN_OR_RETURN(auto b, bytes());
-    return std::string{b.begin(), b.end()};
+  /// A record count (u32, or T) that a container may be sized from: fails
+  /// unless the rest of the buffer can hold that many records of at least
+  /// `min_record` bytes, so a corrupt count cannot reserve gigabytes.
+  template <typename T = std::uint32_t>
+  Result<T> count(std::size_t min_record) {
+    MIGR_ASSIGN_OR_RETURN(auto n, read_le<T>());
+    if (n > remaining() / min_record) {
+      return err(Errc::invalid_argument, "record count exceeds buffer");
+    }
+    return n;
   }
-
-  Status raw(std::span<std::uint8_t> out) {
-    if (remaining() < out.size()) return truncated();
-    std::memcpy(out.data(), data_.data() + pos_, out.size());
-    pos_ += out.size();
-    return Status::ok();
+  Result<std::string> str() {
+    MIGR_ASSIGN_OR_RETURN(auto v, view());
+    return std::string{v.begin(), v.end()};
   }
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -34,13 +34,19 @@ Checkpointer::Dump Checkpointer::dump_common(bool full) {
   } else {
     page_addrs = mem.collect_dirty(/*clear=*/true);
   }
+  // One uninitialized block holds every page: each is read straight from
+  // the address space into its slot, with no per-page buffer or zero fill.
+  if (!page_addrs.empty()) {
+    dump.pages.storage =
+        std::make_unique_for_overwrite<std::uint8_t[]>(page_addrs.size() * proc::kPageSize);
+  }
   dump.pages.pages.reserve(page_addrs.size());
+  std::uint8_t* slot = dump.pages.storage.get();
   for (proc::VirtAddr addr : page_addrs) {
-    PageSet::Page page;
-    page.addr = addr;
-    page.data.resize(proc::kPageSize);
-    if (mem.read(addr, page.data).is_ok()) {
-      dump.pages.pages.push_back(std::move(page));
+    const std::span<std::uint8_t> page{slot, proc::kPageSize};
+    if (mem.read(addr, page).is_ok()) {
+      dump.pages.pages.push_back({addr, page});
+      slot += proc::kPageSize;
     }
   }
   dump.cost = costs_.dump_cost(dump.image.vmas.size(), dump.pages.pages.size());
@@ -197,17 +203,22 @@ Result<Restorer::Report> Restorer::apply_pages(const PageSet& set) {
   if (!started_) return common::err(Errc::failed_precondition, "begin() first");
   Report report;
   auto& mem = dst_.mem();
+  const Entry* owner = nullptr;
   for (const auto& page : set.pages) {
-    // Find the VMA containing this page (entries are keyed by start).
-    const Entry* owner = nullptr;
-    auto it = entries_.find(page.addr);
-    if (it != entries_.end()) {
-      owner = &it->second;
-    } else {
-      for (const auto& [start, entry] : entries_) {
-        if (page.addr >= start && page.addr < start + entry.vma.length) {
-          owner = &entry;
-          break;
+    // Pages come in address order, so a page usually shares its
+    // predecessor's VMA; otherwise look it up (entries are keyed by start).
+    if (owner == nullptr || page.addr < owner->vma.start ||
+        page.addr - owner->vma.start >= owner->vma.length) {
+      owner = nullptr;
+      auto it = entries_.find(page.addr);
+      if (it != entries_.end()) {
+        owner = &it->second;
+      } else {
+        for (const auto& [start, entry] : entries_) {
+          if (page.addr >= start && page.addr < start + entry.vma.length) {
+            owner = &entry;
+            break;
+          }
         }
       }
     }
@@ -224,7 +235,8 @@ Result<Restorer::Report> Restorer::apply_pages(const PageSet& set) {
             mem.write(owner->staged_at + (page.addr - owner->vma.start), page.data));
         break;
       case Placement::deferred:
-        deferred_pages_.push_back(page);
+        // Kept past this call, unlike the set's views: the one owned copy.
+        deferred_pages_.push_back({page.addr, common::Bytes(page.data.begin(), page.data.end())});
         break;
     }
     report.cost += costs_.per_page_restore;

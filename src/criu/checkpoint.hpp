@@ -175,7 +175,11 @@ class Restorer {
   std::uint64_t latest_cursor_ = 0;
   proc::VirtAddr staging_cursor_ = 0x5000'0000'0000ULL;
   std::unordered_map<proc::VirtAddr, Entry> entries_;  // keyed by original start
-  std::vector<PageSet::Page> deferred_pages_;
+  struct DeferredPage {
+    proc::VirtAddr addr = 0;
+    common::Bytes data;
+  };
+  std::vector<DeferredPage> deferred_pages_;
 };
 
 }  // namespace migr::criu

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,8 @@ struct MemoryImage {
   std::vector<VmaImage> vmas;
   std::uint64_t mmap_cursor = 0;
 
+  std::size_t serialized_size() const;
+  void serialize_into(common::ByteWriter& w) const;
   common::Bytes serialize() const;
   static common::Result<MemoryImage> parse(std::span<const std::uint8_t> data);
 
@@ -40,17 +44,28 @@ struct MemoryImage {
 
 /// A batch of page contents keyed by original virtual address. The first
 /// pre-copy round carries every page; later rounds carry only dirty pages.
+///
+/// Pages are views, never per-page buffers. A dump's pages view `storage`,
+/// the one block the checkpointer read them into; a parsed set's pages view
+/// the buffer it was parsed from, which must outlive the set.
 struct PageSet {
   struct Page {
     proc::VirtAddr addr = 0;
-    common::Bytes data;  // exactly kPageSize
+    std::span<const std::uint8_t> data;  // exactly kPageSize
   };
   std::vector<Page> pages;
+  std::unique_ptr<std::uint8_t[]> storage;  // null unless the set owns its pages
 
   std::uint64_t byte_size() const { return pages.size() * proc::kPageSize; }
 
+  std::size_t serialized_size() const {
+    return 4 + pages.size() * (8 + proc::kPageSize);
+  }
+  void serialize_into(common::ByteWriter& w) const;
   common::Bytes serialize() const;
   static common::Result<PageSet> parse(std::span<const std::uint8_t> data);
+  /// The parsed pages would view a buffer that dies with the statement.
+  static common::Result<PageSet> parse(common::Bytes&&) = delete;
 };
 
 }  // namespace migr::criu

@@ -23,7 +23,7 @@ enum Tag : std::uint8_t {
 
 // Same FNV-1a as criu::DirtyRateEstimator's sampled page hash; cheap enough
 // to run over every dirty page and good enough to gate the byte compare.
-std::uint64_t fnv1a(const common::Bytes& data) {
+std::uint64_t fnv1a(std::span<const std::uint8_t> data) {
   std::uint64_t h = 1469598103934665603ULL;
   for (std::uint8_t b : data) {
     h ^= b;
@@ -32,7 +32,7 @@ std::uint64_t fnv1a(const common::Bytes& data) {
   return h;
 }
 
-bool all_zero(const common::Bytes& data) {
+bool all_zero(std::span<const std::uint8_t> data) {
   for (std::uint8_t b : data) {
     if (b != 0) return false;
   }
@@ -46,7 +46,7 @@ struct DeltaRun {
 
 // Collect the contiguous differing ranges between old and new page content.
 // Returns the total differing byte count; runs land in `runs`.
-std::size_t diff_runs(const common::Bytes& oldp, const common::Bytes& newp,
+std::size_t diff_runs(std::span<const std::uint8_t> oldp, std::span<const std::uint8_t> newp,
                       std::vector<DeltaRun>& runs) {
   runs.clear();
   std::size_t changed = 0;
@@ -91,7 +91,7 @@ common::Bytes PageDeltaEncoder::encode(const PageSet& set, PageDeltaStats* batch
     auto it = shipped_.find(page.addr);
     if (it != shipped_.end() && it->second.size() == page.data.size()) {
       const common::Bytes& prev = it->second;
-      if (fnv1a(prev) == fnv1a(page.data) && prev == page.data) {
+      if (fnv1a(prev) == fnv1a(page.data) && std::ranges::equal(prev, page.data)) {
         w.u8(kSame);
         b.pages_same++;
         continue;  // cache already holds this content
@@ -113,7 +113,7 @@ common::Bytes PageDeltaEncoder::encode(const PageSet& set, PageDeltaStats* batch
           b.bytes_shipped += run.len;
         }
         b.pages_delta++;
-        it->second = page.data;
+        it->second.assign(page.data.begin(), page.data.end());
         continue;
       }
     }
@@ -122,7 +122,7 @@ common::Bytes PageDeltaEncoder::encode(const PageSet& set, PageDeltaStats* batch
     w.raw(page.data);
     b.pages_full++;
     b.bytes_shipped += page.data.size();
-    shipped_[page.addr] = page.data;
+    shipped_[page.addr].assign(page.data.begin(), page.data.end());
   }
 
   b.bytes_suppressed = b.bytes_raw - b.bytes_shipped;
@@ -144,7 +144,8 @@ common::Result<PageSet> PageDeltaDecoder::decode(std::span<const std::uint8_t> d
   }
   next_seq_++;
 
-  MIGR_ASSIGN_OR_RETURN(auto npages, r.u32());
+  // Smallest page record: the address and a kZero or kSame tag.
+  MIGR_ASSIGN_OR_RETURN(auto npages, r.count(8 + 1));
   PageSet out;
   out.pages.reserve(npages);
   for (std::uint32_t i = 0; i < npages; ++i) {
@@ -152,20 +153,16 @@ common::Result<PageSet> PageDeltaDecoder::decode(std::span<const std::uint8_t> d
     MIGR_ASSIGN_OR_RETURN(auto tag, r.u8());
     switch (tag) {
       case kFull: {
-        PageSet::Page p;
-        p.addr = addr;
-        p.data.resize(proc::kPageSize);
-        MIGR_RETURN_IF_ERROR(r.raw(p.data));
-        content_[addr] = p.data;
-        out.pages.push_back(std::move(p));
+        MIGR_ASSIGN_OR_RETURN(auto data, r.view(proc::kPageSize));
+        common::Bytes& cached = content_[addr];
+        cached.assign(data.begin(), data.end());
+        out.pages.push_back({addr, cached});
         break;
       }
       case kZero: {
-        PageSet::Page p;
-        p.addr = addr;
-        p.data.assign(proc::kPageSize, 0);
-        content_[addr] = p.data;
-        out.pages.push_back(std::move(p));
+        common::Bytes& cached = content_[addr];
+        cached.assign(proc::kPageSize, 0);
+        out.pages.push_back({addr, cached});
         break;
       }
       case kSame: {
@@ -184,7 +181,7 @@ common::Result<PageSet> PageDeltaDecoder::decode(std::span<const std::uint8_t> d
           return common::err(Errc::failed_precondition,
                              "pagedelta: kDelta for never-shipped page");
         }
-        common::Bytes page = it->second;
+        common::Bytes& page = it->second;
         MIGR_ASSIGN_OR_RETURN(auto nruns, r.u16());
         for (std::uint16_t run = 0; run < nruns; ++run) {
           MIGR_ASSIGN_OR_RETURN(auto off, r.u16());
@@ -193,13 +190,12 @@ common::Result<PageSet> PageDeltaDecoder::decode(std::span<const std::uint8_t> d
             return common::err(Errc::invalid_argument,
                                "pagedelta: delta run out of page bounds");
           }
+          MIGR_ASSIGN_OR_RETURN(auto x, r.view(len));
           for (std::uint16_t j = 0; j < len; ++j) {
-            MIGR_ASSIGN_OR_RETURN(auto x, r.u8());
-            page[off + j] = static_cast<std::uint8_t>(page[off + j] ^ x);
+            page[off + j] = static_cast<std::uint8_t>(page[off + j] ^ x[j]);
           }
         }
-        it->second = page;
-        out.pages.push_back({addr, std::move(page)});
+        out.pages.push_back({addr, page});
         break;
       }
       default:

@@ -83,7 +83,8 @@ class PageDeltaEncoder {
 /// must arrive exactly once and in order (the sequence number is checked).
 /// "same" pages decode to nothing — the destination already holds the
 /// content — so the returned PageSet is the restore work left after
-/// suppression, not a reconstruction of the full dirty set.
+/// suppression, not a reconstruction of the full dirty set. Its pages view
+/// the decoder's cache and stay valid until the next decode().
 class PageDeltaDecoder {
  public:
   common::Result<PageSet> decode(std::span<const std::uint8_t> data);

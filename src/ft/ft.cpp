@@ -351,6 +351,21 @@ void FtController::push_waterfall(std::string name, sim::DurationNs dur, std::st
 // Primary side: full sync + epoch capture + chunked transfer
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// An epoch's payload, written once into an exactly-sized buffer: the memory
+// image, the page set and the RDMA image, each length-prefixed.
+Bytes epoch_payload(const criu::MemoryImage& image, const criu::PageSet& pages,
+                    const Bytes& rdma) {
+  ByteWriter w(4 + image.serialized_size() + 4 + pages.serialized_size() + 4 + rdma.size());
+  w.section(image);
+  w.section(pages);
+  w.bytes(rdma);
+  return std::move(w).take();
+}
+
+}  // namespace
+
 void FtController::phase_full_sync() {
   // Live full dump (the guest keeps running — the long initial copy must
   // not blackout the service the way per-epoch brief freezes may).
@@ -359,14 +374,8 @@ void FtController::phase_full_sync() {
   predump_rdma_bytes_ = plugin_.pre_dump(*guest_);
   const sim::DurationNs cost = dump.cost + plugin_.take_cost();
 
-  ByteWriter w;
-  Bytes mem_img = dump.image.serialize();
-  Bytes pages = dump.pages.serialize();
-  const std::uint64_t mem_bytes = mem_img.size() + pages.size();
-  w.bytes(mem_img);
-  w.bytes(pages);
-  w.bytes(predump_rdma_bytes_);
-  inflight_payload_ = std::move(w).take();
+  const std::uint64_t mem_bytes = dump.image.serialized_size() + dump.pages.serialized_size();
+  inflight_payload_ = epoch_payload(dump.image, dump.pages, predump_rdma_bytes_);
   inflight_epoch_ = 0;
   inflight_ = true;
   xfer_attempt_ = 0;
@@ -421,14 +430,8 @@ void FtController::capture_epoch() {
   src_rt_->device().add_ctrl_pressure(ed->cost);
 
   const std::uint64_t epoch = next_epoch_++;
-  ByteWriter w;
-  Bytes mem_img = ed->image.serialize();
-  Bytes pages = ed->pages.serialize();
-  const std::uint64_t mem_bytes = mem_img.size() + pages.size();
-  w.bytes(mem_img);
-  w.bytes(pages);
-  w.bytes(rdma_delta);
-  inflight_payload_ = std::move(w).take();
+  const std::uint64_t mem_bytes = ed->image.serialized_size() + ed->pages.serialized_size();
+  inflight_payload_ = epoch_payload(ed->image, ed->pages, rdma_delta);
   inflight_epoch_ = epoch;
   inflight_ = true;
   xfer_attempt_ = 0;
@@ -683,9 +686,9 @@ void FtController::handle_epoch_payload(std::uint64_t epoch, Bytes payload) {
 
 Status FtController::apply_full_sync(const Bytes& payload, sim::DurationNs& cost) {
   ByteReader r{payload};
-  auto mem_bytes = r.bytes();
-  auto page_bytes = r.bytes();
-  auto rdma_bytes = r.bytes();
+  auto mem_bytes = r.view();
+  auto page_bytes = r.view();
+  auto rdma_bytes = r.view();
   if (!mem_bytes.is_ok() || !page_bytes.is_ok() || !rdma_bytes.is_ok()) {
     return common::err(Errc::invalid_argument, "corrupt ft sync payload");
   }
@@ -723,9 +726,9 @@ Status FtController::apply_full_sync(const Bytes& payload, sim::DurationNs& cost
 
 Status FtController::apply_epoch(const Bytes& payload, sim::DurationNs& cost) {
   ByteReader r{payload};
-  auto mem_bytes = r.bytes();
-  auto page_bytes = r.bytes();
-  auto rdma_bytes = r.bytes();
+  auto mem_bytes = r.view();
+  auto page_bytes = r.view();
+  auto rdma_bytes = r.view();
   if (!mem_bytes.is_ok() || !page_bytes.is_ok() || !rdma_bytes.is_ok()) {
     return common::err(Errc::invalid_argument, "corrupt ft epoch payload");
   }
@@ -738,7 +741,8 @@ Status FtController::apply_epoch(const Bytes& payload, sim::DurationNs& cost) {
   cost += up.cost;
   MIGR_ASSIGN_OR_RETURN(auto ap, restorer_->apply_pages(pages.value()));
   cost += ap.cost;
-  last_rdma_delta_ = rdma_bytes.value();
+  // Promotion applies it after this payload is gone: the one section copied.
+  last_rdma_delta_.assign(rdma_bytes->begin(), rdma_bytes->end());
   return Status::ok();
 }
 

@@ -11,6 +11,23 @@ using common::Result;
 
 namespace {
 
+// Smallest wire size of each record type, for bounding the counts read off
+// the wire before a vector is sized from them (WRs with no SGEs).
+constexpr std::size_t kSgeRecord = 8 + 4 + 4;
+constexpr std::size_t kSendWrRecord = 8 + 1 + 1 + 8 + 4 + 8 + 8 + 4 + 4 + 4 + 4;
+constexpr std::size_t kRecvWrRecord = 8 + 4;
+constexpr std::size_t kCqeRecord = 8 + 1 + 1 + 4 + 4 + 1 + 4 + 4;
+
+// An SGE count that fits SgeList (resize only asserts, and NDEBUG builds
+// drop the assert) and the rest of the buffer.
+Result<std::uint32_t> sge_count(ByteReader& r) {
+  MIGR_ASSIGN_OR_RETURN(auto n, r.count(kSgeRecord));
+  if (n > rnic::SgeList::kCapacity) {
+    return common::err(common::Errc::invalid_argument, "rdma image: too many SGEs in a WR");
+  }
+  return n;
+}
+
 void put_send_wr(ByteWriter& w, const rnic::SendWr& wr) {
   w.u64(wr.wr_id);
   w.u8(static_cast<std::uint8_t>(wr.opcode));
@@ -43,7 +60,7 @@ Result<rnic::SendWr> get_send_wr(ByteReader& r) {
   MIGR_ASSIGN_OR_RETURN(wr.imm, r.u32());
   MIGR_ASSIGN_OR_RETURN(wr.remote_host, r.u32());
   MIGR_ASSIGN_OR_RETURN(wr.remote_qpn, r.u32());
-  MIGR_ASSIGN_OR_RETURN(auto n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(auto n, sge_count(r));
   wr.sge.resize(n);
   for (auto& s : wr.sge) {
     MIGR_ASSIGN_OR_RETURN(s.addr, r.u64());
@@ -66,7 +83,7 @@ void put_recv_wr(ByteWriter& w, const rnic::RecvWr& wr) {
 Result<rnic::RecvWr> get_recv_wr(ByteReader& r) {
   rnic::RecvWr wr;
   MIGR_ASSIGN_OR_RETURN(wr.wr_id, r.u64());
-  MIGR_ASSIGN_OR_RETURN(auto n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(auto n, sge_count(r));
   wr.sge.resize(n);
   for (auto& s : wr.sge) {
     MIGR_ASSIGN_OR_RETURN(s.addr, r.u64());
@@ -213,19 +230,19 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
 
   std::uint32_t n = 0;
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4));
   img.pds.resize(n);
   for (auto& x : img.pds) {
     MIGR_ASSIGN_OR_RETURN(x.vpd, r.u32());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4));
   img.channels.resize(n);
   for (auto& x : img.channels) {
     MIGR_ASSIGN_OR_RETURN(x.vchannel, r.u32());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 4 + 4));
   img.cqs.resize(n);
   for (auto& x : img.cqs) {
     MIGR_ASSIGN_OR_RETURN(x.vcq, r.u32());
@@ -233,7 +250,7 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
     MIGR_ASSIGN_OR_RETURN(x.vchannel, r.u32());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 4 + 4));
   img.srqs.resize(n);
   for (auto& x : img.srqs) {
     MIGR_ASSIGN_OR_RETURN(x.vsrq, r.u32());
@@ -241,7 +258,7 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
     MIGR_ASSIGN_OR_RETURN(x.capacity, r.u32());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 4 + 4 + 8 + 8 + 4));
   img.mrs.resize(n);
   for (auto& x : img.mrs) {
     MIGR_ASSIGN_OR_RETURN(x.vlkey, r.u32());
@@ -252,7 +269,7 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
     MIGR_ASSIGN_OR_RETURN(x.access, r.u32());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 8 + 8));
   img.dms.resize(n);
   for (auto& x : img.dms) {
     MIGR_ASSIGN_OR_RETURN(x.vdm, r.u32());
@@ -260,7 +277,7 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
     MIGR_ASSIGN_OR_RETURN(x.mapped_at, r.u64());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 4 + 1 + 4 + 4 + 4 + 8 + 8 + 4));
   img.mws.resize(n);
   for (auto& x : img.mws) {
     MIGR_ASSIGN_OR_RETURN(x.vmw, r.u32());
@@ -274,7 +291,7 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
     MIGR_ASSIGN_OR_RETURN(x.access, r.u32());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 1 + 4 * 6 + 1 + 4 * 4 + 1));
   img.qps.resize(n);
   for (auto& x : img.qps) {
     MIGR_ASSIGN_OR_RETURN(x.vqpn, r.u32());
@@ -294,32 +311,32 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
     MIGR_ASSIGN_OR_RETURN(x.peer_is_migrrdma, r.boolean());
   }
 
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + kSendWrRecord));
   img.intercepted_sends.resize(n);
   for (auto& x : img.intercepted_sends) {
     MIGR_ASSIGN_OR_RETURN(x.vqpn, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.wr, get_send_wr(r));
   }
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 4 + kRecvWrRecord));
   img.pending_recvs.resize(n);
   for (auto& x : img.pending_recvs) {
     MIGR_ASSIGN_OR_RETURN(x.vqpn, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.vsrq, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.wr, get_recv_wr(r));
   }
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + kSendWrRecord));
   img.incomplete_sends.resize(n);
   for (auto& x : img.incomplete_sends) {
     MIGR_ASSIGN_OR_RETURN(x.vqpn, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.wr, get_send_wr(r));
   }
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + kCqeRecord));
   img.fake_cq_entries.resize(n);
   for (auto& x : img.fake_cq_entries) {
     MIGR_ASSIGN_OR_RETURN(x.vcq, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.cqe, get_cqe(r));
   }
-  MIGR_ASSIGN_OR_RETURN(n, r.u32());
+  MIGR_ASSIGN_OR_RETURN(n, r.count(4 + 8 + 8));
   img.counters.resize(n);
   for (auto& x : img.counters) {
     MIGR_ASSIGN_OR_RETURN(x.vqpn, r.u32());

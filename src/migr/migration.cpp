@@ -384,11 +384,7 @@ void MigrationController::phase_initial_dump() {
     predump_rdma_bytes_ = plugin_.pre_dump(*guest_);
     cost += plugin_.take_cost();
   }
-  ByteWriter w;
-  w.bytes(dump.image.serialize());
-  w.bytes(encode_pages(dump.pages));
-  w.bytes(predump_rdma_bytes_);
-  Bytes payload = std::move(w).take();
+  Bytes payload = round_payload(dump, &predump_rdma_bytes_);
   trace_span(loop_.now(), cost, "pre_dump",
              "\"bytes\":" + std::to_string(payload.size()));
   // Rate interval covers the dump + transfer + partial restore: exactly the
@@ -505,8 +501,23 @@ void MigrationController::sync_mux_stats() {
   report_.transfer_retries = xs.retries();
 }
 
+common::Bytes MigrationController::round_payload(const criu::Checkpointer::Dump& dump,
+                                                  const Bytes* rdma) {
+  const Bytes encoded = page_enc_ ? encode_pages(dump.pages) : Bytes{};
+  const std::size_t pages_size = page_enc_ ? encoded.size() : dump.pages.serialized_size();
+  ByteWriter w(4 + dump.image.serialized_size() + 4 + pages_size +
+               (rdma != nullptr ? 4 + rdma->size() : 0));
+  w.section(dump.image);
+  if (page_enc_) {
+    w.bytes(encoded);
+  } else {
+    w.section(dump.pages);
+  }
+  if (rdma != nullptr) w.bytes(*rdma);
+  return std::move(w).take();
+}
+
 common::Bytes MigrationController::encode_pages(const criu::PageSet& pages) {
-  if (!page_enc_) return pages.serialize();
   criu::PageDeltaStats batch;
   Bytes enc = page_enc_->encode(pages, &batch);
   const criu::PageDeltaStats& total = page_enc_->stats();
@@ -533,10 +544,11 @@ common::Result<criu::PageSet> MigrationController::decode_pages(
 
 void MigrationController::phase_partial_restore(Bytes payload) {
   phase_ = "partial_restore";
+  // Every section is a view into `payload`, which outlives its use here.
   ByteReader r{payload};
-  auto mem_bytes = r.bytes();
-  auto page_bytes = r.bytes();
-  auto rdma_bytes = r.bytes();
+  auto mem_bytes = r.view();
+  auto page_bytes = r.view();
+  auto rdma_bytes = r.view();
   if (!mem_bytes.is_ok() || !page_bytes.is_ok() || !rdma_bytes.is_ok()) {
     return abort(common::err(Errc::invalid_argument, "corrupt initial payload"));
   }
@@ -650,10 +662,7 @@ void MigrationController::phase_precopy_round() {
   auto dump = ckpt_->pre_dump();
   src_rt_->device().add_ctrl_pressure(dump.cost);
   if (estimator_) estimator_->begin_interval(loop_.now());
-  ByteWriter w;
-  w.bytes(dump.image.serialize());
-  w.bytes(encode_pages(dump.pages));
-  Bytes payload = std::move(w).take();
+  Bytes payload = round_payload(dump, nullptr);
   trace_span(loop_.now(), dump.cost, "precopy_round",
              "\"round\":" + std::to_string(rounds_done_ + 1) +
                  ",\"bytes\":" + std::to_string(payload.size()));
@@ -661,8 +670,8 @@ void MigrationController::phase_precopy_round() {
   loop_.schedule_in(dump.cost, [this, payload = std::move(payload)]() mutable {
     transfer_to_dest(std::move(payload), [this](Bytes p) {
       ByteReader r{p};
-      auto mem_bytes = r.bytes();
-      auto page_bytes = r.bytes();
+      auto mem_bytes = r.view();
+      auto page_bytes = r.view();
       if (!mem_bytes.is_ok() || !page_bytes.is_ok()) {
         return abort(common::err(Errc::invalid_argument, "corrupt round payload"));
       }
@@ -773,8 +782,10 @@ void MigrationController::phase_final_transfer() {
   trace_instant(report_.freeze_at, "freeze");
   src_proc_->freeze();
 
-  ByteWriter w;
-  if (options_.mode == MigrationMode::postcopy) {
+  const bool postcopy = options_.mode == MigrationMode::postcopy;
+  criu::MemoryImage image;
+  criu::PageSet pages;
+  if (postcopy) {
     // Lazy final dump: the VMA table plus the *addresses* of the pages left
     // behind — no page contents, so the in-blackout dump and transfer cost
     // none of the per-page time. The second payload field carries the
@@ -783,17 +794,13 @@ void MigrationController::phase_final_transfer() {
     if (!dmem.is_ok()) return abort(dmem.status());
     report_.dump_others = dmem->cost;
     postcopy_missing_ = std::move(dmem->missing);
-    w.bytes(dmem->image.serialize());
-    ByteWriter mw;
-    mw.u64(postcopy_missing_.size());
-    for (proc::VirtAddr a : postcopy_missing_) mw.u64(a);
-    w.bytes(std::move(mw).take());
+    image = std::move(dmem->image);
   } else {
     auto dmem = ckpt_->final_dump();
     if (!dmem.is_ok()) return abort(dmem.status());
     report_.dump_others = dmem->cost;
-    w.bytes(dmem->image.serialize());
-    w.bytes(dmem->pages.serialize());
+    image = std::move(dmem->image);
+    pages = std::move(dmem->pages);
   }
 
   sim::DurationNs rdma_dump_cost = 0;
@@ -807,6 +814,18 @@ void MigrationController::phase_final_transfer() {
   rdma_dump_cost += plugin_.take_cost();
   report_.dump_rdma = rdma_dump_cost;
 
+  const std::size_t pages_size =
+      postcopy ? 8 + 8 * postcopy_missing_.size() : pages.serialized_size();
+  ByteWriter w(4 + image.serialized_size() + 4 + pages_size + 4 +
+               predump_rdma_bytes_.size() + 4 + final_rdma_bytes_.size());
+  w.section(image);
+  if (postcopy) {
+    w.u32(static_cast<std::uint32_t>(pages_size));
+    w.u64(postcopy_missing_.size());
+    for (proc::VirtAddr a : postcopy_missing_) w.u64(a);
+  } else {
+    w.section(pages);
+  }
   w.bytes(predump_rdma_bytes_);
   w.bytes(final_rdma_bytes_);
   Bytes payload = std::move(w).take();
@@ -839,11 +858,12 @@ void MigrationController::phase_final_transfer() {
 
 void MigrationController::phase_final_restore(Bytes payload) {
   phase_ = "final_restore";
+  // Every section is a view into `payload`, which outlives its use here.
   ByteReader r{payload};
-  auto mem_bytes = r.bytes();
-  auto page_bytes = r.bytes();
-  auto rdma_full_bytes = r.bytes();
-  auto rdma_final_bytes = r.bytes();
+  auto mem_bytes = r.view();
+  auto page_bytes = r.view();
+  auto rdma_full_bytes = r.view();
+  auto rdma_final_bytes = r.view();
   if (!mem_bytes.is_ok() || !page_bytes.is_ok() || !rdma_full_bytes.is_ok() ||
       !rdma_final_bytes.is_ok()) {
     return abort(common::err(Errc::invalid_argument, "corrupt final payload"));
@@ -858,7 +878,7 @@ void MigrationController::phase_final_restore(Bytes payload) {
     // The wire copy of the missing list is authoritative — the destination
     // must be able to mark its pages without trusting controller state.
     ByteReader mr{page_bytes.value()};
-    auto n = mr.u64();
+    auto n = mr.count<std::uint64_t>(8);
     if (!n.is_ok()) return abort(n.status());
     postcopy_missing_.clear();
     postcopy_missing_.reserve(n.value());

@@ -287,9 +287,16 @@ class MigrationController {
   /// legacy path). Called at every terminal point so aborted migrations
   /// report what they attempted.
   void sync_mux_stats();
-  /// Pre-copy page batch through the suppression codec (or the plain
-  /// serializer when suppress_pages is off).
+  /// A pre-copy round's payload, written once into an exactly-sized
+  /// buffer: the memory image, the page batch (through the suppression
+  /// codec when suppress_pages is on) and, when given, the RDMA pre-dump,
+  /// each length-prefixed.
+  common::Bytes round_payload(const criu::Checkpointer::Dump& dump,
+                              const common::Bytes* rdma);
+  /// Pre-copy page batch through the suppression codec.
   common::Bytes encode_pages(const criu::PageSet& pages);
+  /// The page batch of a received round (suppressed or plain); its pages
+  /// view `data` or the decoder's cache.
   common::Result<criu::PageSet> decode_pages(std::span<const std::uint8_t> data);
   void phase_partial_restore(common::Bytes payload);
   common::Status presetup_partners();

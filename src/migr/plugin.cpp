@@ -43,7 +43,7 @@ std::set<proc::VirtAddr> Plugin::pinned_vma_starts(const criu::MemoryImage& mem,
   return pinned;
 }
 
-Status Plugin::premap(const common::Bytes& predump_bytes, MigrRdmaRuntime& dest_rt,
+Status Plugin::premap(std::span<const std::uint8_t> predump_bytes, MigrRdmaRuntime& dest_rt,
                       proc::SimProcess& dest_proc) {
   auto parsed = RdmaImage::parse(predump_bytes);
   if (!parsed.is_ok()) return parsed.status();
@@ -54,8 +54,8 @@ Status Plugin::premap(const common::Bytes& predump_bytes, MigrRdmaRuntime& dest_
   return Status::ok();
 }
 
-Status Plugin::pre_setup(const common::Bytes& predump_bytes, MigrRdmaRuntime& dest_rt,
-                         proc::SimProcess& dest_proc) {
+Status Plugin::pre_setup(std::span<const std::uint8_t> predump_bytes,
+                         MigrRdmaRuntime& dest_rt, proc::SimProcess& dest_proc) {
   if (!premapped_) {
     MIGR_RETURN_IF_ERROR(premap(predump_bytes, dest_rt, dest_proc));
   }
@@ -64,7 +64,7 @@ Status Plugin::pre_setup(const common::Bytes& predump_bytes, MigrRdmaRuntime& de
   return Status::ok();
 }
 
-Status Plugin::full_restore(GuestContext& guest, const common::Bytes& final_bytes,
+Status Plugin::full_restore(GuestContext& guest, std::span<const std::uint8_t> final_bytes,
                             MigrRdmaRuntime& dest_rt) {
   (void)dest_rt;
   auto parsed = RdmaImage::parse(final_bytes);

@@ -57,10 +57,10 @@ class Plugin {
   /// Partial restore (steps 2/2'): pre-map device memory, then run the RDMA
   /// pre-setup against the destination runtime. Call after parsing the
   /// pre-dump bytes and *after* CRIU applied the first page set.
-  common::Status pre_setup(const common::Bytes& predump_bytes, MigrRdmaRuntime& dest_rt,
-                           proc::SimProcess& dest_proc);
+  common::Status pre_setup(std::span<const std::uint8_t> predump_bytes,
+                           MigrRdmaRuntime& dest_rt, proc::SimProcess& dest_proc);
   /// Device-memory pre-map only — must run before criu::Restorer::begin.
-  common::Status premap(const common::Bytes& predump_bytes, MigrRdmaRuntime& dest_rt,
+  common::Status premap(std::span<const std::uint8_t> predump_bytes, MigrRdmaRuntime& dest_rt,
                         proc::SimProcess& dest_proc);
 
   StagedRestore& staged() noexcept { return staged_; }
@@ -76,7 +76,7 @@ class Plugin {
 
   /// Full restore (steps 6/6'->7): adopt staged resources into the guest
   /// and apply the final fixups/replays.
-  common::Status full_restore(GuestContext& guest, const common::Bytes& final_bytes,
+  common::Status full_restore(GuestContext& guest, std::span<const std::uint8_t> final_bytes,
                               MigrRdmaRuntime& dest_rt);
 
   /// Simulated time consumed by plugin work since the last call.

@@ -154,7 +154,7 @@ void PostcopyPump::on_data(Bytes&& payload) {
   const sim::TimeNs now = loop_.now();
   for (std::uint32_t i = 0; i < count.value(); i++) {
     auto addr = r.u64();
-    auto data = r.bytes();
+    auto data = r.view();
     if (!addr.is_ok() || !data.is_ok()) break;
     const proc::VirtAddr page = addr.value();
     if (mem.clear_missing(page)) {

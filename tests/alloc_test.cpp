@@ -1,0 +1,164 @@
+// Allocation pins for the copy-once byte paths, counted with a global
+// operator new in this TU (like recorder_test and sli_test):
+//  * a fleet MsgNode pair under the traffic generator sends and delivers
+//    its messages without allocating once warmed up;
+//  * a pre-copy round (dump -> payload -> parse -> apply) of 512 dirty pages
+//    into destination pages that already exist allocates a few blocks per
+//    round, not per page.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <new>
+#include <set>
+
+#include "cluster/cluster.hpp"
+#include "criu/checkpoint.hpp"
+#include "sim/event_loop.hpp"
+
+// ---------------------------------------------------------------------------
+// Counting allocator: every allocation in the process funnels through these.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::uint64_t g_alloc_count = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_alloc_count++;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  g_alloc_count++;
+  if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
+                                   (n + static_cast<std::size_t>(a) - 1) &
+                                       ~(static_cast<std::size_t>(a) - 1))) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
+// The nothrow variants must funnel through the same malloc path: libstdc++'s
+// std::get_temporary_buffer (stable_sort) allocates via nothrow new but frees
+// via plain operator delete, and ASan flags the mismatch if the two halves
+// come from different allocators.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_alloc_count++;
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
+// Every delete frees through one out-of-line helper: std::free inlined
+// into a caller that got the pointer from operator new reads to GCC as
+// a mismatched pair (-Wmismatched-new-delete), though operator new here
+// is malloc.
+namespace {
+[[gnu::noinline]] void free_counted(void* p) noexcept { std::free(p); }
+}  // namespace
+void operator delete(void* p) noexcept { free_counted(p); }
+void operator delete(void* p, std::size_t) noexcept { free_counted(p); }
+void operator delete(void* p, std::align_val_t) noexcept { free_counted(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { free_counted(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { free_counted(p); }
+void operator delete[](void* p) noexcept { free_counted(p); }
+void operator delete[](void* p, std::size_t) noexcept { free_counted(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { free_counted(p); }
+
+namespace migr {
+namespace {
+
+using common::Bytes;
+using proc::kPageSize;
+
+TEST(AllocPin, FleetMsgNodePairAllocatesNothingPerMessage) {
+  cluster::ClusterConfig cfg;
+  cfg.hosts = 2;
+  cfg.seed = 7;
+  cluster::ClusterModel model(cfg);
+  cluster::TrafficProfile profile;  // drain8's messaging profile
+  profile.send_interval = sim::usec(20);
+  profile.msg_bytes = 2048;
+  ASSERT_TRUE(model.add_guest(1, 100, profile).is_ok());
+  ASSERT_TRUE(model.add_guest(2, 200, profile).is_ok());
+  ASSERT_TRUE(model.connect_guests(100, 200).is_ok());
+  std::uint64_t bytes_seen = 0;
+  model.guest(200)->set_handler(
+      [&](migrlib::GuestId, const Bytes& payload) { bytes_seen += payload.size(); });
+  // Warm-up: event slots, payload pools and rings reach their steady size.
+  model.run_for(sim::msec(5));
+
+  auto delivered = [&] { return model.guest(100)->received() + model.guest(200)->received(); };
+  const std::uint64_t msgs0 = delivered();
+  const std::uint64_t bytes0 = bytes_seen;
+  const std::uint64_t allocs0 = g_alloc_count;
+  while (delivered() - msgs0 < 1000) model.run_for(sim::usec(100));
+  const std::uint64_t allocs = g_alloc_count - allocs0;
+  const std::uint64_t msgs = delivered() - msgs0;
+
+  EXPECT_EQ(allocs, 0u) << "over " << msgs << " messages";
+  EXPECT_EQ(model.guest(100)->errors() + model.guest(200)->errors(), 0u);
+  // The handler saw whole 2 KiB payloads, not empty ones.
+  EXPECT_GT(bytes_seen - bytes0, 0u);
+  EXPECT_EQ((bytes_seen - bytes0) % profile.msg_bytes, 0u);
+}
+
+TEST(AllocPin, PrecopyRoundOf512DirtyPagesAllocatesAFewBlocks) {
+  constexpr std::uint64_t kPages = 512;
+  sim::EventLoop loop;
+  proc::SimProcess src(1, "src", loop);
+  proc::SimProcess dst(2, "dst", loop);
+  const auto base = src.mem().mmap(kPages * kPageSize, "guest").value();
+  auto fill = [&](std::uint8_t v) {
+    const Bytes page(kPageSize, v);
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+      ASSERT_TRUE(src.mem().write(base + i * kPageSize, page).is_ok());
+    }
+  };
+  criu::Checkpointer ck(src);
+  criu::Restorer restorer(dst);
+  const std::set<proc::VirtAddr> pinned{base};  // restore in place
+
+  // One round as the migration controller runs it: the dump written once
+  // into an exactly-sized payload, its sections parsed as views, applied.
+  auto round = [&](bool first) {
+    auto dump = ck.pre_dump();
+    common::ByteWriter w(4 + dump.image.serialized_size() + 4 + dump.pages.serialized_size());
+    w.section(dump.image);
+    w.section(dump.pages);
+    const Bytes payload = std::move(w).take();
+    ASSERT_EQ(payload.capacity(), payload.size());
+
+    common::ByteReader r{payload};
+    auto mem_bytes = r.view();
+    auto page_bytes = r.view();
+    ASSERT_TRUE(mem_bytes.is_ok() && page_bytes.is_ok());
+    auto image = criu::MemoryImage::parse(*mem_bytes);
+    auto pages = criu::PageSet::parse(*page_bytes);
+    ASSERT_TRUE(image.is_ok() && pages.is_ok());
+    ASSERT_EQ(pages->pages.size(), kPages);
+    auto placed = first ? restorer.begin(*image, pinned) : restorer.update(*image, pinned);
+    ASSERT_TRUE(placed.is_ok());
+    ASSERT_TRUE(restorer.apply_pages(*pages).is_ok());
+  };
+
+  fill(0x33);
+  round(/*first=*/true);  // creates every destination page
+  fill(0x44);             // dirties all 512 again
+
+  const std::uint64_t allocs0 = g_alloc_count;
+  round(/*first=*/false);
+  const std::uint64_t allocs = g_alloc_count - allocs0;
+
+  // Per round, not per page: the dump's page block and vectors, the
+  // payload, the parsed VMA table and page list.
+  EXPECT_LE(allocs, 12u);
+  Bytes got(kPages * kPageSize);
+  ASSERT_TRUE(dst.mem().read(base, got).is_ok());
+  EXPECT_TRUE(std::all_of(got.begin(), got.end(), [](std::uint8_t b) { return b == 0x44; }));
+}
+
+}  // namespace
+}  // namespace migr

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "criu/checkpoint.hpp"
@@ -68,25 +69,26 @@ TEST(ImageFormat, MemoryImageRoundTrip) {
 }
 
 TEST(ImageFormat, PageSetRoundTrip) {
+  const common::Bytes content(kPageSize, 0x5A);
   PageSet set;
-  PageSet::Page p;
-  p.addr = 0x4000;
-  p.data.assign(kPageSize, 0x5A);
-  set.pages.push_back(p);
+  set.pages.push_back({0x4000, content});
   EXPECT_EQ(set.byte_size(), kPageSize);
-  auto parsed = PageSet::parse(set.serialize());
+  const common::Bytes wire = set.serialize();
+  EXPECT_EQ(wire.size(), set.serialized_size());
+  auto parsed = PageSet::parse(wire);
   ASSERT_TRUE(parsed.is_ok());
   ASSERT_EQ(parsed->pages.size(), 1u);
   EXPECT_EQ(parsed->pages[0].addr, 0x4000u);
-  EXPECT_EQ(parsed->pages[0].data, p.data);
+  EXPECT_TRUE(std::ranges::equal(parsed->pages[0].data, content));
+  // Parsing copies nothing: the page views the wire buffer after its count
+  // and address.
+  EXPECT_EQ(parsed->pages[0].data.data(), wire.data() + 4 + 8);
 }
 
 TEST(ImageFormat, TruncatedPageSetRejected) {
+  const common::Bytes content(kPageSize, 1);
   PageSet set;
-  PageSet::Page p;
-  p.addr = 0x4000;
-  p.data.assign(kPageSize, 1);
-  set.pages.push_back(p);
+  set.pages.push_back({0x4000, content});
   auto bytes = set.serialize();
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(PageSet::parse(bytes).is_ok());

@@ -9,12 +9,14 @@
 //  * address space: random operation sequences agree with a reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 
 #include "apps/perftest.hpp"
 #include "common/rng.hpp"
+#include "criu/pagedelta.hpp"
 #include "fault/fault.hpp"
 #include "migr/migration.hpp"
 #include "rnic/world.hpp"
@@ -381,6 +383,231 @@ TEST_P(ImageRoundTrip, TruncationNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ImageRoundTrip, ::testing::Values(1, 2, 3, 7, 42, 1337));
+
+// A WR with SgeList's full 32 SGEs round-trips; the wire claiming 33 must be
+// rejected by the parser, since SgeList::resize only asserts and Release
+// builds compile the assert out.
+TEST(ImageBounds, SgeCountPastSgeListCapacityRejected) {
+  rnic::SgeList sges;
+  for (std::uint32_t i = 0; i < rnic::SgeList::kCapacity; ++i) {
+    sges.push_back({0x1000ull * (i + 1), 64, i});
+  }
+  migrlib::RdmaImage recv_img;
+  recv_img.pending_recvs.push_back({7, 0, {}});
+  recv_img.pending_recvs[0].wr.sge = sges;
+  migrlib::RdmaImage send_img;
+  send_img.intercepted_sends.push_back({7, {}});
+  send_img.intercepted_sends[0].wr.sge = sges;
+
+  for (const migrlib::RdmaImage* img : {&recv_img, &send_img}) {
+    const common::Bytes full = img->serialize();
+    auto parsed = migrlib::RdmaImage::parse(full);
+    ASSERT_TRUE(parsed.is_ok());
+    EXPECT_EQ(parsed->serialize(), full);
+
+    // The SGE list is the last field before the remaining empty sections'
+    // counts; grow it to 33 entries on the wire.
+    const std::size_t empty_after = img == &recv_img ? 3 : 4;
+    const std::size_t sges_end = full.size() - 4 * empty_after;
+    const std::size_t count_at = sges_end - rnic::SgeList::kCapacity * 16 - 4;
+    ASSERT_EQ(full[count_at], rnic::SgeList::kCapacity);
+    common::Bytes over = full;
+    over[count_at] = rnic::SgeList::kCapacity + 1;
+    const common::Bytes extra(16, 0x11);
+    over.insert(over.begin() + static_cast<std::ptrdiff_t>(sges_end), extra.begin(), extra.end());
+    EXPECT_EQ(migrlib::RdmaImage::parse(over).status().code(), common::Errc::invalid_argument);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Image parsers under mutation: every input round-trips or is rejected
+// ---------------------------------------------------------------------------
+
+// Corruptions of a valid encoding: short prefixes; runs of 0xFF (every count
+// read from them is huge); a huge word at each of the first offsets, where
+// every header keeps its counts; and seeded truncations, byte flips, huge
+// words anywhere and trailing garbage.
+std::vector<common::Bytes> mutants(const common::Bytes& valid, common::Rng& rng) {
+  std::vector<common::Bytes> out;
+  for (std::size_t n = 0; n <= std::min<std::size_t>(16, valid.size()); ++n) {
+    out.emplace_back(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  for (std::size_t n = 1; n <= 16; ++n) out.emplace_back(n, 0xFF);
+  constexpr std::uint32_t kHuge = 0xFFFFFFFFu;
+  for (std::size_t at = 0; at + 4 <= std::min<std::size_t>(20, valid.size()); ++at) {
+    common::Bytes& m = out.emplace_back(valid);
+    std::memcpy(m.data() + at, &kHuge, sizeof(kHuge));
+  }
+  for (int i = 0; i < 96; ++i) {
+    common::Bytes m = valid;
+    switch (rng.below(4)) {
+      case 0:
+        m.resize(rng.below(m.size() + 1));
+        break;
+      case 1:
+        for (std::uint64_t k = rng.range(1, 4); k > 0 && !m.empty(); --k) {
+          m[rng.below(m.size())] = static_cast<std::uint8_t>(rng.next());
+        }
+        break;
+      case 2:
+        if (m.size() >= 4) {
+          const std::uint64_t at = rng.below(m.size() - 3);
+          const std::uint32_t big =
+              rng.chance(0.5) ? kHuge : static_cast<std::uint32_t>(rng.next());
+          std::memcpy(m.data() + at, &big, sizeof(big));
+        }
+        break;
+      default:
+        for (std::uint64_t k = rng.range(1, 64); k > 0; --k) {
+          m.push_back(static_cast<std::uint8_t>(rng.next()));
+        }
+        break;
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+// `valid` parses back to itself. Every mutant either fails with a status or
+// parses to a value whose encoding is canonical (it parses back to the same
+// bytes). No input throws — a count sized off the wire used to bad_alloc.
+template <typename Image>
+void sweep(const common::Bytes& valid, std::uint64_t seed) {
+  auto round_trip = Image::parse(valid);
+  ASSERT_TRUE(round_trip.is_ok());
+  ASSERT_EQ(round_trip->serialize(), valid);
+  common::Rng rng(seed);
+  std::size_t rejected = 0;
+  for (const common::Bytes& m : mutants(valid, rng)) {
+    common::Result<Image> parsed = common::err(common::Errc::internal, "not parsed");
+    ASSERT_NO_THROW(parsed = Image::parse(m));
+    if (!parsed.is_ok()) {
+      rejected++;
+      continue;
+    }
+    const common::Bytes once = parsed->serialize();
+    auto again = Image::parse(once);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_EQ(again->serialize(), once);
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+class ImageMutationSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ImageMutationSweep, RdmaImage) {
+  common::Rng rng(GetParam());
+  migrlib::RdmaImage img;
+  img.final = rng.chance(0.5);
+  for (int i = 0, n = static_cast<int>(rng.range(1, 4)); i < n; ++i) {
+    img.pds.push_back({static_cast<std::uint32_t>(rng.next())});
+    img.cqs.push_back({static_cast<std::uint32_t>(rng.next()), 64, 0});
+    migrlib::MrRec mr;
+    mr.vlkey = static_cast<std::uint32_t>(rng.next());
+    mr.addr = rng.next();
+    mr.length = rng.range(1, 1 << 20);
+    img.mrs.push_back(mr);
+    migrlib::QpRec qp;
+    qp.vqpn = static_cast<std::uint32_t>(rng.next());
+    qp.connected = rng.chance(0.5);
+    img.qps.push_back(qp);
+    migrlib::VSendWr s;
+    s.vqpn = qp.vqpn;
+    s.wr.wr_id = rng.next();
+    s.wr.sge.resize(rng.range(0, 3));
+    for (auto& sge : s.wr.sge) sge = {rng.next(), 64, static_cast<std::uint32_t>(rng.next())};
+    img.intercepted_sends.push_back(s);
+    migrlib::VRecvWr r;
+    r.vqpn = qp.vqpn;
+    r.wr.wr_id = rng.next();
+    r.wr.sge.resize(rng.range(0, 3));
+    for (auto& sge : r.wr.sge) sge = {rng.next(), 64, static_cast<std::uint32_t>(rng.next())};
+    img.pending_recvs.push_back(r);
+    migrlib::FakeCqe f;
+    f.vcq = static_cast<std::uint32_t>(rng.next());
+    f.cqe.wr_id = rng.next();
+    img.fake_cq_entries.push_back(f);
+    img.counters.push_back({qp.vqpn, rng.next(), rng.next()});
+  }
+  sweep<migrlib::RdmaImage>(img.serialize(), GetParam());
+}
+
+TEST_P(ImageMutationSweep, MemoryImage) {
+  common::Rng rng(GetParam());
+  criu::MemoryImage img;
+  img.mmap_cursor = rng.next();
+  for (int i = 0, n = static_cast<int>(rng.range(1, 8)); i < n; ++i) {
+    // Tags past the small-string buffer too, so parsing allocates them.
+    img.vmas.push_back({rng.next(), rng.range(1, 64) * proc::kPageSize,
+                        std::string(rng.range(0, 24), static_cast<char>('a' + i))});
+  }
+  sweep<criu::MemoryImage>(img.serialize(), GetParam());
+}
+
+TEST_P(ImageMutationSweep, PageSet) {
+  common::Rng rng(GetParam());
+  std::vector<common::Bytes> contents;
+  for (int i = 0, n = static_cast<int>(rng.range(1, 6)); i < n; ++i) {
+    common::Bytes& c = contents.emplace_back(proc::kPageSize);
+    for (auto& b : c) b = static_cast<std::uint8_t>(rng.next());
+  }
+  criu::PageSet set;
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    set.pages.push_back({0x1000 * (i + 1), contents[i]});
+  }
+  sweep<criu::PageSet>(set.serialize(), GetParam());
+}
+
+// The delta codec is stateful, so the sweep mutates a second batch (zero,
+// same, delta and full pages against the first) and decodes each mutant on
+// a copy of a decoder primed with the first batch.
+TEST_P(ImageMutationSweep, PageDeltaBatch) {
+  common::Rng rng(GetParam());
+  constexpr int kPages = 6;
+  std::vector<common::Bytes> round1(kPages, common::Bytes(proc::kPageSize));
+  for (auto& c : round1) {
+    for (auto& b : c) b = static_cast<std::uint8_t>(rng.next());
+  }
+  std::vector<common::Bytes> round2 = round1;
+  round2[0].assign(proc::kPageSize, 0);                     // zero
+  round2[2][17] ^= 0x5A;                                    // delta
+  for (auto& b : round2[3]) b = static_cast<std::uint8_t>(rng.next());  // full
+  auto as_set = [](const std::vector<common::Bytes>& contents) {
+    criu::PageSet set;
+    for (std::size_t i = 0; i < contents.size(); ++i) {
+      set.pages.push_back({0x1000 * (i + 1), contents[i]});
+    }
+    return set;
+  };
+  criu::PageDeltaEncoder enc;
+  criu::PageDeltaDecoder primed;
+  ASSERT_TRUE(primed.decode(enc.encode(as_set(round1))).is_ok());
+  const common::Bytes batch2 = enc.encode(as_set(round2));
+
+  // Unmutated: every page the batch carries decodes to round 2's content.
+  criu::PageDeltaDecoder exact = primed;
+  auto decoded = exact.decode(batch2);
+  ASSERT_TRUE(decoded.is_ok());
+  EXPECT_EQ(decoded->pages.size(), 3u) << "pages 1, 4 and 5 ship as kSame";
+  for (const auto& p : decoded->pages) {
+    EXPECT_TRUE(std::ranges::equal(p.data, round2[p.addr / 0x1000 - 1]));
+  }
+
+  std::size_t rejected = 0;
+  for (const common::Bytes& m : mutants(batch2, rng)) {
+    criu::PageDeltaDecoder dec = primed;
+    common::Result<criu::PageSet> got = common::err(common::Errc::internal, "not decoded");
+    ASSERT_NO_THROW(got = dec.decode(m));
+    if (!got.is_ok()) {
+      rejected++;
+      continue;
+    }
+    for (const auto& p : got->pages) EXPECT_EQ(p.data.size(), proc::kPageSize);
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ImageMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
 
 // ---------------------------------------------------------------------------
 // Address-space model check

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -215,43 +217,51 @@ TEST_F(XferTest, ParallelStreamsScaleTransferTime) {
 // Page suppression codec
 // ---------------------------------------------------------------------------
 
-criu::PageSet::Page page_of(proc::VirtAddr addr, std::uint8_t fill) {
-  criu::PageSet::Page p;
-  p.addr = addr;
-  p.data.assign(proc::kPageSize, fill);
-  return p;
+// Page sets only view their pages; the codec tests keep the contents here.
+// Deque elements never move, so the views stay valid as pages are added.
+struct PageStore {
+  std::deque<Bytes> contents;
+
+  criu::PageSet::Page page(proc::VirtAddr addr, std::uint8_t fill) {
+    return {addr, contents.emplace_back(proc::kPageSize, fill)};
+  }
+};
+
+bool same(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+  return std::ranges::equal(a, b);
 }
 
 TEST(PageDeltaTest, RoundTripAllEncodings) {
   criu::PageDeltaEncoder enc;
   criu::PageDeltaDecoder dec;
+  PageStore store;
 
   // Round 1: one zero page, one content page -> kZero + kFull.
   criu::PageSet r1;
-  r1.pages.push_back(page_of(0x1000, 0x00));
-  r1.pages.push_back(page_of(0x2000, 0xAB));
+  r1.pages.push_back(store.page(0x1000, 0x00));
+  r1.pages.push_back(store.page(0x2000, 0xAB));
   auto got1 = dec.decode(enc.encode(r1));
   ASSERT_TRUE(got1.is_ok());
   ASSERT_EQ(got1->pages.size(), 2u);
   EXPECT_EQ(got1->pages[0].addr, 0x1000u);
-  EXPECT_EQ(got1->pages[0].data, r1.pages[0].data);
-  EXPECT_EQ(got1->pages[1].data, r1.pages[1].data);
+  EXPECT_TRUE(same(got1->pages[0].data, r1.pages[0].data));
+  EXPECT_TRUE(same(got1->pages[1].data, r1.pages[1].data));
 
   // Round 2: page 0x2000 unchanged (kSame -> omitted from the restore set),
   // page 0x1000 gets a tiny diff (kDelta).
   criu::PageSet r2;
-  criu::PageSet::Page changed = page_of(0x1000, 0x00);
-  changed.data[17] = 0x5A;
-  changed.data[900] = 0x07;
-  r2.pages.push_back(changed);
-  r2.pages.push_back(page_of(0x2000, 0xAB));
+  Bytes changed(proc::kPageSize, 0x00);
+  changed[17] = 0x5A;
+  changed[900] = 0x07;
+  r2.pages.push_back({0x1000, changed});
+  r2.pages.push_back(store.page(0x2000, 0xAB));
   const Bytes wire2 = enc.encode(r2);
   EXPECT_LT(wire2.size(), proc::kPageSize) << "delta+same round must ship tiny";
   auto got2 = dec.decode(wire2);
   ASSERT_TRUE(got2.is_ok());
   ASSERT_EQ(got2->pages.size(), 1u) << "unchanged page is suppressed entirely";
   EXPECT_EQ(got2->pages[0].addr, 0x1000u);
-  EXPECT_EQ(got2->pages[0].data, changed.data);
+  EXPECT_TRUE(same(got2->pages[0].data, changed));
 
   const criu::PageDeltaStats& st = enc.stats();
   EXPECT_EQ(st.pages_zero, 1u);
@@ -264,8 +274,9 @@ TEST(PageDeltaTest, RoundTripAllEncodings) {
 
 TEST(PageDeltaTest, ZeroPageWorkloadSuppressesFiveFold) {
   criu::PageDeltaEncoder enc;
+  PageStore store;
   criu::PageSet zeros;
-  for (int i = 0; i < 64; i++) zeros.pages.push_back(page_of(0x1000 * (i + 1), 0x00));
+  for (int i = 0; i < 64; i++) zeros.pages.push_back(store.page(0x1000 * (i + 1), 0x00));
   const Bytes wire = enc.encode(zeros);
   EXPECT_GE(zeros.byte_size(), 5 * wire.size())
       << "zero pages must ship >=5x fewer bytes than raw";
@@ -282,25 +293,27 @@ TEST(PageDeltaTest, ZeroPageWorkloadSuppressesFiveFold) {
 TEST(PageDeltaTest, MostlyChangedPageShipsFull) {
   criu::PageDeltaEncoder enc;
   criu::PageDeltaDecoder dec;
+  PageStore store;
   criu::PageSet r1;
-  r1.pages.push_back(page_of(0x7000, 0x11));
+  r1.pages.push_back(store.page(0x7000, 0x11));
   ASSERT_TRUE(dec.decode(enc.encode(r1)).is_ok());
 
   criu::PageSet r2;
-  r2.pages.push_back(page_of(0x7000, 0xEE));  // every byte differs
+  r2.pages.push_back(store.page(0x7000, 0xEE));  // every byte differs
   auto got = dec.decode(enc.encode(r2));
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(enc.stats().pages_delta, 0u) << "whole-page churn is not delta-eligible";
   EXPECT_EQ(enc.stats().pages_full, 2u);
   ASSERT_EQ(got->pages.size(), 1u);
-  EXPECT_EQ(got->pages[0].data, r2.pages[0].data);
+  EXPECT_TRUE(same(got->pages[0].data, r2.pages[0].data));
 }
 
 TEST(PageDeltaTest, OutOfOrderBatchIsRejected) {
   criu::PageDeltaEncoder enc;
   criu::PageDeltaDecoder dec;
+  PageStore store;
   criu::PageSet r;
-  r.pages.push_back(page_of(0x1000, 0x42));
+  r.pages.push_back(store.page(0x1000, 0x42));
   const Bytes b1 = enc.encode(r);
   const Bytes b2 = enc.encode(r);
   ASSERT_TRUE(dec.decode(b1).is_ok());

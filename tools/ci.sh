@@ -13,7 +13,7 @@
 # commit invariant and the validated ft_report incl. its critical path), a
 # bench-delta advisory (tools/bench_diff.py vs the committed BENCH_*.json
 # baselines), the repository benchmark's correctness gates (migrbench on
-# every declared workload), then the sanitizer pass.
+# every declared workload), then the ASan+UBSan sanitizer pass.
 #
 #   tools/ci.sh              # everything
 #   tools/ci.sh --fast       # skip the sanitizer pass
@@ -213,5 +213,7 @@ if [[ "$FAST" == "1" ]]; then
   exit 0
 fi
 
-echo "==> [11/11] sanitizer pass (address)"
-tools/run_sanitized.sh address
+echo "==> [11/11] sanitizer pass (address,undefined)"
+# One instrumented tree runs the suite under ASan and UBSan together, so
+# the parsers' bounds checks and view arithmetic run under both.
+tools/run_sanitized.sh address,undefined
