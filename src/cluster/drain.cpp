@@ -244,8 +244,7 @@ std::string format_drain_report(const DrainReport& r) {
                 w.rx_packets, w.rx_in_order, w.rx_duplicate, w.out_of_sequence,
                 w.rx_rnr_drop, w.tx_packets, w.tx_retransmit_packets, w.rnr_waits);
   out += line;
-  // Mux rollup line only when some migration ran with stream fan-out: the
-  // legacy rendering stays byte-identical to the committed baselines.
+  // TransferMux rollup over every migration's image transfers.
   std::uint32_t xf_streams = 0;
   std::uint64_t xf_attempted = 0, xf_delivered = 0, xf_lost = 0, xf_suppressed = 0;
   for (const MigrationOutcome& o : r.outcomes) {
@@ -255,13 +254,11 @@ std::string format_drain_report(const DrainReport& r) {
     xf_lost += o.report.xfer_bytes_lost;
     xf_suppressed += o.report.xfer_bytes_suppressed;
   }
-  if (xf_streams > 0) {
-    std::snprintf(line, sizeof(line),
-                  "xfer streams=%u attempted=%" PRIu64 " delivered=%" PRIu64
-                  " lost=%" PRIu64 " suppressed=%" PRIu64 "\n",
-                  xf_streams, xf_attempted, xf_delivered, xf_lost, xf_suppressed);
-    out += line;
-  }
+  std::snprintf(line, sizeof(line),
+                "xfer streams=%u attempted=%" PRIu64 " delivered=%" PRIu64
+                " lost=%" PRIu64 " suppressed=%" PRIu64 "\n",
+                xf_streams, xf_attempted, xf_delivered, xf_lost, xf_suppressed);
+  out += line;
   for (const PhaseAttribution& a : r.phase_rollup) {
     std::snprintf(line, sizeof(line),
                   "phase=%s worst_of=%" PRIu64 " total_ns=%lld max_ns=%lld\n",
@@ -394,11 +391,11 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
                 pc_p99_max);
   out += buf;
 
-  // Parallel-stream mux + suppression rollup: always present so the schema
-  // is config-stable (all-zero when the mux and suppression are off). The
-  // per-stream array is summed across migrations by stream index; balance
-  // (attempted == delivered + lost, raw == shipped + suppressed) holds per
-  // stream and in total.
+  // TransferMux + suppression rollup (suppression all-zero when it is off).
+  // `migrations` counts the migrations that put chunks on the wire (not the
+  // rejected or no-op requests). The per-stream array is summed across
+  // migrations by stream index; balance (attempted == delivered + lost,
+  // raw == shipped + suppressed) holds per stream and in total.
   std::uint32_t xf_streams = 0;
   std::uint64_t xf_migr = 0, xf_attempted = 0, xf_delivered = 0, xf_lost = 0,
                 xf_chunks = 0, xf_retries = 0;
@@ -407,7 +404,7 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
   std::vector<migrlib::XferStreamStats> per_stream;
   for (const MigrationOutcome& o : r.outcomes) {
     const MigrationReport& m = o.report;
-    if (m.xfer_streams > 0) xf_migr++;
+    if (m.xfer_chunks > 0) xf_migr++;
     xf_streams = std::max(xf_streams, m.xfer_streams);
     xf_attempted += m.xfer_bytes_attempted;
     xf_delivered += m.xfer_bytes_delivered;
@@ -476,16 +473,14 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
       out += ",\"postcopy\":";
       out += o.report.postcopy.json();
     }
-    if (o.report.xfer_streams > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    ",\"xfer\":{\"streams\":%u,\"bytes_attempted\":%" PRIu64
-                    ",\"bytes_delivered\":%" PRIu64 ",\"bytes_lost\":%" PRIu64
-                    ",\"chunks\":%" PRIu64 ",\"bytes_suppressed\":%" PRIu64 "}",
-                    o.report.xfer_streams, o.report.xfer_bytes_attempted,
-                    o.report.xfer_bytes_delivered, o.report.xfer_bytes_lost,
-                    o.report.xfer_chunks, o.report.xfer_bytes_suppressed);
-      out += buf;
-    }
+    std::snprintf(buf, sizeof(buf),
+                  ",\"xfer\":{\"streams\":%u,\"bytes_attempted\":%" PRIu64
+                  ",\"bytes_delivered\":%" PRIu64 ",\"bytes_lost\":%" PRIu64
+                  ",\"chunks\":%" PRIu64 ",\"bytes_suppressed\":%" PRIu64 "}",
+                  o.report.xfer_streams, o.report.xfer_bytes_attempted,
+                  o.report.xfer_bytes_delivered, o.report.xfer_bytes_lost,
+                  o.report.xfer_chunks, o.report.xfer_bytes_suppressed);
+    out += buf;
     out += "}";
   }
   out += "]}";

@@ -74,7 +74,7 @@ std::string FtReport::json() const {
     out += buf;
   }
   out += "]";
-  // Stream-level rollups; count is 0 on the legacy single-stream path.
+  // Stream-level rollups of the epoch-sync mux.
   std::snprintf(buf, sizeof buf,
                 ",\"streams\":{\"count\":%u,\"chunks\":%" PRIu64
                 ",\"bytes_lost\":%" PRIu64 ",\"per_stream\":[",
@@ -143,7 +143,6 @@ FtController::FtController(sim::EventLoop& loop, net::Fabric& fabric,
 FtController::~FtController() {
   stop_timers();
   if (services_registered_) {
-    fabric_.unregister_service(dest_rt_->host(), sync_service_);
     fabric_.unregister_service(src_rt_->host(), ack_service_);
     fabric_.unregister_service(dest_rt_->host(), hb_service_);
     services_registered_ = false;
@@ -192,11 +191,8 @@ Status FtController::protect(GuestId id, net::HostId backup_host,
     estimator_ = std::make_unique<criu::DirtyRateEstimator>(*src_proc_, cfg);
   }
 
-  sync_service_ = "ft.sync." + std::to_string(id);
   ack_service_ = "ft.ack." + std::to_string(id);
   hb_service_ = "ft.hb." + std::to_string(id);
-  fabric_.register_service(dest_rt_->host(), sync_service_,
-                           [this](net::HostId, Bytes&& p) { on_sync_chunk(std::move(p)); });
   fabric_.register_service(src_rt_->host(), ack_service_, [this](net::HostId, Bytes&& p) {
     ByteReader r{p};
     auto e = r.u64();
@@ -206,24 +202,22 @@ Status FtController::protect(GuestId id, net::HostId backup_host,
                            [this](net::HostId, Bytes&&) { last_hb_ = loop_.now(); });
   services_registered_ = true;
 
-  if (use_mux()) {
-    // Per-protection instance counter in the service base: a re-protected
-    // guest gets fresh `ft.xfer.<id>.<instance>.<k>` names, so a lingering
-    // old controller's teardown can never unregister the live streams.
-    static std::uint64_t ft_mux_instance = 0;
-    migrlib::XferOptions xo;
-    xo.streams = options_.xfer_streams;
-    xo.stream_gbps = options_.xfer_stream_gbps;
-    xo.chunk_bytes = options_.chunk_bytes;
-    xo.max_backoff = std::min(xo.max_backoff, options_.max_transfer_backoff);
-    xo.cp = &cp_;
-    mux_ = std::make_unique<migrlib::TransferMux>(
-        loop_, fabric_,
-        "ft.xfer." + std::to_string(id) + "." + std::to_string(ft_mux_instance++),
-        src_rt_->host(), dest_rt_->host(), xo);
-    mux_->open([this](Bytes&& p) { on_mux_epoch(std::move(p)); },
-               [this](const Status& st) { fail(st); });
-  }
+  // Per-protection instance counter in the service base: a re-protected
+  // guest gets fresh `ft.xfer.<id>.<instance>.<k>` names, so a lingering
+  // old controller's teardown can never unregister the live streams.
+  static std::uint64_t ft_mux_instance = 0;
+  migrlib::XferOptions xo;
+  xo.streams = options_.xfer_streams;
+  xo.stream_gbps = options_.xfer_stream_gbps;
+  xo.chunk_bytes = options_.chunk_bytes;
+  xo.max_backoff = std::min(xo.max_backoff, options_.max_transfer_backoff);
+  xo.cp = &cp_;
+  mux_ = std::make_unique<migrlib::TransferMux>(
+      loop_, fabric_,
+      "ft.xfer." + std::to_string(id) + "." + std::to_string(ft_mux_instance++),
+      src_rt_->host(), dest_rt_->host(), xo);
+  mux_->open([this](Bytes&& p) { on_mux_epoch(std::move(p)); },
+             [this](const Status& st) { fail(st); });
 
   report_ = FtReport{};
   report_.guest = id;
@@ -239,7 +233,7 @@ Status FtController::protect(GuestId id, net::HostId backup_host,
     // spans, and failover spans all parent back to this root.
     trace_id_ = tr.new_id();
     root_span_ = tr.new_id();
-    if (mux_) mux_->set_trace_context({trace_id_, root_span_});
+    mux_->set_trace_context({trace_id_, root_span_});
   }
 
   // Output commit starts with protection, not with the sync's completion:
@@ -266,7 +260,7 @@ void FtController::fail(const Status& st) {
   finished_ = true;
   MIGR_ERROR() << "ft protection of guest " << guest_id_ << " failed: " << st.to_string();
   stop_timers();
-  if (mux_) mux_->cancel();  // chunk timers must not outlive protection
+  mux_->cancel();  // chunk timers must not outlive protection
   protected_ = false;
   // Once failover started, partners may have switched QPs and be holding
   // their sends for a resume that will never come: release them.
@@ -298,22 +292,20 @@ void FtController::finish_report() {
   for (const EpochRecord& r : report_.epochs) {
     if (r.epoch >= 1) report_.epoch_bytes_total += r.wire_bytes;
   }
-  if (mux_) {
-    const migrlib::XferStats& xs = mux_->stats();
-    report_.xfer_streams = mux_->options().streams;
-    report_.xfer_bytes_attempted = xs.attempted();
-    report_.xfer_bytes_delivered = xs.delivered();
-    report_.xfer_bytes_lost = xs.lost();
-    report_.xfer_chunks = xs.chunks();
-    report_.xfer_stream_stats = xs.streams;
-  }
+  const migrlib::XferStats& xs = mux_->stats();
+  report_.xfer_streams = mux_->options().streams;
+  report_.xfer_bytes_attempted = xs.attempted();
+  report_.xfer_bytes_delivered = xs.delivered();
+  report_.xfer_bytes_lost = xs.lost();
+  report_.xfer_chunks = xs.chunks();
+  report_.xfer_stream_stats = xs.streams;
 }
 
 void FtController::unprotect() {
   if (finished_) return;
   finished_ = true;
   stop_timers();
-  if (mux_) mux_->cancel();
+  mux_->cancel();
   protected_ = false;
   if (node_ != nullptr && node_->output_commit_armed()) node_->disarm_output_commit();
   obs::SliHub::global().on_ft_released(guest_id_, loop_.now());
@@ -348,7 +340,7 @@ void FtController::push_waterfall(std::string name, sim::DurationNs dur, std::st
 }
 
 // ---------------------------------------------------------------------------
-// Primary side: full sync + epoch capture + chunked transfer
+// Primary side: full sync + epoch capture + transfer
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -395,7 +387,7 @@ void FtController::phase_full_sync() {
              "\"bytes\":" + std::to_string(report_.full_sync_bytes));
   loop_.schedule_in(cost, [this] {
     if (finished_ || failed_over_) return;
-    send_epoch_chunks(0, /*retry=*/false);
+    send_epoch(0, /*retry=*/false);
   });
 }
 
@@ -456,50 +448,25 @@ void FtController::capture_epoch() {
     if (finished_ || failed_over_) return;
     src_proc_->thaw();
     if (estimator_) estimator_->begin_interval(loop_.now());
-    send_epoch_chunks(epoch, /*retry=*/false);
+    send_epoch(epoch, /*retry=*/false);
   });
 }
 
-void FtController::send_epoch_chunks(std::uint64_t epoch, bool retry) {
-  // The mc-rdma chunked-transfer idiom: a bounded chunk size, sequential
-  // chunks, short tail. Each chunk is one ctrl-plane message; the backup
-  // reassembles and applies the epoch atomically on completion.
-  const Bytes& p = inflight_payload_;
-  std::uint64_t wire = 0;
-  if (mux_) {
-    // Whole epoch over the mux: the mux owns page-granular chunking,
-    // per-stream pacing, and chunk-level ack/retry; FT keeps only the
-    // epoch-level ACK (which drives output commit) and its coarse deadline.
-    // A deadline retry abandons the stale in-flight transfer and re-sends.
-    ByteWriter h;
-    h.u64(epoch);
-    h.bytes(p);
-    Bytes frame = std::move(h).take();
-    wire = migrlib::TransferMux::wire_size(frame.size(), mux_->options().chunk_bytes);
-    if (retry) mux_->cancel();
-    mux_->send(std::move(frame));
-    // attempted/delivered on this path are synced from mux stream stats at
-    // finish_report(), re-sends included.
-  } else {
-    const std::uint64_t chunk = std::max<std::uint64_t>(1, options_.chunk_bytes);
-    const auto nchunks = static_cast<std::uint32_t>(std::max<std::uint64_t>(
-        1, (p.size() + chunk - 1) / chunk));
-    obs::CtxScope cscope(obs::Tracer::global(),
-                         obs::TraceContext{trace_id_, root_span_});
-    for (std::uint32_t i = 0; i < nchunks; ++i) {
-      const std::uint64_t off = std::uint64_t{i} * chunk;
-      const std::uint64_t len = std::min<std::uint64_t>(chunk, p.size() - off);
-      ByteWriter h;
-      h.u64(epoch);
-      h.u32(i);
-      h.u32(nchunks);
-      h.bytes({p.data() + off, static_cast<std::size_t>(len)});
-      Bytes frame = std::move(h).take();
-      wire += frame.size();
-      (void)fabric_.send_ctrl(src_rt_->host(), dest_rt_->host(), sync_service_, frame);
-    }
-    report_.xfer_bytes_attempted += wire;
-  }
+void FtController::send_epoch(std::uint64_t epoch, bool retry) {
+  // Whole epoch over the mux: the mux owns chunking (the mc-rdma idiom:
+  // bounded chunks, short tail), per-stream pacing and chunk-level
+  // ack/retry; FT keeps only the epoch-level ACK (which drives output
+  // commit) and its coarse deadline. A deadline retry abandons the stale
+  // in-flight transfer and re-sends. The backup reassembles and applies the
+  // epoch atomically on full receipt.
+  ByteWriter h;
+  h.u64(epoch);
+  h.bytes(inflight_payload_);
+  Bytes frame = std::move(h).take();
+  const std::uint64_t wire =
+      migrlib::TransferMux::wire_size(frame.size(), mux_->options().chunk_bytes);
+  if (retry) mux_->cancel();
+  mux_->send(std::move(frame));
   if (!retry) {
     for (auto it = report_.epochs.rbegin(); it != report_.epochs.rend(); ++it) {
       if (it->epoch == epoch) {
@@ -508,11 +475,9 @@ void FtController::send_epoch_chunks(std::uint64_t epoch, bool retry) {
       }
     }
   }
-  if (options_.transfer_timeout > 0) {
-    ack_timeout_.cancel();
-    ack_timeout_ =
-        loop_.schedule_in(options_.transfer_timeout, [this, epoch] { on_ack_timeout(epoch); });
-  }
+  ack_timeout_.cancel();
+  ack_timeout_ =
+      loop_.schedule_in(options_.transfer_timeout, [this, epoch] { on_ack_timeout(epoch); });
 }
 
 void FtController::on_ack_timeout(std::uint64_t epoch) {
@@ -538,7 +503,7 @@ void FtController::on_ack_timeout(std::uint64_t epoch) {
               << options_.max_transfer_retries << " after " << backoff << " ns";
   loop_.schedule_in(backoff, [this, epoch] {
     if (inflight_ && inflight_epoch_ == epoch && !failed_over_ && !finished_) {
-      send_epoch_chunks(epoch, /*retry=*/true);
+      send_epoch(epoch, /*retry=*/true);
     }
   });
 }
@@ -604,46 +569,8 @@ void FtController::send_heartbeat() {
 }
 
 // ---------------------------------------------------------------------------
-// Backup side: chunk reassembly, atomic epoch apply, ACK
+// Backup side: atomic epoch apply, ACK
 // ---------------------------------------------------------------------------
-
-void FtController::on_sync_chunk(Bytes&& payload) {
-  if (finished_ || failed_over_) return;
-  ByteReader r{payload};
-  auto epoch = r.u64();
-  auto idx = r.u32();
-  auto nchunks = r.u32();
-  auto data = r.bytes();
-  if (!epoch.is_ok() || !idx.is_ok() || !nchunks.is_ok() || !data.is_ok() ||
-      nchunks.value() == 0 || idx.value() >= nchunks.value()) {
-    return fail(common::err(Errc::invalid_argument, "corrupt ft chunk"));
-  }
-  report_.xfer_bytes_delivered += payload.size();
-  if (any_applied_ && epoch.value() <= applied_epoch_) {
-    // Duplicate of an epoch already applied (our ACK was lost): re-ACK so
-    // the primary stops re-sending; never re-apply.
-    ByteWriter w;
-    w.u64(epoch.value());
-    (void)fabric_.send_ctrl(dest_rt_->host(), src_rt_->host(), ack_service_, w.data());
-    return;
-  }
-  if (pending_.nchunks == 0 || pending_.epoch != epoch.value() ||
-      pending_.nchunks != nchunks.value()) {
-    pending_ = PendingEpoch{};
-    pending_.epoch = epoch.value();
-    pending_.nchunks = nchunks.value();
-  }
-  pending_.chunks[idx.value()] = std::move(data.value());
-  if (pending_.chunks.size() < pending_.nchunks) return;
-
-  // Atomic apply: only a fully-received epoch touches the promotable state;
-  // a primary death mid-stream leaves the backup on the previous epoch.
-  Bytes assembled;
-  for (auto& [i, c] : pending_.chunks) assembled.insert(assembled.end(), c.begin(), c.end());
-  const std::uint64_t e = pending_.epoch;
-  pending_ = PendingEpoch{};
-  handle_epoch_payload(e, std::move(assembled));
-}
 
 void FtController::on_mux_epoch(Bytes&& payload) {
   if (finished_ || failed_over_) return;
@@ -789,7 +716,7 @@ void FtController::trigger_failover(const std::string& reason) {
   failed_over_ = true;
   protected_ = false;
   stop_timers();
-  if (mux_) mux_->cancel();  // no chunk retransmits from the dead primary
+  mux_->cancel();  // no chunk retransmits from the dead primary
   report_.failed_over = true;
   report_.failover_reason = reason;
   report_.detected_at = loop_.now();
@@ -881,6 +808,13 @@ void FtController::phase_promote() {
   const std::uint64_t committed = report_.promoted_epoch;
   loop_.schedule_in(options_.promote_cost + restore_cost + rearm_cost, [this, committed] {
     if (finished_) return;
+    // Re-point the app (and its MsgNode) at the promoted process first: the
+    // committed backlog released below is written into send slots in guest
+    // memory, and written into the dead primary's memory the promoted
+    // guest's QPs would send whatever its restored slots held. The backlog
+    // is non-empty when the primary died before the promoted epoch's ACK
+    // reached it.
+    if (app_ != nullptr) app_->on_migrated(*dest_proc_);
     const std::uint64_t dropped = node_->drop_uncommitted(committed);
     node_->resync_window();
     const std::uint64_t released_before = node_->gate_released();
@@ -898,7 +832,6 @@ void FtController::phase_ft_resume(std::uint64_t released, std::uint64_t dropped
   finished_ = true;
   report_.resume_at = loop_.now();
   obs::SliHub::global().on_resume(guest_id_, report_.resume_at);
-  if (app_ != nullptr) app_->on_migrated(*dest_proc_);
   push_waterfall("recovery", 0,
                  "\"released\":" + std::to_string(released) +
                      ",\"dropped\":" + std::to_string(dropped));

@@ -5,16 +5,18 @@
 // protection mode:
 //
 //   protect:   full-image sync to a standby host (memory pre-dump + RDMA
-//              pre-dump, chunked over the ctrl plane), then RDMA pre-setup
-//              and partner replacement-QP pre-establishment on the backup —
-//              the same off-blackout-path trick migration pre-setup uses,
-//              held armed for the guest's whole protected lifetime.
+//              pre-dump, through a TransferMux on the ctrl plane), then
+//              RDMA pre-setup and partner replacement-QP pre-establishment
+//              on the backup — the same off-blackout-path trick migration
+//              pre-setup uses, held armed for the guest's whole protected
+//              lifetime.
 //   epochs:    periodic micro-checkpoints — brief freeze, epoch-scoped
 //              incremental dump (pages dirtied since the last epoch) plus
 //              the cumulative RDMA delta vs the protect-time image — shipped
-//              in fixed-size chunks and applied atomically on the backup
-//              only once every chunk of the epoch arrived (a partial epoch
-//              never contaminates the promotable state).
+//              through the same mux in fixed-size chunks and applied
+//              atomically on the backup only once every chunk of the epoch
+//              arrived (a partial epoch never contaminates the promotable
+//              state).
 //   output
 //   commit:    while protected, the guest's egress buffers in the MsgNode
 //              release queue tagged with the current epoch and flushes only
@@ -33,7 +35,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -65,26 +66,25 @@ struct FtOptions {
   sim::DurationNs max_epoch_interval = sim::msec(50);
   criu::DirtyRateConfig dirty_rate;
 
-  // Chunked-transfer geometry for checkpoint streams (the mc-rdma idiom:
+  // Chunk geometry of the epoch-sync TransferMux (the mc-rdma idiom:
   // bounded buffers, fixed-size chunks, last chunk short).
   std::uint64_t chunk_bytes = 2ull << 20;
 
-  // Epoch ACK deadline + bounded re-sends (the lossy-fabric discipline the
-  // migration transfers use). Exhaustion drops protection, never the guest.
+  // Epoch ACK deadline + bounded re-sends on top of the mux's per-chunk
+  // retries. Exhaustion drops protection, never the guest.
   sim::DurationNs transfer_timeout = sim::sec(1);
   int max_transfer_retries = 3;
   sim::DurationNs transfer_retry_backoff = sim::msec(50);  // doubles per retry
-  // Ceiling for the doubling backoff; the default preserves the legacy
-  // 50/100/200ms schedule at the stock 3-retry budget.
+  // Ceiling for the doubling backoff (50/100/200 ms at the stock 3-retry
+  // budget); it also caps the mux's per-chunk backoff.
   sim::DurationNs max_transfer_backoff = sim::msec(500);
 
-  // Parallel epoch streams: when xfer_streams > 1 (or a per-stream pacing
-  // rate is set) the epoch sync rides a TransferMux (`ft.xfer.<id>.<k>`)
-  // instead of the single chunked ctrl stream — same chunk geometry, but
-  // with per-chunk ack/retry *beneath* the epoch-level ACK that drives
-  // output commit. Defaults keep the legacy path byte-identical.
+  // Epoch streams: the sync's chunks round-robin over `xfer_streams` ctrl
+  // streams (`ft.xfer.<id>.<instance>.<k>`), each paced at
+  // `xfer_stream_gbps` (0 = line rate), with per-chunk ack/retry *beneath*
+  // the epoch-level ACK that drives output commit.
   std::uint32_t xfer_streams = 1;
-  double xfer_stream_gbps = 0.0;  // 0 = line rate (no per-stream pacing)
+  double xfer_stream_gbps = 0.0;
 
   // Failure detection: primary-side agent heartbeats, backup-side watchdog.
   sim::DurationNs heartbeat_interval = sim::msec(5);
@@ -141,8 +141,7 @@ struct FtReport {
   std::uint64_t xfer_bytes_attempted = 0;
   std::uint64_t xfer_bytes_delivered = 0;
   std::uint64_t transfer_retries = 0;  // epoch-level (ACK-deadline) re-sends
-  // Stream-level rollups when the mux carries the epoch sync. xfer_streams
-  // is 0 on the legacy single-stream ctrl path. attempted == delivered +
+  // Stream-level rollups of the epoch-sync mux. attempted == delivered +
   // lost holds per stream and in total once the fabric quiesces.
   std::uint32_t xfer_streams = 0;
   std::uint64_t xfer_bytes_lost = 0;
@@ -228,12 +227,6 @@ class FtController {
   const FtReport& report() const noexcept { return report_; }
 
  private:
-  struct PendingEpoch {
-    std::uint64_t epoch = 0;
-    std::uint32_t nchunks = 0;
-    std::map<std::uint32_t, common::Bytes> chunks;
-  };
-
   void fail(const common::Status& st);
   void finish_report();
   void stop_timers();
@@ -241,18 +234,13 @@ class FtController {
   // Primary side.
   void phase_full_sync();
   void capture_epoch();
-  void send_epoch_chunks(std::uint64_t epoch, bool retry);
+  void send_epoch(std::uint64_t epoch, bool retry);
   void on_ack_timeout(std::uint64_t epoch);
   void on_ack(std::uint64_t epoch);
   void send_heartbeat();
   sim::DurationNs next_epoch_interval();
 
-  bool use_mux() const noexcept {
-    return options_.xfer_streams > 1 || options_.xfer_stream_gbps > 0;
-  }
-
   // Backup side.
-  void on_sync_chunk(common::Bytes&& payload);
   void on_mux_epoch(common::Bytes&& payload);
   void handle_epoch_payload(std::uint64_t epoch, common::Bytes payload);
   common::Status apply_full_sync(const common::Bytes& payload, sim::DurationNs& cost);
@@ -293,13 +281,10 @@ class FtController {
   common::Bytes last_rdma_delta_;  // backup: cumulative delta of the last applied epoch
   rnic::Psn psn_cursor_;
 
-  std::string sync_service_;
   std::string ack_service_;
   std::string hb_service_;
   bool services_registered_ = false;
-  // Parallel epoch streams (see FtOptions::xfer_streams); null on the
-  // legacy single-stream path.
-  std::unique_ptr<migrlib::TransferMux> mux_;
+  std::unique_ptr<migrlib::TransferMux> mux_;  // the epoch sync (FtOptions::xfer_streams)
 
   bool protected_ = false;
   bool failed_over_ = false;
@@ -313,7 +298,6 @@ class FtController {
   std::uint64_t inflight_epoch_ = 0;
   bool inflight_ = false;
   int xfer_attempt_ = 0;
-  PendingEpoch pending_;               // backup: chunk reassembly
 
   sim::EventHandle epoch_timer_;
   sim::EventHandle hb_timer_;

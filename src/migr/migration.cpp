@@ -131,22 +131,22 @@ Status MigrationController::start(GuestId id, net::HostId dest_host,
   ckpt_ = std::make_unique<criu::Checkpointer>(*src_proc_, options_.criu_costs);
   restorer_ = std::make_unique<criu::Restorer>(*dest_proc_, options_.criu_costs);
 
-  xfer_service_ = "migr.xfer." + std::to_string(id);
-  if (use_mux()) {
-    // One mux per controller *instance*: a retried migration gets fresh
-    // stream services instead of colliding with (and later tearing down)
-    // a newer controller's registrations for the same guest.
-    static std::uint64_t mux_instance = 0;
-    XferOptions xo;
-    xo.streams = options_.xfer_streams;
-    xo.stream_gbps = options_.xfer_stream_gbps;
-    xo.chunk_bytes = options_.xfer_chunk_bytes;
-    xo.max_backoff = std::min<sim::DurationNs>(xo.max_backoff, options_.max_transfer_backoff);
-    xo.cp = &cp_;  // no-op until options_.critical_path arms the recorder
-    mux_ = std::make_unique<TransferMux>(
-        loop_, fabric_, xfer_service_ + "." + std::to_string(mux_instance++),
-        src_rt_->host(), dest_rt_->host(), xo);
-  }
+  // One mux per controller *instance*: a retried migration gets fresh
+  // stream services instead of colliding with (and later tearing down) a
+  // newer controller's registrations for the same guest.
+  static std::uint64_t mux_instance = 0;
+  XferOptions xo;
+  xo.streams = options_.xfer_streams;
+  xo.stream_gbps = options_.xfer_stream_gbps;
+  xo.chunk_bytes = options_.xfer_chunk_bytes;
+  xo.chunk_timeout = options_.transfer_timeout;
+  xo.max_chunk_retries = options_.max_transfer_retries;
+  xo.retry_backoff = options_.transfer_retry_backoff;
+  xo.max_backoff = options_.max_transfer_backoff;
+  xo.cp = &cp_;  // no-op until options_.critical_path arms the recorder
+  mux_ = std::make_unique<TransferMux>(
+      loop_, fabric_, "migr.xfer." + std::to_string(id) + "." + std::to_string(mux_instance++),
+      src_rt_->host(), dest_rt_->host(), xo);
   if (options_.suppress_pages) {
     page_enc_ = std::make_unique<criu::PageDeltaEncoder>(
         criu::PageDeltaConfig{options_.delta_threshold});
@@ -190,9 +190,8 @@ void MigrationController::fail(const Status& st) {
   // Timer hygiene: a stale WBS or transfer timer must never fire into a
   // completed, failed, or rolled-back migration.
   wbs_timeout_handle_.cancel();
-  xfer_timeout_handle_.cancel();
   reset_throttle();
-  if (mux_) mux_->cancel();
+  mux_->cancel();
   sync_mux_stats();
   // Past the commit point partners may have switched QPs and be holding
   // their sends for the guest's resume, which will never come: release them.
@@ -215,15 +214,12 @@ void MigrationController::abort(const Status& st) {
   MIGR_WARN() << "aborting migration of guest " << guest_id_ << " during " << phase_
               << ": " << st.to_string();
   wbs_timeout_handle_.cancel();
-  xfer_timeout_handle_.cancel();
   reset_throttle();
-  fabric_.unregister_service(dest_rt_->host(), xfer_service_);
   xfer_cb_ = nullptr;
-  xfer_payload_.clear();
   // Drop in-flight chunks and the queue; the stats survive so the report
   // still accounts what the aborted run attempted (lost = attempted -
   // delivered covers the chunks the abort stranded).
-  if (mux_) mux_->cancel();
+  mux_->cancel();
   sync_mux_stats();
 
   // Detach the WBS machinery from this (dead) migration and roll the
@@ -398,99 +394,24 @@ void MigrationController::phase_initial_dump() {
 }
 
 void MigrationController::transfer_to_dest(Bytes payload, std::function<void(Bytes)> cb) {
-  if (use_mux()) {
-    // Parallel-stream path: the mux chunks the payload over N paced streams
-    // with per-chunk ack/timeout/retry, and delivers it whole on full
-    // receipt. Retry exhaustion (partition, sustained ctrl loss) aborts the
-    // migration exactly like the legacy per-payload deadline would.
-    xfer_cb_ = std::move(cb);
-    mux_->set_trace_context(trace_ctx());
-    mux_->open(
-        [this](Bytes&& p) {
-          sync_mux_stats();
-          auto continuation = xfer_cb_;
-          xfer_cb_ = nullptr;
-          if (continuation) continuation(std::move(p));
-        },
-        [this](const common::Status& st) { abort(st); });
-    mux_->send(std::move(payload));
-    return;
-  }
-  // Ctrl-plane transfer: pays real serialization time on the source port
-  // (competing with RDMA traffic) plus propagation. The payload is retained
-  // so a lost delivery (partition, blackhole) can be re-sent; each attempt
-  // runs under a deadline and exhaustion aborts the migration.
-  xfer_attempt_ = 0;
-  xfer_payload_ = std::move(payload);
+  // The mux chunks the payload over its streams with per-chunk deadlines,
+  // bounded retries and doubling backoff, and delivers it whole on full
+  // receipt. Chunk retry exhaustion (partition, sustained ctrl loss) aborts
+  // the migration and rolls the source back.
   xfer_cb_ = std::move(cb);
-  fabric_.register_service(dest_rt_->host(), xfer_service_, [this](net::HostId, Bytes&& p) {
-    xfer_timeout_handle_.cancel();
-    report_.xfer_bytes_delivered += p.size();
-    cp_add(xfer_sent_at_, loop_.now(), obs::EdgeClass::chunk_wire, "image");
-    // Unregistering destroys this very lambda; keep the continuation alive
-    // on the stack first.
-    auto continuation = xfer_cb_;
-    xfer_cb_ = nullptr;
-    xfer_payload_.clear();
-    fabric_.unregister_service(dest_rt_->host(), xfer_service_);
-    continuation(std::move(p));
-  });
-  send_xfer_attempt();
-}
-
-void MigrationController::send_xfer_attempt() {
-  // Re-sends pay serialization again, exactly like a real re-transfer would
-  // — and they count again: attempted bytes track what hit the wire, not
-  // what the image was worth.
-  report_.xfer_bytes_attempted += xfer_payload_.size();
-  xfer_sent_at_ = loop_.now();
-  obs::CtxScope scope(obs::Tracer::global(), trace_ctx());
-  auto sent = fabric_.send_ctrl(src_rt_->host(), dest_rt_->host(), xfer_service_, xfer_payload_);
-  if (!sent.is_ok()) {
-    MIGR_WARN() << "image transfer send failed: " << sent.status().to_string();
-  }
-  if (options_.transfer_timeout > 0) {
-    xfer_timeout_handle_ =
-        loop_.schedule_in(options_.transfer_timeout, [this] { on_xfer_timeout(); });
-  }
-}
-
-void MigrationController::on_xfer_timeout() {
-  if (xfer_cb_ == nullptr) return;  // delivered in the meantime
-  if (xfer_attempt_ >= options_.max_transfer_retries) {
-    return abort(common::err(Errc::timeout,
-                             "transfer to destination timed out after " +
-                                 std::to_string(xfer_attempt_ + 1) + " attempts"));
-  }
-  xfer_attempt_++;
-  report_.transfer_retries++;
-  obs::Registry::global().counter("migr.transfer_retries").inc();
-  // Clamp the doubling: past the ceiling a lossy link only needs persistence,
-  // not ever-longer waits that overshoot the transfer deadline.
-  const sim::DurationNs backoff =
-      std::min<sim::DurationNs>(options_.transfer_retry_backoff << (xfer_attempt_ - 1),
-                                options_.max_transfer_backoff);
-  // The lost attempt plus its backoff is dead blackout time the retry loop
-  // caused: one chunk_retry interval from wire-out to the re-send moment.
-  cp_add(xfer_sent_at_, loop_.now() + backoff, obs::EdgeClass::chunk_retry,
-         "retry " + std::to_string(xfer_attempt_));
-  MIGR_WARN() << "transfer to destination timed out; retry " << xfer_attempt_ << "/"
-              << options_.max_transfer_retries << " after " << backoff << " ns";
-  loop_.schedule_in(backoff, [this] {
-    if (xfer_cb_ != nullptr) send_xfer_attempt();
-  });
+  mux_->set_trace_context(trace_ctx());
+  mux_->open(
+      [this](Bytes&& p) {
+        sync_mux_stats();
+        auto continuation = std::move(xfer_cb_);
+        xfer_cb_ = nullptr;
+        if (continuation) continuation(std::move(p));
+      },
+      [this](const common::Status& st) { abort(st); });
+  mux_->send(std::move(payload));
 }
 
 void MigrationController::sync_mux_stats() {
-  if (!mux_) {
-    // Legacy single-service path: no per-stream loss tracking, so the only
-    // signal is attempted re-sends that never delivered. Same definition as
-    // XferStreamStats::bytes_lost(); keeps attempted == delivered + lost on
-    // every outcome, including ctrl-plane loss and stranded in-flight sends.
-    report_.xfer_bytes_lost =
-        report_.xfer_bytes_attempted - report_.xfer_bytes_delivered;
-    return;
-  }
   const XferStats& xs = mux_->stats();
   report_.xfer_streams = static_cast<std::uint32_t>(xs.streams.size());
   report_.xfer_stream_stats = xs.streams;
@@ -974,8 +895,7 @@ void MigrationController::phase_final_restore(Bytes payload) {
     // the pump drains.
     pump_ = std::make_unique<PostcopyPump>(loop_, fabric_, guest_id_, src_rt_->host(),
                                            dest_rt_->host(), *src_proc_, *dest_proc_,
-                                           src_rt_->device(), options_.postcopy,
-                                           mux_.get());
+                                           src_rt_->device(), *mux_, options_.postcopy);
     pump_->arm(std::move(postcopy_missing_));
     postcopy_missing_.clear();
   }

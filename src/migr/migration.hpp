@@ -72,23 +72,22 @@ struct MigrationOptions {
   std::function<void(double)> throttle;
   PostcopyConfig postcopy;
   sim::DurationNs wbs_timeout = sim::sec(5);  // §3.4 buggy-network upper bound
-  // Adversarial-network handling. Every ctrl-plane image transfer (pre-copy
-  // rounds and the final one) gets a per-attempt deadline and bounded
-  // retries with exponential backoff; exhaustion aborts the migration and
-  // rolls the source back. transfer_timeout = 0 disables the deadline.
+  // Adversarial-network handling: the per-chunk policy of the TransferMux
+  // that carries every image transfer (pre-copy rounds, the final diff and
+  // post-copy pages). Each chunk gets a deadline from the moment it left the
+  // source port and bounded re-sends with doubling backoff; exhaustion
+  // aborts the migration and rolls the source back.
   sim::DurationNs transfer_timeout = sim::sec(1);
   int max_transfer_retries = 3;                  // re-sends after the first attempt
   sim::DurationNs transfer_retry_backoff = sim::msec(50);  // doubles per retry
-  // Ceiling on the doubled backoff: a many-retry transfer on a lossy link
-  // must not back off past the transfer deadline. The default preserves the
-  // legacy schedule (50/100/200 ms) at the default retry budget.
+  // Ceiling on the doubled backoff: a many-retry chunk on a lossy link must
+  // not back off past its deadline (50/100/200 ms at the default budget).
   sim::DurationNs max_transfer_backoff = sim::msec(500);
-  // Multifd-style parallel transfer streams (DESIGN.md §15). The TransferMux
-  // engages when streams > 1 or a per-stream pacing rate is set; with the
-  // defaults every transfer keeps the legacy single-service whole-payload
-  // path, byte-identical to previous releases. `xfer_stream_gbps` models the
-  // per-stream processing ceiling that motivates multifd: one stream cannot
-  // saturate the link, N streams aggregate toward line rate.
+  // Multifd-style transfer geometry (DESIGN.md §15): the mux splits each
+  // payload into `xfer_chunk_bytes` chunks round-robined over `xfer_streams`
+  // ctrl streams. `xfer_stream_gbps` models the per-stream processing
+  // ceiling that motivates multifd: one stream cannot saturate the link, N
+  // streams aggregate toward line rate (0 = unpaced, line rate).
   std::uint32_t xfer_streams = 1;
   double xfer_stream_gbps = 0.0;
   std::uint64_t xfer_chunk_bytes = 256 * 1024;
@@ -132,7 +131,7 @@ struct MigrationReport {
   std::string abort_reason;
   std::string abort_phase;
   bool source_resumed = false;     // source service running again after abort
-  std::uint64_t transfer_retries = 0;  // ctrl-plane transfer re-sends
+  std::uint64_t transfer_retries = 0;  // image chunk re-sends
 
   MigrationMode mode = MigrationMode::precopy;
 
@@ -171,10 +170,9 @@ struct MigrationReport {
   std::uint64_t xfer_bytes_attempted = 0;
   std::uint64_t xfer_bytes_delivered = 0;
 
-  // Parallel-stream mux rollups; xfer_streams == 0 means the mux was off and
-  // every stream/suppression field below is zero. Balance invariants (pinned
-  // by tools/validate_artifacts.py): attempted == delivered + lost, per
-  // stream and in total; raw == shipped + suppressed.
+  // TransferMux rollups. Balance invariants (pinned by
+  // tools/validate_artifacts.py): attempted == delivered + lost, per stream
+  // and in total; raw == shipped + suppressed.
   std::uint32_t xfer_streams = 0;
   std::uint64_t xfer_bytes_lost = 0;
   std::uint64_t xfer_chunks = 0;          // mux frames sent, incl. re-sends
@@ -277,15 +275,8 @@ class MigrationController {
   void phase_initial_dump();
   void transfer_to_dest(common::Bytes payload,
                         std::function<void(common::Bytes)> on_delivered);
-  void send_xfer_attempt();
-  void on_xfer_timeout();
-  /// True when the parallel-stream mux carries transfers for this migration.
-  bool use_mux() const noexcept {
-    return options_.xfer_streams > 1 || options_.xfer_stream_gbps > 0;
-  }
-  /// Copy the mux's per-stream counters into the report (no-op on the
-  /// legacy path). Called at every terminal point so aborted migrations
-  /// report what they attempted.
+  /// Copy the mux's per-stream counters into the report. Called at every
+  /// terminal point so aborted migrations report what they attempted.
   void sync_mux_stats();
   /// A pre-copy round's payload, written once into an exactly-sized
   /// buffer: the memory image, the page batch (through the suppression
@@ -375,7 +366,6 @@ class MigrationController {
   bool wbs_completed_ = false;
   sim::EventHandle wbs_timeout_handle_;
   rnic::Psn psn_cursor_;
-  std::string xfer_service_;
 
   // Causal-graph state: one trace id per migration, the root span id spans
   // parent-link to, and the critical-path interval recorder.
@@ -387,11 +377,7 @@ class MigrationController {
   const char* phase_ = "init";
   sim::TimeNs wf_cursor_ = 0;  // end of the last waterfall slice
   bool committed_ = false;  // source released: abort no longer possible
-  int xfer_attempt_ = 0;
-  sim::TimeNs xfer_sent_at_ = 0;  // last legacy-path attempt hit the wire
-  common::Bytes xfer_payload_;  // retained for re-sends
-  std::function<void(common::Bytes)> xfer_cb_;
-  sim::EventHandle xfer_timeout_handle_;
+  std::function<void(common::Bytes)> xfer_cb_;  // the in-flight transfer's continuation
 
   MigrationReport report_;
 };

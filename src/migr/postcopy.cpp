@@ -36,18 +36,15 @@ std::string PostcopyStats::json() const {
 PostcopyPump::PostcopyPump(sim::EventLoop& loop, net::Fabric& fabric, std::uint32_t guest,
                            net::HostId src_host, net::HostId dest_host,
                            proc::SimProcess& src_proc, proc::SimProcess& dest_proc,
-                           rnic::Device& src_dev, PostcopyConfig cfg,
-                           TransferMux* mux)
+                           rnic::Device& src_dev, TransferMux& mux, PostcopyConfig cfg)
     : loop_(loop), fabric_(fabric), guest_(guest), src_host_(src_host),
       dest_host_(dest_host), src_proc_(src_proc), dest_proc_(dest_proc),
       src_dev_(src_dev), cfg_(cfg), mux_(mux),
-      req_service_("migr.pcp.req." + std::to_string(guest)),
-      data_service_("migr.pcp.data." + std::to_string(guest)) {}
+      req_service_("migr.pcp.req." + std::to_string(guest)) {}
 
 PostcopyPump::~PostcopyPump() {
   watchdog_.cancel();
   fabric_.unregister_service(src_host_, req_service_);
-  fabric_.unregister_service(dest_host_, data_service_);
   dest_proc_.mem().set_fault_hook(nullptr);
 }
 
@@ -60,19 +57,13 @@ void PostcopyPump::arm(std::vector<proc::VirtAddr> missing) {
   fabric_.register_service(src_host_, req_service_, [this](net::HostId, Bytes&& p) {
     on_request(std::move(p));
   });
-  if (mux_ != nullptr) {
-    // Page data rides the controller's parallel streams; a mux-level failure
-    // is not fatal here — the stall watchdog owns drain failure.
-    mux_->open([this](Bytes&& p) { on_data(std::move(p)); },
-               [this](const common::Status& st) {
-                 MIGR_WARN() << "postcopy mux transfer failed for guest " << guest_
-                             << ": " << st.to_string();
-               });
-  } else {
-    fabric_.register_service(dest_host_, data_service_, [this](net::HostId, Bytes&& p) {
-      on_data(std::move(p));
-    });
-  }
+  // Page data rides the controller's mux; a mux-level failure is not fatal
+  // here — the stall watchdog owns drain failure.
+  mux_.open([this](Bytes&& p) { on_data(std::move(p)); },
+            [this](const common::Status& st) {
+              MIGR_WARN() << "postcopy mux transfer failed for guest " << guest_ << ": "
+                          << st.to_string();
+            });
 }
 
 void PostcopyPump::start(DoneCb done) {
@@ -133,14 +124,7 @@ void PostcopyPump::on_request(Bytes&& payload) {
     w.bytes(phys ? std::span<const std::uint8_t>{phys->data}
                  : std::span<const std::uint8_t>{kZeros});
   }
-  if (mux_ != nullptr) {
-    mux_->send(std::move(w).take());
-    return;
-  }
-  auto sent = fabric_.send_ctrl(src_host_, dest_host_, data_service_, std::move(w).take());
-  if (!sent.is_ok()) {
-    MIGR_WARN() << "postcopy page reply send failed: " << sent.status().to_string();
-  }
+  mux_.send(std::move(w).take());
 }
 
 void PostcopyPump::on_data(Bytes&& payload) {
@@ -174,6 +158,7 @@ void PostcopyPump::on_data(Bytes&& payload) {
       fault_ns_.record(rtt);
       reg.histogram("migr.postcopy.fault_ns").observe(rtt);
       pending_faults_.erase(pf);
+      progress_++;
     }
   }
   if (kind.value() == kPrefetch) {
@@ -215,22 +200,33 @@ void PostcopyPump::on_watchdog() {
   st_.retries++;
   MIGR_WARN() << "postcopy fetch stalled for guest " << guest_ << "; re-requesting ("
               << stalls_ << "/" << cfg_.max_fetch_retries << ")";
+  // A lost reply chunk holds every later reply behind it until its chunk
+  // deadline (the migration's transfer_timeout, far longer than this
+  // watchdog's budget): drop the stuck replies; the re-requests below cover
+  // every page still outstanding.
+  mux_.cancel();
   if (!batch_inflight_.empty()) send_request(kPrefetch, batch_inflight_);
-  if (!pending_faults_.empty()) {
-    std::vector<proc::VirtAddr> pages;
-    pages.reserve(pending_faults_.size());
-    for (const auto& [p, t] : pending_faults_) pages.push_back(p);
-    send_request(kFault, pages);
+  // Pending faults go out in prefetch-sized groups, so each reply is one
+  // small transfer and a lost chunk costs its own group, not all of them.
+  std::vector<proc::VirtAddr> pages;
+  for (const auto& [p, t] : pending_faults_) {
+    pages.push_back(p);
+    if (pages.size() == cfg_.batch_pages) {
+      send_request(kFault, pages);
+      pages.clear();
+    }
   }
+  if (!pages.empty()) send_request(kFault, pages);
 }
 
 void PostcopyPump::maybe_finish() {
   if (!started_ || drained_ || finish_scheduled_) return;
   if (dest_proc_.mem().missing_count() != 0) return;
   if (!pending_faults_.empty() || !batch_inflight_.empty()) return;
-  // Completion is observed inside a ctrl-service handler; unregistering the
-  // service from within its own lambda would free the code we are running,
-  // so the actual finish happens on a fresh event.
+  // Completion is observed inside the mux's delivery callback or the fault
+  // hook; finish() removes that hook and hands the migration back to the
+  // controller, so it runs on a fresh event, after the observing handler
+  // returned.
   finish_scheduled_ = true;
   loop_.schedule_in(0, [this] { finish(Status::ok()); });
 }
@@ -242,7 +238,6 @@ void PostcopyPump::finish(const Status& st) {
   finish_scheduled_ = false;
   watchdog_.cancel();
   fabric_.unregister_service(src_host_, req_service_);
-  fabric_.unregister_service(dest_host_, data_service_);
   dest_proc_.mem().set_fault_hook(nullptr);
   if (done_) {
     auto done = std::move(done_);

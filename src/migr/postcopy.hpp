@@ -14,9 +14,11 @@
 //    in-flight fetch has been answered — only then may the controller kill
 //    the source process (it is the pager until that moment).
 //
-// Both directions ride the reliable ctrl plane (the paper's out-of-band
-// channel); the source side charges the NIC ctrl-pressure cost of walking
-// the pages, so post-copy's brownout shows up on the source too.
+// Both directions ride the ctrl plane (the paper's out-of-band channel):
+// requests as plain ctrl messages, page data through the migration's
+// TransferMux with its per-chunk retries. The source side charges the NIC
+// ctrl-pressure cost of walking the pages, so post-copy's brownout shows up
+// on the source too.
 #pragma once
 
 #include <cstdint>
@@ -67,23 +69,23 @@ class PostcopyPump {
  public:
   using DoneCb = std::function<void(const common::Status&)>;
 
-  /// `mux` (optional, borrowed) carries the src→dest page-data direction
-  /// over parallel transfer streams; requests stay on the plain ctrl plane
-  /// (they are tiny). The pump re-points the mux's delivery callback to
-  /// itself in arm() — by then the controller's transfers are done.
+  /// `mux` (borrowed from the migration controller) carries the src→dest
+  /// page-data direction; requests stay on the plain ctrl plane (they are
+  /// tiny). The pump re-points the mux's delivery callback to itself in
+  /// arm() — by then the controller's transfers are done.
   PostcopyPump(sim::EventLoop& loop, net::Fabric& fabric, std::uint32_t guest,
                net::HostId src_host, net::HostId dest_host,
                proc::SimProcess& src_proc, proc::SimProcess& dest_proc,
-               rnic::Device& src_dev, PostcopyConfig cfg = {},
-               TransferMux* mux = nullptr);
+               rnic::Device& src_dev, TransferMux& mux, PostcopyConfig cfg = {});
   ~PostcopyPump();
   PostcopyPump(const PostcopyPump&) = delete;
   PostcopyPump& operator=(const PostcopyPump&) = delete;
 
   /// Mark `missing` pages absent on the destination, install the demand-
-  /// fault hook, and register both ctrl services. Call after the final
-  /// restore finished (addresses are the application's originals) and
-  /// *before* resume — partner NIC DMA can fault pages in the gap.
+  /// fault hook, register the request service and take over the mux. Call
+  /// after the final restore finished (addresses are the application's
+  /// originals) and *before* resume — partner NIC DMA can fault pages in
+  /// the gap.
   void arm(std::vector<proc::VirtAddr> missing);
 
   /// Start the background prefetch stream; `done` fires (possibly
@@ -119,10 +121,9 @@ class PostcopyPump {
   proc::SimProcess& dest_proc_;
   rnic::Device& src_dev_;
   PostcopyConfig cfg_;
-  TransferMux* mux_ = nullptr;  // borrowed from the controller; may be null
+  TransferMux& mux_;  // borrowed from the controller
 
-  std::string req_service_;   // source-side: page requests land here
-  std::string data_service_;  // destination-side: page data lands here
+  std::string req_service_;  // source-side: page requests land here
 
   std::vector<proc::VirtAddr> queue_;  // background fetch order (ascending)
   std::size_t queue_pos_ = 0;
@@ -136,7 +137,7 @@ class PostcopyPump {
   sim::TimeNs started_at_ = 0;
   sim::TimeNs drained_at_ = 0;
   sim::EventHandle watchdog_;
-  std::uint64_t progress_ = 0;       // pages landed; watchdog stall detector
+  std::uint64_t progress_ = 0;  // pages landed or answered; watchdog stall detector
   std::uint64_t last_progress_ = 0;
   int stalls_ = 0;
 

@@ -58,45 +58,32 @@ void TransferMux::open(DeliverFn on_deliver, FailFn on_fail) {
 }
 
 void TransferMux::send(Bytes payload) {
-  if (tx_active_) {
-    queue_.push_back(std::move(payload));
-    return;
-  }
-  start_transfer(std::move(payload));
-}
-
-void TransferMux::start_transfer(Bytes payload) {
-  tx_active_ = true;
-  tx_seq_ = next_seq_++;
-  tx_payload_ = std::move(payload);
-  acked_count_ = 0;
-
-  const std::size_t total = tx_payload_.size();
+  Tx& tx = tx_.emplace_back();
+  tx.seq = next_seq_++;
+  tx.payload = std::move(payload);
+  const std::size_t total = tx.payload.size();
   const std::size_t nchunks =
       total == 0 ? 1
                  : (total + opts_.chunk_bytes - 1) / opts_.chunk_bytes;
-  chunks_.assign(nchunks, Chunk{});
+  tx.chunks.resize(nchunks);
   for (std::size_t i = 0; i < nchunks; ++i) {
-    Chunk& c = chunks_[i];
+    Chunk& c = tx.chunks[i];
     c.stream = static_cast<std::uint32_t>(i % opts_.streams);
     c.off = i * opts_.chunk_bytes;
     c.len = std::min<std::size_t>(opts_.chunk_bytes, total - c.off);
   }
-
-  // Receiver state for this sequence (src and dst halves live in one object;
-  // the frames still cross the simulated fabric in between).
-  rx_active_ = true;
-  rx_seq_ = tx_seq_;
-  rx_nchunks_ = static_cast<std::uint32_t>(nchunks);
-  rx_count_ = 0;
-  rx_have_.assign(nchunks, false);
-  rx_slices_.assign(nchunks, Bytes{});
-
-  for (std::uint32_t i = 0; i < nchunks; ++i) schedule_send(i, 0);
+  for (std::uint32_t i = 0; i < nchunks; ++i) schedule_send(tx, i, 0);
 }
 
-void TransferMux::schedule_send(std::uint32_t index, sim::DurationNs delay) {
-  Chunk& c = chunks_[index];
+TransferMux::Tx* TransferMux::find_tx(std::uint64_t seq) {
+  for (Tx& tx : tx_) {
+    if (tx.seq == seq) return &tx;
+  }
+  return nullptr;
+}
+
+void TransferMux::schedule_send(Tx& tx, std::uint32_t index, sim::DurationNs delay) {
+  Chunk& c = tx.chunks[index];
   const std::uint64_t frame_bytes = c.len + kFrameOverhead;
   sim::TimeNs ready = loop_.now() + delay;
   if (opts_.stream_gbps > 0) {
@@ -113,7 +100,7 @@ void TransferMux::schedule_send(std::uint32_t index, sim::DurationNs delay) {
         start + sim::transmit_time(frame_bytes, opts_.stream_gbps);
     ready = start;
   }
-  const std::uint64_t seq = tx_seq_;
+  const std::uint64_t seq = tx.seq;
   if (ready <= loop_.now()) {
     do_send(index, seq);
     return;
@@ -123,42 +110,51 @@ void TransferMux::schedule_send(std::uint32_t index, sim::DurationNs delay) {
 }
 
 void TransferMux::do_send(std::uint32_t index, std::uint64_t seq) {
-  if (!tx_active_ || seq != tx_seq_) return;
-  Chunk& c = chunks_[index];
+  Tx* tx = find_tx(seq);
+  if (tx == nullptr) return;
+  Chunk& c = tx->chunks[index];
   if (c.acked) return;
   c.attempts++;
 
   ByteWriter w;
   w.u64(seq);
   w.u32(index);
-  w.u32(static_cast<std::uint32_t>(chunks_.size()));
+  w.u32(static_cast<std::uint32_t>(tx->chunks.size()));
   w.u32(c.stream);
-  w.bytes({tx_payload_.data() + c.off, c.len});
+  w.bytes({tx->payload.data() + c.off, c.len});
   Bytes frame = std::move(w).take();
 
   auto& ss = stats_.streams[c.stream];
   ss.chunks++;
   ss.bytes_attempted += frame.size();
+  c.sent_at = loop_.now();
+  sim::TimeNs on_wire = c.sent_at;
   {
     obs::CtxScope scope(obs::Tracer::global(), ctx_);
-    (void)fabric_.send_ctrl(src_, dst_, data_services_[c.stream], std::move(frame));
+    auto sent = fabric_.send_ctrl(src_, dst_, data_services_[c.stream], std::move(frame));
+    if (sent.is_ok()) on_wire = std::max(on_wire, sent.value());
   }
 
-  c.sent_at = loop_.now();
-  c.timer = loop_.schedule_in(opts_.chunk_timeout, [this, index, seq] {
+  // The deadline runs from the moment the chunk has left the port: the
+  // fabric serializes chunks back to back, so an unpaced transfer's tail
+  // waits behind its own head and must not time out while still queued.
+  c.timer = loop_.schedule_at(on_wire + opts_.chunk_timeout, [this, index, seq] {
     on_chunk_timeout(index, seq);
   });
 }
 
 void TransferMux::on_chunk_timeout(std::uint32_t index, std::uint64_t seq) {
-  if (!tx_active_ || seq != tx_seq_) return;
-  Chunk& c = chunks_[index];
+  Tx* tx = find_tx(seq);
+  if (tx == nullptr) return;
+  Chunk& c = tx->chunks[index];
   if (c.acked) return;
   if (c.attempts > opts_.max_chunk_retries) {
-    fail_transfer(common::err(
+    const common::Status st = common::err(
         Errc::timeout, "xfer chunk " + std::to_string(index) + " exhausted " +
                            std::to_string(opts_.max_chunk_retries) +
-                           " retries on stream " + std::to_string(c.stream)));
+                           " retries on stream " + std::to_string(c.stream));
+    cancel();
+    if (fail_) fail_(st);
     return;
   }
   stats_.streams[c.stream].retries++;
@@ -172,7 +168,7 @@ void TransferMux::on_chunk_timeout(std::uint32_t index, std::uint64_t seq) {
                   "chunk " + std::to_string(index) + " try " +
                       std::to_string(c.attempts));
   }
-  schedule_send(index, backoff);
+  schedule_send(*tx, index, backoff);
 }
 
 void TransferMux::on_data(std::uint32_t stream, Bytes&& frame) {
@@ -182,7 +178,7 @@ void TransferMux::on_data(std::uint32_t stream, Bytes&& frame) {
   auto index = r.u32();
   auto nchunks = r.u32();
   auto wire_stream = r.u32();
-  auto slice = r.bytes();
+  auto slice = r.view();
   if (!seq.is_ok() || !index.is_ok() || !nchunks.is_ok() ||
       !wire_stream.is_ok() || !slice.is_ok()) {
     return;  // malformed frame: drop, sender's timeout re-sends
@@ -199,24 +195,45 @@ void TransferMux::on_data(std::uint32_t stream, Bytes&& frame) {
     (void)fabric_.send_ctrl(dst_, src_, ack_service_, std::move(w).take());
   }
 
-  if (!rx_active_ || *seq != rx_seq_ || *index >= rx_nchunks_) return;
-  if (rx_have_[*index]) return;
-  rx_have_[*index] = true;
-  rx_slices_[*index] = std::move(*slice);
-  if (++rx_count_ < rx_nchunks_) return;
-
-  // Full receipt: reassemble in chunk order and deliver exactly once.
-  std::size_t total = 0;
-  for (const auto& s : rx_slices_) total += s.size();
-  Bytes payload;
-  payload.reserve(total);
-  for (auto& s : rx_slices_) {
-    payload.insert(payload.end(), s.begin(), s.end());
+  if (*seq < rx_next_) return;  // already delivered, or cancelled
+  auto it = rx_.find(*seq);
+  if (it == rx_.end()) {
+    // Receiver state for a new transfer, sized from the sender's (src and
+    // dst halves live in one object; the frames still cross the simulated
+    // fabric in between). A frame naming no live transfer is dropped.
+    const Tx* tx = find_tx(*seq);
+    if (tx == nullptr || tx->chunks.size() != *nchunks) return;
+    it = rx_.emplace(*seq, Rx{}).first;
+    it->second.nchunks = *nchunks;
+    it->second.have.assign(*nchunks, false);
+    it->second.frames.resize(*nchunks);
+    it->second.slices.resize(*nchunks);
   }
-  rx_active_ = false;
-  rx_have_.clear();
-  rx_slices_.clear();
-  if (deliver_) deliver_(std::move(payload));
+  Rx& rx = it->second;
+  if (*index >= rx.nchunks || rx.have[*index]) return;
+  rx.have[*index] = true;
+  rx.slices[*index] = *slice;
+  rx.frames[*index] = std::move(frame);  // keeps the slice's bytes alive
+  if (++rx.count == rx.nchunks && *seq == rx_next_) deliver_ready();
+}
+
+void TransferMux::deliver_ready() {
+  // Deliver complete transfers in send order, each exactly once. A delivery
+  // callback may send, cancel or re-open the mux, so re-check the state
+  // after every call.
+  for (auto it = rx_.find(rx_next_);
+       it != rx_.end() && it->second.count == it->second.nchunks; it = rx_.find(rx_next_)) {
+    std::size_t total = 0;
+    for (const auto& s : it->second.slices) total += s.size();
+    Bytes payload;
+    payload.reserve(total);
+    for (const auto& s : it->second.slices) {
+      payload.insert(payload.end(), s.begin(), s.end());
+    }
+    rx_.erase(it);
+    rx_next_++;
+    if (deliver_) deliver_(std::move(payload));
+  }
 }
 
 void TransferMux::on_ack(Bytes&& frame) {
@@ -224,8 +241,10 @@ void TransferMux::on_ack(Bytes&& frame) {
   auto seq = r.u64();
   auto index = r.u32();
   if (!seq.is_ok() || !index.is_ok()) return;
-  if (!tx_active_ || *seq != tx_seq_ || *index >= chunks_.size()) return;
-  Chunk& c = chunks_[*index];
+  auto tx = std::find_if(tx_.begin(), tx_.end(),
+                         [&](const Tx& t) { return t.seq == *seq; });
+  if (tx == tx_.end() || *index >= tx->chunks.size()) return;
+  Chunk& c = tx->chunks[*index];
   if (c.acked) return;
   c.acked = true;
   c.timer.cancel();
@@ -238,41 +257,20 @@ void TransferMux::on_ack(Bytes&& frame) {
     opts_.cp->add(c.sent_at, loop_.now(), obs::EdgeClass::chunk_wire,
                   "chunk " + std::to_string(*index));
   }
-  if (++acked_count_ == chunks_.size()) finish_tx();
-}
-
-void TransferMux::finish_tx() {
-  tx_active_ = false;
-  tx_payload_.clear();
-  chunks_.clear();
+  if (++tx->acked < tx->chunks.size()) return;
   stats_.transfers++;
-  if (!queue_.empty()) {
-    Bytes next = std::move(queue_.front());
-    queue_.pop_front();
-    start_transfer(std::move(next));
-  }
-}
-
-void TransferMux::cancel_tx() {
-  for (Chunk& c : chunks_) c.timer.cancel();
-  chunks_.clear();
-  tx_payload_.clear();
-  tx_active_ = false;
-}
-
-void TransferMux::fail_transfer(common::Status st) {
-  cancel_tx();
-  rx_active_ = false;
-  queue_.clear();
-  if (fail_) fail_(st);
+  tx_.erase(tx);
 }
 
 void TransferMux::cancel() {
-  cancel_tx();
-  rx_active_ = false;
-  rx_have_.clear();
-  rx_slices_.clear();
-  queue_.clear();
+  for (Tx& tx : tx_) {
+    for (Chunk& c : tx.chunks) c.timer.cancel();
+  }
+  tx_.clear();
+  // Frames of the dropped transfers may still arrive: they fall below
+  // rx_next_ and are only acked.
+  rx_.clear();
+  rx_next_ = next_seq_;
 }
 
 }  // namespace migr::migrlib

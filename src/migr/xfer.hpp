@@ -2,9 +2,12 @@
 // payload is split into page-granular chunks round-robined over N fabric
 // ctrl streams (`<base>.<k>`), each stream paced independently, with a
 // per-chunk ack/timeout/retry loop and a destination-side reassembler that
-// delivers only on full receipt. MigrationController::transfer_to_dest, the
-// post-copy prefetch pump, and FtController's epoch sync all ride this layer
-// when stream fan-out is enabled.
+// delivers only on full receipt, in send order. Transfers pipeline: a
+// payload goes on the wire when sent, not when its predecessor is acked.
+// It is the only image-transfer path: MigrationController::transfer_to_dest,
+// the post-copy page pump (on the migration's mux) and FtController's epoch
+// sync all ride it. With one unpaced stream (the defaults) it is a plain
+// chunked transfer.
 //
 // Determinism: sharding is a pure function of (payload size, chunk_bytes,
 // streams) — chunk i rides stream i % N — and pacing advances per-stream
@@ -15,6 +18,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,8 @@ struct XferOptions {
   /// with the stream count (up to line rate). 0 = no pacing (line rate).
   double stream_gbps = 0.0;
   std::uint64_t chunk_bytes = 256 * 1024;
+  /// Ack deadline per chunk attempt, counted from the moment the chunk has
+  /// left the source port (not from when it was queued behind its peers).
   sim::DurationNs chunk_timeout = sim::msec(5);
   int max_chunk_retries = 5;
   sim::DurationNs retry_backoff = sim::msec(1);
@@ -95,7 +102,7 @@ class TransferMux {
 
   /// Registers `<base>.<k>` data services on `dst` and `<base>.ack` on
   /// `src`. The services stay registered for the mux's lifetime — streams
-  /// model long-lived connections, unlike the legacy per-transfer service.
+  /// model long-lived connections.
   TransferMux(sim::EventLoop& loop, net::Fabric& fabric, std::string base,
               net::HostId src, net::HostId dst, XferOptions opts);
   ~TransferMux();
@@ -108,15 +115,15 @@ class TransferMux {
   /// delivery at the post-copy pump once the final transfer lands.
   void open(DeliverFn on_deliver, FailFn on_fail);
 
-  /// Queue a payload. Transfers are strictly ordered: a payload starts only
-  /// after the previous one is fully acked, so delivery order == send order.
+  /// Put a payload on the wire. Several transfers may be in flight; the
+  /// receiver delivers each whole, in send order.
   void send(common::Bytes payload);
 
-  /// Drop in-flight transfer, rx state, and the queue. Stats survive (an
+  /// Drop every in-flight transfer and all rx state. Stats survive (an
   /// aborted migration still reports what it attempted).
   void cancel();
 
-  bool busy() const noexcept { return tx_active_ || !queue_.empty(); }
+  bool busy() const noexcept { return !tx_.empty(); }
   const XferStats& stats() const noexcept { return stats_; }
   const XferOptions& options() const noexcept { return opts_; }
 
@@ -142,15 +149,28 @@ class TransferMux {
     sim::EventHandle timer;  // pending paced send or ack timeout
   };
 
-  void start_transfer(common::Bytes payload);
-  void schedule_send(std::uint32_t index, sim::DurationNs delay);
+  struct Tx {
+    std::uint64_t seq = 0;
+    common::Bytes payload;
+    std::vector<Chunk> chunks;
+    std::uint32_t acked = 0;
+  };
+
+  struct Rx {
+    std::uint32_t nchunks = 0;
+    std::uint32_t count = 0;
+    std::vector<bool> have;
+    std::vector<common::Bytes> frames;  // received frames, kept whole
+    std::vector<std::span<const std::uint8_t>> slices;  // payload in frames
+  };
+
+  Tx* find_tx(std::uint64_t seq);
+  void schedule_send(Tx& tx, std::uint32_t index, sim::DurationNs delay);
   void do_send(std::uint32_t index, std::uint64_t seq);
   void on_chunk_timeout(std::uint32_t index, std::uint64_t seq);
   void on_data(std::uint32_t stream, common::Bytes&& frame);
   void on_ack(common::Bytes&& frame);
-  void finish_tx();
-  void fail_transfer(common::Status st);
-  void cancel_tx();
+  void deliver_ready();
 
   sim::EventLoop& loop_;
   net::Fabric& fabric_;
@@ -165,23 +185,15 @@ class TransferMux {
   DeliverFn deliver_;
   FailFn fail_;
 
-  // Sender side.
-  bool tx_active_ = false;
-  std::uint64_t tx_seq_ = 0;
+  // Sender side: transfers in flight, in send order.
   std::uint64_t next_seq_ = 0;
-  common::Bytes tx_payload_;
-  std::vector<Chunk> chunks_;
-  std::uint32_t acked_count_ = 0;
-  std::deque<common::Bytes> queue_;
+  std::deque<Tx> tx_;
   std::vector<sim::TimeNs> stream_free_at_;  // per-stream pacing clocks
 
-  // Receiver side.
-  bool rx_active_ = false;
-  std::uint64_t rx_seq_ = 0;
-  std::uint32_t rx_nchunks_ = 0;
-  std::uint32_t rx_count_ = 0;
-  std::vector<bool> rx_have_;
-  std::vector<common::Bytes> rx_slices_;
+  // Receiver side: partial transfers by sequence number, and the next one
+  // to deliver.
+  std::map<std::uint64_t, Rx> rx_;
+  std::uint64_t rx_next_ = 0;
 
   XferStats stats_;
 };

@@ -8,8 +8,7 @@
 // never could.
 //
 // Cost discipline mirrors the tracer: off by default, one predictable
-// branch per packet when disabled, and the compile-time MIGR_OBS_DISABLED
-// switch removes even that. When enabled, recording is a ring-slot
+// branch per packet when disabled. When enabled, recording is a ring-slot
 // overwrite — no allocation after the rings are sized (the disabled-mode
 // zero-allocation property is pinned by recorder_test with a counting
 // operator new).
@@ -60,13 +59,7 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t per_host_capacity = kDefaultCapacity);
 
   void set_enabled(bool on) noexcept { enabled_ = on; }
-  bool enabled() const noexcept {
-#ifndef MIGR_OBS_DISABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const noexcept { return enabled_; }
 
   /// Drops all records and resizes every future ring. Existing rings are
   /// discarded so hosts re-materialize at the new capacity on first record.

@@ -38,21 +38,12 @@ class Histogram {
 
   /// Record one sample. Negative values clamp to bucket 0 (min() still
   /// reports the true value); values beyond 2^62 land in the top bucket
-  /// (max() stays exact). This is the library verb: it always works, even
-  /// in MIGR_OBS_DISABLED builds, because report math (DrainReport
-  /// percentiles) depends on it.
+  /// (max() stays exact).
   void record(std::int64_t v) noexcept;
 
-  /// The instrument verb used by registry clients: identical to record()
-  /// but compiled to nothing under MIGR_OBS_DISABLED, matching
-  /// Counter::inc() / Gauge::set().
-  void observe(std::int64_t v) noexcept {
-#ifndef MIGR_OBS_DISABLED
-    record(v);
-#else
-    (void)v;
-#endif
-  }
+  /// The instrument verb registry clients use, next to Counter::inc() and
+  /// Gauge::set(): identical to record().
+  void observe(std::int64_t v) noexcept { record(v); }
 
   /// Fold `other` into this histogram. Exact mode survives when the
   /// combined population fits this histogram's reservoir; otherwise both

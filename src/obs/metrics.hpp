@@ -7,12 +7,9 @@
 // plain integer add with no lookup, hashing, or locking. The registry itself
 // is only touched at registration and snapshot time.
 //
-// Kill switches:
-//  * compile-time: configure with -DMIGR_OBS_DISABLE=ON (defines
-//    MIGR_OBS_DISABLED) and every inc()/set()/observe() compiles to nothing.
-//  * runtime: Registry::set_enabled(false) *before* instruments are created
-//    makes the registry hand out shared dummy cells that never appear in
-//    snapshots. Instruments created while enabled keep working.
+// Kill switch: Registry::set_enabled(false) *before* instruments are
+// created makes the registry hand out shared dummy cells that never appear
+// in snapshots. Instruments created while enabled keep working.
 //
 // Besides first-class instruments, existing stats structs (PortStats,
 // FetchStats, PerftestStats) register themselves as *sources*: callbacks
@@ -40,13 +37,7 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class Counter {
  public:
-  void inc(std::uint64_t d = 1) noexcept {
-#ifndef MIGR_OBS_DISABLED
-    v_ += d;
-#else
-    (void)d;
-#endif
-  }
+  void inc(std::uint64_t d = 1) noexcept { v_ += d; }
   std::uint64_t value() const noexcept { return v_; }
   void reset() noexcept { v_ = 0; }
 
@@ -56,20 +47,8 @@ class Counter {
 
 class Gauge {
  public:
-  void set(double v) noexcept {
-#ifndef MIGR_OBS_DISABLED
-    v_ = v;
-#else
-    (void)v;
-#endif
-  }
-  void add(double d) noexcept {
-#ifndef MIGR_OBS_DISABLED
-    v_ += d;
-#else
-    (void)d;
-#endif
-  }
+  void set(double v) noexcept { v_ = v; }
+  void add(double d) noexcept { v_ += d; }
   double value() const noexcept { return v_; }
   void reset() noexcept { v_ = 0; }
 
@@ -79,7 +58,7 @@ class Gauge {
 
 // The registry's histogram IS obs::Histogram (obs/histogram.hpp): the
 // log-bucketed sketch with an exact-sample reservoir. Registry clients use
-// its observe() verb, which the MIGR_OBS_DISABLED kill switch compiles out.
+// its observe() verb.
 
 /// Point-in-time view of one instrument (or one polled source field).
 struct SnapshotEntry {

@@ -23,8 +23,7 @@
 //
 // Cost discipline: SliHub is a global() singleton like Tracer/Registry.
 // Disabled (the default), the data-path cost is one branch per message at
-// the tap site (apps keep a null GuestSli*); MIGR_OBS_DISABLED compiles the
-// taps out entirely. Enabled, a sample is histogram-bucket arithmetic on
+// the tap site (apps keep a null GuestSli*). Enabled, a sample is histogram-bucket arithmetic on
 // preallocated memory; allocation happens only when a window closes (the
 // summary vector grows) — never per message.
 #pragma once
@@ -191,13 +190,7 @@ class SliHub {
   SliHub(const SliHub&) = delete;
   SliHub& operator=(const SliHub&) = delete;
 
-  bool enabled() const noexcept {
-#ifndef MIGR_OBS_DISABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool on) noexcept { enabled_ = on; }
   /// Set before guests register; windows already open keep their geometry.
   void set_config(const SliConfig& cfg) { cfg_ = cfg; }

@@ -27,8 +27,7 @@
 // run still leaves a loadable trace.
 //
 // Off by default: nothing is recorded until set_enabled(true), so the hot
-// path pays one predictable branch when tracing is off. The compile-time
-// MIGR_OBS_DISABLED switch removes even that.
+// path pays one predictable branch when tracing is off.
 #pragma once
 
 #include <cstdint>
@@ -80,13 +79,7 @@ class Tracer {
   ~Tracer();
 
   void set_enabled(bool on) noexcept { enabled_ = on; }
-  bool enabled() const noexcept {
-#ifndef MIGR_OBS_DISABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const noexcept { return enabled_; }
 
   /// Clock used by ObsSpan (and by callers without a loop reference). The
   /// source must outlive the tracer binding; rebind or pass nullptr to

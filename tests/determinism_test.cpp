@@ -220,10 +220,10 @@ TEST(DeterminismTest, LossyFtKillReportIsByteIdenticalAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 // With 4 transfer streams the mux shards each image round-robin across
-// `migr.xfer.<id>.<k>` ctrl streams; sharding, per-stream sequencing, and
-// reassembly must be a pure function of the seed. These legs run twice and
-// compare text + JSON (per-stream counters included) byte-for-byte. No
-// committed baseline: the mux-on config did not exist before this change.
+// `migr.xfer.<id>.<instance>.<k>` ctrl streams; sharding, per-stream
+// sequencing, and reassembly must be a pure function of the seed. These legs
+// run twice and compare text + JSON (per-stream counters included)
+// byte-for-byte; the committed baselines below cover the one-stream default.
 TEST(DeterminismTest, MultifdCleanDrainReportIsByteIdenticalAcrossRuns) {
   const std::string first = run_drain_once(/*lossy=*/false, /*streams=*/4);
   const std::string second = run_drain_once(/*lossy=*/false, /*streams=*/4);
@@ -253,9 +253,7 @@ TEST(DeterminismTest, MultifdSuppressedDrainReportIsByteIdenticalAcrossRuns) {
 
 // tests/data/*.txt were captured via MIGR_DUMP_DRAIN_REPORT. A diff means a
 // change altered which events run; re-capture them only in a change that
-// explains why. drain_report_drain8 and ft_report_lossy_kill were captured
-// while every poller still ticked each period: parking an idle poller must
-// not move them.
+// explains why.
 std::string read_baseline(const char* fixture) {
   const std::string path = std::string(MIGR_TEST_DATA_DIR) + "/" + fixture + ".txt";
   std::ifstream in(path);

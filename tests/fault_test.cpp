@@ -7,7 +7,9 @@
 //    image transfer (retry budget exhausted -> abort), WBS timeout with the
 //    abort policy enabled, and the legacy forced-stop-and-copy default;
 //  * rollback cleanliness: after an abort the source keeps serving, no QP
-//    is left stuck, and a later migration of the same guest succeeds.
+//    is left stuck, and a later migration of the same guest succeeds;
+//  * a migration over a lossy ctrl plane: chunk re-sends, clean §5.3
+//    checks, and a wire balance that matches the fabric's own count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -141,7 +143,9 @@ struct MigrationHarness {
   std::unique_ptr<apps::PerftestPeer> tx;
   std::unique_ptr<apps::PerftestPeer> rx;
 
-  explicit MigrationHarness(std::uint64_t seed = 42) : world({}, seed) {
+  explicit MigrationHarness(std::uint64_t seed = 42,
+                            rnic::WrOpcode opcode = rnic::WrOpcode::rdma_write)
+      : world({}, seed) {
     for (net::HostId h = 1; h <= 3; ++h) {
       devices.push_back(&world.add_device(h));
       rts.push_back(
@@ -151,7 +155,7 @@ struct MigrationHarness {
     cfg.num_qps = 2;
     cfg.msg_size = 8192;
     cfg.queue_depth = 16;
-    cfg.opcode = rnic::WrOpcode::rdma_write;
+    cfg.opcode = opcode;
     tx = std::make_unique<apps::PerftestPeer>(*rts[0], world.add_process("tx"), 1,
                                               apps::PerftestPeer::Role::sender, cfg);
     rx = std::make_unique<apps::PerftestPeer>(*rts[2], world.add_process("rx"), 2,
@@ -236,6 +240,55 @@ TEST(MigrationAbort, DestPartitionDuringTransferAbortsAndSourceResumes) {
   EXPECT_TRUE(h.traffic_flowing());
   EXPECT_EQ(h.tx->stats().errors, 0u);
   EXPECT_EQ(h.rx->stats().content_corruptions, 0u);
+}
+
+// Every image chunk and every chunk ACK crosses the ctrl plane, so a lossy
+// management network costs chunk re-sends, not the migration. The guest
+// sends (SENDs, so the receiver checks order and content) to a partner on a
+// third host throughout.
+TEST(MigrationCtrlLoss, LossyCtrlPlaneRetriesChunksAndMigrationStaysClean) {
+  MigrationHarness h(/*seed=*/42, rnic::WrOpcode::send);
+  net::Faults f = h.world.fabric().faults();
+  f.ctrl_loss_prob = 0.05;
+  h.world.fabric().set_faults(f);
+  // Only the mux's chunk frames leave the source host on the ctrl plane.
+  const std::uint64_t ctrl_tx_before = h.world.fabric().stats(1).ctrl_bytes_tx;
+
+  migrlib::MigrationOptions opts;
+  opts.xfer_chunk_bytes = 4096;  // page-sized chunks: hundreds per image
+  opts.transfer_timeout = sim::msec(2);
+  opts.max_transfer_retries = 8;
+  opts.transfer_retry_backoff = sim::usec(500);
+  const auto report = h.migrate(opts);
+
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_FALSE(report.aborted);
+  EXPECT_GT(report.transfer_retries, 0u) << "5% ctrl loss must hit the chunk retry path";
+  EXPECT_GT(report.xfer_bytes_lost, 0u) << "5% ctrl loss must drop some chunk";
+  EXPECT_EQ(h.world.fabric().stats(1).ctrl_bytes_tx - ctrl_tx_before,
+            report.xfer_bytes_attempted);
+  EXPECT_EQ(report.xfer_bytes_attempted,
+            report.xfer_bytes_delivered + report.xfer_bytes_lost);
+  std::uint64_t attempted = 0, delivered = 0, retries = 0;
+  for (const auto& s : report.xfer_stream_stats) {
+    attempted += s.bytes_attempted;
+    delivered += s.bytes_delivered;
+    retries += s.retries;
+  }
+  EXPECT_EQ(attempted, report.xfer_bytes_attempted);
+  EXPECT_EQ(delivered, report.xfer_bytes_delivered);
+  EXPECT_EQ(retries, report.transfer_retries);
+
+  // §5.3 across the migration: nothing lost, duplicated, reordered or
+  // corrupted, and the migrated guest keeps sending.
+  EXPECT_TRUE(h.traffic_flowing());
+  EXPECT_EQ(h.tx->stats().errors, 0u);
+  EXPECT_EQ(h.tx->stats().order_violations, 0u);
+  EXPECT_EQ(h.rx->stats().errors, 0u);
+  EXPECT_EQ(h.rx->stats().order_violations, 0u);
+  EXPECT_EQ(h.rx->stats().content_corruptions, 0u);
+  EXPECT_GT(h.rx->stats().recv_msgs, 0u);
+  EXPECT_TRUE(h.stuck_qps().empty());
 }
 
 TEST(MigrationAbort, WbsTimeoutAbortPolicyRollsBack) {

@@ -7,6 +7,8 @@
 //  * output-commit invariant: kill the primary mid-traffic; no client-
 //    visible message from an uncommitted epoch (a leak would surface as a
 //    duplicate sequence number after the promoted guest regenerates it);
+//  * lossy ctrl plane: chunk and epoch re-sends, monotone commits, and an
+//    exactly-once failover;
 //  * exactly-once takeover: the GuestDirectory CAS fails loudly on double
 //    takeover and wrong-owner claims;
 //  * failover waterfall: detect/promote/restore/re_arm/recovery slices tile
@@ -238,6 +240,63 @@ TEST(FtController, FailoverWaterfallTilesKilledToResume) {
   }
   EXPECT_EQ(cursor, r.resume_at) << "waterfall must end exactly at resume";
   EXPECT_EQ(r.waterfall_total(), r.failover_blackout());
+}
+
+// Every epoch chunk, chunk ACK, epoch ACK and heartbeat crosses the ctrl
+// plane. At 5% loss the mux re-sends lost chunks, and a lost epoch ACK
+// costs an epoch-level re-send that the backup answers with a re-ACK (it
+// never re-applies the epoch). Protection keeps committing, and failover
+// still promotes with exactly-once output — also when the ACK of the last
+// epoch before the kill was lost, so the backup promotes an epoch the
+// primary never committed and releases that epoch's backlog itself.
+TEST(FtController, LossyCtrlPlaneRetriesEpochsAndFailsOverExactlyOnce) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ft::FtOptions o = FtScenario::fast_options();
+    o.transfer_timeout = sim::msec(20);
+    o.max_transfer_retries = 3;
+    o.transfer_retry_backoff = sim::msec(1);
+    // Three lost heartbeats in a row are routine at 5% loss over a long
+    // run; the watchdog must not declare a live primary dead.
+    o.missed_heartbeats = 10;
+    FtScenario s(seed, o);
+    net::Faults f;
+    f.ctrl_loss_prob = 0.05;
+    s.world_.fabric().set_faults(f);
+    ASSERT_TRUE(s.protect().is_ok());
+    ASSERT_TRUE(s.run_until_protected());
+    s.run_for(sim::msec(200));
+    ASSERT_TRUE(s.ctrl_->is_protected()) << "protection dropped before the kill";
+    const std::size_t received_before_kill = s.received_.size();
+
+    s.ctrl_->kill_primary();
+    ASSERT_TRUE(s.run_until_done());
+    const ft::FtReport& r = s.report_;
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.failed_over);
+    EXPECT_GE(r.transfer_retries, 1u) << "no epoch ACK was lost: the re-send path never ran";
+    EXPECT_GE(r.epochs_committed, 50u);
+
+    sim::TimeNs last_commit = 0;
+    std::uint64_t last_epoch = 0;
+    for (const auto& e : r.epochs) {
+      if (e.epoch != 0) {
+        EXPECT_GT(e.epoch, last_epoch) << "epoch numbers must increase";
+      }
+      last_epoch = e.epoch;
+      if (e.committed_at == 0) continue;
+      EXPECT_GE(e.committed_at, last_commit) << "commits must be monotone";
+      last_commit = e.committed_at;
+    }
+    for (const auto& st : r.xfer_stream_stats) {
+      EXPECT_EQ(st.bytes_attempted, st.bytes_delivered + st.bytes_lost());
+    }
+    EXPECT_GT(r.xfer_bytes_lost, 0u) << "5% ctrl loss must drop some chunk";
+
+    s.run_for(sim::msec(30));
+    ASSERT_GT(s.received_.size(), received_before_kill) << "no messages after failover";
+    expect_strictly_increasing(s.received_);
+  }
 }
 
 TEST(GuestDirectory, TakeoverSucceedsExactlyOnceAndFailsLoudly) {

@@ -18,21 +18,11 @@
 namespace migr::obs {
 namespace {
 
-// With -DMIGR_OBS_DISABLE=ON the whole layer is compiled to no-ops, so tests
-// that assert recorded values cannot pass by design; skip them cleanly.
-#ifdef MIGR_OBS_DISABLED
-#define SKIP_IF_OBS_DISABLED() \
-  GTEST_SKIP() << "obs layer compiled out (MIGR_OBS_DISABLE=ON)"
-#else
-#define SKIP_IF_OBS_DISABLED() (void)0
-#endif
-
 // ---------------------------------------------------------------------------
 // Registry / counter / label semantics
 // ---------------------------------------------------------------------------
 
 TEST(RegistryTest, CounterIncrementsAndResolvesOnce) {
-  SKIP_IF_OBS_DISABLED();
   Registry reg;
   Counter& c = reg.counter("test.hits");
   c.inc();
@@ -44,7 +34,6 @@ TEST(RegistryTest, CounterIncrementsAndResolvesOnce) {
 }
 
 TEST(RegistryTest, LabelsMakeDistinctInstruments) {
-  SKIP_IF_OBS_DISABLED();
   Registry reg;
   Counter& a = reg.counter("link.bytes", {{"link", "1-2"}});
   Counter& b = reg.counter("link.bytes", {{"link", "2-1"}});
@@ -103,9 +92,6 @@ TEST(RegistryTest, DisabledRegistryHandsOutDummies) {
 // ---------------------------------------------------------------------------
 // Histogram percentile edges
 // ---------------------------------------------------------------------------
-
-// record() is the always-on library verb, so these tests run even with
-// MIGR_OBS_DISABLE=ON (only the registry-facing observe() is compiled out).
 
 TEST(HistogramTest, EmptyHistogramReportsZero) {
   Histogram h;
@@ -355,7 +341,6 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
 }
 
 TEST(TracerTest, RecordsAndOrdersEvents) {
-  SKIP_IF_OBS_DISABLED();
   Tracer t(16);
   t.set_enabled(true);
   t.begin(100, "span", "cat");
@@ -373,7 +358,6 @@ TEST(TracerTest, RecordsAndOrdersEvents) {
 }
 
 TEST(TracerTest, RingDropsOldestOnOverflow) {
-  SKIP_IF_OBS_DISABLED();
   Tracer t(4);
   t.set_enabled(true);
   for (int i = 0; i < 10; ++i) t.instant(i, "e" + std::to_string(i), "c");
@@ -386,7 +370,6 @@ TEST(TracerTest, RingDropsOldestOnOverflow) {
 }
 
 TEST(TracerTest, ChromeJsonParsesAndCarriesExactNs) {
-  SKIP_IF_OBS_DISABLED();
   Tracer t(64);
   t.set_enabled(true);
   t.complete(1'234'567, 89'123, "phase \"x\"\n", "migr", "\"k\":7");
@@ -436,7 +419,6 @@ class ObsEndToEndTest : public ::testing::Test {
 };
 
 TEST_F(ObsEndToEndTest, TracedSpansMatchMigrationReportFieldForField) {
-  SKIP_IF_OBS_DISABLED();
   rnic::World world({}, /*seed=*/7);
   Tracer::global().set_clock(&world.loop());
   migrlib::GuestDirectory directory;
@@ -545,7 +527,6 @@ TEST_F(ObsEndToEndTest, TracedSpansMatchMigrationReportFieldForField) {
 }
 
 TEST_F(ObsEndToEndTest, EventLoopAccountsDispatchesInRegistry) {
-  SKIP_IF_OBS_DISABLED();
   Registry::global().reset();
   sim::EventLoop loop;
   int fired = 0;

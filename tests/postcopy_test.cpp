@@ -30,8 +30,9 @@ TrafficProfile clean_profile() {
   return p;
 }
 
-/// Drain host 1 of a small write-heavy fleet in the given mode.
-DrainReport drain_fleet(MigrationMode mode, bool sli_on = false) {
+/// Drain host 1 of a small write-heavy fleet in the given mode, optionally
+/// over a ctrl plane that drops `ctrl_loss` of its messages.
+DrainReport drain_fleet(MigrationMode mode, bool sli_on = false, double ctrl_loss = 0.0) {
   ClusterConfig cfg;
   cfg.hosts = 4;
   cfg.seed = 7;
@@ -43,6 +44,11 @@ DrainReport drain_fleet(MigrationMode mode, bool sli_on = false) {
     EXPECT_TRUE(model.connect_guests(100 + g, 200 + g).is_ok());
   }
   model.run_for(sim::msec(5));
+  if (ctrl_loss > 0) {
+    net::Faults f;
+    f.ctrl_loss_prob = ctrl_loss;
+    model.fabric().set_faults(f);
+  }
 
   SchedulerConfig scfg;
   scfg.limits.max_concurrent_fleet = 2;
@@ -92,6 +98,26 @@ TEST(PostcopyTest, ShorterBlackoutThanPrecopyOnWriteHeavyFleet) {
     EXPECT_NE(o.report.waterfall_json().find("\"mode\":\"postcopy\""),
               std::string::npos);
   }
+}
+
+// Page requests and page replies cross the ctrl plane; the replies ride the
+// migration's TransferMux, whose chunk deadline is the migration's
+// transfer_timeout (1 s). A lost reply must cost one stall-watchdog period
+// and a re-request, not a stuck mux that outlasts the watchdog's budget.
+TEST(PostcopyTest, DrainSurvivesCtrlPlaneLoss) {
+  const DrainReport rep = drain_fleet(MigrationMode::postcopy, /*sli_on=*/false,
+                                      /*ctrl_loss=*/0.05);
+  ASSERT_EQ(rep.outcomes.size(), 2u);
+  std::uint64_t retries = 0;
+  for (const MigrationOutcome& o : rep.outcomes) {
+    EXPECT_TRUE(o.completed) << o.report.error;
+    const migrlib::PostcopyStats& pc = o.report.postcopy;
+    ASSERT_TRUE(pc.enabled);
+    EXPECT_EQ(pc.demand_faults + pc.prefetched_pages, pc.missing_pages);
+    EXPECT_GT(pc.drain_ns, 0);
+    retries += pc.retries;
+  }
+  EXPECT_GT(retries, 0u) << "5% ctrl loss never stalled a page fetch";
 }
 
 TEST(PostcopyTest, SliTimelineGetsAPostcopyPhase) {

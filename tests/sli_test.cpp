@@ -61,16 +61,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace migr::obs {
 namespace {
 
-// With -DMIGR_OBS_DISABLE=ON the hub reports disabled no matter what, so
-// tests that need an armed pipeline cannot pass by design; skip them
-// cleanly (the parser, engine, and disabled-tap tests still run).
-#ifdef MIGR_OBS_DISABLED
-#define SKIP_IF_OBS_DISABLED() \
-  GTEST_SKIP() << "obs layer compiled out (MIGR_OBS_DISABLE=ON)"
-#else
-#define SKIP_IF_OBS_DISABLED() (void)0
-#endif
-
 class SliHubTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -96,7 +86,6 @@ void expect_tiled(const std::vector<SliWindow>& ws) {
 }
 
 TEST_F(SliHubTest, WindowsTileAcrossMigrationPhasesAndFrozenBracketsBlackout) {
-  SKIP_IF_OBS_DISABLED();
   auto& hub = SliHub::global();
   GuestSli* g = hub.guest(7, 0);
   ASSERT_NE(g, nullptr);
@@ -185,7 +174,6 @@ TEST_F(SliHubTest, WindowsTileAcrossMigrationPhasesAndFrozenBracketsBlackout) {
 }
 
 TEST_F(SliHubTest, QuietStretchCollapsesIntoOneWindowOnTheGrid) {
-  SKIP_IF_OBS_DISABLED();
   auto& hub = SliHub::global();
   GuestSli* g = hub.guest(3, 0);
   ASSERT_NE(g, nullptr);
@@ -208,7 +196,6 @@ TEST_F(SliHubTest, QuietStretchCollapsesIntoOneWindowOnTheGrid) {
 }
 
 TEST_F(SliHubTest, AbortReturnsTheGuestToIdleWithoutRecovery) {
-  SKIP_IF_OBS_DISABLED();
   auto& hub = SliHub::global();
   GuestSli* g = hub.guest(4, 0);
   ASSERT_NE(g, nullptr);
@@ -230,7 +217,6 @@ TEST_F(SliHubTest, AbortReturnsTheGuestToIdleWithoutRecovery) {
 }
 
 TEST_F(SliHubTest, RetransmitDeltasClampOnCounterReset) {
-  SKIP_IF_OBS_DISABLED();
   auto& hub = SliHub::global();
   GuestSli* g = hub.guest(5, 0);
   ASSERT_NE(g, nullptr);
@@ -254,7 +240,6 @@ TEST_F(SliHubTest, RetransmitDeltasClampOnCounterReset) {
 }
 
 TEST_F(SliHubTest, AttributionCountsOnlyTheEpisodesRetransmits) {
-  SKIP_IF_OBS_DISABLED();
   auto& hub = SliHub::global();
   GuestSli* g = hub.guest(6, 0);
   ASSERT_NE(g, nullptr);
@@ -425,7 +410,6 @@ TEST(SliCostTest, DisabledHubTapsAllocateNothing) {
 }
 
 TEST(SliCostTest, EnabledSamplingWithinAWindowAllocatesNothing) {
-  SKIP_IF_OBS_DISABLED();
   auto& hub = SliHub::global();
   hub.clear();
   SliConfig cfg;

@@ -1,7 +1,8 @@
 // TransferMux + page-suppression codec unit tests: reassembly fidelity,
-// per-stream accounting balance (attempted == delivered + lost) on clean,
-// lossy, and aborted transfers, pacing scale-out, and the zero/delta page
-// encodings (raw == shipped + suppressed by construction).
+// in-order delivery of pipelined transfers, per-stream accounting balance
+// (attempted == delivered + lost) on clean, lossy, and aborted transfers,
+// chunk deadlines, pacing scale-out, and the zero/delta page encodings
+// (raw == shipped + suppressed by construction).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,6 +108,34 @@ TEST_F(XferTest, BackToBackSendsDeliverInOrder) {
   EXPECT_EQ(mux.stats().transfers, 3u);
 }
 
+// Transfers pipeline: back-to-back payloads go on the wire at once instead
+// of each waiting for its predecessor's ACKs, and still arrive whole and in
+// send order. The post-copy pump sends one reply per demand fault, so 64
+// small transfers must take about one round trip, not 64.
+TEST_F(XferTest, BackToBackTransfersPipeline) {
+  XferOptions xo;
+  TransferMux mux(loop_, fabric_, "t.xfer.7", 1, 2, xo);
+  std::vector<Bytes> got;
+  sim::TimeNs last_at = 0;
+  mux.open(
+      [&](Bytes&& p) {
+        got.push_back(std::move(p));
+        last_at = loop_.now();
+      },
+      [](const common::Status&) {});
+  std::vector<Bytes> sent;
+  for (std::size_t i = 0; i < 64; i++) {
+    sent.push_back(make_payload(100 + i));
+    mux.send(sent.back());
+  }
+  run_until_idle();
+  EXPECT_EQ(got, sent);
+  EXPECT_FALSE(mux.busy());
+  EXPECT_EQ(mux.stats().transfers, 64u);
+  // One round trip is 2 x 2 us of propagation; stop-and-wait takes 64.
+  EXPECT_LT(last_at, sim::usec(20));
+}
+
 TEST_F(XferTest, LossyCtrlPlaneRetriesAndAccountingBalances) {
   net::Faults f;
   f.ctrl_loss_prob = 0.2;
@@ -184,6 +213,31 @@ TEST_F(XferTest, ChunkRetryExhaustionFailsTransfer) {
   const XferStats& xs = mux.stats();
   EXPECT_EQ(xs.delivered(), 0u);
   EXPECT_EQ(xs.lost(), xs.attempted());
+}
+
+// An unpaced stream hands every chunk to the port at once and the fabric
+// serializes them back to back: 16 x 256 KiB take ~340 us at 100 Gbps. A
+// chunk's deadline must start when it has left the port, or the queued tail
+// times out behind its own head and is sent twice on a clean link.
+TEST_F(XferTest, ChunkDeadlineStartsWhenTheChunkLeavesThePort) {
+  XferOptions xo;
+  xo.streams = 1;
+  xo.chunk_bytes = 256 * 1024;
+  xo.chunk_timeout = sim::usec(200);
+  TransferMux mux(loop_, fabric_, "t.xfer.6", 1, 2, xo);
+  Bytes got;
+  int fails = 0;
+  mux.open([&](Bytes&& p) { got = std::move(p); },
+           [&](const common::Status&) { fails++; });
+  const Bytes sent = make_payload(4 << 20);
+  mux.send(sent);
+  run_until_idle();
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(fails, 0);
+  const XferStats& xs = mux.stats();
+  EXPECT_EQ(xs.retries(), 0u) << "a clean link re-sent queued chunks";
+  EXPECT_EQ(xs.attempted(), TransferMux::wire_size(sent.size(), xo.chunk_bytes));
+  EXPECT_EQ(xs.lost(), 0u);
 }
 
 // Pacing is the multifd motivation: with a per-stream ceiling, N streams

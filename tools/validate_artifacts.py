@@ -17,18 +17,20 @@ accounting must balance against the rollup, committed epochs must be
 monotone, and a failover's blackout waterfall must tile [killed_at,
 resume_at] gap-free.
 
---drain also pins the fleet wire split: the inbound request-packet classes
-(in order, duplicate, out of sequence, RNR drop) never exceed the packets
-received, and retransmitted packets never exceed those sent. --max-wasted P
-fails the drain when out-of-sequence plus RNR drops exceed P of received
-packets (a clean drain has no post-migration retransmit storm).
+--drain fails a drain that did not complete: "ok" must be true and every
+requested migration completed. It also pins the fleet wire split: the
+inbound request-packet classes (in order, duplicate, out of sequence, RNR
+drop) never exceed the packets received, and retransmitted packets never
+exceed those sent. --max-wasted P fails the drain when out-of-sequence plus
+RNR drops exceed P of received packets (a clean drain has no
+post-migration retransmit storm).
 
---drain additionally pins the parallel-stream mux rollup: bytes_attempted ==
-bytes_delivered + bytes_lost (in total and per stream), per-stream counters
-sum back to the rollup, and suppression conserves raw bytes (raw == shipped
-+ suppressed). --expect-streams N requires an N-stream mux with every
-stream carrying chunks. The ft_report's epochs.streams block gets the same
-per-stream balance treatment.
+--drain additionally pins the TransferMux rollup that every image transfer
+rides: bytes_attempted == bytes_delivered + bytes_lost (in total, per stream
+and per guest), per-stream counters sum back to the rollup, and suppression
+conserves raw bytes (raw == shipped + suppressed). --expect-streams N
+requires an N-stream mux with every stream carrying chunks. The ft_report's
+epochs.streams block gets the same per-stream balance treatment.
 
 Each artifact is optional; whatever is named must parse and conform. Exits
 non-zero with a per-file report on the first violation class found.
@@ -310,12 +312,16 @@ def check_drain(path, expect_streams=0, max_wasted=None):
     missing = DRAIN_TOP_FIELDS - doc.keys()
     if missing:
         return fail(path, f"missing top-level fields {sorted(missing)}")
+    if not doc["ok"] or doc["completed"] != doc["migrations"]:
+        return fail(path, f"drain did not complete: ok={doc['ok']}, "
+                          f"{doc['completed']}/{doc['migrations']} migrations "
+                          f"completed, {doc['failed']} failed")
     if not check_wire(path, doc["wire"], max_wasted):
         return False
 
-    # Parallel-stream mux rollup: present in every report (all-zero with the
-    # mux off); attempted bytes must balance against delivered + lost both in
-    # total and per stream, and suppression must conserve raw bytes.
+    # TransferMux rollup: attempted bytes must balance against delivered +
+    # lost both in total and per stream, and suppression must conserve raw
+    # bytes.
     xf = doc["xfer"]
     missing = XFER_FIELDS - xf.keys()
     if missing:
@@ -398,14 +404,13 @@ def check_drain(path, expect_streams=0, max_wasted=None):
         elif pc is not None:
             return fail(path, f"guest {gid}: precopy migration carries postcopy stats")
         gxf = g.get("xfer")
-        if expect_streams and gxf is None:
-            return fail(path, f"guest {gid}: mux expected but no xfer block")
-        if gxf is not None:
-            if gxf["bytes_attempted"] != gxf["bytes_delivered"] + gxf["bytes_lost"]:
-                return fail(path, f"guest {gid}: xfer does not balance")
-            if expect_streams and gxf["streams"] != expect_streams:
-                return fail(path, f"guest {gid}: expected {expect_streams} "
-                                  f"streams, saw {gxf['streams']}")
+        if not isinstance(gxf, dict):
+            return fail(path, f"guest {gid}: no xfer block")
+        if gxf["bytes_attempted"] != gxf["bytes_delivered"] + gxf["bytes_lost"]:
+            return fail(path, f"guest {gid}: xfer does not balance")
+        if expect_streams and gxf["streams"] != expect_streams:
+            return fail(path, f"guest {gid}: expected {expect_streams} "
+                              f"streams, saw {gxf['streams']}")
     print(f"OK   {path}: drain_report mode={doc['mode']} "
           f"{len(doc['guests'])} guests, {n_faults} demand faults, "
           f"xfer streams={xf['streams']}")
@@ -481,21 +486,21 @@ def check_ft(path):
     if ep["xfer_bytes_attempted"] < ep["full_sync_bytes"] + ep["epoch_bytes_total"]:
         return fail(path, "attempted transfer bytes below the first-attempt sum")
 
-    # Chunked epoch sync rides the same mux as migration transfers; when it is
-    # on (count > 0) every stream must balance and sum back to the rollup.
+    # The epoch sync rides the same mux as migration transfers: every stream
+    # must balance and sum back to the rollup.
     st = ep["streams"]
     missing = FT_STREAM_TOP_FIELDS - st.keys()
     if missing:
         return fail(path, f"streams block missing {sorted(missing)}")
     if not check_xfer_streams(path, "epochs.streams", st["per_stream"], {
         "chunks": st["chunks"],
-        "attempted": None,  # rollup carries attempted/delivered at epoch level
-        "delivered": None,
+        "attempted": ep["xfer_bytes_attempted"],
+        "delivered": ep["xfer_bytes_delivered"],
         "lost": st["bytes_lost"],
-        "retries": None,
+        "retries": None,  # chunk re-sends; transfer_retries counts epochs
     }):
         return False
-    if st["count"] > 0 and len(st["per_stream"]) != st["count"]:
+    if st["count"] < 1 or len(st["per_stream"]) != st["count"]:
         return fail(path, f"streams count {st['count']} vs "
                           f"{len(st['per_stream'])} per-stream entries")
 
