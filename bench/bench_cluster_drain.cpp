@@ -13,6 +13,8 @@
 //
 //   bench_cluster_drain --loss 0.01 --seed 11 --conc 4 --trace drain.trace.json
 //       --timeseries drain.ts.csv --record drain.cap.json      (one command)
+//
+// Either mode exits 1 if a drain fails or leaves a stuck QP behind.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +29,7 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "rnic/cost_model.hpp"
 
 using namespace migr;
 using namespace migr::cluster;
@@ -37,6 +40,17 @@ struct SweepRow {
   std::uint32_t concurrency = 0;
   DrainReport report;
   double peak_gbps = 0;
+  std::size_t stuck_qps = 0;
+
+  /// Prints why the drain is a failure, if it is one.
+  bool failed_loudly() const {
+    if (!report.ok) std::printf("  !! drain incomplete: %s\n", report.error.c_str());
+    if (stuck_qps != 0) {
+      std::printf("  !! %zu stuck QP(s) after drain at concurrency %u\n", stuck_qps,
+                  concurrency);
+    }
+    return !report.ok || stuck_qps != 0;
+  }
 };
 
 SweepRow run_drain(std::uint32_t concurrency, std::uint64_t seed = 42, double loss = 0.0,
@@ -102,9 +116,10 @@ SweepRow run_drain(std::uint32_t concurrency, std::uint64_t seed = 42, double lo
   for (const BandwidthSample& s : row.report.egress_gbps) {
     row.peak_gbps = std::max(row.peak_gbps, s.gbps);
   }
-  if (model.audit_stuck_qps(sim::msec(10)) != 0) {
-    std::printf("!! stuck QPs after drain at concurrency %u\n", concurrency);
-  }
+  // A QP is stuck once its oldest WQE has made no progress for a whole RC
+  // retransmit timeout; one on a lossy fabric may wait that long for its
+  // timer before it retransmits.
+  row.stuck_qps = model.audit_stuck_qps(rnic::CostModel{}.retransmit_timeout);
   // Close every live SLI window while the model (and its retransmit-counter
   // sources) is still alive; the hub only gets read after this.
   model.run_for(sim::msec(2));  // let post-resume traffic settle -> recovery
@@ -309,6 +324,10 @@ int run_artifact_mode(const Options& opt) {
                                  /*critical_path=*/false, opt.ctrl_loss);
     base = collect_policy_stats(b.report);
     hub.set_slo_engine(nullptr);
+    if (b.failed_loudly()) {
+      std::fprintf(stderr, "bench_cluster_drain: the baseline policy leg failed\n");
+      return 1;
+    }
   }
 
   const bool traced = !opt.trace_path.empty();
@@ -413,6 +432,10 @@ int run_artifact_mode(const Options& opt) {
   }
   if (!opt.sli_csv.empty() && !write_text(opt.sli_csv, hub.export_csv())) rc = 1;
   hub.set_slo_engine(nullptr);
+  if (row.failed_loudly()) {
+    std::fprintf(stderr, "bench_cluster_drain: the drain failed\n");
+    rc = 1;
+  }
   return rc;
 }
 
@@ -425,6 +448,7 @@ int main(int argc, char** argv) {
       "Fleet drain sweep — 8 hosts, 8 guests evacuated, concurrency 1/2/4/8");
   bench::print_row_header({"conc", "makespan_ms", "blk_p50_ms", "blk_p99_ms", "blk_max_ms",
                            "retries", "failed", "peak_gbps"});
+  int rc = 0;
   for (std::uint32_t conc : {1u, 2u, 4u, 8u}) {
     const SweepRow row = run_drain(conc);
     std::printf("%16u%16.2f%16.3f%16.3f%16.3f%16llu%16llu%16.1f\n", row.concurrency,
@@ -433,10 +457,8 @@ int main(int argc, char** argv) {
                 sim::to_msec(row.report.blackout_max),
                 static_cast<unsigned long long>(row.report.retries),
                 static_cast<unsigned long long>(row.report.failed), row.peak_gbps);
-    if (!row.report.ok) {
-      std::printf("  !! drain incomplete: %s\n", row.report.error.c_str());
-    }
+    if (row.failed_loudly()) rc = 1;
   }
   bench::print_registry_section("cluster.");
-  return 0;
+  return rc;
 }

@@ -202,10 +202,9 @@ Status FtController::protect(GuestId id, net::HostId backup_host,
                            [this](net::HostId, Bytes&&) { last_hb_ = loop_.now(); });
   services_registered_ = true;
 
-  // Per-protection instance counter in the service base: a re-protected
-  // guest gets fresh `ft.xfer.<id>.<instance>.<k>` names, so a lingering
-  // old controller's teardown can never unregister the live streams.
-  static std::uint64_t ft_mux_instance = 0;
+  // A fresh instance number in the service base: a re-protected guest gets
+  // fresh `ft.xfer.<id>.<instance>.<k>` names, so a lingering old
+  // controller's teardown can never unregister the live streams.
   migrlib::XferOptions xo;
   xo.streams = options_.xfer_streams;
   xo.stream_gbps = options_.xfer_stream_gbps;
@@ -214,7 +213,7 @@ Status FtController::protect(GuestId id, net::HostId backup_host,
   xo.cp = &cp_;
   mux_ = std::make_unique<migrlib::TransferMux>(
       loop_, fabric_,
-      "ft.xfer." + std::to_string(id) + "." + std::to_string(ft_mux_instance++),
+      "ft.xfer." + std::to_string(id) + "." + std::to_string(fabric_.next_service_instance()),
       src_rt_->host(), dest_rt_->host(), xo);
   mux_->open([this](Bytes&& p) { on_mux_epoch(std::move(p)); },
              [this](const Status& st) { fail(st); });

@@ -134,7 +134,6 @@ Status MigrationController::start(GuestId id, net::HostId dest_host,
   // One mux per controller *instance*: a retried migration gets fresh
   // stream services instead of colliding with (and later tearing down) a
   // newer controller's registrations for the same guest.
-  static std::uint64_t mux_instance = 0;
   XferOptions xo;
   xo.streams = options_.xfer_streams;
   xo.stream_gbps = options_.xfer_stream_gbps;
@@ -145,7 +144,8 @@ Status MigrationController::start(GuestId id, net::HostId dest_host,
   xo.max_backoff = options_.max_transfer_backoff;
   xo.cp = &cp_;  // no-op until options_.critical_path arms the recorder
   mux_ = std::make_unique<TransferMux>(
-      loop_, fabric_, "migr.xfer." + std::to_string(id) + "." + std::to_string(mux_instance++),
+      loop_, fabric_,
+      "migr.xfer." + std::to_string(id) + "." + std::to_string(fabric_.next_service_instance()),
       src_rt_->host(), dest_rt_->host(), xo);
   if (options_.suppress_pages) {
     page_enc_ = std::make_unique<criu::PageDeltaEncoder>(

@@ -159,6 +159,11 @@ class Fabric {
   /// Register a named ctrl-plane service on a host (e.g. "migr.notify").
   void register_service(HostId host, std::string name, CtrlHandler handler);
   void unregister_service(HostId host, const std::string& name);
+  /// A fresh number for a set of services named by one owner instance (a
+  /// migration's or an FT protection's TransferMux), so a retried owner never
+  /// collides with a lingering one. Counted per fabric: identical
+  /// simulations name their services identically.
+  std::uint64_t next_service_instance() noexcept { return service_instances_++; }
 
   /// Resolve the fast-path handle for (src, dst). Returns nullptr unless
   /// both hosts are attached. The pointer stays valid for the fabric's
@@ -269,6 +274,7 @@ class Fabric {
   std::unordered_map<std::uint64_t, LinkCounters> links_;  // (src<<32)|dst
   std::unordered_map<std::uint64_t, Route> routes_;        // (src<<32)|dst
   std::map<std::pair<HostId, std::string>, CtrlHandler> services_;
+  std::uint64_t service_instances_ = 0;
   std::unordered_set<HostId> partitioned_orphans_;  // partitioned but unattached
   std::uint32_t npartitioned_ = 0;
   bool force_slow_path_ = false;

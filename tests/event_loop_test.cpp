@@ -6,9 +6,15 @@
 // leave the heap and come back exactly where it would have been.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/event_loop.hpp"
 
 namespace migr::sim {
@@ -178,6 +184,253 @@ TEST(EventLoopCore, WakeDuringOwnIdleTickKeepsTheTaskArmed) {
   });
   loop.run_until(usec(100));
   EXPECT_EQ(ticks, 2);
+}
+
+TEST(EventLoopCore, CrowdedGridKeepsItsOrderThroughParkAndWake) {
+  // Forty-eight pollers join one 5 us grid at one instant. The spawning
+  // event runs between the ticks there of the grid's two members A and Z,
+  // so half the newcomers nest between A and Z; the other half start two
+  // periods later, which puts them in front of A. So many nested arrivals
+  // re-space the grid's order. Parked, then all woken from one gap, their
+  // ticks derive equal numbers and must run in grid order, exactly as when
+  // every poller ticks.
+  auto ticks = [](bool parks) {
+    EventLoop loop;
+    std::vector<int> work;
+    std::vector<EventHandle> tasks;
+    std::vector<std::pair<int, TimeNs>> seen;
+    std::function<void(DurationNs)> spawn;
+    auto tick = [&](int id) {
+      if (work[id] == 0) return false;
+      --work[id];
+      seen.emplace_back(id, loop.now());
+      if (id == 1) {
+        // Z at 95 us: the event it queues at 100 us runs after A's tick
+        // there, queued when A's tick at 95 us ran, and before Z's own.
+        loop.schedule_at(usec(100), [&] {
+          for (int i = 0; i < 48; ++i) spawn(i % 2 == 0 ? usec(5) : usec(10));
+        });
+      }
+      return true;
+    };
+    spawn = [&](DurationNs first) {
+      const int id = static_cast<int>(tasks.size());
+      work.push_back(0);
+      tasks.push_back(parks ? loop.schedule_parkable(usec(5), [&, id] { return tick(id); }, first)
+                            : loop.schedule_every(usec(5), [&, id] { (void)tick(id); }, first));
+    };
+    spawn(usec(5));  // A
+    spawn(usec(5));  // Z
+    loop.schedule_at(usec(92), [&] {
+      work[1] = 1;
+      loop.wake(tasks[1]);
+    });
+    // Queued first, so it runs before every tick at 200 us; it wakes the
+    // pollers newest first.
+    loop.schedule_at(usec(200), [&] {
+      for (std::size_t i = tasks.size(); i-- > 0;) {
+        work[i] = 1;
+        loop.wake(tasks[i]);
+      }
+    });
+    loop.run_until(usec(300));
+    return seen;
+  };
+  const auto want = ticks(/*parks=*/false);
+  ASSERT_EQ(want.size(), 51u);
+  EXPECT_EQ(ticks(/*parks=*/true), want);
+}
+
+// ---------------------------------------------------------------------------
+// EventLoopProperty: parking is invisible. Each seeded scenario runs twice:
+// once with parkable pollers, once with pollers that tick every period and do
+// nothing on an idle tick. The ordered log of every tick that found work,
+// interleaved with every other event, must be identical. The scenarios crowd
+// many pollers onto few instants: periods of 1-6 us that share instants,
+// several pollers on one grid, spawns at a same-grid tick instant from inside
+// an event or a tick, one-shots landing on grid ticks (also one period after
+// the instant that scheduled them), wakes from inside events, from inside the
+// task's own tick and between run_until calls, cancels, and runs stopped
+// before their deadline.
+// ---------------------------------------------------------------------------
+
+struct LogEntry {
+  TimeNs at;
+  char kind;  // 't' tick that found work, 'e' one-shot event, 'r' run_until returned
+  int id;
+  bool operator==(const LogEntry&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LogEntry& e) {
+  return os << e.kind << e.id << '@' << e.at;
+}
+
+class ParkingScenario {
+ public:
+  ParkingScenario(std::uint64_t seed, bool parks, TimeNs horizon, int max_events)
+      : rng_(seed), parks_(parks), horizon_(horizon), max_events_(max_events) {}
+
+  std::vector<LogEntry> run() {
+    const std::uint64_t initial = 2 + rng_.below(6);
+    for (std::uint64_t i = 0; i < initial; ++i) spawn();
+    for (int i = 0; i < 4; ++i) schedule_event(random_time());
+    TimeNs deadline = 0;
+    while (deadline < horizon_) {
+      deadline += static_cast<TimeNs>(rng_.range(1, 40)) * usec(1) / (rng_.chance(0.2) ? 2 : 1);
+      loop_.run_until(deadline);
+      log_.push_back({loop_.now(), 'r', -1});
+      act(1 + static_cast<int>(rng_.below(3)));  // pushed and woken between runs
+    }
+    return log_;
+  }
+
+  std::uint64_t dispatched() const { return loop_.events_dispatched(); }
+
+ private:
+  static constexpr std::size_t kMaxLive = 24;
+  static constexpr DurationNs kPeriods[] = {usec(1), usec(2), usec(3), usec(4), usec(6)};
+
+  struct Poller {
+    EventHandle handle;
+    DurationNs period;
+    TimeNs phase;  // one of its tick instants
+    int work = 0;
+  };
+
+  void act(int n) {
+    for (int i = 0; i < n; ++i) {
+      switch (rng_.below(9)) {
+        case 0:
+        case 1:
+        case 2: give_work(pick_live()); break;
+        case 3: schedule_event(random_time()); break;
+        case 4: schedule_event(grid_time()); break;
+        case 5: spawn(); break;
+        case 6:
+          if (rng_.chance(0.3)) cancel(pick_live());
+          break;
+        case 7: loop_.wake(pollers_[pick()].handle); break;  // nothing to do yet
+        default:
+          // From inside an event: run_until returns before its deadline.
+          if (rng_.chance(0.05)) loop_.stop();
+          break;
+      }
+    }
+  }
+
+  std::size_t pick() { return rng_.below(pollers_.size()); }
+  std::size_t pick_live() { return live_.empty() ? pick() : live_[rng_.below(live_.size())]; }
+
+  void give_work(std::size_t i) {
+    pollers_[i].work += 1 + static_cast<int>(rng_.below(3));
+    loop_.wake(pollers_[i].handle);
+  }
+
+  void cancel(std::size_t i) {
+    pollers_[i].handle.cancel();
+    std::erase(live_, i);
+  }
+
+  // A whole-microsecond instant, so that grids and events share instants.
+  TimeNs random_time() { return loop_.now() + static_cast<TimeNs>(rng_.below(13)) * usec(1); }
+
+  // A tick instant of some poller's grid: the next one, or one or two periods on.
+  TimeNs grid_time() {
+    const Poller& p = pollers_[pick_live()];
+    const TimeNs now = loop_.now();
+    const TimeNs next = now + ((p.phase - now) % p.period + p.period) % p.period;
+    return next + static_cast<TimeNs>(rng_.below(3)) * p.period;
+  }
+
+  void schedule_event(TimeNs at) {
+    if (events_ >= max_events_) return;
+    const int id = events_++;
+    loop_.schedule_at(at, [this, id] {
+      log_.push_back({loop_.now(), 'e', id});
+      act(static_cast<int>(rng_.below(3)));
+    });
+  }
+
+  void spawn() {
+    if (live_.size() >= kMaxLive) return;
+    // Half the spawns join an existing poller's period, so they often land on
+    // its grid: spawned at one of its tick instants with the default delay.
+    const DurationNs period = rng_.chance(0.5) ? pollers_.empty() ? usec(2)
+                                                                  : pollers_[pick_live()].period
+                                               : kPeriods[rng_.below(5)];
+    DurationNs first = period;
+    switch (rng_.below(10)) {
+      case 0: first = 0; break;
+      case 1: first = 2 * period; break;
+      case 2: first = period / 2; break;
+      default: break;
+    }
+    const int id = static_cast<int>(pollers_.size());
+    pollers_.push_back(Poller{{}, period, loop_.now() + first});
+    live_.push_back(pollers_.size() - 1);
+    pollers_[id].handle =
+        parks_ ? loop_.schedule_parkable(period, [this, id] { return tick(id); }, first)
+               : loop_.schedule_every(period, [this, id] { (void)tick(id); }, first);
+  }
+
+  bool tick(int id) {
+    if (pollers_[id].work == 0) return false;
+    --pollers_[id].work;
+    log_.push_back({loop_.now(), 't', id});
+    act(static_cast<int>(rng_.below(2)));
+    if (rng_.chance(0.1)) {
+      // Learned of more work mid-tick: stays armed whatever the tick returns.
+      loop_.wake(pollers_[id].handle);
+      return false;
+    }
+    return true;
+  }
+
+  common::Rng rng_;
+  bool parks_;
+  TimeNs horizon_;
+  int max_events_;
+  EventLoop loop_;
+  std::vector<Poller> pollers_;
+  std::vector<std::size_t> live_;  // pollers not cancelled by the scenario
+  std::vector<LogEntry> log_;
+  int events_ = 0;
+};
+
+// Runs `seeds` scenarios both ways and fails at the first divergence.
+void expect_parking_invisible(std::uint64_t seeds, TimeNs horizon, int max_events) {
+  std::uint64_t parked_events = 0;
+  std::uint64_t ticking_events = 0;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    ParkingScenario parked(seed, /*parks=*/true, horizon, max_events);
+    ParkingScenario ticking(seed, /*parks=*/false, horizon, max_events);
+    const std::vector<LogEntry> got = parked.run();
+    const std::vector<LogEntry> want = ticking.run();
+    parked_events += parked.dispatched();
+    ticking_events += ticking.dispatched();
+    if (got == want) continue;
+    std::size_t i = 0;
+    while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+    std::ostringstream diverged;
+    diverged << "seed " << seed << ": logs diverge at entry " << i << " of " << want.size();
+    if (i > 0) diverged << ", after " << want[i - 1];
+    if (i < got.size()) diverged << "; parked " << got[i];
+    if (i < want.size()) diverged << "; always-ticking " << want[i];
+    FAIL() << diverged.str();
+  }
+  // The scenarios must leave pollers idle for most ticks, or parking is not
+  // being exercised.
+  EXPECT_LT(parked_events * 2, ticking_events);
+}
+
+TEST(EventLoopProperty, ParkedPollersDispatchLikeAlwaysTickingOnes) {
+  expect_parking_invisible(150, usec(1500), 1500);
+}
+
+// Long parked stretches: thousands of dispatches pass while pollers stay
+// parked, so the loop drops old dispatch history under them.
+TEST(EventLoopProperty, LongParkedStretchesDispatchLikeAlwaysTickingOnes) {
+  expect_parking_invisible(6, msec(25), 25000);
 }
 
 }  // namespace
