@@ -76,6 +76,7 @@ Status Fabric::attach_host(HostId host) {
             {"data_packets_reordered", static_cast<double>(s.data_packets_reordered)},
             {"ctrl_messages_tx", static_cast<double>(s.ctrl_messages_tx)},
             {"ctrl_bytes_tx", static_cast<double>(s.ctrl_bytes_tx)},
+            {"ctrl_messages_dropped", static_cast<double>(s.ctrl_messages_dropped)},
         };
       });
   ports_.emplace(host, std::move(port));
@@ -143,7 +144,7 @@ void Fabric::send_data(Packet packet) {
   send_data(*r, std::move(packet));
 }
 
-void Fabric::send_data(Route& r, Packet&& packet) {
+Fabric::Admission Fabric::admit(Route& r, Packet& packet) {
   const std::size_t frame_bytes = packet.wire_size();
   r.src->stats.data_packets_tx++;
   r.src->stats.data_bytes_tx += frame_bytes;
@@ -152,47 +153,55 @@ void Fabric::send_data(Route& r, Packet&& packet) {
 
   // Serialization happens (and consumes bandwidth) even for packets that
   // will be dropped in the network.
-  const sim::TimeNs serialized_at = reserve_egress(*r.src, frame_bytes + config_.header_bytes);
+  packet.deliver_at_ =
+      reserve_egress(*r.src, frame_bytes + config_.header_bytes) + config_.propagation;
   const bool recording = recorder_->enabled();
 
-  if (r.src->is_partitioned || r.dst->is_partitioned ||
-      (faults_.data_loss_prob > 0 && rng_.chance(faults_.data_loss_prob))) {
+  const bool part = r.src->is_partitioned || r.dst->is_partitioned;
+  if (part || (faults_.data_loss_prob > 0 && rng_.chance(faults_.data_loss_prob))) {
     r.src->stats.data_packets_dropped++;
     r.drops->inc();
     if (recording) {
-      const bool part = r.src->is_partitioned || r.dst->is_partitioned;
       record_packet(packet,
                     part ? obs::PacketVerdict::partitioned : obs::PacketVerdict::dropped,
                     loop_.now());
     }
-    return;
+    return Admission::dropped;
   }
 
-  sim::TimeNs deliver_at = serialized_at + config_.propagation;
-  bool held_back = false;
+  Admission verdict = Admission::on_time;
   if (faults_.reorder_prob > 0 && faults_.reorder_delay > 0 &&
       rng_.chance(faults_.reorder_prob)) {
     // Hold this packet back so packets serialized after it can overtake it.
-    deliver_at += static_cast<sim::DurationNs>(
+    packet.deliver_at_ += static_cast<sim::DurationNs>(
         rng_.range(1, static_cast<std::uint64_t>(faults_.reorder_delay)));
     r.src->stats.data_packets_reordered++;
-    held_back = true;
+    verdict = Admission::held_back;
   }
   if (recording) {
     record_packet(packet,
-                  held_back ? obs::PacketVerdict::reordered : obs::PacketVerdict::delivered,
+                  verdict == Admission::held_back ? obs::PacketVerdict::reordered
+                                                  : obs::PacketVerdict::delivered,
                   loop_.now());
   }
-  loop_.post_at(deliver_at, [this, rp = &r, packet = std::move(packet)]() mutable {
+  return verdict;
+}
+
+void Fabric::post_delivery(Route& r, Packet&& packet) {
+  const sim::TimeNs at = packet.deliver_at_;
+  loop_.post_at(at, [this, rp = &r, packet = std::move(packet)]() mutable {
     deliver(*rp, std::move(packet));
   });
 }
 
+void Fabric::send_data(Route& r, Packet&& packet) {
+  if (admit(r, packet) != Admission::dropped) post_delivery(r, std::move(packet));
+}
+
 void Fabric::deliver(Route& r, Packet&& packet) {
   // Faults may have flipped between serialization and arrival. A packet
-  // eaten mid-flight gets a second record (the send already logged it as
-  // delivered/reordered) — both paths funnel through here, so the record
-  // streams stay path-identical.
+  // eaten mid-flight gets a second record (admission already logged it as
+  // delivered/reordered).
   if (r.src->is_partitioned || r.dst->is_partitioned) {
     if (recorder_->enabled()) {
       record_packet(packet, obs::PacketVerdict::partitioned, loop_.now());
@@ -220,26 +229,26 @@ void Fabric::recycle_train(std::vector<Packet>&& train) {
 }
 
 void Fabric::send_data_burst(Route& r, std::vector<Packet>&& train) {
+  // Admit in packet order; the on-time packets close ranks over the lost
+  // and the held-back ones, so the train stays sorted by delivery time.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    switch (admit(r, train[i])) {
+      case Admission::dropped:
+        break;
+      case Admission::held_back:
+        post_delivery(r, std::move(train[i]));
+        break;
+      case Admission::on_time:
+        if (kept != i) train[kept] = std::move(train[i]);
+        kept++;
+        break;
+    }
+  }
+  train.resize(kept);
   if (train.empty()) {
     recycle_train(std::move(train));
     return;
-  }
-  if (!data_fast_path()) {
-    // Active faults need per-packet loss/reorder decisions in rng order.
-    for (Packet& p : train) send_data(r, std::move(p));
-    recycle_train(std::move(train));
-    return;
-  }
-  const bool recording = recorder_->enabled();
-  for (Packet& p : train) {
-    const std::size_t frame_bytes = p.wire_size();
-    r.src->stats.data_packets_tx++;
-    r.src->stats.data_bytes_tx += frame_bytes;
-    r.packets->inc();
-    r.bytes->inc(frame_bytes);
-    p.deliver_at_ =
-        reserve_egress(*r.src, frame_bytes + config_.header_bytes) + config_.propagation;
-    if (recording) record_packet(p, obs::PacketVerdict::delivered, loop_.now());
   }
   const sim::TimeNs first_at = train.front().deliver_at_;
   loop_.post_at(first_at, [this, rp = &r, t = std::move(train)]() mutable {
@@ -328,20 +337,11 @@ common::Result<sim::TimeNs> Fabric::send_ctrl(HostId src, HostId dst,
 void Fabric::set_partitioned(HostId host, bool partitioned) {
   auto it = ports_.find(host);
   if (it != ports_.end()) {
-    if (it->second.is_partitioned == partitioned) return;
     it->second.is_partitioned = partitioned;
+  } else if (partitioned) {
+    partitioned_orphans_.insert(host);
   } else {
-    if (partitioned == partitioned_orphans_.contains(host)) return;
-    if (partitioned) {
-      partitioned_orphans_.insert(host);
-    } else {
-      partitioned_orphans_.erase(host);
-    }
-  }
-  if (partitioned) {
-    npartitioned_++;
-  } else {
-    npartitioned_--;
+    partitioned_orphans_.erase(host);
   }
 }
 

@@ -5,8 +5,8 @@
 // switch (fixed propagation delay). Two planes share each port's egress
 // bandwidth:
 //
-//  * data plane  — RDMA packets. Subject to fault injection (loss), which
-//    the "buggy network" tests (§3.4 handling) use.
+//  * data plane  — RDMA packets. Subject to fault injection (loss,
+//    reordering), which the "buggy network" tests (§3.4 handling) use.
 //  * ctrl plane  — the out-of-band TCP the paper's live-migration tooling
 //    uses (CRIU image transfer, partner notification, rkey fetch). Reliable
 //    and in-order, but still pays serialization + propagation time, so the
@@ -15,12 +15,15 @@
 // Hosts can be partitioned (both planes dropped) to model node failure for
 // the Hadoop failover baseline.
 //
-// Fast path: callers resolve a Route (src/dst port pointers + link counters)
-// once per connection and send through it, so the per-packet cost is plain
-// pointer work instead of 4-6 hash lookups. A fault-free train of packets
-// can be handed over as one burst (send_data_burst), which reserves egress
-// for the whole train up front and delivers each packet at its own time
-// through a single self-re-arming event.
+// One data path: callers resolve a Route (src/dst port pointers + link
+// counters) once per connection and send through it, so the per-packet cost
+// is plain pointer work instead of 4-6 hash lookups. Every data packet,
+// alone (send_data) or in a train (send_data_burst), clean fabric or faulty,
+// passes one admission step: counters, egress reservation, then the
+// loss/partition draw and the reorder draw, in packet order. A train keeps
+// the packets admitted on time and delivers each at its own time through a
+// single self-re-arming event; a held-back packet leaves it for its own
+// delivery event, a lost one is gone.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +76,9 @@ struct Faults {
 };
 
 /// A raw data-plane packet: an inline wire header plus a zero-copy payload
-/// view. The RNIC layer owns both formats; raw senders (tests) may leave the
-/// header empty and put a fully serialized frame in `body`.
+/// view. The RNIC layer owns both formats; a packet whose header is not an
+/// RNIC wire header (raw test frames) still crosses the fabric, but the
+/// RNIC drops it as malformed.
 struct Packet {
   Packet() = default;
   Packet(HostId s, HostId d, common::PayloadRef b)
@@ -94,7 +98,7 @@ struct Packet {
 
  private:
   friend class Fabric;
-  sim::TimeNs deliver_at_ = 0;  // set by burst scheduling
+  sim::TimeNs deliver_at_ = 0;  // set at admission
 };
 
 // Per-port counters. Each attached port also registers itself with the
@@ -173,36 +177,24 @@ class Fabric {
   /// Send a data-plane packet. Serialization on the source port + switch
   /// propagation; may be dropped per fault config or partition.
   void send_data(Packet packet);
-  /// Fast path: same semantics through a pre-resolved route.
+  /// Same semantics through a pre-resolved route.
   void send_data(Route& r, Packet&& packet);
 
-  /// True while the data plane has no active loss/reorder faults and no
-  /// partitions — the precondition for burst coalescing.
-  bool data_fast_path() const noexcept {
-    return !force_slow_path_ && faults_.data_loss_prob <= 0 && faults_.reorder_prob <= 0 &&
-           npartitioned_ == 0;
-  }
-
-  /// Force the per-packet send path even on a fault-free fabric. Clean runs
-  /// consume no fault RNG on either path, so the determinism guard uses this
-  /// to assert burst coalescing and per-packet fidelity agree observable-
-  /// for-observable on one seed.
-  void set_force_slow_path(bool on) noexcept { force_slow_path_ = on; }
-
-  /// Flight recorder fed by both data paths (defaults to the process-wide
-  /// one; nullptr resets to it). While the recorder is disabled the per-
-  /// packet cost is a single predictable branch.
+  /// Flight recorder fed by the admission step and by mid-flight partition
+  /// drops (defaults to the process-wide one; nullptr resets to it). While
+  /// the recorder is disabled the per-packet cost is a single predictable
+  /// branch.
   void set_recorder(obs::FlightRecorder* rec) noexcept {
     recorder_ = rec == nullptr ? &obs::FlightRecorder::global() : rec;
   }
 
   /// A recycled packet vector for assembling a burst train.
   std::vector<Packet> acquire_train();
-  /// Send an in-order train through one route. Egress is reserved per packet
-  /// (identical serialization times to per-packet sends on an idle port) and
-  /// one self-re-arming event delivers each packet at its own time,
-  /// re-checking partitions per delivery. If the fast-path precondition no
-  /// longer holds, degrades to per-packet send_data for full fault fidelity.
+  /// Send an in-order train through one route. Each packet is admitted in
+  /// order exactly as send_data admits it, so a train and the same packets
+  /// sent one by one at one instant draw the same faults and arrive at the
+  /// same times. One self-re-arming event delivers the on-time packets,
+  /// re-checking partitions per delivery.
   void send_data_burst(Route& r, std::vector<Packet>&& train);
 
   /// Send a reliable ctrl-plane message to `service` on `dst`. Delivery is
@@ -259,6 +251,13 @@ class Fabric {
   /// the last bit has been serialized.
   sim::TimeNs reserve_egress(Port& port, std::uint64_t wire_bytes);
 
+  enum class Admission : std::uint8_t { dropped, on_time, held_back };
+  /// The one admission step of the data plane: tx counters, egress
+  /// reservation (sets the packet's delivery time), then the loss/partition
+  /// draw and, for a surviving packet, the reorder draw.
+  Admission admit(Route& r, Packet& packet);
+  /// Post a delivery event of its own for an admitted packet.
+  void post_delivery(Route& r, Packet&& packet);
   void deliver(Route& r, Packet&& packet);
   void deliver_burst(Route& r, std::vector<Packet>&& train, std::size_t idx);
   void recycle_train(std::vector<Packet>&& train);
@@ -276,8 +275,6 @@ class Fabric {
   std::map<std::pair<HostId, std::string>, CtrlHandler> services_;
   std::uint64_t service_instances_ = 0;
   std::unordered_set<HostId> partitioned_orphans_;  // partitioned but unattached
-  std::uint32_t npartitioned_ = 0;
-  bool force_slow_path_ = false;
   obs::FlightRecorder* recorder_ = &obs::FlightRecorder::global();
   std::vector<std::vector<Packet>> train_pool_;
 };

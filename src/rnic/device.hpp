@@ -179,11 +179,11 @@ struct Qp {
   // attribution poll retransmits for exactly the QPs a guest owns.
   std::uint64_t retransmits = 0;
   bool in_pump = false;    // queued in the device's transmit scheduler
-  // Live retransmit timers for this QP. On the fault-free fast path one
-  // timer covers the whole SQ (it re-arms itself until the queue drains),
-  // so per-packet arming is deduplicated; with faults active every
-  // emission arms its own timer, exactly as before.
-  std::uint32_t rtx_outstanding = 0;
+  // Whether this QP's one retransmit timer is pending. It fires at
+  // last_progress + retransmit_timeout, follows that deadline while
+  // progress moves it, and lapses once the SQ drains (the next emission
+  // arms it again).
+  bool rtx_armed = false;
   // One past the highest request PSN ever put on the wire: an emission
   // below it is a retransmitted packet.
   Psn tx_high_psn = 0;
@@ -453,8 +453,14 @@ class Device {
   bool emit_next_packet(Qp& qp);  // returns true if a packet was emitted
   // Coalesced emission: stream up to kMaxBurst in-order packets of the
   // cursor WQE as one fabric train. Only taken when this QP is alone in
-  // the scheduler and the fabric's fault-free fast path holds.
+  // the scheduler, clean fabric or faulty.
   bool emit_burst(Qp& qp);
+  // The next packet of SEND/WRITE `wqe` into `pkt`, its payload DMA-read
+  // into the WQE's staging buffer. False on a local protection fault (the
+  // caller flushes the QP).
+  bool build_payload_packet(Qp& qp, SendWqe& wqe, WirePacket& pkt);
+  // Frame a wire packet for the fabric, counting it as transmitted.
+  net::Packet frame(WirePacket&& pkt, net::HostId dst);
   void transmit(WirePacket pkt, net::HostId dst, net::Fabric::Route* route);
 
   // Rolls the NAK-storm window and fires the flight-recorder dump when the

@@ -2,7 +2,6 @@
 // reliability protocol (cumulative ACK + go-back-N), responder execution of
 // SEND/WRITE/READ/ATOMIC, and completion delivery.
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "common/log.hpp"
@@ -31,6 +30,12 @@ constexpr std::uint32_t kMaxBurst = 64;
 // `addr + len`, which a hostile remote address can wrap past 2^64.
 bool in_bounds(std::uint64_t base, std::uint64_t size, std::uint64_t addr, std::uint64_t len) {
   return addr >= base && len <= size && addr - base <= size - len;
+}
+
+// SEND and WRITE requests carry the message payload itself, MTU by MTU.
+bool carries_payload(WrOpcode op) {
+  return op == WrOpcode::send || op == WrOpcode::send_with_imm || op == WrOpcode::rdma_write ||
+         op == WrOpcode::rdma_write_with_imm;
 }
 
 CqeOpcode send_cqe_opcode(WrOpcode op) {
@@ -315,19 +320,12 @@ void Device::pump() {
 
 bool Device::emit_burst(Qp& qp) {
   if (qp.state != QpState::rts || qp.type != QpType::rc || qp.route == nullptr) return false;
-  if (under_ctrl_pressure() || !fabric_.data_fast_path() || rnr_held(qp)) return false;
+  if (under_ctrl_pressure() || rnr_held(qp)) return false;
   if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
   if (qp.emit_cursor >= qp.sq.tail()) return false;
   SendWqe& wqe = qp.sq.at(static_cast<std::size_t>(qp.emit_cursor - qp.sq.head()));
-  switch (wqe.wr.opcode) {
-    case WrOpcode::send:
-    case WrOpcode::send_with_imm:
-    case WrOpcode::rdma_write:
-    case WrOpcode::rdma_write_with_imm:
-      break;
-    default:
-      return false;  // reads/atomics/binds keep the per-packet path
-  }
+  // Reads/atomics/binds keep the per-packet path.
+  if (!carries_payload(wqe.wr.opcode)) return false;
   if (!wqe.psn_assigned) {
     wqe.first_psn = qp.next_psn;
     qp.next_psn += wqe.npkts;
@@ -335,71 +333,29 @@ bool Device::emit_burst(Qp& qp) {
   }
   if (wqe.npkts - wqe.emitted_pkts < 2) return false;  // trains need >= 2 packets
 
-  const std::uint32_t mtu = fabric_.config().mtu;
-  const bool is_write = wqe.wr.opcode == WrOpcode::rdma_write ||
-                        wqe.wr.opcode == WrOpcode::rdma_write_with_imm;
-  const bool with_imm = wqe.wr.opcode == WrOpcode::send_with_imm ||
-                        wqe.wr.opcode == WrOpcode::rdma_write_with_imm;
-  if (wqe.msg_buf.empty() && wqe.bytes > 0) {
-    wqe.msg_buf = common::PayloadRef::alloc(wqe.bytes);
-  }
   const std::uint32_t n = std::min(kMaxBurst, wqe.npkts - wqe.emitted_pkts);
   std::vector<net::Packet> train = fabric_.acquire_train();
   train.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t offset = static_cast<std::uint64_t>(wqe.emitted_pkts) * mtu;
-    const std::uint32_t chunk =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(mtu, wqe.bytes - offset));
-    if (chunk > 0) {
-      auto st = dma_read(*qp.ctx, wqe.wr.sge, offset,
-                         wqe.msg_buf.mutable_span().subspan(offset, chunk));
-      if (!st.is_ok()) {
-        MIGR_WARN() << "local DMA fault on QP " << qp.qpn << ": " << st.to_string();
-        fabric_.send_data_burst(*qp.route, std::move(train));  // what made it out
-        flush_qp(qp, /*notify=*/true);
-        return true;
-      }
-    }
     WirePacket pkt;
-    pkt.src_qpn = qp.qpn;
-    pkt.dst_qpn = qp.remote_qpn;
-    pkt.psn = wqe.first_psn + wqe.emitted_pkts;
-    pkt.first = wqe.emitted_pkts == 0;
-    pkt.last = wqe.emitted_pkts + 1 == wqe.npkts;
-    pkt.offset = static_cast<std::uint32_t>(offset);
-    pkt.msg_len = static_cast<std::uint32_t>(wqe.bytes);
-    pkt.op = is_write ? PktOp::write : PktOp::send;
-    if (is_write) {
-      pkt.remote_addr = wqe.wr.remote_addr + offset;
-      pkt.rkey = wqe.wr.rkey;
+    if (!build_payload_packet(qp, wqe, pkt)) {
+      fabric_.send_data_burst(*qp.route, std::move(train));  // what made it out
+      flush_qp(qp, /*notify=*/true);
+      return true;
     }
-    if (pkt.last && with_imm) {
-      pkt.has_imm = true;
-      pkt.imm = wqe.wr.imm;
-    }
-    pkt.payload = wqe.msg_buf.slice(offset, chunk);
-    counters_.tx_packets++;
-    counters_.tx_bytes += chunk;
     note_request_tx(qp, pkt.psn);
-
-    net::Packet raw;
-    raw.src = host_;
-    raw.dst = qp.remote_host;
-    pkt.serialize_header(raw.header);
-    raw.body = std::move(pkt.payload);
-    train.push_back(std::move(raw));
+    train.push_back(frame(std::move(pkt), qp.remote_host));
     wqe.emitted_pkts++;
   }
   if (wqe.emitted_pkts == wqe.npkts) qp.emit_cursor++;
   qp.last_progress = loop_.now();
   fabric_.send_data_burst(*qp.route, std::move(train));
-  arm_retransmit_timer(qp);  // one timer covers the whole train
+  arm_retransmit_timer(qp);
   return true;
 }
 
 bool Device::emit_next_packet(Qp& qp) {
   if (qp.state != QpState::rts || rnr_held(qp)) return false;
-  const std::uint32_t mtu = fabric_.config().mtu;
   if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
 
   while (qp.emit_cursor < qp.sq.tail()) {
@@ -436,78 +392,35 @@ bool Device::emit_next_packet(Qp& qp) {
     }
 
     WirePacket pkt;
-    pkt.src_qpn = qp.qpn;
-    pkt.psn = wqe.first_psn + wqe.emitted_pkts;
     net::HostId dst_host = qp.remote_host;
-    pkt.dst_qpn = qp.remote_qpn;
-
-    switch (wqe.wr.opcode) {
-      case WrOpcode::send:
-      case WrOpcode::send_with_imm:
-      case WrOpcode::rdma_write:
-      case WrOpcode::rdma_write_with_imm: {
-        const std::uint64_t offset = static_cast<std::uint64_t>(wqe.emitted_pkts) * mtu;
-        const std::uint32_t chunk =
-            static_cast<std::uint32_t>(std::min<std::uint64_t>(mtu, wqe.bytes - offset));
-        if (wqe.msg_buf.empty() && wqe.bytes > 0) {
-          wqe.msg_buf = common::PayloadRef::alloc(wqe.bytes);
-        }
-        if (chunk > 0) {
-          auto st = dma_read(*qp.ctx, wqe.wr.sge, offset,
-                             wqe.msg_buf.mutable_span().subspan(offset, chunk));
-          if (!st.is_ok()) {
-            // Local protection fault mid-transfer (e.g. buffer unmapped):
-            // the QP moves to error, as real hardware does.
-            MIGR_WARN() << "local DMA fault on QP " << qp.qpn << ": " << st.to_string();
-            flush_qp(qp, /*notify=*/true);
-            return false;
-          }
-        }
-        pkt.payload = wqe.msg_buf.slice(offset, chunk);
-        pkt.first = wqe.emitted_pkts == 0;
-        pkt.last = wqe.emitted_pkts + 1 == wqe.npkts;
-        pkt.offset = static_cast<std::uint32_t>(offset);
-        pkt.msg_len = static_cast<std::uint32_t>(wqe.bytes);
-        const bool is_write = wqe.wr.opcode == WrOpcode::rdma_write ||
-                              wqe.wr.opcode == WrOpcode::rdma_write_with_imm;
-        pkt.op = is_write ? PktOp::write : PktOp::send;
-        if (is_write) {
-          pkt.remote_addr = wqe.wr.remote_addr + offset;
-          pkt.rkey = wqe.wr.rkey;
-        }
-        if (pkt.last && (wqe.wr.opcode == WrOpcode::send_with_imm ||
-                         wqe.wr.opcode == WrOpcode::rdma_write_with_imm)) {
-          pkt.has_imm = true;
-          pkt.imm = wqe.wr.imm;
-        }
-        if (qp.type == QpType::ud) {
-          dst_host = wqe.wr.remote_host;
-          pkt.dst_qpn = wqe.wr.remote_qpn;
-        }
-        break;
+    if (carries_payload(wqe.wr.opcode)) {
+      if (!build_payload_packet(qp, wqe, pkt)) {
+        flush_qp(qp, /*notify=*/true);
+        return false;
       }
-      case WrOpcode::rdma_read:
+      if (qp.type == QpType::ud) {
+        dst_host = wqe.wr.remote_host;
+        pkt.dst_qpn = wqe.wr.remote_qpn;
+      }
+    } else {
+      // READ and ATOMIC requests: one packet, answered by a response that
+      // echoes the WQE's token.
+      pkt.src_qpn = qp.qpn;
+      pkt.dst_qpn = qp.remote_qpn;
+      pkt.psn = wqe.first_psn;
+      pkt.remote_addr = wqe.wr.remote_addr;
+      pkt.rkey = wqe.wr.rkey;
+      pkt.resp_token = wqe.first_psn;
+      pkt.first = pkt.last = true;
+      if (wqe.wr.opcode == WrOpcode::rdma_read) {
         pkt.op = PktOp::read_req;
-        pkt.remote_addr = wqe.wr.remote_addr;
-        pkt.rkey = wqe.wr.rkey;
         pkt.msg_len = static_cast<std::uint32_t>(wqe.bytes);
-        pkt.resp_token = wqe.first_psn;
-        pkt.first = pkt.last = true;
-        break;
-      case WrOpcode::atomic_cmp_and_swp:
-      case WrOpcode::atomic_fetch_and_add:
+      } else {
         pkt.op = PktOp::atomic_req;
-        pkt.remote_addr = wqe.wr.remote_addr;
-        pkt.rkey = wqe.wr.rkey;
         pkt.atomic_op = wqe.wr.opcode == WrOpcode::atomic_cmp_and_swp ? 0 : 1;
         pkt.compare_add = wqe.wr.compare_add;
         pkt.swap = wqe.wr.swap;
-        pkt.resp_token = wqe.first_psn;
-        pkt.first = pkt.last = true;
-        break;
-      case WrOpcode::bind_mw:
-        assert(false);
-        break;
+      }
     }
 
     if (qp.type == QpType::rc) note_request_tx(qp, pkt.psn);
@@ -527,6 +440,47 @@ bool Device::emit_next_packet(Qp& qp) {
   return false;
 }
 
+bool Device::build_payload_packet(Qp& qp, SendWqe& wqe, WirePacket& pkt) {
+  const std::uint32_t mtu = fabric_.config().mtu;
+  const std::uint64_t offset = static_cast<std::uint64_t>(wqe.emitted_pkts) * mtu;
+  const std::uint32_t chunk =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(mtu, wqe.bytes - offset));
+  if (wqe.msg_buf.empty() && wqe.bytes > 0) {
+    wqe.msg_buf = common::PayloadRef::alloc(wqe.bytes);
+  }
+  if (chunk > 0) {
+    auto st = dma_read(*qp.ctx, wqe.wr.sge, offset,
+                       wqe.msg_buf.mutable_span().subspan(offset, chunk));
+    if (!st.is_ok()) {
+      // Local protection fault mid-transfer (e.g. buffer unmapped): the
+      // caller moves the QP to error, as real hardware does.
+      MIGR_WARN() << "local DMA fault on QP " << qp.qpn << ": " << st.to_string();
+      return false;
+    }
+  }
+  const bool is_write = wqe.wr.opcode == WrOpcode::rdma_write ||
+                        wqe.wr.opcode == WrOpcode::rdma_write_with_imm;
+  pkt.op = is_write ? PktOp::write : PktOp::send;
+  pkt.src_qpn = qp.qpn;
+  pkt.dst_qpn = qp.remote_qpn;
+  pkt.psn = wqe.first_psn + wqe.emitted_pkts;
+  pkt.first = wqe.emitted_pkts == 0;
+  pkt.last = wqe.emitted_pkts + 1 == wqe.npkts;
+  pkt.offset = static_cast<std::uint32_t>(offset);
+  pkt.msg_len = static_cast<std::uint32_t>(wqe.bytes);
+  if (is_write) {
+    pkt.remote_addr = wqe.wr.remote_addr + offset;
+    pkt.rkey = wqe.wr.rkey;
+  }
+  if (pkt.last && (wqe.wr.opcode == WrOpcode::send_with_imm ||
+                   wqe.wr.opcode == WrOpcode::rdma_write_with_imm)) {
+    pkt.has_imm = true;
+    pkt.imm = wqe.wr.imm;
+  }
+  pkt.payload = wqe.msg_buf.slice(offset, chunk);
+  return true;
+}
+
 void Device::note_request_tx(Qp& qp, Psn psn) {
   if (psn < qp.tx_high_psn) {
     counters_.tx_retransmit_packets++;
@@ -535,7 +489,7 @@ void Device::note_request_tx(Qp& qp, Psn psn) {
   }
 }
 
-void Device::transmit(WirePacket pkt, net::HostId dst, net::Fabric::Route* route) {
+net::Packet Device::frame(WirePacket&& pkt, net::HostId dst) {
   counters_.tx_packets++;
   counters_.tx_bytes += pkt.payload.size();
   net::Packet raw;
@@ -543,6 +497,11 @@ void Device::transmit(WirePacket pkt, net::HostId dst, net::Fabric::Route* route
   raw.dst = dst;
   pkt.serialize_header(raw.header);
   raw.body = std::move(pkt.payload);
+  return raw;
+}
+
+void Device::transmit(WirePacket pkt, net::HostId dst, net::Fabric::Route* route) {
+  net::Packet raw = frame(std::move(pkt), dst);
   if (route != nullptr) {
     fabric_.send_data(*route, std::move(raw));
   } else {
@@ -591,30 +550,24 @@ Psn retransmit_point(const Qp& qp) {
 }  // namespace
 
 void Device::arm_retransmit_timer(Qp& qp) {
-  if (qp.retries < 0) return;  // timer disabled
-  // Fault-free fast path: one live timer already covers the whole SQ (it
-  // re-arms itself until the queue drains), so per-packet arming would only
-  // pile up redundant events. With faults active, arm unconditionally —
-  // identical timer population to the per-packet protocol.
-  if (fabric_.data_fast_path() && qp.rtx_outstanding > 0) return;
-  qp.rtx_outstanding++;
+  if (qp.rtx_armed) return;  // the pending timer follows the deadline
+  qp.rtx_armed = true;
   const Qpn qpn = qp.qpn;
-  loop_.post_in(costs().retransmit_timeout, [this, qpn] { on_retransmit_timer(qpn); });
+  loop_.post_at(qp.last_progress + costs().retransmit_timeout,
+                [this, qpn] { on_retransmit_timer(qpn); });
 }
 
 void Device::on_retransmit_timer(Qpn qpn) {
   auto it = qp_routes_.find(qpn);
   if (it == qp_routes_.end()) return;
   Qp& qp = *it->second;
-  if (qp.rtx_outstanding > 0) qp.rtx_outstanding--;
+  qp.rtx_armed = false;
   if (qp.state != QpState::rts || qp.type != QpType::rc) return;
   if (qp.sq.empty()) return;
-  // Anything left unacked and quiet for a full timeout?
-  if (loop_.now() - qp.last_progress < costs().retransmit_timeout) {
-    // Progress happened since this timer was armed — but nothing else arms
-    // one (ACK progress does not), so keep a timer alive until the SQ
-    // drains; otherwise a tail left unacked after a partial cumulative ACK
-    // stalls forever.
+  // Progress since this event was posted (an emission, an ACK, a response)
+  // moved the deadline out. last_progress only moves forward, so the event
+  // is never past the deadline: follow it there.
+  if (loop_.now() < qp.last_progress + costs().retransmit_timeout) {
     arm_retransmit_timer(qp);
     return;
   }

@@ -2,10 +2,12 @@
 
 namespace migr::rnic {
 
-using common::ByteReader;
-using common::ByteWriter;
-
 namespace {
+
+constexpr std::uint8_t kFlagFirst = 1;
+constexpr std::uint8_t kFlagLast = 2;
+constexpr std::uint8_t kFlagImm = 4;
+constexpr std::uint8_t kKnownFlags = kFlagFirst | kFlagLast | kFlagImm;
 
 inline void put_le(std::uint8_t*& p, std::uint64_t v, int nbytes) {
   for (int i = 0; i < nbytes; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
@@ -19,34 +21,7 @@ inline std::uint64_t get_le(const std::uint8_t*& p, int nbytes) {
 
 }  // namespace
 
-common::Bytes WirePacket::serialize() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(op));
-  w.u32(dst_qpn);
-  w.u32(src_qpn);
-  w.u64(psn);
-  std::uint8_t flags = 0;
-  if (first) flags |= 1;
-  if (last) flags |= 2;
-  if (has_imm) flags |= 4;
-  w.u8(flags);
-  w.u32(imm);
-  w.u64(remote_addr);
-  w.u32(rkey);
-  w.u32(msg_len);
-  w.u32(offset);
-  w.u8(atomic_op);
-  w.u64(compare_add);
-  w.u64(swap);
-  w.u64(resp_token);
-  w.bytes(payload.span());
-  return std::move(w).take();
-}
-
 void WirePacket::serialize_header(net::FrameHeader& out) const {
-  // Identical field order and encoding to serialize(); the u32 payload
-  // length that serialize() emits as the bytes() prefix closes the header,
-  // so header-bytes + body == the flat frame, byte for byte.
   out.resize(kHeaderBytes);
   std::uint8_t* p = out.data();
   *p++ = static_cast<std::uint8_t>(op);
@@ -54,9 +29,9 @@ void WirePacket::serialize_header(net::FrameHeader& out) const {
   put_le(p, src_qpn, 4);
   put_le(p, psn, 8);
   std::uint8_t flags = 0;
-  if (first) flags |= 1;
-  if (last) flags |= 2;
-  if (has_imm) flags |= 4;
+  if (first) flags |= kFlagFirst;
+  if (last) flags |= kFlagLast;
+  if (has_imm) flags |= kFlagImm;
   *p++ = flags;
   put_le(p, imm, 4);
   put_le(p, remote_addr, 8);
@@ -70,37 +45,7 @@ void WirePacket::serialize_header(net::FrameHeader& out) const {
   put_le(p, payload.size(), 4);
 }
 
-common::Result<WirePacket> WirePacket::parse(std::span<const std::uint8_t> data) {
-  ByteReader r{data};
-  WirePacket p;
-  MIGR_ASSIGN_OR_RETURN(auto op, r.u8());
-  if (op > static_cast<std::uint8_t>(PktOp::nak)) {
-    return common::err(common::Errc::invalid_argument, "bad packet opcode");
-  }
-  p.op = static_cast<PktOp>(op);
-  MIGR_ASSIGN_OR_RETURN(p.dst_qpn, r.u32());
-  MIGR_ASSIGN_OR_RETURN(p.src_qpn, r.u32());
-  MIGR_ASSIGN_OR_RETURN(p.psn, r.u64());
-  MIGR_ASSIGN_OR_RETURN(auto flags, r.u8());
-  p.first = (flags & 1) != 0;
-  p.last = (flags & 2) != 0;
-  p.has_imm = (flags & 4) != 0;
-  MIGR_ASSIGN_OR_RETURN(p.imm, r.u32());
-  MIGR_ASSIGN_OR_RETURN(p.remote_addr, r.u64());
-  MIGR_ASSIGN_OR_RETURN(p.rkey, r.u32());
-  MIGR_ASSIGN_OR_RETURN(p.msg_len, r.u32());
-  MIGR_ASSIGN_OR_RETURN(p.offset, r.u32());
-  MIGR_ASSIGN_OR_RETURN(p.atomic_op, r.u8());
-  MIGR_ASSIGN_OR_RETURN(p.compare_add, r.u64());
-  MIGR_ASSIGN_OR_RETURN(p.swap, r.u64());
-  MIGR_ASSIGN_OR_RETURN(p.resp_token, r.u64());
-  MIGR_ASSIGN_OR_RETURN(auto body, r.bytes());
-  p.payload = common::PayloadRef::copy_of(body);
-  return p;
-}
-
 common::Result<WirePacket> WirePacket::parse(net::Packet&& raw) {
-  if (raw.header.empty()) return parse(raw.body.span());
   if (raw.header.size() != kHeaderBytes) {
     return common::err(common::Errc::invalid_argument, "bad packet header size");
   }
@@ -115,9 +60,12 @@ common::Result<WirePacket> WirePacket::parse(net::Packet&& raw) {
   pkt.src_qpn = static_cast<Qpn>(get_le(p, 4));
   pkt.psn = static_cast<Psn>(get_le(p, 8));
   const auto flags = static_cast<std::uint8_t>(*p++);
-  pkt.first = (flags & 1) != 0;
-  pkt.last = (flags & 2) != 0;
-  pkt.has_imm = (flags & 4) != 0;
+  if ((flags & ~kKnownFlags) != 0) {
+    return common::err(common::Errc::invalid_argument, "unknown packet flag bits");
+  }
+  pkt.first = (flags & kFlagFirst) != 0;
+  pkt.last = (flags & kFlagLast) != 0;
+  pkt.has_imm = (flags & kFlagImm) != 0;
   pkt.imm = static_cast<std::uint32_t>(get_le(p, 4));
   pkt.remote_addr = static_cast<proc::VirtAddr>(get_le(p, 8));
   pkt.rkey = static_cast<Rkey>(get_le(p, 4));

@@ -4,16 +4,16 @@
 // exactly the fields MigrRDMA cares about: destination QPN (routing), PSN
 // (go-back-N reliability), and rkey/remote address (one-sided validation).
 //
-// On the fast path the header serializes into the net::Packet's inline
-// FrameHeader and the payload rides as a zero-copy PayloadRef slice; the
-// flat serialize()/parse(span) pair remains for raw-frame senders (tests)
-// and produces byte-identical framing (header, then u32-length-prefixed
-// payload).
+// The header serializes into the net::Packet's inline FrameHeader (71
+// bytes: the fixed fields, then the u32 payload length) and the payload
+// rides as a zero-copy PayloadRef slice in the packet body.
+// parse(net::Packet&&) is the one wire parser: it returns a status for any
+// frame it does not accept, and a frame it accepts serializes back to the
+// same header bytes.
 #pragma once
 
 #include <cstdint>
 
-#include "common/bytes.hpp"
 #include "common/payload.hpp"
 #include "common/result.hpp"
 #include "net/fabric.hpp"
@@ -64,17 +64,13 @@ struct WirePacket {
 
   common::PayloadRef payload;
 
-  /// Flat frame (header + length-prefixed payload copy). Compat path.
-  common::Bytes serialize() const;
-  /// Fast path: header (incl. payload length) into the packet's inline
-  /// buffer; the payload travels separately as Packet::body.
+  /// Header (incl. payload length) into the packet's inline buffer; the
+  /// payload travels separately as Packet::body.
   void serialize_header(net::FrameHeader& out) const;
 
-  /// Parse a flat frame (copies the payload out of `data`).
-  static common::Result<WirePacket> parse(std::span<const std::uint8_t> data);
-  /// Fast path: decode the inline header and adopt `raw.body` without
-  /// copying. Falls back to flat-frame parsing when the header is empty
-  /// (raw senders put a full serialize()d frame in the body).
+  /// Decode the inline header and adopt `raw.body` without copying.
+  /// Rejects a header of any other size, an unknown opcode, unknown flag
+  /// bits, and a declared payload length that disagrees with the body.
   static common::Result<WirePacket> parse(net::Packet&& raw);
 };
 

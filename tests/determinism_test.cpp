@@ -1,14 +1,13 @@
-// Determinism guard for the simulator fast path: the 8-host drain scenario
-// runs twice in one process and must render byte-identical
-// format_drain_report output — once on a fault-free fabric (where the
-// transport's burst-coalesced emission and pooled-event fast path are
-// active) and once under a seeded lossy fault plan (where the transport
-// degrades to per-packet fidelity). Any hidden global state, pool-reuse
-// ordering effect, or wall-clock leakage into the sim shows up as a diff.
+// Determinism guard for the simulator: the 8-host drain scenario runs twice
+// in one process and must render byte-identical format_drain_report output
+// — once on a fault-free fabric and once under a seeded lossy fault plan,
+// both through the transport's burst-coalesced emission and pooled events.
+// Any hidden global state, pool-reuse ordering effect, or wall-clock
+// leakage into the sim shows up as a diff.
 //
 // Set MIGR_DUMP_DRAIN_REPORT=<dir> to also write the rendered reports to
-// <dir>/<fixture>.txt (the names under tests/data) — used to diff the fast
-// path against a pre-change baseline build.
+// <dir>/<fixture>.txt (the names under tests/data) — used to diff a change
+// against a pre-change baseline build.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -280,20 +279,20 @@ TEST(DeterminismTest, LossyFtKillReportMatchesPreChangeBaseline) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast path vs per-packet fallback, recorder on vs off
+// Recorder on vs off, clean and lossy
 // ---------------------------------------------------------------------------
 
 struct InstrumentedRun {
   std::string report;   // format_drain_report rendering
-  std::string metrics;  // registry snapshot, "sim." excluded
+  std::string metrics;  // registry snapshot, "sim." and "obs.recorder." excluded
   std::uint64_t spans = 0;  // tracer events emitted during the run
 };
 
-// One smaller clean drain (4 guests, 6 hosts) with the full observability
-// stack armed: tracing on, the flight recorder per `recorder_on`, and the
-// fabric optionally forced off its burst fast path. Registry/tracer/recorder
-// are reset at entry so each run starts from the same observability state.
-InstrumentedRun run_instrumented(bool force_slow, bool recorder_on) {
+// One smaller drain (4 guests, 6 hosts), clean or at 1% data loss, with the
+// full observability stack armed: tracing on and the flight recorder per
+// `recorder_on`. Registry/tracer/recorder are reset at entry so each run
+// starts from the same observability state.
+InstrumentedRun run_instrumented(bool lossy, bool recorder_on) {
   obs::Registry::global().reset();
   auto& tracer = obs::Tracer::global();
   tracer.clear();
@@ -308,7 +307,6 @@ InstrumentedRun run_instrumented(bool force_slow, bool recorder_on) {
     cfg.hosts = 6;
     cfg.seed = 7;
     ClusterModel model(cfg);
-    model.fabric().set_force_slow_path(force_slow);
     for (GuestId g = 0; g < 4; ++g) {
       const TrafficProfile prof = (g % 2 == 0) ? stream_profile() : chatty_profile();
       EXPECT_TRUE(model.add_guest(1, 100 + g, prof).is_ok());
@@ -316,6 +314,13 @@ InstrumentedRun run_instrumented(bool force_slow, bool recorder_on) {
       EXPECT_TRUE(model.connect_guests(100 + g, 200 + g).is_ok());
     }
     model.run_for(sim::msec(5));
+
+    fault::ScenarioRunner scenario(model.loop(), model.fabric());
+    if (lossy) {
+      fault::FaultPlan plan;
+      plan.baseline(0.01);
+      scenario.run(plan);
+    }
 
     SchedulerConfig scfg;
     scfg.limits.max_concurrent_fleet = 4;
@@ -328,12 +333,10 @@ InstrumentedRun run_instrumented(bool force_slow, bool recorder_on) {
     out.report = format_drain_report(rep);
   }
 
-  // Everything in the registry except "sim.*" must be transport-visible and
-  // thus path-independent; sim.* is wall-clock and event-count bookkeeping,
-  // which legitimately differs (the slow path schedules per-packet events,
-  // the fast path one train).
+  // sim.* is wall-clock and event-count bookkeeping; obs.recorder.* counts
+  // the recorder's own anomaly dumps, which exist only while it is on.
   for (const auto& e : obs::Registry::global().snapshot()) {
-    if (e.name.rfind("sim.", 0) == 0) continue;
+    if (e.name.rfind("sim.", 0) == 0 || e.name.rfind("obs.recorder.", 0) == 0) continue;
     out.metrics += e.name + "=" + std::to_string(e.value) + "," + std::to_string(e.count) + "\n";
   }
   out.spans = tracer.total_emitted();
@@ -344,26 +347,14 @@ InstrumentedRun run_instrumented(bool force_slow, bool recorder_on) {
   return out;
 }
 
-TEST(DeterminismTest, ForcedSlowPathMatchesFastPathMetricsAndSpans) {
-  const InstrumentedRun fast = run_instrumented(/*force_slow=*/false, /*recorder_on=*/false);
-  const InstrumentedRun slow = run_instrumented(/*force_slow=*/true, /*recorder_on=*/false);
-  EXPECT_EQ(fast.report, slow.report);
-  EXPECT_EQ(fast.metrics, slow.metrics);
-  EXPECT_EQ(fast.spans, slow.spans);
-}
-
-TEST(DeterminismTest, RecorderOnDoesNotPerturbEitherPath) {
-  const InstrumentedRun fast_on = run_instrumented(/*force_slow=*/false, /*recorder_on=*/true);
-  const InstrumentedRun slow_on = run_instrumented(/*force_slow=*/true, /*recorder_on=*/true);
-  EXPECT_EQ(fast_on.report, slow_on.report);
-  EXPECT_EQ(fast_on.metrics, slow_on.metrics);
-  EXPECT_EQ(fast_on.spans, slow_on.spans);
-
-  // And the recorder itself must be invisible to the simulation: the same
-  // run with it off renders the identical report.
-  const InstrumentedRun fast_off = run_instrumented(/*force_slow=*/false, /*recorder_on=*/false);
-  EXPECT_EQ(fast_on.report, fast_off.report);
-  EXPECT_EQ(fast_on.spans, fast_off.spans);
+TEST(DeterminismTest, RecorderOnDoesNotPerturbCleanOrLossyDrain) {
+  for (const bool lossy : {false, true}) {
+    const InstrumentedRun on = run_instrumented(lossy, /*recorder_on=*/true);
+    const InstrumentedRun off = run_instrumented(lossy, /*recorder_on=*/false);
+    EXPECT_EQ(on.report, off.report) << (lossy ? "lossy" : "clean");
+    EXPECT_EQ(on.metrics, off.metrics) << (lossy ? "lossy" : "clean");
+    EXPECT_EQ(on.spans, off.spans) << (lossy ? "lossy" : "clean");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "criu/pagedelta.hpp"
 #include "fault/fault.hpp"
 #include "migr/migration.hpp"
+#include "rnic/wire.hpp"
 #include "rnic/world.hpp"
 
 namespace migr {
@@ -608,6 +609,139 @@ TEST_P(ImageMutationSweep, PageDeltaBatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ImageMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
+
+// ---------------------------------------------------------------------------
+// Wire-parser mutation sweep
+// ---------------------------------------------------------------------------
+
+// WirePacket::parse(net::Packet&&) is the only wire parser, and its input
+// arrives off the fabric. Every frame either fails with a status or parses
+// into fields that serialize_header writes back byte for byte, with the
+// body adopted unchanged. Inputs: header sizes around the 71-byte header
+// (empty included), byte flips at every header offset, every out-of-range
+// opcode, unknown flag bits, and declared payload lengths that disagree
+// with the body.
+class WireMutationSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WireMutationSweep, EveryFrameIsRejectedOrRoundTrips) {
+  using rnic::PktOp;
+  using rnic::WirePacket;
+  constexpr std::size_t kHeader = WirePacket::kHeaderBytes;
+  constexpr std::size_t kFlagsAt = 17;   // after op, dst_qpn, src_qpn, psn
+  constexpr std::size_t kLengthAt = 67;  // the closing u32 payload length
+  common::Rng rng(GetParam());
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  // Parse one frame; an accepted one must re-serialize to its own bytes.
+  auto check = [&](const net::FrameHeader& header, const common::Bytes& body) {
+    net::Packet raw(1, 2, body);
+    raw.header = header;
+    common::Result<WirePacket> parsed = common::err(common::Errc::internal, "not parsed");
+    ASSERT_NO_THROW(parsed = WirePacket::parse(std::move(raw)));
+    if (!parsed.is_ok()) {
+      rejected++;
+      return;
+    }
+    accepted++;
+    net::FrameHeader again;
+    parsed->serialize_header(again);
+    ASSERT_EQ(again.size(), header.size());
+    EXPECT_TRUE(std::ranges::equal(again.span(), header.span()));
+    EXPECT_TRUE(std::ranges::equal(parsed->payload.span(), body));
+  };
+
+  for (int round = 0; round < 8; ++round) {
+    WirePacket pkt;
+    pkt.op = static_cast<PktOp>(rng.below(static_cast<std::uint64_t>(PktOp::nak) + 1));
+    pkt.dst_qpn = static_cast<rnic::Qpn>(rng.next());
+    pkt.src_qpn = static_cast<rnic::Qpn>(rng.next());
+    pkt.psn = rng.next();
+    pkt.first = rng.chance(0.5);
+    pkt.last = rng.chance(0.5);
+    pkt.has_imm = rng.chance(0.5);
+    pkt.imm = static_cast<std::uint32_t>(rng.next());
+    pkt.remote_addr = rng.next();
+    pkt.rkey = static_cast<rnic::Rkey>(rng.next());
+    pkt.msg_len = static_cast<std::uint32_t>(rng.next());
+    pkt.offset = static_cast<std::uint32_t>(rng.next());
+    pkt.atomic_op = static_cast<std::uint8_t>(rng.next());
+    pkt.compare_add = rng.next();
+    pkt.swap = rng.next();
+    pkt.resp_token = rng.next();
+    common::Bytes body(rng.below(300));
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng.next());
+    pkt.payload = common::PayloadRef::copy_of(body);
+    net::FrameHeader valid;
+    pkt.serialize_header(valid);
+    ASSERT_EQ(valid.size(), kHeader);
+
+    const std::size_t before = rejected;
+    check(valid, body);
+    ASSERT_EQ(rejected, before) << "a serialized header must parse";
+
+    // Truncated and over-long headers, from empty to the inline capacity.
+    for (std::size_t n = 0; n <= net::FrameHeader::capacity(); ++n) {
+      if (n == kHeader) continue;
+      net::FrameHeader h;
+      h.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        h.data()[i] = i < kHeader ? valid.data()[i] : static_cast<std::uint8_t>(rng.next());
+      }
+      const std::size_t was = rejected;
+      check(h, body);
+      EXPECT_EQ(rejected, was + 1) << "header of " << n << " bytes";
+    }
+    // A flipped byte at every header offset.
+    for (std::size_t at = 0; at < kHeader; ++at) {
+      net::FrameHeader h = valid;
+      h.data()[at] ^= static_cast<std::uint8_t>(rng.range(1, 255));
+      check(h, body);
+    }
+    // Every opcode past the last one.
+    for (unsigned op = static_cast<unsigned>(PktOp::nak) + 1; op <= 0xff; ++op) {
+      net::FrameHeader h = valid;
+      h.data()[0] = static_cast<std::uint8_t>(op);
+      const std::size_t was = rejected;
+      check(h, body);
+      EXPECT_EQ(rejected, was + 1) << "opcode " << op;
+    }
+    // Any flag bit beyond first/last/imm.
+    for (unsigned bit = 3; bit < 8; ++bit) {
+      net::FrameHeader h = valid;
+      h.data()[kFlagsAt] |= static_cast<std::uint8_t>(1u << bit);
+      const std::size_t was = rejected;
+      check(h, body);
+      EXPECT_EQ(rejected, was + 1) << "flag bit " << bit;
+    }
+    // Declared payload lengths that disagree with the body.
+    for (int k = 0; k < 16; ++k) {
+      std::uint32_t declared = static_cast<std::uint32_t>(rng.next());
+      if (k < 4) declared = static_cast<std::uint32_t>(body.size()) + 1 + k;
+      if (k >= 4 && k < 8 && body.size() > static_cast<std::size_t>(k - 4)) {
+        declared = static_cast<std::uint32_t>(body.size()) - 1 - (k - 4);
+      }
+      if (declared == body.size()) continue;
+      net::FrameHeader h = valid;
+      for (int i = 0; i < 4; ++i) {
+        h.data()[kLengthAt + i] = static_cast<std::uint8_t>(declared >> (8 * i));
+      }
+      const std::size_t was = rejected;
+      check(h, body);
+      EXPECT_EQ(rejected, was + 1) << "declared length " << declared;
+    }
+    // A body that disagrees with the header's declared length.
+    common::Bytes other = body;
+    other.push_back(0x5a);
+    const std::size_t was = rejected;
+    check(valid, other);
+    EXPECT_EQ(rejected, was + 1);
+  }
+  EXPECT_GT(accepted, 8u);  // byte flips in plain fields parse and round-trip
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
 
 // ---------------------------------------------------------------------------
 // Address-space model check

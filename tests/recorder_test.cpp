@@ -1,8 +1,7 @@
 // Flight-recorder unit tests: ring wraparound, dump-on-anomaly contents,
 // the disabled-mode zero-allocation guarantee (pinned with a counting
 // global operator new in this TU, like bench_simrate), and the fabric hook
-// decoding real wire headers on both the burst fast path and the per-packet
-// fallback.
+// decoding real wire headers for single packets and trains.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -178,8 +177,9 @@ TEST(FlightRecorderTest, EnabledSteadyStateRecordingDoesNotAllocate) {
 }
 
 // ---------------------------------------------------------------------------
-// Fabric hook: both send paths feed the recorder and decode the RNIC wire
-// header (opcode, destination QPN, PSN) at the documented fixed offsets.
+// Fabric hook: the admission step feeds the recorder for single packets and
+// trains alike, decoding the RNIC wire header (opcode, destination QPN, PSN)
+// at the documented fixed offsets.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kWireHeaderBytes = 71;
@@ -218,7 +218,6 @@ class FabricHookTest : public ::testing::Test {
 };
 
 TEST_F(FabricHookTest, PerPacketPathDecodesHeaderAndVerdicts) {
-  fabric_.set_force_slow_path(true);
   fabric_.send_data(*route_, wire_packet(1, 2, /*op=*/3, /*dst_qpn=*/77, /*psn=*/900'001));
   loop_.run();
   EXPECT_EQ(delivered_, 1);
@@ -253,16 +252,18 @@ TEST_F(FabricHookTest, PerPacketPathDecodesHeaderAndVerdicts) {
 }
 
 TEST_F(FabricHookTest, BurstFastPathRecordsEveryPacketOfTheTrain) {
-  ASSERT_TRUE(fabric_.data_fast_path());
-  auto train = fabric_.acquire_train();
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    train.push_back(wire_packet(1, 2, /*op=*/2, /*dst_qpn=*/55, /*psn=*/100 + i));
-  }
-  fabric_.send_data_burst(*route_, std::move(train));
-  loop_.run();
+  auto send_train = [this](std::uint64_t first_psn) {
+    auto train = fabric_.acquire_train();
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      train.push_back(wire_packet(1, 2, /*op=*/2, /*dst_qpn=*/55, /*psn=*/first_psn + i));
+    }
+    fabric_.send_data_burst(*route_, std::move(train));
+    loop_.run();
+  };
+  send_train(100);
   EXPECT_EQ(delivered_, 4);
 
-  const auto held = rec_.records(1);
+  auto held = rec_.records(1);
   ASSERT_EQ(held.size(), 4u);
   for (std::size_t i = 0; i < held.size(); ++i) {
     EXPECT_EQ(held[i].psn, 100 + i);
@@ -270,6 +271,32 @@ TEST_F(FabricHookTest, BurstFastPathRecordsEveryPacketOfTheTrain) {
     EXPECT_EQ(held[i].opcode, 2u);
     EXPECT_EQ(held[i].verdict, PacketVerdict::delivered);
   }
+
+  // Certain loss: every packet of the train is recorded as dropped.
+  net::Faults f;
+  f.data_loss_prob = 1.0;
+  fabric_.set_faults(f);
+  send_train(200);
+  EXPECT_EQ(delivered_, 4);
+  held = rec_.records(1);
+  ASSERT_EQ(held.size(), 8u);
+  for (std::size_t i = 4; i < 8; ++i) {
+    EXPECT_EQ(held[i].psn, 200 + (i - 4));
+    EXPECT_EQ(held[i].verdict, PacketVerdict::dropped);
+  }
+
+  // Partitioned destination: dropped at admission with its own verdict.
+  fabric_.set_faults({});
+  fabric_.set_partitioned(2, true);
+  send_train(300);
+  EXPECT_EQ(delivered_, 4);
+  held = rec_.records(1);
+  ASSERT_EQ(held.size(), 12u);
+  for (std::size_t i = 8; i < 12; ++i) {
+    EXPECT_EQ(held[i].psn, 300 + (i - 8));
+    EXPECT_EQ(held[i].verdict, PacketVerdict::partitioned);
+  }
+  EXPECT_EQ(fabric_.stats(1).data_packets_dropped, 8u);
 }
 
 TEST_F(FabricHookTest, NonRnicFramesRecordWithSentinelOpcode) {

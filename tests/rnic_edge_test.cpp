@@ -333,10 +333,10 @@ TEST_F(RnicEdgeTest, StalePacketsForDestroyedQpAreDropped) {
 
 TEST_F(RnicEdgeTest, TailLossAfterPartialAckStillRetransmits) {
   // Regression for the retransmit-timer tail stall: an ACK that makes
-  // partial progress resets last_progress, every outstanding timer then
-  // fires inside the quiet window and early-returns — if none of them
-  // re-arms, the unacked tail is never retransmitted and the QP hangs
-  // forever with work on its SQ.
+  // partial progress resets last_progress, so the QP's timer fires inside
+  // the quiet window — if it does not follow the deadline, the unacked
+  // tail is never retransmitted (the QP hangs forever with work on its
+  // SQ) or is retransmitted up to a full timeout late.
   auto [qa, qb] = pair();
   Buf sb = buf(ctx_a_, pd_a_, 4096);
   Buf db = buf(ctx_b_, pd_b_, 4096);
@@ -366,13 +366,73 @@ TEST_F(RnicEdgeTest, TailLossAfterPartialAckStillRetransmits) {
   ASSERT_EQ(c1.status, CqeStatus::success);
   ASSERT_FALSE(ctx_a_->find_qp(qa)->sq.empty());
 
-  // The re-armed timer must eventually retransmit the tail.
+  // The partial ACK is the last progress (it landed after WRITE #2 left),
+  // so the tail goes out again exactly one retransmit timeout after it.
+  const sim::TimeNs ack_at = ctx_a_->find_qp(qa)->last_progress;
+  ASSERT_GT(ack_at, sim::usec(3));
+  const sim::TimeNs due = ack_at + dev_a_->costs().retransmit_timeout;
+  world_.loop().run_until(due - 1);
+  EXPECT_EQ(dev_a_->counters().retransmits, 0u);
+  world_.loop().run_until(due);
+  EXPECT_EQ(dev_a_->counters().retransmits, 1u);
+
   Cqe c2 = wait_cqe(ctx_a_, cq_a_);
   EXPECT_EQ(c2.wr_id, 2u);
   EXPECT_EQ(c2.status, CqeStatus::success);
   EXPECT_TRUE(ctx_a_->find_qp(qa)->sq.empty());
   EXPECT_GT(dev_a_->counters().retransmits, 0u);
   EXPECT_TRUE(dev_a_->audit_stuck_qps(sim::msec(200)).empty());
+}
+
+TEST(RnicTimerTest, LossyStreamKeepsPendingEventsBounded) {
+  // One retransmit timer per QP: a 600 ms RC stream at 1% loss with the
+  // send queue never empty keeps the event population flat. A timer per
+  // sent packet, each re-arming while the QP makes progress, would grow it
+  // with every packet sent. A 1 Gbps link keeps the run short (~18k
+  // packets).
+  World world(net::FabricConfig{.link_gbps = 1.0});
+  Device& dev_a = world.add_device(1);
+  Device& dev_b = world.add_device(2);
+  Context* ctx_a = dev_a.open(world.add_process("a")).value();
+  Context* ctx_b = dev_b.open(world.add_process("b")).value();
+  const Handle pd_a = ctx_a->alloc_pd().value();
+  const Handle pd_b = ctx_b->alloc_pd().value();
+  const Handle cq_a = ctx_a->create_cq(256).value();
+  const Handle cq_b = ctx_b->create_cq(256).value();
+  const Qpn qa = ctx_a->create_qp({QpType::rc, pd_a, cq_a, cq_a, 0, {}}).value();
+  const Qpn qb = ctx_b->create_qp({QpType::rc, pd_b, cq_b, cq_b, 0, {}}).value();
+  ASSERT_TRUE(rc_connect(*ctx_a, qa, *ctx_b, qb).is_ok());
+
+  constexpr std::uint64_t kMsg = 64 * 1024;  // 16 packets per WRITE
+  const proc::VirtAddr src = ctx_a->process().mem().mmap(kMsg, "src").value();
+  const proc::VirtAddr dst = ctx_b->process().mem().mmap(kMsg, "dst").value();
+  const Mr smr = ctx_a->reg_mr(pd_a, src, kMsg, kAccessLocalWrite).value();
+  const Mr dmr = ctx_b->reg_mr(pd_b, dst, kMsg, kAccessLocalWrite | kAccessRemoteWrite).value();
+  SendWr wr;
+  wr.opcode = WrOpcode::rdma_write;
+  wr.remote_addr = dst;
+  wr.rkey = dmr.rkey;
+  wr.sge = {{src, kMsg, smr.lkey}};
+
+  world.fabric().set_faults(net::Faults{.data_loss_prob = 0.01});
+  constexpr int kWindow = 8;
+  for (int i = 0; i < kWindow; ++i) ASSERT_TRUE(ctx_a->post_send(qa, wr).is_ok());
+  std::uint64_t completed = 0;
+  std::size_t peak = 0;
+  const sim::TimeNs end = world.loop().now() + sim::msec(600);
+  while (world.loop().now() < end) {
+    world.loop().run_for(sim::usec(500));
+    peak = std::max(peak, world.loop().pending_events());
+    Cqe cqe;
+    while (ctx_a->poll_cq(cq_a, {&cqe, 1}) == 1) {
+      ASSERT_EQ(cqe.status, CqeStatus::success);
+      completed++;
+      ASSERT_TRUE(ctx_a->post_send(qa, wr).is_ok());
+    }
+  }
+  EXPECT_GT(completed, 500u);  // ~90% of the 600 ms at line rate
+  EXPECT_GT(dev_a.counters().retransmits, 10u);
+  EXPECT_LE(peak, 32u);
 }
 
 TEST_F(RnicEdgeTest, ProgressFreeNakRewindsExhaustRetryBudget) {
@@ -398,7 +458,11 @@ TEST_F(RnicEdgeTest, ProgressFreeNakRewindsExhaustRetryBudget) {
     nak.src_qpn = qb;
     nak.dst_qpn = qa;
     nak.psn = stuck_psn;
-    world_.fabric().send_data({/*src=*/2, /*dst=*/1, nak.serialize()});
+    net::Packet raw;
+    raw.src = 2;
+    raw.dst = 1;
+    nak.serialize_header(raw.header);
+    world_.fabric().send_data(std::move(raw));
     world_.loop().run_until(world_.loop().now() + sim::usec(10));
     if (ctx_a_->query_qp_state(qa).value() == QpState::err) break;
   }
