@@ -41,6 +41,7 @@ struct SweepRow {
   DrainReport report;
   double peak_gbps = 0;
   std::size_t stuck_qps = 0;
+  std::uint64_t events = 0;  // dispatched by the model's loop, settle included
 
   /// Prints why the drain is a failure, if it is one.
   bool failed_loudly() const {
@@ -124,6 +125,7 @@ SweepRow run_drain(std::uint32_t concurrency, std::uint64_t seed = 42, double lo
   // sources) is still alive; the hub only gets read after this.
   model.run_for(sim::msec(2));  // let post-resume traffic settle -> recovery
   obs::SliHub::global().flush(model.loop().now());
+  row.events = model.loop().events_dispatched();
   return row;
 }
 
@@ -361,6 +363,7 @@ int run_artifact_mode(const Options& opt) {
                                  opt.critical_path, opt.ctrl_loss,
                                  sim::msec(opt.restore_ms));
   std::fputs(format_drain_report(row.report).c_str(), stdout);
+  std::printf("sim: %llu events dispatched\n", static_cast<unsigned long long>(row.events));
   if (!opt.drain_out.empty()) {
     char scen[160];
     std::snprintf(scen, sizeof scen,

@@ -432,22 +432,13 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
                 ",\"xfer\":{\"streams\":%u,\"migrations\":%" PRIu64
                 ",\"bytes_attempted\":%" PRIu64 ",\"bytes_delivered\":%" PRIu64
                 ",\"bytes_lost\":%" PRIu64 ",\"chunks\":%" PRIu64
-                ",\"retries\":%" PRIu64 ",\"per_stream\":[",
+                ",\"retries\":%" PRIu64 ",\"per_stream\":",
                 xf_streams, xf_migr, xf_attempted, xf_delivered, xf_lost, xf_chunks,
                 xf_retries);
   out += buf;
-  for (std::size_t k = 0; k < per_stream.size(); k++) {
-    const migrlib::XferStreamStats& s = per_stream[k];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"chunks\":%" PRIu64 ",\"attempted\":%" PRIu64
-                  ",\"delivered\":%" PRIu64 ",\"lost\":%" PRIu64
-                  ",\"retries\":%" PRIu64 "}",
-                  k == 0 ? "" : ",", s.chunks, s.bytes_attempted, s.bytes_delivered,
-                  s.bytes_lost(), s.retries);
-    out += buf;
-  }
+  migrlib::append_streams_json(out, per_stream);
   std::snprintf(buf, sizeof(buf),
-                "],\"suppression\":{\"pages_zero\":%" PRIu64 ",\"pages_same\":%" PRIu64
+                ",\"suppression\":{\"pages_zero\":%" PRIu64 ",\"pages_same\":%" PRIu64
                 ",\"pages_delta\":%" PRIu64 ",\"pages_full\":%" PRIu64
                 ",\"bytes_raw\":%" PRIu64 ",\"bytes_shipped\":%" PRIu64
                 ",\"bytes_suppressed\":%" PRIu64 "}}",

@@ -16,28 +16,12 @@ using common::ByteReader;
 using common::ByteWriter;
 using common::Errc;
 using common::Status;
-using migrlib::GuestContext;
-using migrlib::Plugin;
+using migrlib::GuestMove;
 
 namespace {
-void trace_span(sim::TimeNs start, sim::DurationNs dur, std::string_view name,
-                std::string args = {}) {
-  auto& t = obs::Tracer::global();
-  if (t.enabled()) t.complete(start, dur, name, "ft", std::move(args));
-}
-
-void trace_instant(sim::TimeNs at, std::string_view name, std::string args = {}) {
-  auto& t = obs::Tracer::global();
-  if (t.enabled()) t.instant(at, name, "ft", std::move(args));
-}
-
-// Failover-blackout slices ride the same track as migration blackout slices
-// so one trace viewer lane shows both anatomy kinds.
-void trace_blackout_span(sim::TimeNs start, sim::DurationNs dur, std::string_view name,
-                         std::string args = {}) {
-  auto& t = obs::Tracer::global();
-  if (t.enabled()) t.complete(start, dur, name, "migr.blackout", std::move(args));
-}
+// PSNs of the replacement connections a standby establishes; the flight
+// recorder's wire capture carries them.
+constexpr rnic::Psn kPsnBase = 700'000;
 }  // namespace
 
 std::string FtReport::json() const {
@@ -77,19 +61,11 @@ std::string FtReport::json() const {
   // Stream-level rollups of the epoch-sync mux.
   std::snprintf(buf, sizeof buf,
                 ",\"streams\":{\"count\":%u,\"chunks\":%" PRIu64
-                ",\"bytes_lost\":%" PRIu64 ",\"per_stream\":[",
+                ",\"bytes_lost\":%" PRIu64 ",\"per_stream\":",
                 xfer_streams, xfer_chunks, xfer_bytes_lost);
   out += buf;
-  for (std::size_t i = 0; i < xfer_stream_stats.size(); ++i) {
-    const migrlib::XferStreamStats& s = xfer_stream_stats[i];
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"chunks\":%" PRIu64 ",\"attempted\":%" PRIu64
-                  ",\"delivered\":%" PRIu64 ",\"lost\":%" PRIu64 ",\"retries\":%" PRIu64 "}",
-                  i ? "," : "", s.chunks, s.bytes_attempted, s.bytes_delivered,
-                  s.bytes_lost(), s.retries);
-    out += buf;
-  }
-  out += "]}}";
+  migrlib::append_streams_json(out, xfer_stream_stats);
+  out += "}}";
 
   std::snprintf(buf, sizeof buf,
                 ",\"output_commit\":{\"buffered\":%" PRIu64 ",\"released\":%" PRIu64
@@ -113,21 +89,11 @@ std::string FtReport::json() const {
   // so the validator's tiling-cursor check is reusable verbatim.
   std::snprintf(buf, sizeof buf,
                 ",\"waterfall\":{\"freeze_at_ns\":%" PRId64 ",\"resume_at_ns\":%" PRId64
-                ",\"blackout_ns\":%" PRId64 ",\"slices\":[",
+                ",\"blackout_ns\":%" PRId64 ",\"slices\":",
                 killed_at, resume_at, failed_over ? failover_blackout() : 0);
   out += buf;
-  for (std::size_t i = 0; i < waterfall.size(); ++i) {
-    const migrlib::PhaseSlice& s = waterfall[i];
-    if (i != 0) out += ',';
-    out += "{\"name\":\"" + s.name + "\",\"start_ns\":" + std::to_string(s.start) +
-           ",\"dur_ns\":" + std::to_string(s.dur);
-    if (!s.detail.empty()) {
-      out += ',';
-      out += s.detail;
-    }
-    out += '}';
-  }
-  out += "]}";
+  migrlib::append_slices_json(out, waterfall);
+  out += '}';
   if (critical_path.valid) {
     out += ",\"critical_path\":" + critical_path.json();
   }
@@ -138,14 +104,13 @@ std::string FtReport::json() const {
 FtController::FtController(sim::EventLoop& loop, net::Fabric& fabric,
                            migrlib::GuestDirectory& directory, FtOptions options)
     : loop_(loop), fabric_(fabric), directory_(directory), options_(options),
-      plugin_(options.migr_costs), psn_cursor_(options.psn_seed) {}
+      move_(loop, fabric, directory, "ft", kPsnBase, options.criu_costs, options.migr_costs) {}
 
 FtController::~FtController() {
   stop_timers();
   if (services_registered_) {
-    fabric_.unregister_service(src_rt_->host(), ack_service_);
-    fabric_.unregister_service(dest_rt_->host(), hb_service_);
-    services_registered_ = false;
+    fabric_.unregister_service(move_.src_rt().host(), ack_service_);
+    fabric_.unregister_service(move_.dest_rt().host(), hb_service_);
   }
 }
 
@@ -159,115 +124,88 @@ void FtController::stop_timers() {
 Status FtController::protect(GuestId id, net::HostId backup_host,
                              proc::SimProcess& backup_proc, migrlib::MigratableApp* app,
                              apps::MsgNode* node, ReadyCb ready, DoneCb done) {
-  guest_id_ = id;
-  app_ = app;
-  node_ = node;
-  ready_ = std::move(ready);
-  done_ = std::move(done);
-  dest_proc_ = &backup_proc;
-
-  src_rt_ = directory_.runtime_of(id);
-  dest_rt_ = directory_.runtime_at(backup_host);
-  if (src_rt_ == nullptr || dest_rt_ == nullptr) {
-    return common::err(Errc::not_found, "unknown primary or backup host");
-  }
-  if (src_rt_ == dest_rt_) {
-    return common::err(Errc::invalid_argument, "primary and backup are the same host");
-  }
-  guest_ = src_rt_->find_guest(id);
-  if (guest_ == nullptr) return common::err(Errc::not_found, "no such guest");
-  if (node_ == nullptr) return common::err(Errc::invalid_argument, "ft needs the guest's MsgNode");
-  src_proc_ = &guest_->process();
-  if (guest_->has_raw_peer()) {
-    return common::err(Errc::failed_precondition,
-                       "guest has non-MigrRDMA partners; replication unsupported");
-  }
-
-  ckpt_ = std::make_unique<criu::Checkpointer>(*src_proc_, options_.criu_costs);
-  restorer_ = std::make_unique<criu::Restorer>(*dest_proc_, options_.criu_costs);
-  if (options_.epoch_byte_budget > 0) {
-    criu::DirtyRateConfig cfg = options_.dirty_rate;
-    cfg.seed += guest_id_;
-    estimator_ = std::make_unique<criu::DirtyRateEstimator>(*src_proc_, cfg);
-  }
-
-  ack_service_ = "ft.ack." + std::to_string(id);
-  hb_service_ = "ft.hb." + std::to_string(id);
-  fabric_.register_service(src_rt_->host(), ack_service_, [this](net::HostId, Bytes&& p) {
-    ByteReader r{p};
-    auto e = r.u64();
-    if (e.is_ok()) on_ack(e.value());
-  });
-  fabric_.register_service(dest_rt_->host(), hb_service_,
-                           [this](net::HostId, Bytes&&) { last_hb_ = loop_.now(); });
-  services_registered_ = true;
-
-  // A fresh instance number in the service base: a re-protected guest gets
-  // fresh `ft.xfer.<id>.<instance>.<k>` names, so a lingering old
-  // controller's teardown can never unregister the live streams.
+  if (node == nullptr) return common::err(Errc::invalid_argument, "ft needs the guest's MsgNode");
   migrlib::XferOptions xo;
   xo.streams = options_.xfer_streams;
   xo.stream_gbps = options_.xfer_stream_gbps;
   xo.chunk_bytes = options_.chunk_bytes;
   xo.max_backoff = std::min(xo.max_backoff, options_.max_transfer_backoff);
-  xo.cp = &cp_;
-  mux_ = std::make_unique<migrlib::TransferMux>(
-      loop_, fabric_,
-      "ft.xfer." + std::to_string(id) + "." + std::to_string(fabric_.next_service_instance()),
-      src_rt_->host(), dest_rt_->host(), xo);
-  mux_->open([this](Bytes&& p) { on_mux_epoch(std::move(p)); },
-             [this](const Status& st) { fail(st); });
+  MIGR_RETURN_IF_ERROR(move_.open(id, backup_host, backup_proc, "ft.xfer", xo));
+  app_ = app;
+  node_ = node;
+  ready_ = std::move(ready);
+  done_ = std::move(done);
+  if (options_.epoch_byte_budget > 0) {
+    criu::DirtyRateConfig cfg = options_.dirty_rate;
+    cfg.seed += id;
+    estimator_ = std::make_unique<criu::DirtyRateEstimator>(move_.src_proc(), cfg);
+  }
+
+  const net::HostId primary_host = move_.src_rt().host();
+  ack_service_ = "ft.ack." + std::to_string(id);
+  hb_service_ = "ft.hb." + std::to_string(id);
+  fabric_.register_service(primary_host, ack_service_, [this](net::HostId, Bytes&& p) {
+    ByteReader r{p};
+    auto e = r.u64();
+    if (e.is_ok()) on_ack(e.value());
+  });
+  fabric_.register_service(backup_host, hb_service_,
+                           [this](net::HostId, Bytes&&) { last_hb_ = loop_.now(); });
+  services_registered_ = true;
+  move_.mux().open([this](Bytes&& p) { on_mux_epoch(std::move(p)); },
+                   [this](const Status& st) { fail(st); });
 
   report_ = FtReport{};
   report_.guest = id;
-  report_.primary_host = src_rt_->host();
+  report_.primary_host = primary_host;
   report_.backup_host = backup_host;
   report_.protect_start = loop_.now();
-
-  cp_.clear();
-  cp_.set_enabled(options_.critical_path);
-  auto& tr = obs::Tracer::global();
-  if (tr.enabled()) {
-    // One causal scope per protection: epoch sync flows, backup-side apply
-    // spans, and failover spans all parent back to this root.
-    trace_id_ = tr.new_id();
-    root_span_ = tr.new_id();
-    mux_->set_trace_context({trace_id_, root_span_});
-  }
+  move_.cp().set_enabled(options_.critical_path);
 
   // Output commit starts with protection, not with the sync's completion:
   // everything the guest emits from here on post-dates the epoch-0 state
   // and belongs to epoch 1.
   node_->arm_output_commit(1);
   next_epoch_ = 1;
-  obs::SliHub::global().on_ft_protected(guest_id_, report_.protect_start);
+  obs::SliHub::global().on_ft_protected(id, report_.protect_start);
   obs::Registry::global().counter("ft.protections_started").inc();
-  if (tr.enabled()) {
-    // Carries the root span id so every parent link in this protection's
-    // causal graph resolves to a recorded event.
-    tr.instant(report_.protect_start, "ft_protect", "ft",
-               "\"guest\":" + std::to_string(guest_id_) +
-                   ",\"backup_host\":" + std::to_string(backup_host),
-               root_span_, 0);
-  }
+  // One causal scope per protection: epoch sync flows, backup-side apply
+  // spans, and failover spans all parent back to this root.
+  move_.trace_root(report_.protect_start, "ft_protect",
+                   "\"guest\":" + std::to_string(id) +
+                       ",\"backup_host\":" + std::to_string(backup_host));
   loop_.schedule_in(0, [this] { phase_full_sync(); });
   return Status::ok();
 }
 
+void FtController::end_protection() {
+  finished_ = true;
+  stop_timers();
+  move_.mux().cancel();  // chunk timers must not outlive protection
+  protected_ = false;
+  if (failed_over_) {
+    // Once failover started, partners may have switched QPs and be holding
+    // their sends for a resume that will never come: release them.
+    (void)move_.release_partners();
+  } else {
+    // The standby's staged RDMA state and the partners' prepared QPs go, so
+    // a later migration of the guest prepares fresh ones. A primary stopped
+    // mid-capture runs again: the capture's scheduled thaw returns once
+    // protection has ended.
+    move_.unstage();
+    proc::SimProcess& primary = move_.src_proc();
+    if (primary.frozen() && primary.alive()) primary.thaw();
+  }
+  // Never strand buffered egress: ending protection falls back to
+  // unprotected operation, not to withholding the service's output.
+  if (node_->output_commit_armed()) node_->disarm_output_commit();
+  obs::SliHub::global().on_ft_released(move_.id(), loop_.now());
+}
+
 void FtController::fail(const Status& st) {
   if (finished_) return;
-  finished_ = true;
-  MIGR_ERROR() << "ft protection of guest " << guest_id_ << " failed: " << st.to_string();
-  stop_timers();
-  mux_->cancel();  // chunk timers must not outlive protection
-  protected_ = false;
-  // Once failover started, partners may have switched QPs and be holding
-  // their sends for a resume that will never come: release them.
-  if (failed_over_) (void)migrlib::resume_partners(directory_, partners_, guest_id_);
-  // Never strand buffered egress: a protection failure falls back to
-  // unprotected operation, not to withholding the service's output.
-  if (node_ != nullptr && node_->output_commit_armed()) node_->disarm_output_commit();
-  obs::SliHub::global().on_ft_released(guest_id_, loop_.now());
+  MIGR_ERROR() << "ft protection of guest " << move_.id() << " failed: " << st.to_string();
+  end_protection();
   obs::Registry::global().counter("ft.protections_failed").inc();
   report_.ok = false;
   report_.error = st.to_string();
@@ -277,22 +215,19 @@ void FtController::fail(const Status& st) {
 
 void FtController::finish_report() {
   report_.end = loop_.now();
-  if (node_ != nullptr) {
-    report_.msgs_released = node_->gate_released();
-    report_.msgs_dropped = node_->gate_dropped();
-    report_.msgs_buffered =
-        report_.msgs_released + report_.msgs_dropped + node_->gated_pending();
-    const obs::Histogram& h = node_->release_delay();
-    report_.release_delay_p50 = h.percentile(50);
-    report_.release_delay_p99 = h.percentile(99);
-    report_.release_delay_max = h.max();
-  }
+  report_.msgs_released = node_->gate_released();
+  report_.msgs_dropped = node_->gate_dropped();
+  report_.msgs_buffered = report_.msgs_released + report_.msgs_dropped + node_->gated_pending();
+  const obs::Histogram& h = node_->release_delay();
+  report_.release_delay_p50 = h.percentile(50);
+  report_.release_delay_p99 = h.percentile(99);
+  report_.release_delay_max = h.max();
   report_.epoch_bytes_total = 0;
   for (const EpochRecord& r : report_.epochs) {
     if (r.epoch >= 1) report_.epoch_bytes_total += r.wire_bytes;
   }
-  const migrlib::XferStats& xs = mux_->stats();
-  report_.xfer_streams = mux_->options().streams;
+  const migrlib::XferStats& xs = move_.mux().stats();
+  report_.xfer_streams = move_.mux().options().streams;
   report_.xfer_bytes_attempted = xs.attempted();
   report_.xfer_bytes_delivered = xs.delivered();
   report_.xfer_bytes_lost = xs.lost();
@@ -300,42 +235,32 @@ void FtController::finish_report() {
   report_.xfer_stream_stats = xs.streams;
 }
 
+EpochRecord* FtController::record(std::uint64_t epoch) {
+  for (auto it = report_.epochs.rbegin(); it != report_.epochs.rend(); ++it) {
+    if (it->epoch == epoch) return &*it;
+  }
+  return nullptr;
+}
+
 void FtController::unprotect() {
   if (finished_) return;
-  finished_ = true;
-  stop_timers();
-  mux_->cancel();
-  protected_ = false;
-  if (node_ != nullptr && node_->output_commit_armed()) node_->disarm_output_commit();
-  obs::SliHub::global().on_ft_released(guest_id_, loop_.now());
-  trace_instant(loop_.now(), "ft_unprotect", "\"guest\":" + std::to_string(guest_id_));
+  end_protection();
+  move_.instant(loop_.now(), "ft_unprotect", "\"guest\":" + std::to_string(move_.id()));
   report_.ok = true;
   finish_report();
   if (done_) done_(report_);
 }
 
 void FtController::kill_primary() {
-  fabric_.set_partitioned(src_rt_->host(), true);
-  src_proc_->kill();
+  fabric_.set_partitioned(move_.src_rt().host(), true);
+  move_.src_proc().kill();
   mark_primary_killed();
 }
 
 void FtController::mark_primary_killed() {
   if (report_.killed_at == 0) report_.killed_at = loop_.now();
-  trace_instant(report_.killed_at, "ft_primary_killed",
-                "\"guest\":" + std::to_string(guest_id_));
-}
-
-GuestContext* FtController::partner_guest(GuestId id) const {
-  migrlib::MigrRdmaRuntime* rt = directory_.runtime_of(id);
-  return rt == nullptr ? nullptr : rt->find_guest(id);
-}
-
-void FtController::push_waterfall(std::string name, sim::DurationNs dur, std::string detail) {
-  trace_blackout_span(wf_cursor_, dur, name, detail);
-  report_.waterfall.push_back(
-      migrlib::PhaseSlice{std::move(name), wf_cursor_, dur, std::move(detail)});
-  wf_cursor_ += dur;
+  move_.instant(report_.killed_at, "ft_primary_killed",
+                "\"guest\":" + std::to_string(move_.id()));
 }
 
 // ---------------------------------------------------------------------------
@@ -360,13 +285,13 @@ Bytes epoch_payload(const criu::MemoryImage& image, const criu::PageSet& pages,
 void FtController::phase_full_sync() {
   // Live full dump (the guest keeps running — the long initial copy must
   // not blackout the service the way per-epoch brief freezes may).
-  auto dump = ckpt_->pre_dump();
-  src_rt_->device().add_ctrl_pressure(dump.cost);
-  predump_rdma_bytes_ = plugin_.pre_dump(*guest_);
-  const sim::DurationNs cost = dump.cost + plugin_.take_cost();
+  auto dump = move_.ckpt().pre_dump();
+  move_.src_rt().device().add_ctrl_pressure(dump.cost);
+  const Bytes predump = move_.plugin().pre_dump(move_.guest());
+  const sim::DurationNs cost = dump.cost + move_.plugin().take_cost();
 
   const std::uint64_t mem_bytes = dump.image.serialized_size() + dump.pages.serialized_size();
-  inflight_payload_ = epoch_payload(dump.image, dump.pages, predump_rdma_bytes_);
+  inflight_payload_ = epoch_payload(dump.image, dump.pages, predump);
   inflight_epoch_ = 0;
   inflight_ = true;
   xfer_attempt_ = 0;
@@ -377,12 +302,12 @@ void FtController::phase_full_sync() {
   rec.captured_at = loop_.now();
   rec.freeze_ns = 0;  // live capture
   rec.mem_bytes = mem_bytes;
-  rec.rdma_bytes = predump_rdma_bytes_.size();
+  rec.rdma_bytes = predump.size();
   report_.epochs.push_back(rec);
   report_.epochs_captured = 1;
 
   if (estimator_) estimator_->begin_interval(loop_.now());
-  trace_span(loop_.now(), cost, "ft_full_sync",
+  move_.span(loop_.now(), cost, "ft_full_sync",
              "\"bytes\":" + std::to_string(report_.full_sync_bytes));
   loop_.schedule_in(cost, [this] {
     if (finished_ || failed_over_) return;
@@ -406,19 +331,17 @@ void FtController::capture_epoch() {
   const sim::TimeNs t0 = loop_.now();
   if (estimator_ && estimator_->open()) (void)estimator_->end_interval(t0);
 
-  // Brief freeze: the epoch-scoped dump captures a consistent point.
-  src_proc_->freeze();
-  auto ed = ckpt_->epoch_dump();
-  if (!ed.is_ok()) {
-    src_proc_->thaw();
-    return fail(ed.status());
-  }
+  // Brief freeze: the epoch-scoped dump captures a consistent point. A
+  // failed dump ends protection, which thaws the primary.
+  move_.src_proc().freeze();
+  auto ed = move_.ckpt().epoch_dump();
+  if (!ed.is_ok()) return fail(ed.status());
   // Cumulative RDMA delta vs the protect-time pre-dump: the backup only
   // ever needs the *latest* delta at promotion, so each epoch carries the
   // full difference instead of a chain of per-epoch diffs.
-  Bytes rdma_delta = plugin_.final_dump(*guest_);
-  const sim::DurationNs rdma_cost = plugin_.take_cost();
-  src_rt_->device().add_ctrl_pressure(ed->cost);
+  Bytes rdma_delta = move_.plugin().final_dump(move_.guest());
+  const sim::DurationNs rdma_cost = move_.plugin().take_cost();
+  move_.src_rt().device().add_ctrl_pressure(ed->cost);
 
   const std::uint64_t epoch = next_epoch_++;
   const std::uint64_t mem_bytes = ed->image.serialized_size() + ed->pages.serialized_size();
@@ -440,12 +363,12 @@ void FtController::capture_epoch() {
   // *next* epoch — it is not part of the state this checkpoint ships.
   node_->set_output_epoch(epoch + 1);
 
-  trace_span(t0, rec.freeze_ns, "ft_epoch_capture",
+  move_.span(t0, rec.freeze_ns, "ft_epoch_capture",
              "\"epoch\":" + std::to_string(epoch) +
                  ",\"pages\":" + std::to_string(ed->pages.pages.size()));
   loop_.schedule_in(rec.freeze_ns, [this, epoch] {
     if (finished_ || failed_over_) return;
-    src_proc_->thaw();
+    move_.src_proc().thaw();
     if (estimator_) estimator_->begin_interval(loop_.now());
     send_epoch(epoch, /*retry=*/false);
   });
@@ -462,17 +385,13 @@ void FtController::send_epoch(std::uint64_t epoch, bool retry) {
   h.u64(epoch);
   h.bytes(inflight_payload_);
   Bytes frame = std::move(h).take();
+  migrlib::TransferMux& mux = move_.mux();
   const std::uint64_t wire =
-      migrlib::TransferMux::wire_size(frame.size(), mux_->options().chunk_bytes);
-  if (retry) mux_->cancel();
-  mux_->send(std::move(frame));
+      migrlib::TransferMux::wire_size(frame.size(), mux.options().chunk_bytes);
+  if (retry) mux.cancel();
+  mux.send(std::move(frame));
   if (!retry) {
-    for (auto it = report_.epochs.rbegin(); it != report_.epochs.rend(); ++it) {
-      if (it->epoch == epoch) {
-        it->wire_bytes = wire;
-        break;
-      }
-    }
+    if (EpochRecord* rec = record(epoch)) rec->wire_bytes = wire;
   }
   ack_timeout_.cancel();
   ack_timeout_ =
@@ -489,12 +408,7 @@ void FtController::on_ack_timeout(std::uint64_t epoch) {
   }
   xfer_attempt_++;
   report_.transfer_retries++;
-  for (auto it = report_.epochs.rbegin(); it != report_.epochs.rend(); ++it) {
-    if (it->epoch == epoch) {
-      it->retries++;
-      break;
-    }
-  }
+  if (EpochRecord* rec = record(epoch)) rec->retries++;
   obs::Registry::global().counter("ft.transfer_retries").inc();
   const sim::DurationNs backoff = std::min<sim::DurationNs>(
       options_.transfer_retry_backoff << (xfer_attempt_ - 1), options_.max_transfer_backoff);
@@ -514,16 +428,9 @@ void FtController::on_ack(std::uint64_t epoch) {
   inflight_ = false;
   inflight_payload_.clear();
   committed_epoch_ = epoch;
-  any_committed_ = true;
   const sim::TimeNs now = loop_.now();
 
-  EpochRecord* rec = nullptr;
-  for (auto it = report_.epochs.rbegin(); it != report_.epochs.rend(); ++it) {
-    if (it->epoch == epoch) {
-      rec = &*it;
-      break;
-    }
-  }
+  EpochRecord* rec = record(epoch);
   if (rec != nullptr) rec->committed_at = now;
   report_.epochs_committed++;
 
@@ -538,7 +445,7 @@ void FtController::on_ack(std::uint64_t epoch) {
   if (rec != nullptr) {
     reg.histogram("ft.epoch_commit_ns").observe(rec->commit_latency());
     reg.histogram("ft.epoch_wire_bytes").observe(static_cast<std::int64_t>(rec->wire_bytes));
-    trace_span(rec->captured_at, rec->commit_latency(), "ft_epoch_commit",
+    move_.span(rec->captured_at, rec->commit_latency(), "ft_epoch_commit",
                "\"epoch\":" + std::to_string(epoch) +
                    ",\"wire_bytes\":" + std::to_string(rec->wire_bytes));
   }
@@ -551,7 +458,7 @@ void FtController::on_ack(std::uint64_t epoch) {
     hb_timer_ = loop_.schedule_every(options_.heartbeat_interval, [this] { send_heartbeat(); });
     watchdog_timer_ =
         loop_.schedule_every(options_.heartbeat_interval, [this] { watchdog_check(); });
-    trace_instant(now, "ft_protected", "\"guest\":" + std::to_string(guest_id_));
+    move_.instant(now, "ft_protected", "\"guest\":" + std::to_string(move_.id()));
     if (ready_) ready_(Status::ok());
   }
   epoch_timer_ = loop_.schedule_in(next_epoch_interval(), [this] { capture_epoch(); });
@@ -561,142 +468,79 @@ void FtController::send_heartbeat() {
   if (!protected_ || failed_over_ || finished_) return;
   // The primary host agent's liveness signal: stops when the container died
   // (process kill) and is dropped by the fabric when the host partitioned.
-  if (!src_proc_->alive()) return;
+  if (!move_.src_proc().alive()) return;
   ByteWriter w;
   w.u8(1);
-  (void)fabric_.send_ctrl(src_rt_->host(), dest_rt_->host(), hb_service_, w.data());
+  (void)fabric_.send_ctrl(move_.src_rt().host(), move_.dest_rt().host(), hb_service_, w.data());
 }
 
 // ---------------------------------------------------------------------------
 // Backup side: atomic epoch apply, ACK
 // ---------------------------------------------------------------------------
 
-void FtController::on_mux_epoch(Bytes&& payload) {
+void FtController::on_mux_epoch(Bytes&& frame) {
   if (finished_ || failed_over_) return;
-  ByteReader r{payload};
-  auto epoch = r.u64();
-  auto inner = r.bytes();
-  if (!epoch.is_ok() || !inner.is_ok()) {
+  auto parsed = migrlib::read_epoch_frame(frame);
+  if (!parsed.is_ok()) {
     return fail(common::err(Errc::invalid_argument, "corrupt ft mux epoch frame"));
   }
-  if (any_applied_ && epoch.value() <= applied_epoch_) {
+  const std::uint64_t epoch = parsed->epoch;
+  const net::HostId backup = move_.dest_rt().host();
+  const net::HostId primary = move_.src_rt().host();
+  if (any_applied_ && epoch <= applied_epoch_) {
     // Duplicate of an epoch already applied (the epoch-level ACK was lost):
     // re-ACK so the primary stops re-sending; never re-apply.
     ByteWriter w;
-    w.u64(epoch.value());
-    (void)fabric_.send_ctrl(dest_rt_->host(), src_rt_->host(), ack_service_, w.data());
+    w.u64(epoch);
+    (void)fabric_.send_ctrl(backup, primary, ack_service_, w.data());
     return;
   }
-  handle_epoch_payload(epoch.value(), std::move(inner.value()));
-}
-
-void FtController::handle_epoch_payload(std::uint64_t epoch, Bytes payload) {
-  sim::DurationNs cost = 0;
-  const Status st = epoch == 0 ? apply_full_sync(payload, cost) : apply_epoch(payload, cost);
-  if (!st.is_ok()) return fail(st);
+  auto cost = apply_image(epoch, parsed->payload);
+  if (!cost.is_ok()) return fail(cost.status());
   applied_epoch_ = epoch;
   any_applied_ = true;
-  trace_span(loop_.now(), cost, "ft_epoch_apply", "\"epoch\":" + std::to_string(epoch));
+  move_.span(loop_.now(), cost.value(), "ft_epoch_apply", "\"epoch\":" + std::to_string(epoch));
   // The ACK leaves once the backup actually finished applying.
-  loop_.schedule_in(cost, [this, epoch] {
+  loop_.schedule_in(cost.value(), [this, epoch, backup, primary] {
     if (finished_ || failed_over_) return;
     ByteWriter w;
     w.u64(epoch);
     // Deferred past the apply cost, so the fabric-installed sender context
     // is gone — re-anchor the ack flow to the protection's root scope.
-    obs::CtxScope cscope(obs::Tracer::global(),
-                         obs::TraceContext{trace_id_, root_span_});
-    (void)fabric_.send_ctrl(dest_rt_->host(), src_rt_->host(), ack_service_, w.data());
+    obs::CtxScope cscope(obs::Tracer::global(), move_.trace_ctx());
+    (void)fabric_.send_ctrl(backup, primary, ack_service_, w.data());
   });
 }
 
-Status FtController::apply_full_sync(const Bytes& payload, sim::DurationNs& cost) {
-  ByteReader r{payload};
-  auto mem_bytes = r.view();
-  auto page_bytes = r.view();
-  auto rdma_bytes = r.view();
-  if (!mem_bytes.is_ok() || !page_bytes.is_ok() || !rdma_bytes.is_ok()) {
-    return common::err(Errc::invalid_argument, "corrupt ft sync payload");
-  }
-  auto mem_image = criu::MemoryImage::parse(mem_bytes.value());
-  auto pages = criu::PageSet::parse(page_bytes.value());
+common::Result<sim::DurationNs> FtController::apply_image(std::uint64_t epoch,
+                                                          migrlib::Section payload) {
+  MIGR_ASSIGN_OR_RETURN(const auto sections, migrlib::read_sections<3>(payload));
+  const auto& [mem_bytes, page_bytes, rdma_bytes] = sections;
+  auto mem_image = criu::MemoryImage::parse(mem_bytes);
+  auto pages = criu::PageSet::parse(page_bytes);
   if (!mem_image.is_ok() || !pages.is_ok()) {
-    return common::err(Errc::invalid_argument, "corrupt ft sync image");
+    return common::err(Errc::invalid_argument, "corrupt ft epoch image");
   }
-
-  // Same standby-preparation trick as migration pre-setup (§3.2), held for
-  // the protection lifetime: device memory premapped before the restorer
-  // starts, RDMA resources staged, partner replacement QPs pre-established
-  // but not switched — failover pays none of this.
-  MIGR_RETURN_IF_ERROR(plugin_.premap(rdma_bytes.value(), *dest_rt_, *dest_proc_));
-  cost += plugin_.take_cost();
-  pinned_ = Plugin::pinned_vma_starts(mem_image.value(), plugin_.predump_image());
-
-  MIGR_ASSIGN_OR_RETURN(auto begin_rep, restorer_->begin(mem_image.value(), pinned_));
-  cost += begin_rep.cost;
-  MIGR_ASSIGN_OR_RETURN(auto pages_rep, restorer_->apply_pages(pages.value()));
-  cost += pages_rep.cost;
-
-  MIGR_RETURN_IF_ERROR(plugin_.pre_setup(rdma_bytes.value(), *dest_rt_, *dest_proc_));
-  cost += plugin_.take_cost();
-  MIGR_RETURN_IF_ERROR(presetup_partners());
-  cost += plugin_.staged().take_ctrl_cost();
-
+  if (epoch != 0) {
+    MIGR_ASSIGN_OR_RETURN(const sim::DurationNs cost,
+                          move_.update(mem_image.value(), pages.value()));
+    // Promotion applies it after this payload is gone: the one section copied.
+    last_rdma_delta_.assign(rdma_bytes.begin(), rdma_bytes.end());
+    return cost;
+  }
+  // The full sync: the same standby preparation as migration pre-setup
+  // (§3.2), held for the protection lifetime — device memory premapped
+  // before the restorer starts, RDMA resources staged, partner replacement
+  // QPs pre-established but not switched. Failover pays none of this.
+  MIGR_ASSIGN_OR_RETURN(const sim::DurationNs staged,
+                        move_.stage(mem_image.value(), pages.value(), &rdma_bytes));
+  MIGR_ASSIGN_OR_RETURN(const sim::DurationNs rdma, move_.setup_rdma(rdma_bytes));
   // Until an incremental epoch lands, promotion applies an empty final
   // delta: nothing changed vs the pre-dump the staged restore came from.
   migrlib::RdmaImage empty;
   empty.final = true;
   last_rdma_delta_ = empty.serialize();
-  return Status::ok();
-}
-
-Status FtController::apply_epoch(const Bytes& payload, sim::DurationNs& cost) {
-  ByteReader r{payload};
-  auto mem_bytes = r.view();
-  auto page_bytes = r.view();
-  auto rdma_bytes = r.view();
-  if (!mem_bytes.is_ok() || !page_bytes.is_ok() || !rdma_bytes.is_ok()) {
-    return common::err(Errc::invalid_argument, "corrupt ft epoch payload");
-  }
-  auto mem_image = criu::MemoryImage::parse(mem_bytes.value());
-  auto pages = criu::PageSet::parse(page_bytes.value());
-  if (!mem_image.is_ok() || !pages.is_ok()) {
-    return common::err(Errc::invalid_argument, "corrupt ft epoch image");
-  }
-  MIGR_ASSIGN_OR_RETURN(auto up, restorer_->update(mem_image.value(), pinned_));
-  cost += up.cost;
-  MIGR_ASSIGN_OR_RETURN(auto ap, restorer_->apply_pages(pages.value()));
-  cost += ap.cost;
-  // Promotion applies it after this payload is gone: the one section copied.
-  last_rdma_delta_.assign(rdma_bytes->begin(), rdma_bytes->end());
-  return Status::ok();
-}
-
-Status FtController::presetup_partners() {
-  partners_.clear();
-  for (const auto& q : plugin_.predump_image().qps) {
-    if (!q.connected || !q.peer_is_migrrdma || q.peer_guest == 0) continue;
-    if (q.peer_guest == guest_id_) continue;
-    GuestContext* partner = partner_guest(q.peer_guest);
-    if (partner == nullptr) {
-      return common::err(Errc::unavailable, "partner guest not reachable");
-    }
-    MIGR_ASSIGN_OR_RETURN(auto partner_new_pqpn, partner->partner_prepare_qp(q.dest_vqpn));
-    MIGR_ASSIGN_OR_RETURN(auto dest_pqpn, plugin_.staged().pqpn(q.vqpn));
-    const rnic::Psn psn_a = next_psn();
-    const rnic::Psn psn_b = next_psn();
-    MIGR_RETURN_IF_ERROR(plugin_.staged().connect_qp(
-        q.vqpn, directory_.locate(q.peer_guest), partner_new_pqpn, psn_a, psn_b));
-    MIGR_RETURN_IF_ERROR(partner->partner_connect_qp(q.dest_vqpn, dest_rt_->host(),
-                                                     dest_pqpn, psn_b, psn_a));
-    plugin_.staged().set_peer_endpoint(q.vqpn, directory_.locate(q.peer_guest),
-                                       partner_new_pqpn, q.peer_guest);
-    (void)partner->raw().take_ctrl_cost();
-    if (std::find(partners_.begin(), partners_.end(), q.peer_guest) == partners_.end()) {
-      partners_.push_back(q.peer_guest);
-    }
-  }
-  return Status::ok();
+  return staged + rdma;
 }
 
 // ---------------------------------------------------------------------------
@@ -715,7 +559,7 @@ void FtController::trigger_failover(const std::string& reason) {
   failed_over_ = true;
   protected_ = false;
   stop_timers();
-  mux_->cancel();  // no chunk retransmits from the dead primary
+  move_.mux().cancel();  // no chunk retransmits from the dead primary
   report_.failed_over = true;
   report_.failover_reason = reason;
   report_.detected_at = loop_.now();
@@ -724,24 +568,24 @@ void FtController::trigger_failover(const std::string& reason) {
     // observable lower bound on the death.
     report_.killed_at = last_hb_;
   }
-  wf_cursor_ = report_.killed_at;
-  obs::SliHub::global().on_freeze(guest_id_, report_.killed_at);
+  move_.open_slices(report_.waterfall, report_.killed_at);
+  obs::SliHub::global().on_freeze(move_.id(), report_.killed_at);
   obs::Registry::global().counter("ft.failovers").inc();
-  MIGR_WARN() << "ft failover for guest " << guest_id_ << ": " << reason;
-  trace_instant(report_.detected_at, "ft_failover_detected",
-                "\"guest\":" + std::to_string(guest_id_));
-  push_waterfall("detect", report_.detected_at - report_.killed_at,
-                 "\"reason\":\"heartbeat\"");
+  MIGR_WARN() << "ft failover for guest " << move_.id() << ": " << reason;
+  move_.instant(report_.detected_at, "ft_failover_detected",
+                "\"guest\":" + std::to_string(move_.id()));
+  move_.push_slice("detect", report_.detected_at - report_.killed_at,
+                   "\"reason\":\"heartbeat\"");
   // Detection latency is heartbeat-silence waiting: ctrl-plane time by
   // nature, not restore work.
-  cp_.add(report_.killed_at, report_.detected_at, obs::EdgeClass::ctrl_rtt, "detect");
+  move_.cp().add(report_.killed_at, report_.detected_at, obs::EdgeClass::ctrl_rtt, "detect");
   phase_promote();
 }
 
 void FtController::phase_promote() {
   // Exactly-once claim of the guest: the CAS fails loudly if another backup
   // (or a retry) already took it — no silent overwrite of the winner.
-  if (auto st = directory_.takeover(guest_id_, src_rt_->host(), dest_rt_->host());
+  if (auto st = directory_.takeover(move_.id(), move_.src_rt().host(), move_.dest_rt().host());
       !st.is_ok()) {
     return fail(st);
   }
@@ -749,57 +593,35 @@ void FtController::phase_promote() {
   // Partners stop talking to the corpse: suspend the flows toward the dead
   // peer and harvest in-flight WRs immediately — there is no live peer to
   // wait-before-stop against, so the WBS degenerates to a forced harvest.
-  if (partners_.empty()) partners_ = guest_->connected_peers();
-  for (GuestId pid : partners_) {
-    GuestContext* partner = partner_guest(pid);
-    if (partner == nullptr) continue;
-    partner->set_wbs_done_callback(nullptr);
-    partner->suspend(migrlib::SuspendScope{false, guest_id_});
-    if (!partner->wbs_done()) partner->force_wbs_timeout();
-  }
-
-  auto owned = src_rt_->release_guest(guest_);
-  if (owned == nullptr) return fail(common::err(Errc::internal, "guest ownership lost"));
+  move_.fall_back_to_peers();
+  move_.suspend_partners(nullptr, /*harvest=*/true);
 
   // Restore: remap staged VMAs, land deferred pages — the committed-epoch
   // memory is already applied, this is the staging->final flip.
-  auto fin = restorer_->finish();
+  auto fin = move_.restorer().finish();
   if (!fin.is_ok()) return fail(fin.status());
   const sim::DurationNs restore_cost = fin->cost;
 
   // Re-arm: adopt the pre-staged RDMA resources with the last committed
   // delta, then partners switch to their pre-established replacement QPs.
-  if (auto st = plugin_.full_restore(*guest_, last_rdma_delta_, *dest_rt_); !st.is_ok()) {
-    return fail(st);
-  }
-  dest_rt_->adopt_guest(std::move(owned));
-  sim::DurationNs rearm_cost = plugin_.take_cost();
-  for (GuestId pid : partners_) {
-    GuestContext* partner = partner_guest(pid);
-    if (partner == nullptr) continue;
-    for (migrlib::VQpn vqpn : partner->qps_to_peer(guest_id_)) {
-      if (auto st = partner->partner_switch_qp(vqpn, guest_id_); !st.is_ok()) {
-        return fail(st);
-      }
-    }
-    partner->update_peer_location(guest_id_, dest_rt_->host());
-    // Partner-side control path: partner brownout, not failover blackout.
-    (void)partner->raw().take_ctrl_cost();
-  }
+  auto rearm = move_.commit(last_rdma_delta_);
+  if (!rearm.is_ok()) return fail(rearm.status());
+  const sim::DurationNs rearm_cost = rearm.value();
 
-  report_.promoted_epoch = any_applied_ ? applied_epoch_ : 0;
-  sim::TimeNs cp_t = wf_cursor_;
-  push_waterfall("promote", options_.promote_cost,
-                 "\"epoch\":" + std::to_string(report_.promoted_epoch));
-  cp_.add(cp_t, wf_cursor_, obs::EdgeClass::ctrl_rtt, "promote");
-  cp_t = wf_cursor_;
-  push_waterfall("restore", restore_cost,
-                 "\"deferred\":" + std::to_string(fin->deferred.size()));
-  cp_.add(cp_t, wf_cursor_, obs::EdgeClass::restore_apply, "restore");
-  cp_t = wf_cursor_;
-  push_waterfall("re_arm", rearm_cost,
-                 "\"partners\":" + std::to_string(partners_.size()));
-  cp_.add(cp_t, wf_cursor_, obs::EdgeClass::qp_reestablish, "re_arm");
+  report_.promoted_epoch = applied_epoch_;
+  obs::CpRecorder& cp = move_.cp();
+  sim::TimeNs cp_t = move_.slice_cursor();
+  move_.push_slice("promote", options_.promote_cost,
+                   "\"epoch\":" + std::to_string(report_.promoted_epoch));
+  cp.add(cp_t, move_.slice_cursor(), obs::EdgeClass::ctrl_rtt, "promote");
+  cp_t = move_.slice_cursor();
+  move_.push_slice("restore", restore_cost,
+                   "\"deferred\":" + std::to_string(fin->deferred.size()));
+  cp.add(cp_t, move_.slice_cursor(), obs::EdgeClass::restore_apply, "restore");
+  cp_t = move_.slice_cursor();
+  move_.push_slice("re_arm", rearm_cost,
+                   "\"partners\":" + std::to_string(move_.partners().size()));
+  cp.add(cp_t, move_.slice_cursor(), obs::EdgeClass::qp_reestablish, "re_arm");
 
   // Output commit resolution happens at resume: messages of uncommitted
   // epochs never became visible and the state that generated them is gone —
@@ -813,7 +635,7 @@ void FtController::phase_promote() {
     // guest's QPs would send whatever its restored slots held. The backlog
     // is non-empty when the primary died before the promoted epoch's ACK
     // reached it.
-    if (app_ != nullptr) app_->on_migrated(*dest_proc_);
+    if (app_ != nullptr) app_->on_migrated(move_.dest_proc());
     const std::uint64_t dropped = node_->drop_uncommitted(committed);
     node_->resync_window();
     const std::uint64_t released_before = node_->gate_released();
@@ -825,25 +647,21 @@ void FtController::phase_promote() {
 
 void FtController::phase_ft_resume(std::uint64_t released, std::uint64_t dropped) {
   // Partners held their sends to the guest since the switch; it runs again.
-  if (auto st = migrlib::resume_partners(directory_, partners_, guest_id_); !st.is_ok()) {
-    return fail(st);
-  }
+  if (auto st = move_.resume(); !st.is_ok()) return fail(st);
+  const GuestId id = move_.id();
   finished_ = true;
   report_.resume_at = loop_.now();
-  obs::SliHub::global().on_resume(guest_id_, report_.resume_at);
-  push_waterfall("recovery", 0,
-                 "\"released\":" + std::to_string(released) +
-                     ",\"dropped\":" + std::to_string(dropped));
-
-  if (cp_.enabled() && report_.killed_at != 0 && report_.resume_at != 0) {
-    report_.critical_path = cp_.resolve(report_.killed_at, report_.resume_at);
-  }
+  obs::SliHub::global().on_resume(id, report_.resume_at);
+  move_.push_slice("recovery", 0,
+                   "\"released\":" + std::to_string(released) +
+                       ",\"dropped\":" + std::to_string(dropped));
+  move_.resolve_cp(report_.critical_path, report_.killed_at, report_.resume_at);
 
   report_.ok = true;
   finish_report();
-  trace_instant(report_.resume_at, "ft_resume", "\"guest\":" + std::to_string(guest_id_));
-  trace_blackout_span(report_.killed_at, report_.failover_blackout(), "ft_blackout",
-                      "\"guest\":" + std::to_string(guest_id_));
+  move_.instant(report_.resume_at, "ft_resume", "\"guest\":" + std::to_string(id));
+  GuestMove::blackout_span(report_.killed_at, report_.failover_blackout(), "ft_blackout",
+                           "\"guest\":" + std::to_string(id));
 
   auto& reg = obs::Registry::global();
   reg.counter("ft.failovers_completed").inc();

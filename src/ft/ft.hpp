@@ -1,8 +1,8 @@
 // Continuous fault tolerance: COLO/Remus-style micro-checkpointing with
 // output commit, and failover promotion of a replicated guest.
 //
-// The FtController generalizes the one-shot migration pipeline into a
-// protection mode:
+// The FtController drives the same GuestMove as a migration
+// (migr/move.hpp), held open as a protection mode:
 //
 //   protect:   full-image sync to a standby host (memory pre-dump + RDMA
 //              pre-dump, through a TransferMux on the ctrl plane), then
@@ -33,22 +33,16 @@
 //              MigrationReport.waterfall.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "apps/msg_node.hpp"
-#include "criu/checkpoint.hpp"
 #include "criu/dirtyrate.hpp"
 #include "migr/migration.hpp"
-#include "migr/plugin.hpp"
-#include "migr/runtime.hpp"
-#include "migr/xfer.hpp"
+#include "migr/move.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/histogram.hpp"
 
 namespace migr::ft {
 
@@ -101,7 +95,6 @@ struct FtOptions {
 
   criu::CriuCosts criu_costs;
   migrlib::MigrCosts migr_costs;
-  rnic::Psn psn_seed = 700'000;
 };
 
 /// One committed (or in-flight) micro-checkpoint epoch. Epoch 0 is the full
@@ -209,7 +202,9 @@ class FtController {
                          DoneCb done);
 
   /// Drop protection cleanly: stop epochs, flush the release queue, leave
-  /// the guest running on the primary. `done` fires with the report.
+  /// the guest running on the primary, and release the standby's staged
+  /// RDMA state and the partners' prepared QPs. `done` fires with the
+  /// report.
   void unprotect();
 
   /// Kill the primary: partition its host off the fabric (node-failure
@@ -222,14 +217,18 @@ class FtController {
   void mark_primary_killed();
 
   bool is_protected() const noexcept { return protected_; }
-  bool failed_over() const noexcept { return failed_over_; }
   std::uint64_t committed_epoch() const noexcept { return committed_epoch_; }
   const FtReport& report() const noexcept { return report_; }
 
  private:
   void fail(const common::Status& st);
+  /// Shared by fail() and unprotect(): stop the timers and the mux, undo
+  /// what the move staged or release what it switched, and flush the
+  /// output-commit gate.
+  void end_protection();
   void finish_report();
   void stop_timers();
+  EpochRecord* record(std::uint64_t epoch);
 
   // Primary side.
   void phase_full_sync();
@@ -241,57 +240,41 @@ class FtController {
   sim::DurationNs next_epoch_interval();
 
   // Backup side.
-  void on_mux_epoch(common::Bytes&& payload);
-  void handle_epoch_payload(std::uint64_t epoch, common::Bytes payload);
-  common::Status apply_full_sync(const common::Bytes& payload, sim::DurationNs& cost);
-  common::Status apply_epoch(const common::Bytes& payload, sim::DurationNs& cost);
-  common::Status presetup_partners();
+  void on_mux_epoch(common::Bytes&& frame);
+  /// Epoch 0 stages the full sync and pre-establishes the partners' QPs;
+  /// later epochs merge into the staged restore.
+  common::Result<sim::DurationNs> apply_image(std::uint64_t epoch, migrlib::Section payload);
   void watchdog_check();
   void trigger_failover(const std::string& reason);
   void phase_promote();
   void phase_ft_resume(std::uint64_t released, std::uint64_t dropped);
 
-  void push_waterfall(std::string name, sim::DurationNs dur, std::string detail = {});
-  rnic::Psn next_psn() { return psn_cursor_ += 4096; }
-  migrlib::GuestContext* partner_guest(GuestId id) const;
-
   sim::EventLoop& loop_;
   net::Fabric& fabric_;
   migrlib::GuestDirectory& directory_;
   FtOptions options_;
+  // Primary = source, backup = destination. Its mux carries the epoch sync
+  // (FtOptions::xfer_streams); its critical-path recorder is armed by
+  // FtOptions::critical_path.
+  migrlib::GuestMove move_;
 
-  GuestId guest_id_ = 0;
-  migrlib::GuestContext* guest_ = nullptr;
-  migrlib::MigrRdmaRuntime* src_rt_ = nullptr;
-  migrlib::MigrRdmaRuntime* dest_rt_ = nullptr;
-  proc::SimProcess* src_proc_ = nullptr;
-  proc::SimProcess* dest_proc_ = nullptr;
   migrlib::MigratableApp* app_ = nullptr;
   apps::MsgNode* node_ = nullptr;
   ReadyCb ready_;
   DoneCb done_;
 
-  std::unique_ptr<criu::Checkpointer> ckpt_;
-  std::unique_ptr<criu::Restorer> restorer_;
   std::unique_ptr<criu::DirtyRateEstimator> estimator_;
-  migrlib::Plugin plugin_;
-  std::set<proc::VirtAddr> pinned_;
-  std::vector<GuestId> partners_;
-  common::Bytes predump_rdma_bytes_;
   common::Bytes last_rdma_delta_;  // backup: cumulative delta of the last applied epoch
-  rnic::Psn psn_cursor_;
 
   std::string ack_service_;
   std::string hb_service_;
   bool services_registered_ = false;
-  std::unique_ptr<migrlib::TransferMux> mux_;  // the epoch sync (FtOptions::xfer_streams)
 
   bool protected_ = false;
   bool failed_over_ = false;
   bool finished_ = false;
   std::uint64_t next_epoch_ = 0;      // primary: next epoch to capture
   std::uint64_t committed_epoch_ = 0;  // primary: highest ACKed epoch
-  bool any_committed_ = false;
   std::uint64_t applied_epoch_ = 0;    // backup: highest fully-applied epoch
   bool any_applied_ = false;
   common::Bytes inflight_payload_;     // retained for epoch re-sends
@@ -304,15 +287,6 @@ class FtController {
   sim::EventHandle watchdog_timer_;
   sim::EventHandle ack_timeout_;
   sim::TimeNs last_hb_ = 0;
-  sim::TimeNs wf_cursor_ = 0;
-
-  // Causal-graph scope: one trace id per protection, root span parenting
-  // epoch/failover spans; 0 when the tracer was disabled at protect().
-  std::uint64_t trace_id_ = 0;
-  std::uint64_t root_span_ = 0;
-  // Critical-path interval sink (armed by FtOptions::critical_path); the
-  // mux's chunk wire/retry intervals land here too via XferOptions::cp.
-  obs::CpRecorder cp_;
 
   FtReport report_;
 };

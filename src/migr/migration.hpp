@@ -19,19 +19,14 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "criu/checkpoint.hpp"
 #include "criu/dirtyrate.hpp"
 #include "criu/pagedelta.hpp"
-#include "migr/plugin.hpp"
+#include "migr/move.hpp"
 #include "migr/postcopy.hpp"
-#include "migr/runtime.hpp"
-#include "migr/xfer.hpp"
-#include "obs/critical_path.hpp"
 #include "obs/sli.hpp"
-#include "obs/trace.hpp"
 
 namespace migr::migrlib {
 
@@ -106,18 +101,6 @@ struct MigrationOptions {
   bool critical_path = false;
   criu::CriuCosts criu_costs;
   MigrCosts migr_costs;
-  rnic::Psn psn_seed = 500'000;
-};
-
-/// One contiguous slice of the service-blackout window. Slices tile the
-/// window: each starts where the previous ended, the first starts at
-/// freeze_at, and the durations sum exactly to service_blackout() — the
-/// waterfall is an attribution of the blackout, not a sampling of it.
-struct PhaseSlice {
-  std::string name;
-  sim::TimeNs start = 0;
-  sim::DurationNs dur = 0;
-  std::string detail;  // extra JSON object *fragment*, e.g. "\"bytes\":512"
 };
 
 struct MigrationReport {
@@ -243,13 +226,6 @@ class MigratableApp {
   virtual void on_migrated(proc::SimProcess& new_proc) = 0;
 };
 
-/// Step 7 on the partners once the guest runs again, or once its migration
-/// or failover fails after they switched QPs: release the sends every one of
-/// `partners` holds for `guest` (GuestContext::partner_resume). Every
-/// partner is released; the first error is returned.
-common::Status resume_partners(const GuestDirectory& directory,
-                               const std::vector<GuestId>& partners, GuestId guest);
-
 class MigrationController {
  public:
   MigrationController(sim::EventLoop& loop, net::Fabric& fabric, GuestDirectory& directory,
@@ -288,9 +264,8 @@ class MigrationController {
   common::Bytes encode_pages(const criu::PageSet& pages);
   /// The page batch of a received round (suppressed or plain); its pages
   /// view `data` or the decoder's cache.
-  common::Result<criu::PageSet> decode_pages(std::span<const std::uint8_t> data);
+  common::Result<criu::PageSet> decode_pages(Section data);
   void phase_partial_restore(common::Bytes payload);
-  common::Status presetup_partners();
   void phase_precopy_round();
   void phase_stop_and_copy();
   void on_wbs_one();
@@ -308,75 +283,31 @@ class MigrationController {
   bool precopy_should_continue(std::uint64_t pending_bytes);
   void reset_throttle();
 
-  rnic::Psn next_psn() { return psn_cursor_ += 4096; }
-  GuestContext* partner_guest(GuestId id) const;
-
-  /// Append one blackout slice at the waterfall cursor (and emit the
-  /// matching nested trace span on the "migr.blackout" track), then advance
-  /// the cursor. Callers only ever supply durations; contiguity is by
-  /// construction.
-  void push_waterfall(std::string name, sim::DurationNs dur, std::string detail = {});
-
-  /// Record one causal interval for critical-path attribution; no-op unless
-  /// options_.critical_path armed the recorder.
-  void cp_add(sim::TimeNs start, sim::TimeNs end, obs::EdgeClass cls,
-              std::string label = {}) {
-    cp_.add(start, end, cls, std::move(label));
-  }
-  /// Resolve the recorder over the blackout window into report_.critical_path.
-  void resolve_critical_path();
-
-  /// This migration's causal scope (root of its span tree). Zero ids when
-  /// tracing was off at start().
-  obs::TraceContext trace_ctx() const noexcept { return {trace_id_, root_span_}; }
-
   sim::EventLoop& loop_;
   net::Fabric& fabric_;
-  GuestDirectory& directory_;
   MigrationOptions options_;
+  GuestMove move_;
 
-  GuestId guest_id_ = 0;
-  GuestContext* guest_ = nullptr;
-  MigrRdmaRuntime* src_rt_ = nullptr;
-  MigrRdmaRuntime* dest_rt_ = nullptr;
-  proc::SimProcess* src_proc_ = nullptr;
-  proc::SimProcess* dest_proc_ = nullptr;
   rnic::Context* src_ctx_ = nullptr;  // reclaimed at the end
   MigratableApp* app_ = nullptr;
   DoneCb done_;
 
-  std::unique_ptr<criu::Checkpointer> ckpt_;
-  std::unique_ptr<criu::Restorer> restorer_;
   std::unique_ptr<criu::DirtyRateEstimator> estimator_;
-  std::unique_ptr<TransferMux> mux_;
   std::unique_ptr<criu::PageDeltaEncoder> page_enc_;
   std::unique_ptr<criu::PageDeltaDecoder> page_dec_;
-  std::unique_ptr<PostcopyPump> pump_;
+  std::unique_ptr<PostcopyPump> pump_;  // rides move_'s mux
   std::vector<proc::VirtAddr> postcopy_missing_;
   double throttle_factor_ = 0;
-  Plugin plugin_;
-  std::set<proc::VirtAddr> pinned_;
-  std::vector<GuestId> partners_;
   common::Bytes predump_rdma_bytes_;
   common::Bytes final_rdma_bytes_;
-  criu::MemoryImage pending_mem_image_;
 
   int rounds_done_ = 0;
   int pending_wbs_ = 0;
   bool wbs_completed_ = false;
   sim::EventHandle wbs_timeout_handle_;
-  rnic::Psn psn_cursor_;
-
-  // Causal-graph state: one trace id per migration, the root span id spans
-  // parent-link to, and the critical-path interval recorder.
-  std::uint64_t trace_id_ = 0;
-  std::uint64_t root_span_ = 0;
-  obs::CpRecorder cp_;
 
   // Abort/rollback state machine.
   const char* phase_ = "init";
-  sim::TimeNs wf_cursor_ = 0;  // end of the last waterfall slice
-  bool committed_ = false;  // source released: abort no longer possible
   std::function<void(common::Bytes)> xfer_cb_;  // the in-flight transfer's continuation
 
   MigrationReport report_;

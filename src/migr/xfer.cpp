@@ -1,6 +1,8 @@
 #include "migr/xfer.hpp"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 #include "obs/metrics.hpp"
 
@@ -10,6 +12,21 @@ using common::ByteReader;
 using common::Bytes;
 using common::ByteWriter;
 using common::Errc;
+
+void append_streams_json(std::string& out, const std::vector<XferStreamStats>& streams) {
+  char buf[192];
+  out += '[';
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    const XferStreamStats& s = streams[k];
+    std::snprintf(buf, sizeof buf,
+                  "%s{\"chunks\":%" PRIu64 ",\"attempted\":%" PRIu64 ",\"delivered\":%" PRIu64
+                  ",\"lost\":%" PRIu64 ",\"retries\":%" PRIu64 "}",
+                  k == 0 ? "" : ",", s.chunks, s.bytes_attempted, s.bytes_delivered,
+                  s.bytes_lost(), s.retries);
+    out += buf;
+  }
+  out += ']';
+}
 
 TransferMux::TransferMux(sim::EventLoop& loop, net::Fabric& fabric,
                          std::string base, net::HostId src, net::HostId dst,

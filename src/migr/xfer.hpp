@@ -95,6 +95,9 @@ struct XferStats {
   }
 };
 
+/// `[{"chunks":..,"attempted":..,"delivered":..,"lost":..,"retries":..},...]`
+void append_streams_json(std::string& out, const std::vector<XferStreamStats>& streams);
+
 class TransferMux {
  public:
   using DeliverFn = std::function<void(common::Bytes&&)>;

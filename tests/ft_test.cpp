@@ -13,16 +13,23 @@
 //    takeover and wrong-owner claims;
 //  * failover waterfall: detect/promote/restore/re_arm/recovery slices tile
 //    [killed_at, resume_at] with no gaps (same invariant as migration);
+//  * failover trace: every ft and blackout event has an id, and every
+//    parent link resolves to a recorded event;
+//  * teardown: ending protection drops the standby's staged RDMA state and
+//    the partner's prepared QP, and thaws a primary caught mid-capture;
 //  * determinism guard: two seeded kill-primary runs produce byte-identical
 //    ft_report JSON;
 //  * kill-time sweep: kills across epoch boundaries never release
 //    uncommitted output.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "cluster/ft_plan.hpp"
 #include "ft_scenario.hpp"
+#include "migr/migration.hpp"
+#include "obs/trace.hpp"
 
 namespace migr {
 namespace {
@@ -242,6 +249,47 @@ TEST(FtController, FailoverWaterfallTilesKilledToResume) {
   EXPECT_EQ(r.waterfall_total(), r.failover_blackout());
 }
 
+// The failover rides GuestMove's span helpers, as a migration does: every
+// "ft" and "migr.blackout" event draws an id, and every parent link names an
+// event in the trace. Nothing was evicted, so a missing parent is a
+// dangling link, not a dropped event.
+TEST(FtController, FailoverSpansCarryIdsAndResolvableParents) {
+  auto& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    FtScenario s(/*seed=*/42);
+    ASSERT_TRUE(s.protect().is_ok());
+    ASSERT_TRUE(s.run_until_protected());
+    s.run_for(sim::msec(10));
+    s.ctrl_->kill_primary();
+    ASSERT_TRUE(s.run_until_done());
+    ASSERT_TRUE(s.report_.failed_over);
+  }
+  tracer.set_enabled(false);
+  const std::uint64_t dropped = tracer.dropped();
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  tracer.clear();
+  ASSERT_EQ(dropped, 0u);
+
+  std::set<std::uint64_t> ids;
+  for (const obs::TraceEvent& e : events) {
+    if (e.id != 0) ids.insert(e.id);
+  }
+  std::size_t checked = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.cat == "ft" || e.cat == "migr.blackout") {
+      EXPECT_NE(e.id, 0u) << e.cat << " event " << e.name << " has no id";
+      checked++;
+    }
+    if (e.parent != 0) {
+      EXPECT_TRUE(ids.contains(e.parent))
+          << e.cat << " event " << e.name << " parents to unrecorded " << e.parent;
+    }
+  }
+  EXPECT_GE(checked, 10u);
+}
+
 // Every epoch chunk, chunk ACK, epoch ACK and heartbeat crosses the ctrl
 // plane. At 5% loss the mux re-sends lost chunks, and a lost epoch ACK
 // costs an epoch-level re-send that the backup answers with a re-ACK (it
@@ -297,6 +345,69 @@ TEST(FtController, LossyCtrlPlaneRetriesEpochsAndFailsOverExactlyOnce) {
     ASSERT_GT(s.received_.size(), received_before_kill) << "no messages after failover";
     expect_strictly_increasing(s.received_);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Teardown: ending protection releases what the move staged
+// ---------------------------------------------------------------------------
+
+// Protection stages the guest's RDMA state on the standby and has the
+// partner pre-establish a replacement QP. Unprotecting must undo both:
+// partner_prepare_qp is idempotent, so a stale prepared QP would be handed
+// to the next migration, whose connect then fails in partial restore.
+TEST(FtTeardown, UnprotectDropsStagedQpsAndTheGuestMigratesAgain) {
+  FtScenario s(/*seed=*/42);
+  const std::uint32_t partner_qps = s.devices_[2]->qp_count();
+  const std::uint32_t standby_qps = s.devices_[1]->qp_count();
+  ASSERT_TRUE(s.protect().is_ok());
+  s.run_for(sim::msec(5));
+  ASSERT_TRUE(s.ready_);
+  ASSERT_EQ(s.devices_[2]->qp_count(), partner_qps + 1) << "the partner prepared no QP";
+  ASSERT_GT(s.devices_[1]->qp_count(), standby_qps) << "the standby staged no QP";
+
+  s.ctrl_->unprotect();
+  ASSERT_TRUE(s.done_);
+  EXPECT_TRUE(s.report_.ok);
+  EXPECT_EQ(s.devices_[2]->qp_count(), partner_qps);
+  EXPECT_EQ(s.devices_[1]->qp_count(), standby_qps);
+
+  migrlib::MigrationController migration(s.world_.loop(), s.world_.fabric(), s.directory_);
+  migrlib::MigrationReport rep;
+  bool done = false;
+  ASSERT_TRUE(migration
+                  .start(kPrimaryGuest, /*dest_host=*/2, s.world_.add_process("dest"),
+                         s.traffic_.get(),
+                         [&](const migrlib::MigrationReport& r) {
+                           rep = r;
+                           done = true;
+                         })
+                  .is_ok());
+  const sim::TimeNs deadline = s.world_.loop().now() + sim::sec(1);
+  while (!done && s.world_.loop().now() < deadline) s.run_for(sim::msec(1));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(s.directory_.locate(kPrimaryGuest), 2u);
+}
+
+// An epoch capture freezes the primary briefly and schedules its thaw, which
+// returns once protection has ended. Unprotecting inside that freeze must
+// thaw the primary itself.
+TEST(FtTeardown, UnprotectDuringAnEpochFreezeThawsThePrimary) {
+  FtScenario s(/*seed=*/42);
+  ASSERT_TRUE(s.protect().is_ok());
+  ASSERT_TRUE(s.run_until_protected());
+  const sim::TimeNs deadline = s.world_.loop().now() + sim::msec(50);
+  while (!s.primary_proc_->frozen() && s.world_.loop().now() < deadline) {
+    s.run_for(sim::usec(1));
+  }
+  ASSERT_TRUE(s.primary_proc_->frozen()) << "no epoch capture froze the primary";
+
+  s.ctrl_->unprotect();
+  s.run_for(sim::msec(10));
+  EXPECT_FALSE(s.primary_proc_->frozen());
+  const std::size_t received = s.received_.size();
+  s.run_for(sim::msec(5));
+  EXPECT_GT(s.received_.size(), received) << "the primary's traffic stopped";
 }
 
 TEST(GuestDirectory, TakeoverSucceedsExactlyOnceAndFailsLoudly) {

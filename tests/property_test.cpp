@@ -5,17 +5,23 @@
 //  * migration: for any QP count / opcode / pre-setup choice, the §5.3
 //    correctness criteria hold across a live migration, and the report's
 //    blackout components are consistent;
-//  * serialization: random RdmaImages and page sets round-trip;
+//  * serialization: random RdmaImages and page sets round-trip; mutated
+//    images, image payloads and FT epoch frames are rejected or read back;
 //  * address space: random operation sequences agree with a reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <set>
+#include <span>
 
+#include "apps/msg_node.hpp"
 #include "apps/perftest.hpp"
 #include "common/rng.hpp"
+#include "criu/checkpoint.hpp"
 #include "criu/pagedelta.hpp"
 #include "fault/fault.hpp"
 #include "migr/migration.hpp"
@@ -609,6 +615,163 @@ TEST_P(ImageMutationSweep, PageDeltaBatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ImageMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
+
+// ---------------------------------------------------------------------------
+// Image payloads and FT epoch frames under mutation
+// ---------------------------------------------------------------------------
+
+// Every image payload the controllers ship is read by one section reader
+// (read_sections), and FT wraps each epoch's payload in one frame
+// (read_epoch_frame). The sweep frames real dumps of a MsgNode guest (an RC
+// QP to a partner, registered MRs, traffic in flight) the way the
+// controllers do, in every shape: the initial copy (one RDMA section), a
+// pre-copy round (none), the final diff (two) and an FT epoch frame. Every
+// mutant is rejected with a status or yields sections that lie inside it
+// and frame back to a prefix of it. The sweep stops at the framing: the
+// Restorer trusts VMA lengths, so applying mutated images is not bounded.
+struct RealPayloads {
+  common::Bytes initial;
+  common::Bytes round;
+  common::Bytes final_diff;
+  common::Bytes epoch_frame;
+};
+
+common::Bytes frame_sections(std::initializer_list<std::span<const std::uint8_t>> sections) {
+  common::ByteWriter w;
+  for (std::span<const std::uint8_t> s : sections) w.bytes(s);
+  return std::move(w).take();
+}
+
+RealPayloads real_payloads() {
+  rnic::World world({}, /*seed=*/5);
+  migrlib::GuestDirectory dir;
+  migrlib::MigrRdmaRuntime rt1(dir, world.add_device(1), world.fabric());
+  migrlib::MigrRdmaRuntime rt2(dir, world.add_device(2), world.fabric());
+  proc::SimProcess& proc = world.add_process("guest");
+  apps::MsgNode a(rt1, proc, 10);
+  apps::MsgNode b(rt2, world.add_process("partner"), 20);
+  EXPECT_TRUE(apps::MsgNode::connect(a, b).is_ok());
+  a.start();
+  b.start();
+  const common::Bytes msg(512, 0x5A);
+  auto send_some = [&] {
+    for (int i = 0; i < 8; ++i) (void)a.send(20, msg);
+    world.loop().run_until(world.loop().now() + sim::usec(200));
+  };
+
+  RealPayloads out;
+  criu::Checkpointer ckpt(proc);
+  migrlib::Plugin plugin;
+  send_some();
+  const criu::Checkpointer::Dump first = ckpt.pre_dump();
+  const common::Bytes predump = plugin.pre_dump(a.guest());
+  out.initial = frame_sections({first.image.serialize(), first.pages.serialize(), predump});
+  send_some();
+  const criu::Checkpointer::Dump round = ckpt.pre_dump();
+  out.round = frame_sections({round.image.serialize(), round.pages.serialize()});
+  send_some();
+  proc.freeze();
+  auto epoch = ckpt.epoch_dump();
+  EXPECT_TRUE(epoch.is_ok());
+  const common::Bytes delta = plugin.final_dump(a.guest());
+  common::ByteWriter frame;
+  frame.u64(3);
+  frame.bytes(frame_sections({epoch->image.serialize(), epoch->pages.serialize(), delta}));
+  out.epoch_frame = std::move(frame).take();
+  auto last = ckpt.final_dump();
+  EXPECT_TRUE(last.is_ok());
+  const common::Bytes final_rdma = plugin.final_dump(a.guest());
+  out.final_diff = frame_sections(
+      {last->image.serialize(), last->pages.serialize(), predump, final_rdma});
+  return out;
+}
+
+bool inside(std::span<const std::uint8_t> part, std::span<const std::uint8_t> whole) {
+  return part.data() >= whole.data() && part.data() + part.size() <= whole.data() + whole.size();
+}
+
+bool is_prefix(const common::Bytes& part, std::span<const std::uint8_t> whole) {
+  return part.size() <= whole.size() && std::equal(part.begin(), part.end(), whole.begin());
+}
+
+// Reads N sections of `input`; returns false when the reader rejected it.
+template <std::size_t N>
+bool check_sections(std::span<const std::uint8_t> input) {
+  common::Result<std::array<migrlib::Section, N>> got =
+      common::err(common::Errc::internal, "not read");
+  EXPECT_NO_THROW(got = migrlib::read_sections<N>(input));
+  if (!got.is_ok()) return false;
+  common::ByteWriter again;
+  for (const migrlib::Section& s : got.value()) {
+    EXPECT_TRUE(inside(s, input)) << "a section points outside its payload";
+    again.bytes(s);
+  }
+  EXPECT_TRUE(is_prefix(again.data(), input));
+  return true;
+}
+
+// The real payload is exactly N sections; its mutants read back or are
+// rejected.
+template <std::size_t N>
+void sweep_sections(const common::Bytes& valid, std::uint64_t seed) {
+  auto exact = migrlib::read_sections<N>(valid);
+  ASSERT_TRUE(exact.is_ok());
+  common::ByteWriter again;
+  for (const migrlib::Section& s : exact.value()) again.bytes(s);
+  ASSERT_EQ(again.data(), valid) << "not a payload of " << N << " sections";
+  EXPECT_FALSE(migrlib::read_sections<N + 1>(valid).is_ok());
+  common::Rng rng(seed);
+  std::size_t rejected = 0;
+  for (const common::Bytes& m : mutants(valid, rng)) {
+    if (!check_sections<N>(m)) rejected++;
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+class PayloadMutationSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PayloadMutationSweep, InitialCopy) {
+  sweep_sections<3>(real_payloads().initial, GetParam());
+}
+
+TEST_P(PayloadMutationSweep, PrecopyRound) {
+  sweep_sections<2>(real_payloads().round, GetParam());
+}
+
+TEST_P(PayloadMutationSweep, FinalDiff) {
+  sweep_sections<4>(real_payloads().final_diff, GetParam());
+}
+
+// The frame reads back to (epoch, payload) and its payload through the same
+// three-section reader the backup applies it with.
+TEST_P(PayloadMutationSweep, FtEpochFrame) {
+  const common::Bytes valid = real_payloads().epoch_frame;
+  auto exact = migrlib::read_epoch_frame(valid);
+  ASSERT_TRUE(exact.is_ok());
+  EXPECT_EQ(exact->epoch, 3u);
+  EXPECT_EQ(exact->payload.size() + 12, valid.size());
+  ASSERT_TRUE(check_sections<3>(exact->payload));
+
+  common::Rng rng(GetParam());
+  std::size_t rejected = 0;
+  for (const common::Bytes& m : mutants(valid, rng)) {
+    common::Result<migrlib::EpochFrame> got = common::err(common::Errc::internal, "not read");
+    ASSERT_NO_THROW(got = migrlib::read_epoch_frame(m));
+    if (!got.is_ok()) {
+      rejected++;
+      continue;
+    }
+    ASSERT_TRUE(inside(got->payload, m)) << "the payload points outside its frame";
+    common::ByteWriter again;
+    again.u64(got->epoch);
+    again.bytes(got->payload);
+    EXPECT_TRUE(is_prefix(again.data(), m));
+    (void)check_sections<3>(got->payload);
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PayloadMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
 
 // ---------------------------------------------------------------------------
 // Wire-parser mutation sweep

@@ -35,10 +35,12 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 # that drives traffic through injected loss/reordering/partitions, the
 # cluster suite (scheduler admission/retry plus the seeded lossy drain with
 # a mid-drain partition), the data path's train-vs-single-packet admission
-# sweep, the retransmit-timer deadline and event-population pins, and the
-# wire parser's mutation sweep.
+# sweep, the retransmit-timer deadline and event-population pins, the
+# mutation sweeps of the wire parser and of the image-payload and FT
+# epoch-frame readers, and the FT teardown tests (ending protection releases
+# what the standby staged).
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep)'
+  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|FtTeardown)'
 
 echo "==> [3/11] perf smoke (bench_simrate vs BENCH_simrate.json baseline)"
 # Advisory, not a gate: wall time on shared CI machines is noisy, so a
