@@ -23,6 +23,7 @@
 
 #include "bench_util.hpp"
 #include "cluster/drain.hpp"
+#include "common/json.hpp"
 #include "fault/fault.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/sli.hpp"
@@ -160,18 +161,11 @@ PolicyStats collect_policy_stats(const DrainReport& report) {
   return s;
 }
 
-std::string policy_stats_json(const PolicyStats& s) {
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "{\"makespan_ns\":%lld,\"blackout_p99_ns\":%lld,"
-                "\"brownout_p99_ns\":%lld,\"goodput_loss_bytes\":%.1f,"
-                "\"slo_alerts\":%llu,\"slo_deferrals\":%llu}",
-                static_cast<long long>(s.makespan),
-                static_cast<long long>(s.blackout_p99),
-                static_cast<long long>(s.brownout_p99_ns), s.goodput_loss_bytes,
-                static_cast<unsigned long long>(s.alerts),
-                static_cast<unsigned long long>(s.deferrals));
-  return buf;
+void write_policy_stats(common::Json& j, const PolicyStats& s) {
+  j.obj().key("makespan_ns").val(s.makespan).key("blackout_p99_ns").val(s.blackout_p99);
+  j.key("brownout_p99_ns").val(s.brownout_p99_ns);
+  j.key("goodput_loss_bytes").fixed(s.goodput_loss_bytes, 1);
+  j.key("slo_alerts").val(s.alerts).key("slo_deferrals").val(s.deferrals).end();
 }
 
 struct Options {
@@ -287,17 +281,6 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 int run_artifact_mode(const Options& opt) {
   auto& hub = obs::SliHub::global();
   std::vector<obs::SloRule> slo_rules;
@@ -371,7 +354,10 @@ int run_artifact_mode(const Options& opt) {
                   opt.loss, static_cast<unsigned long long>(opt.seed), opt.mem_mb);
     const std::string json =
         drain_report_json(row.report, migrlib::migration_mode_name(opt.mode), scen);
-    if (!write_text(opt.drain_out, json)) return 1;
+    if (auto st = common::write_file(opt.drain_out, json); !st.is_ok()) {
+      std::fprintf(stderr, "cannot write drain report: %s\n", st.to_string().c_str());
+      return 1;
+    }
     std::printf("drain report (%s): written to %s\n",
                 migrlib::migration_mode_name(opt.mode), opt.drain_out.c_str());
   }
@@ -423,17 +409,28 @@ int run_artifact_mode(const Options& opt) {
     char scen[160];
     std::snprintf(scen, sizeof scen, "bench_cluster_drain conc=%u loss=%.3f seed=%llu",
                   opt.conc, opt.loss, static_cast<unsigned long long>(opt.seed));
-    const std::string extra = "\"policy_compare\":{\"baseline\":" +
-                              policy_stats_json(base) +
-                              ",\"slo_defer\":" + policy_stats_json(defer) + "}";
-    if (!write_text(opt.slo_out, obs::export_slo_json(hub, engine.get(), scen, extra))) {
+    std::string extra;
+    common::Json j(extra);
+    j.key("policy_compare").obj().key("baseline");
+    write_policy_stats(j, base);
+    j.key("slo_defer");
+    write_policy_stats(j, defer);
+    j.end();
+    const std::string body = obs::export_slo_json(hub, engine.get(), scen, extra);
+    if (auto st = common::write_file(opt.slo_out, body); !st.is_ok()) {
+      std::fprintf(stderr, "cannot write slo report: %s\n", st.to_string().c_str());
       rc = 1;
     } else {
       std::printf("slo report: %zu alert(s), written to %s\n",
                   engine ? engine->alerts().size() : 0, opt.slo_out.c_str());
     }
   }
-  if (!opt.sli_csv.empty() && !write_text(opt.sli_csv, hub.export_csv())) rc = 1;
+  if (!opt.sli_csv.empty()) {
+    if (auto st = common::write_file(opt.sli_csv, hub.export_csv()); !st.is_ok()) {
+      std::fprintf(stderr, "cannot write sli csv: %s\n", st.to_string().c_str());
+      rc = 1;
+    }
+  }
   hub.set_slo_engine(nullptr);
   if (row.failed_loudly()) {
     std::fprintf(stderr, "bench_cluster_drain: the drain failed\n");

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/json.hpp"
 #include "ft/ft.hpp"
 #include "obs/histogram.hpp"
 
@@ -292,17 +293,6 @@ MigrationReport run_migration_leg(const Options& opt) {
   return out;
 }
 
-bool write_text(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -406,27 +396,32 @@ int run(const Options& opt) {
   }
 
   if (!opt.ft_out.empty()) {
-    if (!write_text(opt.ft_out, ft.report_json)) return 1;
+    if (auto st = common::write_file(opt.ft_out, ft.report_json); !st.is_ok()) {
+      std::fprintf(stderr, "cannot write ft report: %s\n", st.to_string().c_str());
+      return 1;
+    }
     std::printf("ft report: written to %s\n", opt.ft_out.c_str());
   }
   if (!opt.bench_out.empty()) {
-    char buf[768];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"kind\":\"ft_bench\",\"version\":1,"
-        "\"scenario\":\"bench_ft_failover hosts=%u seed=%" PRIu64 " loss=%.3f\","
-        "\"epochs_committed\":%" PRIu64 ","
-        "\"epoch_commit_p50_ns\":%" PRId64 ",\"epoch_commit_p99_ns\":%" PRId64 ","
-        "\"release_delay_p50_ns\":%" PRId64 ",\"release_delay_p99_ns\":%" PRId64 ","
-        "\"msgs_dropped\":%" PRIu64 ",\"duplicate_seqs\":%" PRIu64 ","
-        "\"ft_blackout_ns\":%" PRId64 ",\"migration_blackout_ns\":%" PRId64 ","
-        "\"log_replay_blackout_ns\":%" PRId64 "}\n",
-        kHosts, opt.seed, opt.loss, ft.report.epochs_committed, ft.epoch_commit_p50,
-        ft.epoch_commit_p99, ft.report.release_delay_p50, ft.report.release_delay_p99,
-        ft.report.msgs_dropped, ft.duplicate_seqs,
-        static_cast<std::int64_t>(ft_blackout), static_cast<std::int64_t>(mig_blackout),
-        static_cast<std::int64_t>(log_replay));
-    if (!write_text(opt.bench_out, buf)) return 1;
+    std::string scenario = "bench_ft_failover hosts=" + std::to_string(kHosts) +
+                           " seed=" + std::to_string(opt.seed) + " loss=";
+    common::Json(scenario).fixed(opt.loss, 3);  // printf's %.3f
+    std::string body;
+    common::Json j(body);
+    j.obj().key("kind").val("ft_bench").key("version").val(1).key("scenario").val(scenario);
+    j.key("epochs_committed").val(ft.report.epochs_committed);
+    j.key("epoch_commit_p50_ns").val(ft.epoch_commit_p50);
+    j.key("epoch_commit_p99_ns").val(ft.epoch_commit_p99);
+    j.key("release_delay_p50_ns").val(ft.report.release_delay_p50);
+    j.key("release_delay_p99_ns").val(ft.report.release_delay_p99);
+    j.key("msgs_dropped").val(ft.report.msgs_dropped).key("duplicate_seqs").val(ft.duplicate_seqs);
+    j.key("ft_blackout_ns").val(ft_blackout).key("migration_blackout_ns").val(mig_blackout);
+    j.key("log_replay_blackout_ns").val(log_replay).end();
+    body += '\n';
+    if (auto st = common::write_file(opt.bench_out, body); !st.is_ok()) {
+      std::fprintf(stderr, "cannot write bench summary: %s\n", st.to_string().c_str());
+      return 1;
+    }
     std::printf("bench summary: written to %s\n", opt.bench_out.c_str());
   }
   return rc;

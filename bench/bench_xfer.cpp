@@ -15,6 +15,7 @@
 #include <deque>
 #include <string>
 
+#include "common/json.hpp"
 #include "criu/pagedelta.hpp"
 #include "migr/xfer.hpp"
 #include "net/fabric.hpp"
@@ -139,7 +140,11 @@ int main(int argc, char** argv) {
 
   std::printf("Transfer mux scale-out: %llu MiB payload, %.0f Gbps/stream\n",
               static_cast<unsigned long long>(kPayloadBytes >> 20), kStreamGbps);
-  std::string streams_json;
+  std::string json;
+  common::Json j(json);
+  j.obj().key("kind").val("bench_xfer").key("version").val(1);
+  j.key("payload_bytes").val(kPayloadBytes).key("stream_gbps").fixed(kStreamGbps, 1);
+  j.key("streams").arr();
   sim::DurationNs base_ns = 0;
   double speedup4 = 0;
   for (std::uint32_t n : {1u, 2u, 4u, 8u}) {
@@ -149,11 +154,9 @@ int main(int argc, char** argv) {
     if (n == 4) speedup4 = speedup;
     std::printf("  streams=%u transfer=%9.3f ms speedup=%.2fx\n", n, sim::to_msec(t),
                 speedup);
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "%s{\"n\":%u,\"transfer_ns\":%lld,\"speedup\":%.3f}",
-                  streams_json.empty() ? "" : ",", n, static_cast<long long>(t), speedup);
-    streams_json += buf;
+    j.obj().key("n").val(n).key("transfer_ns").val(t).key("speedup").fixed(speedup, 3).end();
   }
+  j.end();
 
   const SuppressionLeg zero = zero_leg();
   const SuppressionLeg sparse = sparse_leg();
@@ -166,32 +169,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sparse.encoded),
               sparse.balance_ok ? "ok" : "BROKEN");
 
-  char buf[512];
-  std::string json = "{\"kind\":\"bench_xfer\",\"version\":1";
-  std::snprintf(buf, sizeof buf,
-                ",\"payload_bytes\":%llu,\"stream_gbps\":%.1f,\"streams\":[%s]",
-                static_cast<unsigned long long>(kPayloadBytes), kStreamGbps,
-                streams_json.c_str());
-  json += buf;
-  std::snprintf(buf, sizeof buf,
-                ",\"suppression\":{\"zero\":{\"raw_bytes\":%llu,\"encoded_bytes\":%llu"
-                ",\"ratio\":%.2f,\"balance_ok\":%s},\"sparse\":{\"raw_bytes\":%llu"
-                ",\"encoded_bytes\":%llu,\"ratio\":%.2f,\"balance_ok\":%s}}}",
-                static_cast<unsigned long long>(zero.raw),
-                static_cast<unsigned long long>(zero.encoded), zero.ratio(),
-                zero.balance_ok ? "true" : "false",
-                static_cast<unsigned long long>(sparse.raw),
-                static_cast<unsigned long long>(sparse.encoded), sparse.ratio(),
-                sparse.balance_ok ? "true" : "false");
-  json += buf;
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  auto write_leg = [&j](const char* name, const SuppressionLeg& leg) {
+    j.key(name).obj().key("raw_bytes").val(leg.raw).key("encoded_bytes").val(leg.encoded);
+    j.key("ratio").fixed(leg.ratio(), 2).key("balance_ok").val(leg.balance_ok).end();
+  };
+  j.key("suppression").obj();
+  write_leg("zero", zero);
+  write_leg("sparse", sparse);
+  j.end().end();
+  if (auto st = common::write_file(out_path, json); !st.is_ok()) {
+    std::fprintf(stderr, "cannot write %s\n", st.to_string().c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   std::printf("written to %s\n", out_path.c_str());
 
   int rc = 0;

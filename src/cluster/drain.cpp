@@ -302,75 +302,49 @@ std::string format_drain_report(const DrainReport& r) {
 std::string drain_report_json(const DrainReport& r, const std::string& mode,
                               const std::string& scenario) {
   std::string out;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"kind\":\"drain_report\",\"version\":1,\"scenario\":\"%s\","
-                "\"mode\":\"%s\",\"host\":%u,\"ok\":%s,\"migrations\":%" PRIu64
-                ",\"completed\":%" PRIu64 ",\"failed\":%" PRIu64
-                ",\"retries\":%" PRIu64 ",\"aborts\":%" PRIu64
-                ",\"makespan_ns\":%lld",
-                scenario.c_str(), mode.c_str(), r.host, r.ok ? "true" : "false",
-                r.migrations, r.completed, r.failed, r.retries, r.aborts,
-                static_cast<long long>(r.makespan()));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                ",\"blackout_ns\":{\"p50\":%lld,\"p99\":%lld,\"max\":%lld}",
-                static_cast<long long>(r.blackout_p50),
-                static_cast<long long>(r.blackout_p99),
-                static_cast<long long>(r.blackout_max));
-  out += buf;
+  common::Json j(out);
+  j.obj().key("kind").val("drain_report").key("version").val(1).key("scenario").val(scenario);
+  j.key("mode").val(mode).key("host").val(r.host).key("ok").val(r.ok);
+  j.key("migrations").val(r.migrations).key("completed").val(r.completed);
+  j.key("failed").val(r.failed).key("retries").val(r.retries).key("aborts").val(r.aborts);
+  j.key("makespan_ns").val(r.makespan());
+  j.key("blackout_ns").obj().key("p50").val(r.blackout_p50).key("p99").val(r.blackout_p99);
+  j.key("max").val(r.blackout_max).end();
 
-  out += ",\"phases\":[";
-  for (std::size_t i = 0; i < r.phase_rollup.size(); i++) {
-    const PhaseAttribution& a = r.phase_rollup[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"phase\":\"%s\",\"worst_of\":%" PRIu64
-                  ",\"total_ns\":%lld,\"max_ns\":%lld}",
-                  i == 0 ? "" : ",", a.phase.c_str(), a.worst_count,
-                  static_cast<long long>(a.total), static_cast<long long>(a.max));
-    out += buf;
+  j.key("phases").arr();
+  for (const PhaseAttribution& a : r.phase_rollup) {
+    j.obj().key("phase").val(a.phase).key("worst_of").val(a.worst_count);
+    j.key("total_ns").val(a.total).key("max_ns").val(a.max).end();
   }
-  out += "]";
+  j.end();
 
   const rnic::PortCounters& w = r.wire;
-  std::snprintf(buf, sizeof(buf),
-                ",\"wire\":{\"rx_packets\":%" PRIu64 ",\"rx_in_order\":%" PRIu64
-                ",\"rx_duplicate\":%" PRIu64 ",\"rx_out_of_sequence\":%" PRIu64
-                ",\"rx_rnr_drop\":%" PRIu64 ",\"tx_packets\":%" PRIu64
-                ",\"tx_retransmitted\":%" PRIu64 ",\"rnr_waits\":%" PRIu64 "}",
-                w.rx_packets, w.rx_in_order, w.rx_duplicate, w.out_of_sequence,
-                w.rx_rnr_drop, w.tx_packets, w.tx_retransmit_packets, w.rnr_waits);
-  out += buf;
+  j.key("wire").obj().key("rx_packets").val(w.rx_packets).key("rx_in_order").val(w.rx_in_order);
+  j.key("rx_duplicate").val(w.rx_duplicate).key("rx_out_of_sequence").val(w.out_of_sequence);
+  j.key("rx_rnr_drop").val(w.rx_rnr_drop).key("tx_packets").val(w.tx_packets);
+  j.key("tx_retransmitted").val(w.tx_retransmit_packets).key("rnr_waits").val(w.rnr_waits);
+  j.end();
 
   // Fleet causal rollup, present only when critical-path attribution ran —
   // cp-off artifacts stay byte-identical to pre-feature ones. All edge
   // classes appear in enum order so the block's schema is fixed.
   if (r.cp_migrations > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\"critical_path\":{\"migrations\":%" PRIu64
-                  ",\"dominant\":\"%s\",\"by_class\":[",
-                  r.cp_migrations,
-                  r.cp_dominant.empty() ? "none" : r.cp_dominant.c_str());
-    out += buf;
-    for (std::size_t c = 0; c < r.cp_rollup.size(); c++) {
-      const EdgeAttribution& e = r.cp_rollup[c];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"class\":\"%s\",\"dominant_of\":%" PRIu64
-                    ",\"total_ns\":%lld,\"max_ns\":%lld,\"p50_ns\":%lld"
-                    ",\"p99_ns\":%lld}",
-                    c == 0 ? "" : ",", e.edge.c_str(), e.dominant_count,
-                    static_cast<long long>(e.total), static_cast<long long>(e.max),
-                    static_cast<long long>(e.p50), static_cast<long long>(e.p99));
-      out += buf;
+    j.key("critical_path").obj().key("migrations").val(r.cp_migrations);
+    j.key("dominant").val(r.cp_dominant.empty() ? "none" : r.cp_dominant);
+    j.key("by_class").arr();
+    for (const EdgeAttribution& e : r.cp_rollup) {
+      j.obj().key("class").val(e.edge).key("dominant_of").val(e.dominant_count);
+      j.key("total_ns").val(e.total).key("max_ns").val(e.max).key("p50_ns").val(e.p50);
+      j.key("p99_ns").val(e.p99).end();
     }
-    out += "]}";
+    j.end().end();
   }
 
   // Fleet post-copy rollup: always present so the schema is mode-stable
   // (all-zero on a pure pre-copy leg).
   std::uint64_t pc_migr = 0, pc_missing = 0, pc_faults = 0, pc_prefetched = 0,
                 pc_bytes = 0;
-  long long pc_drain_max = 0, pc_p99_max = 0;
+  std::int64_t pc_drain_max = 0, pc_p99_max = 0;
   for (const MigrationOutcome& o : r.outcomes) {
     const migrlib::PostcopyStats& pc = o.report.postcopy;
     if (!pc.enabled) continue;
@@ -379,17 +353,13 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
     pc_faults += pc.demand_faults;
     pc_prefetched += pc.prefetched_pages;
     pc_bytes += pc.fetch_bytes;
-    pc_drain_max = std::max(pc_drain_max, static_cast<long long>(pc.drain_ns));
-    pc_p99_max = std::max(pc_p99_max, static_cast<long long>(pc.fault_p99_ns));
+    pc_drain_max = std::max<std::int64_t>(pc_drain_max, pc.drain_ns);
+    pc_p99_max = std::max<std::int64_t>(pc_p99_max, pc.fault_p99_ns);
   }
-  std::snprintf(buf, sizeof(buf),
-                ",\"postcopy\":{\"migrations\":%" PRIu64 ",\"missing_pages\":%" PRIu64
-                ",\"demand_faults\":%" PRIu64 ",\"prefetched_pages\":%" PRIu64
-                ",\"fetch_bytes\":%" PRIu64
-                ",\"drain_ns_max\":%lld,\"fault_p99_ns_max\":%lld}",
-                pc_migr, pc_missing, pc_faults, pc_prefetched, pc_bytes, pc_drain_max,
-                pc_p99_max);
-  out += buf;
+  j.key("postcopy").obj().key("migrations").val(pc_migr).key("missing_pages").val(pc_missing);
+  j.key("demand_faults").val(pc_faults).key("prefetched_pages").val(pc_prefetched);
+  j.key("fetch_bytes").val(pc_bytes).key("drain_ns_max").val(pc_drain_max);
+  j.key("fault_p99_ns_max").val(pc_p99_max).end();
 
   // TransferMux + suppression rollup (suppression all-zero when it is off).
   // `migrations` counts the migrations that put chunks on the wire (not the
@@ -428,53 +398,38 @@ std::string drain_report_json(const DrainReport& r, const std::string& mode,
     sp_shipped += m.xfer_bytes_shipped;
     sp_suppressed += m.xfer_bytes_suppressed;
   }
-  std::snprintf(buf, sizeof(buf),
-                ",\"xfer\":{\"streams\":%u,\"migrations\":%" PRIu64
-                ",\"bytes_attempted\":%" PRIu64 ",\"bytes_delivered\":%" PRIu64
-                ",\"bytes_lost\":%" PRIu64 ",\"chunks\":%" PRIu64
-                ",\"retries\":%" PRIu64 ",\"per_stream\":",
-                xf_streams, xf_migr, xf_attempted, xf_delivered, xf_lost, xf_chunks,
-                xf_retries);
-  out += buf;
-  migrlib::append_streams_json(out, per_stream);
-  std::snprintf(buf, sizeof(buf),
-                ",\"suppression\":{\"pages_zero\":%" PRIu64 ",\"pages_same\":%" PRIu64
-                ",\"pages_delta\":%" PRIu64 ",\"pages_full\":%" PRIu64
-                ",\"bytes_raw\":%" PRIu64 ",\"bytes_shipped\":%" PRIu64
-                ",\"bytes_suppressed\":%" PRIu64 "}}",
-                sp_zero, sp_same, sp_delta, sp_full, sp_raw, sp_shipped, sp_suppressed);
-  out += buf;
+  j.key("xfer").obj().key("streams").val(xf_streams).key("migrations").val(xf_migr);
+  j.key("bytes_attempted").val(xf_attempted).key("bytes_delivered").val(xf_delivered);
+  j.key("bytes_lost").val(xf_lost).key("chunks").val(xf_chunks).key("retries").val(xf_retries);
+  j.key("per_stream");
+  migrlib::write_streams(j, per_stream);
+  j.key("suppression").obj().key("pages_zero").val(sp_zero).key("pages_same").val(sp_same);
+  j.key("pages_delta").val(sp_delta).key("pages_full").val(sp_full);
+  j.key("bytes_raw").val(sp_raw).key("bytes_shipped").val(sp_shipped);
+  j.key("bytes_suppressed").val(sp_suppressed).end().end();
 
-  out += ",\"guests\":[";
-  for (std::size_t i = 0; i < r.outcomes.size(); i++) {
-    const MigrationOutcome& o = r.outcomes[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"guest\":%u,\"src\":%u,\"dest\":%u,\"attempts\":%d,"
-                  "\"ok\":%s,\"blackout_ns\":%lld,\"waterfall\":",
-                  i == 0 ? "" : ",", o.guest, o.source, o.dest, o.attempts,
-                  o.completed ? "true" : "false",
-                  static_cast<long long>(o.completed ? o.report.service_blackout() : 0));
-    out += buf;
-    out += o.report.waterfall_json();
-    if (o.report.critical_path.valid) {
-      out += ",\"critical_path\":";
-      out += o.report.critical_path.json();
+  j.key("guests").arr();
+  for (const MigrationOutcome& o : r.outcomes) {
+    const MigrationReport& m = o.report;
+    j.obj().key("guest").val(o.guest).key("src").val(o.source).key("dest").val(o.dest);
+    j.key("attempts").val(o.attempts).key("ok").val(o.completed);
+    j.key("blackout_ns").val(o.completed ? m.service_blackout() : 0).key("waterfall");
+    m.write_waterfall(j);
+    if (m.critical_path.valid) {
+      j.key("critical_path");
+      m.critical_path.write(j);
     }
-    if (o.report.postcopy.enabled) {
-      out += ",\"postcopy\":";
-      out += o.report.postcopy.json();
+    if (m.postcopy.enabled) {
+      j.key("postcopy");
+      m.postcopy.write(j);
     }
-    std::snprintf(buf, sizeof(buf),
-                  ",\"xfer\":{\"streams\":%u,\"bytes_attempted\":%" PRIu64
-                  ",\"bytes_delivered\":%" PRIu64 ",\"bytes_lost\":%" PRIu64
-                  ",\"chunks\":%" PRIu64 ",\"bytes_suppressed\":%" PRIu64 "}",
-                  o.report.xfer_streams, o.report.xfer_bytes_attempted,
-                  o.report.xfer_bytes_delivered, o.report.xfer_bytes_lost,
-                  o.report.xfer_chunks, o.report.xfer_bytes_suppressed);
-    out += buf;
-    out += "}";
+    j.key("xfer").obj().key("streams").val(m.xfer_streams);
+    j.key("bytes_attempted").val(m.xfer_bytes_attempted);
+    j.key("bytes_delivered").val(m.xfer_bytes_delivered).key("bytes_lost").val(m.xfer_bytes_lost);
+    j.key("chunks").val(m.xfer_chunks).key("bytes_suppressed").val(m.xfer_bytes_suppressed);
+    j.end().end();
   }
-  out += "]}";
+  j.end().end();
   return out;
 }
 

@@ -1,8 +1,6 @@
 #include "ft/ft.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
@@ -24,81 +22,54 @@ namespace {
 constexpr rnic::Psn kPsnBase = 700'000;
 }  // namespace
 
-std::string FtReport::json() const {
-  char buf[384];
-  std::string out = "{\"kind\":\"ft_report\",\"version\":1";
-  std::snprintf(buf, sizeof buf,
-                ",\"guest\":%u,\"primary_host\":%u,\"backup_host\":%u"
-                ",\"ok\":%s,\"error\":\"%s\""
-                ",\"protect_start_ns\":%" PRId64 ",\"protected_at_ns\":%" PRId64
-                ",\"end_ns\":%" PRId64,
-                guest, primary_host, backup_host, ok ? "true" : "false", error.c_str(),
-                protect_start, protected_at, end);
-  out += buf;
+void FtReport::write(common::Json& j) const {
+  j.obj().key("kind").val("ft_report").key("version").val(1).key("guest").val(guest);
+  j.key("primary_host").val(primary_host).key("backup_host").val(backup_host);
+  j.key("ok").val(ok).key("error").val(error).key("protect_start_ns").val(protect_start);
+  j.key("protected_at_ns").val(protected_at).key("end_ns").val(end);
 
-  std::snprintf(buf, sizeof buf,
-                ",\"epochs\":{\"captured\":%" PRIu64 ",\"committed\":%" PRIu64
-                ",\"full_sync_bytes\":%" PRIu64 ",\"epoch_bytes_total\":%" PRIu64
-                ",\"xfer_bytes_attempted\":%" PRIu64 ",\"xfer_bytes_delivered\":%" PRIu64
-                ",\"transfer_retries\":%" PRIu64 ",\"records\":[",
-                epochs_captured, epochs_committed, full_sync_bytes, epoch_bytes_total,
-                xfer_bytes_attempted, xfer_bytes_delivered, transfer_retries);
-  out += buf;
-  for (std::size_t i = 0; i < epochs.size(); ++i) {
-    const EpochRecord& r = epochs[i];
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"epoch\":%" PRIu64 ",\"captured_at_ns\":%" PRId64
-                  ",\"committed_at_ns\":%" PRId64 ",\"commit_latency_ns\":%" PRId64
-                  ",\"freeze_ns\":%" PRId64 ",\"mem_bytes\":%" PRIu64
-                  ",\"rdma_bytes\":%" PRIu64 ",\"wire_bytes\":%" PRIu64
-                  ",\"released_msgs\":%" PRIu64 ",\"retries\":%d}",
-                  i ? "," : "", r.epoch, r.captured_at, r.committed_at, r.commit_latency(),
-                  r.freeze_ns, r.mem_bytes, r.rdma_bytes, r.wire_bytes, r.released_msgs,
-                  r.retries);
-    out += buf;
+  j.key("epochs").obj().key("captured").val(epochs_captured);
+  j.key("committed").val(epochs_committed).key("full_sync_bytes").val(full_sync_bytes);
+  j.key("epoch_bytes_total").val(epoch_bytes_total);
+  j.key("xfer_bytes_attempted").val(xfer_bytes_attempted);
+  j.key("xfer_bytes_delivered").val(xfer_bytes_delivered);
+  j.key("transfer_retries").val(transfer_retries).key("records").arr();
+  for (const EpochRecord& r : epochs) {
+    j.obj().key("epoch").val(r.epoch).key("captured_at_ns").val(r.captured_at);
+    j.key("committed_at_ns").val(r.committed_at).key("commit_latency_ns").val(r.commit_latency());
+    j.key("freeze_ns").val(r.freeze_ns).key("mem_bytes").val(r.mem_bytes);
+    j.key("rdma_bytes").val(r.rdma_bytes).key("wire_bytes").val(r.wire_bytes);
+    j.key("released_msgs").val(r.released_msgs).key("retries").val(r.retries).end();
   }
-  out += "]";
+  j.end();
   // Stream-level rollups of the epoch-sync mux.
-  std::snprintf(buf, sizeof buf,
-                ",\"streams\":{\"count\":%u,\"chunks\":%" PRIu64
-                ",\"bytes_lost\":%" PRIu64 ",\"per_stream\":",
-                xfer_streams, xfer_chunks, xfer_bytes_lost);
-  out += buf;
-  migrlib::append_streams_json(out, xfer_stream_stats);
-  out += "}}";
+  j.key("streams").obj().key("count").val(xfer_streams).key("chunks").val(xfer_chunks);
+  j.key("bytes_lost").val(xfer_bytes_lost).key("per_stream");
+  migrlib::write_streams(j, xfer_stream_stats);
+  j.end().end();
 
-  std::snprintf(buf, sizeof buf,
-                ",\"output_commit\":{\"buffered\":%" PRIu64 ",\"released\":%" PRIu64
-                ",\"dropped\":%" PRIu64 ",\"release_delay_p50_ns\":%" PRId64
-                ",\"release_delay_p99_ns\":%" PRId64 ",\"release_delay_max_ns\":%" PRId64 "}",
-                msgs_buffered, msgs_released, msgs_dropped, release_delay_p50,
-                release_delay_p99, release_delay_max);
-  out += buf;
+  j.key("output_commit").obj().key("buffered").val(msgs_buffered);
+  j.key("released").val(msgs_released).key("dropped").val(msgs_dropped);
+  j.key("release_delay_p50_ns").val(release_delay_p50);
+  j.key("release_delay_p99_ns").val(release_delay_p99);
+  j.key("release_delay_max_ns").val(release_delay_max).end();
 
-  out += ",\"failover\":{\"occurred\":";
-  out += failed_over ? "true" : "false";
-  out += ",\"reason\":\"" + failover_reason + "\"";
-  std::snprintf(buf, sizeof buf,
-                ",\"killed_at_ns\":%" PRId64 ",\"detected_at_ns\":%" PRId64
-                ",\"resume_at_ns\":%" PRId64 ",\"blackout_ns\":%" PRId64
-                ",\"promoted_epoch\":%" PRIu64,
-                killed_at, detected_at, resume_at,
-                failed_over ? failover_blackout() : 0, promoted_epoch);
-  out += buf;
-  // Waterfall block with the same shape as MigrationReport::waterfall_json,
+  const sim::DurationNs blackout = failed_over ? failover_blackout() : 0;
+  j.key("failover").obj().key("occurred").val(failed_over).key("reason").val(failover_reason);
+  j.key("killed_at_ns").val(killed_at).key("detected_at_ns").val(detected_at);
+  j.key("resume_at_ns").val(resume_at).key("blackout_ns").val(blackout);
+  j.key("promoted_epoch").val(promoted_epoch);
+  // Waterfall block with the same shape as MigrationReport::write_waterfall,
   // so the validator's tiling-cursor check is reusable verbatim.
-  std::snprintf(buf, sizeof buf,
-                ",\"waterfall\":{\"freeze_at_ns\":%" PRId64 ",\"resume_at_ns\":%" PRId64
-                ",\"blackout_ns\":%" PRId64 ",\"slices\":",
-                killed_at, resume_at, failed_over ? failover_blackout() : 0);
-  out += buf;
-  migrlib::append_slices_json(out, waterfall);
-  out += '}';
+  j.key("waterfall").obj().key("freeze_at_ns").val(killed_at).key("resume_at_ns").val(resume_at);
+  j.key("blackout_ns").val(blackout).key("slices");
+  migrlib::write_slices(j, waterfall);
+  j.end();
   if (critical_path.valid) {
-    out += ",\"critical_path\":" + critical_path.json();
+    j.key("critical_path");
+    critical_path.write(j);
   }
-  out += "}}";
-  return out;
+  j.end().end();
 }
 
 FtController::FtController(sim::EventLoop& loop, net::Fabric& fabric,
@@ -574,11 +545,10 @@ void FtController::trigger_failover(const std::string& reason) {
   MIGR_WARN() << "ft failover for guest " << move_.id() << ": " << reason;
   move_.instant(report_.detected_at, "ft_failover_detected",
                 "\"guest\":" + std::to_string(move_.id()));
-  move_.push_slice("detect", report_.detected_at - report_.killed_at,
-                   "\"reason\":\"heartbeat\"");
   // Detection latency is heartbeat-silence waiting: ctrl-plane time by
   // nature, not restore work.
-  move_.cp().add(report_.killed_at, report_.detected_at, obs::EdgeClass::ctrl_rtt, "detect");
+  move_.push_slice("detect", report_.detected_at - report_.killed_at, obs::EdgeClass::ctrl_rtt,
+                   "\"reason\":\"heartbeat\"");
   phase_promote();
 }
 
@@ -609,19 +579,12 @@ void FtController::phase_promote() {
   const sim::DurationNs rearm_cost = rearm.value();
 
   report_.promoted_epoch = applied_epoch_;
-  obs::CpRecorder& cp = move_.cp();
-  sim::TimeNs cp_t = move_.slice_cursor();
-  move_.push_slice("promote", options_.promote_cost,
+  move_.push_slice("promote", options_.promote_cost, obs::EdgeClass::ctrl_rtt,
                    "\"epoch\":" + std::to_string(report_.promoted_epoch));
-  cp.add(cp_t, move_.slice_cursor(), obs::EdgeClass::ctrl_rtt, "promote");
-  cp_t = move_.slice_cursor();
-  move_.push_slice("restore", restore_cost,
+  move_.push_slice("restore", restore_cost, obs::EdgeClass::restore_apply,
                    "\"deferred\":" + std::to_string(fin->deferred.size()));
-  cp.add(cp_t, move_.slice_cursor(), obs::EdgeClass::restore_apply, "restore");
-  cp_t = move_.slice_cursor();
-  move_.push_slice("re_arm", rearm_cost,
+  move_.push_slice("re_arm", rearm_cost, obs::EdgeClass::qp_reestablish,
                    "\"partners\":" + std::to_string(move_.partners().size()));
-  cp.add(cp_t, move_.slice_cursor(), obs::EdgeClass::qp_reestablish, "re_arm");
 
   // Output commit resolution happens at resume: messages of uncommitted
   // epochs never became visible and the state that generated them is gone —
@@ -652,7 +615,7 @@ void FtController::phase_ft_resume(std::uint64_t released, std::uint64_t dropped
   finished_ = true;
   report_.resume_at = loop_.now();
   obs::SliHub::global().on_resume(id, report_.resume_at);
-  move_.push_slice("recovery", 0,
+  move_.push_slice("recovery", 0, obs::EdgeClass::slack,
                    "\"released\":" + std::to_string(released) +
                        ",\"dropped\":" + std::to_string(dropped));
   move_.resolve_cp(report_.critical_path, report_.killed_at, report_.resume_at);

@@ -178,7 +178,8 @@ struct FtReport {
   /// The versioned ft_report artifact body: {"kind":"ft_report",
   /// "version":1,...}. Deterministic given a deterministic run — the
   /// determinism guard diffs this byte-for-byte across seeded runs.
-  std::string json() const;
+  void write(common::Json& j) const;
+  std::string json() const { return common::to_json(*this); }
 };
 
 class FtController {

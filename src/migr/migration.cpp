@@ -33,14 +33,18 @@ const char* migration_mode_name(MigrationMode m) noexcept {
   return "?";
 }
 
+void MigrationReport::write_waterfall(common::Json& j) const {
+  j.obj().key("mode").val(migration_mode_name(mode)).key("freeze_at_ns").val(freeze_at);
+  j.key("resume_at_ns").val(resume_at).key("blackout_ns").val(service_blackout());
+  j.key("aborted").val(aborted).key("slices");
+  write_slices(j, waterfall);
+  j.end();
+}
+
 std::string MigrationReport::waterfall_json() const {
-  std::string out = std::string{"{\"mode\":\""} + migration_mode_name(mode) +
-                    "\",\"freeze_at_ns\":" + std::to_string(freeze_at) +
-                    ",\"resume_at_ns\":" + std::to_string(resume_at) +
-                    ",\"blackout_ns\":" + std::to_string(service_blackout()) +
-                    ",\"aborted\":" + (aborted ? "true" : "false") + ",\"slices\":";
-  append_slices_json(out, waterfall);
-  out += '}';
+  std::string out;
+  common::Json j(out);
+  write_waterfall(j);
   return out;
 }
 
@@ -149,7 +153,7 @@ void MigrationController::abort(const Status& st) {
   if (report_.freeze_at != 0 && report_.resume_at == 0) {
     report_.resume_at = loop_.now();
     move_.push_slice(std::string{"aborted_in_"} + phase_, loop_.now() - move_.slice_cursor(),
-                     "\"guest\":" + std::to_string(id));
+                     obs::EdgeClass::slack, "\"guest\":" + std::to_string(id));
     GuestMove::blackout_span(report_.freeze_at, report_.service_blackout(), "blackout",
                              "\"guest\":" + std::to_string(id) + ",\"aborted\":true");
     // Whatever the recorder saw before the rollback still attributes the
@@ -542,24 +546,19 @@ void MigrationController::phase_final_transfer() {
   Bytes payload = std::move(w).take();
   report_.final_bytes = payload.size();
 
-  // Blackout-component spans laid out back to back, durations identical to
-  // the report fields (the dump costs elapse sequentially via schedule_in).
-  move_.span(report_.freeze_at, report_.dump_others, "dump_others");
-  move_.span(report_.freeze_at + report_.dump_others, report_.dump_rdma, "dump_rdma");
-  move_.push_slice("dump_others", report_.dump_others);
-  move_.push_slice("dump_rdma", report_.dump_rdma,
+  // The blackout steps tile back to back from the freeze; durations are the
+  // report fields (the dump costs elapse sequentially via schedule_in).
+  move_.push_slice("dump_others", report_.dump_others, obs::EdgeClass::ckpt_dump);
+  move_.push_slice("dump_rdma", report_.dump_rdma, obs::EdgeClass::ckpt_dump,
                    "\"bytes\":" + std::to_string(final_rdma_bytes_.size()));
 
   const sim::DurationNs dump_cost = report_.dump_others + rdma_dump_cost;
-  move_.cp().add(report_.freeze_at, report_.freeze_at + dump_cost, obs::EdgeClass::ckpt_dump,
-                 "final_dump");
   loop_.schedule_in(dump_cost, [this, payload = std::move(payload)]() mutable {
     const sim::TimeNs xfer_start = loop_.now();
     transfer_to_dest(std::move(payload), [this, xfer_start](Bytes p) {
       report_.transfer = loop_.now() - xfer_start;
-      move_.span(xfer_start, report_.transfer, "transfer",
-                 "\"bytes\":" + std::to_string(report_.final_bytes));
-      move_.push_slice("transfer", report_.transfer,
+      // The mux's chunk intervals explain the transfer's time.
+      move_.push_slice("transfer", report_.transfer, obs::EdgeClass::slack,
                        "\"bytes\":" + std::to_string(report_.final_bytes) +
                            ",\"retries\":" + std::to_string(report_.transfer_retries));
       phase_final_restore(std::move(p));
@@ -621,17 +620,10 @@ void MigrationController::phase_final_restore(Bytes payload) {
 
   // Steps 6/6'/7 back to back: durations equal the report fields.
   const sim::TimeNs restore_start = loop_.now();
-  move_.span(restore_start, report_.full_restore, "full_restore");
-  move_.span(restore_start + report_.full_restore, report_.restore_rdma, "restore_rdma");
   move_.instant(restore_start + report_.full_restore, "map_resources");
   move_.instant(restore_start + report_.full_restore + report_.restore_rdma, "replay");
-  move_.push_slice("full_restore", report_.full_restore);
-  move_.push_slice("restore_rdma", report_.restore_rdma);
-  move_.cp().add(restore_start, restore_start + report_.full_restore,
-                 obs::EdgeClass::restore_apply, "full_restore");
-  move_.cp().add(restore_start + report_.full_restore,
-                 restore_start + report_.full_restore + report_.restore_rdma,
-                 obs::EdgeClass::qp_reestablish, "restore_rdma");
+  move_.push_slice("full_restore", report_.full_restore, obs::EdgeClass::restore_apply);
+  move_.push_slice("restore_rdma", report_.restore_rdma, obs::EdgeClass::qp_reestablish);
 
   if (postcopy) {
     // Stage the fault path before the service resumes: the moment partners
@@ -678,7 +670,7 @@ void MigrationController::phase_resume() {
 
   // Close the waterfall: a zero-duration thaw marker at the boundary, then
   // the parent span covering the whole attributed window.
-  move_.push_slice("thaw", 0);
+  move_.push_slice("thaw", 0, obs::EdgeClass::slack);
   GuestMove::blackout_span(report_.freeze_at, report_.service_blackout(), "blackout",
                            "\"guest\":" + std::to_string(id));
   move_.resolve_cp(report_.critical_path, report_.freeze_at, report_.resume_at);

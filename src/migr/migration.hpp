@@ -210,9 +210,10 @@ struct MigrationReport {
     for (const auto& s : waterfall) t += s.dur;
     return t;
   }
-  /// Structured blackout anatomy: {"freeze_at_ns":..,"resume_at_ns":..,
-  /// "blackout_ns":..,"aborted":..,"slices":[{"name":..,"start_ns":..,
-  /// "dur_ns":..,<detail>}...]}.
+  /// Structured blackout anatomy: {"mode":..,"freeze_at_ns":..,
+  /// "resume_at_ns":..,"blackout_ns":..,"aborted":..,"slices":[{"name":..,
+  /// "start_ns":..,"dur_ns":..,<detail>}...]}.
+  void write_waterfall(common::Json& j) const;
   std::string waterfall_json() const;
 };
 

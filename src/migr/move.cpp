@@ -7,20 +7,13 @@ namespace migr::migrlib {
 using common::Errc;
 using common::Status;
 
-void append_slices_json(std::string& out, const std::vector<PhaseSlice>& slices) {
-  out += '[';
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    const PhaseSlice& s = slices[i];
-    if (i != 0) out += ',';
-    out += "{\"name\":\"" + s.name + "\",\"start_ns\":" + std::to_string(s.start) +
-           ",\"dur_ns\":" + std::to_string(s.dur);
-    if (!s.detail.empty()) {
-      out += ',';
-      out += s.detail;
-    }
-    out += '}';
+void write_slices(common::Json& j, const std::vector<PhaseSlice>& slices) {
+  j.arr();
+  for (const PhaseSlice& s : slices) {
+    j.obj().key("name").val(s.name).key("start_ns").val(s.start).key("dur_ns").val(s.dur);
+    j.raw(s.detail).end();
   }
-  out += ']';
+  j.end();
 }
 
 common::Result<EpochFrame> read_epoch_frame(Section frame) {
@@ -278,8 +271,12 @@ void GuestMove::open_slices(std::vector<PhaseSlice>& out, sim::TimeNs at) {
   wf_cursor_ = at;
 }
 
-void GuestMove::push_slice(std::string name, sim::DurationNs dur, std::string detail) {
+void GuestMove::push_slice(std::string name, sim::DurationNs dur, obs::EdgeClass cls,
+                           std::string detail) {
   blackout_span(wf_cursor_, dur, name, detail);
+  if (cls != obs::EdgeClass::slack && cp_.enabled()) {
+    cp_.add(wf_cursor_, wf_cursor_ + dur, cls, name);
+  }
   slices_->push_back(PhaseSlice{std::move(name), wf_cursor_, dur, std::move(detail)});
   wf_cursor_ += dur;
 }

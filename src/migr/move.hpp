@@ -44,7 +44,7 @@ struct PhaseSlice {
 };
 
 /// `[{"name":..,"start_ns":..,"dur_ns":..,<detail>},...]`
-void append_slices_json(std::string& out, const std::vector<PhaseSlice>& slices);
+void write_slices(common::Json& j, const std::vector<PhaseSlice>& slices);
 
 /// A view into an image payload.
 using Section = std::span<const std::uint8_t>;
@@ -159,10 +159,13 @@ class GuestMove {
                             std::string args = {});
   /// Start the blackout waterfall at `at`, appending to `out`.
   void open_slices(std::vector<PhaseSlice>& out, sim::TimeNs at);
-  /// Append one slice at the cursor (and its blackout span), then advance
-  /// the cursor. Callers supply durations only; contiguity is by
-  /// construction.
-  void push_slice(std::string name, sim::DurationNs dur, std::string detail = {});
+  /// The one record of a blackout step: append the slice at the cursor, emit
+  /// its blackout span and, with the recorder armed, record [cursor, cursor +
+  /// dur) as a `cls` interval labelled with the slice name (`slack` records
+  /// none: the mux's chunks, or nothing, explain that time). Then advance the
+  /// cursor; callers supply durations only, so contiguity is by construction.
+  void push_slice(std::string name, sim::DurationNs dur, obs::EdgeClass cls,
+                  std::string detail = {});
   sim::TimeNs slice_cursor() const noexcept { return wf_cursor_; }
   /// Causal intervals of the blackout; records nothing until enabled.
   obs::CpRecorder& cp() noexcept { return cp_; }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cinttypes>
-#include <cstdio>
 #include <span>
 
 #include "common/log.hpp"
@@ -18,19 +16,12 @@ using common::ByteWriter;
 using common::Errc;
 using common::Status;
 
-std::string PostcopyStats::json() const {
-  char buf[384];
-  std::snprintf(buf, sizeof buf,
-                "{\"missing_pages\":%" PRIu64 ",\"demand_faults\":%" PRIu64
-                ",\"prefetched_pages\":%" PRIu64 ",\"fetch_requests\":%" PRIu64
-                ",\"fetch_bytes\":%" PRIu64 ",\"retries\":%" PRIu64
-                ",\"drain_ns\":%" PRId64
-                ",\"fault_ns\":{\"p50\":%" PRId64 ",\"p99\":%" PRId64
-                ",\"max\":%" PRId64 "}}",
-                missing_pages, demand_faults, prefetched_pages, fetch_requests,
-                fetch_bytes, retries, drain_ns, fault_p50_ns, fault_p99_ns,
-                fault_max_ns);
-  return buf;
+void PostcopyStats::write(common::Json& j) const {
+  j.obj().key("missing_pages").val(missing_pages).key("demand_faults").val(demand_faults);
+  j.key("prefetched_pages").val(prefetched_pages).key("fetch_requests").val(fetch_requests);
+  j.key("fetch_bytes").val(fetch_bytes).key("retries").val(retries).key("drain_ns").val(drain_ns);
+  j.key("fault_ns").obj().key("p50").val(fault_p50_ns).key("p99").val(fault_p99_ns);
+  j.key("max").val(fault_max_ns).end().end();
 }
 
 PostcopyPump::PostcopyPump(sim::EventLoop& loop, net::Fabric& fabric, std::uint32_t guest,
@@ -106,7 +97,9 @@ void PostcopyPump::send_request(std::uint8_t kind, const std::vector<proc::VirtA
 void PostcopyPump::on_request(Bytes&& payload) {
   ByteReader r{payload};
   auto kind = r.u8();
-  auto count = r.u32();
+  // A count the frame cannot carry (8 bytes per page) drops the frame: it
+  // would hold the source under ctrl pressure for pages nobody asked for.
+  auto count = r.count<std::uint32_t>(8);
   if (!kind.is_ok() || !count.is_ok()) return;
   // The source-side page server walks frozen process memory: ctrl pressure
   // on the source NIC, like the dump walks during pre-copy.
@@ -131,7 +124,7 @@ void PostcopyPump::on_data(Bytes&& payload) {
   st_.fetch_bytes += payload.size();
   ByteReader r{payload};
   auto kind = r.u8();
-  auto count = r.u32();
+  auto count = r.count<std::uint32_t>(8 + 4);  // address + length prefix per page
   if (!kind.is_ok() || !count.is_ok()) return;
   auto& mem = dest_proc_.mem();
   auto& reg = obs::Registry::global();
@@ -140,12 +133,14 @@ void PostcopyPump::on_data(Bytes&& payload) {
     auto addr = r.u64();
     auto data = r.view();
     if (!addr.is_ok() || !data.is_ok()) break;
+    // Only a page carried in full is installed; a short one leaves the page
+    // missing for a later reply.
+    if (data.value().size() != proc::kPageSize) continue;
     const proc::VirtAddr page = addr.value();
     if (mem.clear_missing(page)) {
       // Still missing: this delivery owns the page. Install the contents
       // directly (no write(): the fill is not guest dirtying).
-      auto phys = mem.page_at(page);
-      if (phys && data.value().size() == phys->data.size()) {
+      if (auto phys = mem.page_at(page)) {
         std::copy(data.value().begin(), data.value().end(), phys->data.begin());
       }
       st_.prefetched_pages++;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "common/result.hpp"
 #include "net/fabric.hpp"
 #include "obs/histogram.hpp"
@@ -62,7 +63,7 @@ struct PostcopyStats {
   std::int64_t fault_p99_ns = 0;
   std::int64_t fault_max_ns = 0;
   /// JSON object: {"missing_pages":..,...,"fault_ns":{"p50":..,...}}.
-  std::string json() const;
+  void write(common::Json& j) const;
 };
 
 class PostcopyPump {

@@ -1,8 +1,6 @@
 #include "migr/xfer.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
 
@@ -13,19 +11,14 @@ using common::Bytes;
 using common::ByteWriter;
 using common::Errc;
 
-void append_streams_json(std::string& out, const std::vector<XferStreamStats>& streams) {
-  char buf[192];
-  out += '[';
-  for (std::size_t k = 0; k < streams.size(); ++k) {
-    const XferStreamStats& s = streams[k];
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"chunks\":%" PRIu64 ",\"attempted\":%" PRIu64 ",\"delivered\":%" PRIu64
-                  ",\"lost\":%" PRIu64 ",\"retries\":%" PRIu64 "}",
-                  k == 0 ? "" : ",", s.chunks, s.bytes_attempted, s.bytes_delivered,
-                  s.bytes_lost(), s.retries);
-    out += buf;
+void write_streams(common::Json& j, const std::vector<XferStreamStats>& streams) {
+  j.arr();
+  for (const XferStreamStats& s : streams) {
+    j.obj().key("chunks").val(s.chunks).key("attempted").val(s.bytes_attempted);
+    j.key("delivered").val(s.bytes_delivered).key("lost").val(s.bytes_lost());
+    j.key("retries").val(s.retries).end();
   }
-  out += ']';
+  j.end();
 }
 
 TransferMux::TransferMux(sim::EventLoop& loop, net::Fabric& fabric,
@@ -197,13 +190,34 @@ void TransferMux::on_data(std::uint32_t stream, Bytes&& frame) {
   auto wire_stream = r.u32();
   auto slice = r.view();
   if (!seq.is_ok() || !index.is_ok() || !nchunks.is_ok() ||
-      !wire_stream.is_ok() || !slice.is_ok()) {
+      !wire_stream.is_ok() || !slice.is_ok() || !r.done()) {
     return;  // malformed frame: drop, sender's timeout re-sends
+  }
+  // A frame for a live transfer must fit it: its chunk count, an index in
+  // it, that chunk's stream and a full chunk (the last may be short), or it
+  // is dropped unacked without touching receiver state. A new transfer's
+  // chunk count is the sender's (src and dst halves live in one object; the
+  // frames still cross the simulated fabric in between).
+  auto it = rx_.end();
+  std::uint32_t live_chunks = 0;
+  if (*seq >= rx_next_) {
+    it = rx_.find(*seq);
+    if (it != rx_.end()) {
+      live_chunks = static_cast<std::uint32_t>(it->second.frames.size());
+    } else if (const Tx* tx = find_tx(*seq)) {
+      live_chunks = static_cast<std::uint32_t>(tx->chunks.size());
+    }
+    const bool last = *index + 1 == live_chunks;
+    if (live_chunks == 0 || *nchunks != live_chunks || *index >= live_chunks ||
+        *wire_stream != stream || stream != *index % opts_.streams ||
+        slice->size() > opts_.chunk_bytes || (!last && slice->size() != opts_.chunk_bytes)) {
+      return;
+    }
   }
   stats_.streams[stream].bytes_delivered += frame_bytes;
 
-  // Ack unconditionally — duplicates and frames for cancelled transfers
-  // still ack so the sender stops retrying them.
+  // Ack every frame that fits — duplicates and frames for cancelled or
+  // delivered transfers too, so the sender stops retrying them.
   ByteWriter w;
   w.u64(*seq);
   w.u32(*index);
@@ -213,25 +227,16 @@ void TransferMux::on_data(std::uint32_t stream, Bytes&& frame) {
   }
 
   if (*seq < rx_next_) return;  // already delivered, or cancelled
-  auto it = rx_.find(*seq);
   if (it == rx_.end()) {
-    // Receiver state for a new transfer, sized from the sender's (src and
-    // dst halves live in one object; the frames still cross the simulated
-    // fabric in between). A frame naming no live transfer is dropped.
-    const Tx* tx = find_tx(*seq);
-    if (tx == nullptr || tx->chunks.size() != *nchunks) return;
     it = rx_.emplace(*seq, Rx{}).first;
-    it->second.nchunks = *nchunks;
-    it->second.have.assign(*nchunks, false);
-    it->second.frames.resize(*nchunks);
-    it->second.slices.resize(*nchunks);
+    it->second.frames.resize(live_chunks);
+    it->second.slices.resize(live_chunks);
   }
   Rx& rx = it->second;
-  if (*index >= rx.nchunks || rx.have[*index]) return;
-  rx.have[*index] = true;
+  if (!rx.frames[*index].empty()) return;  // a duplicate
   rx.slices[*index] = *slice;
   rx.frames[*index] = std::move(frame);  // keeps the slice's bytes alive
-  if (++rx.count == rx.nchunks && *seq == rx_next_) deliver_ready();
+  if (++rx.count == rx.frames.size() && *seq == rx_next_) deliver_ready();
 }
 
 void TransferMux::deliver_ready() {
@@ -239,7 +244,8 @@ void TransferMux::deliver_ready() {
   // callback may send, cancel or re-open the mux, so re-check the state
   // after every call.
   for (auto it = rx_.find(rx_next_);
-       it != rx_.end() && it->second.count == it->second.nchunks; it = rx_.find(rx_next_)) {
+       it != rx_.end() && it->second.count == it->second.frames.size();
+       it = rx_.find(rx_next_)) {
     std::size_t total = 0;
     for (const auto& s : it->second.slices) total += s.size();
     Bytes payload;
@@ -257,7 +263,7 @@ void TransferMux::on_ack(Bytes&& frame) {
   ByteReader r{frame};
   auto seq = r.u64();
   auto index = r.u32();
-  if (!seq.is_ok() || !index.is_ok()) return;
+  if (!seq.is_ok() || !index.is_ok() || !r.done()) return;
   auto tx = std::find_if(tx_.begin(), tx_.end(),
                          [&](const Tx& t) { return t.seq == *seq; });
   if (tx == tx_.end() || *index >= tx->chunks.size()) return;

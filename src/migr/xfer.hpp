@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/json.hpp"
 #include "common/result.hpp"
 #include "net/fabric.hpp"
 #include "obs/critical_path.hpp"
@@ -96,7 +97,7 @@ struct XferStats {
 };
 
 /// `[{"chunks":..,"attempted":..,"delivered":..,"lost":..,"retries":..},...]`
-void append_streams_json(std::string& out, const std::vector<XferStreamStats>& streams);
+void write_streams(common::Json& j, const std::vector<XferStreamStats>& streams);
 
 class TransferMux {
  public:
@@ -160,10 +161,8 @@ class TransferMux {
   };
 
   struct Rx {
-    std::uint32_t nchunks = 0;
     std::uint32_t count = 0;
-    std::vector<bool> have;
-    std::vector<common::Bytes> frames;  // received frames, kept whole
+    std::vector<common::Bytes> frames;  // received frames, kept whole; empty until then
     std::vector<std::span<const std::uint8_t>> slices;  // payload in frames
   };
 

@@ -1,6 +1,5 @@
 #include "net/fabric.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/log.hpp"
@@ -317,9 +316,8 @@ common::Result<sim::TimeNs> Fabric::send_ctrl(HostId src, HostId dst,
     if (it != services_.end() && it->second) {
       auto& tr = obs::Tracer::global();
       if (flow_id != 0 && tr.enabled()) {
-        char hosts[48];
-        std::snprintf(hosts, sizeof hosts, "\"src\":%u,\"dst\":%u",
-                      static_cast<unsigned>(src), static_cast<unsigned>(dst));
+        const std::string hosts =
+            "\"src\":" + std::to_string(src) + ",\"dst\":" + std::to_string(dst);
         tr.flow_start(serialized_at, service, "net.ctrl", flow_id, hosts);
         tr.flow_finish(loop_.now(), service, "net.ctrl", flow_id, hosts);
         obs::CtxScope scope(tr, send_ctx);

@@ -31,53 +31,21 @@ EdgeClass CriticalPath::dominant() const noexcept {
   return best_ns > 0 ? best : EdgeClass::slack;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
-}  // namespace
-
-std::string CriticalPath::json() const {
-  std::string out = "{\"window_start_ns\":";
-  out += std::to_string(window_start);
-  out += ",\"window_end_ns\":";
-  out += std::to_string(window_end);
-  out += ",\"total_ns\":";
-  out += std::to_string(total());
-  out += ",\"dominant\":\"";
-  out += edge_class_name(dominant());
-  out += "\",\"by_class\":{";
+void CriticalPath::write(common::Json& j) const {
+  j.obj().key("window_start_ns").val(window_start).key("window_end_ns").val(window_end);
+  j.key("total_ns").val(total()).key("dominant").val(edge_class_name(dominant()));
+  j.key("by_class").obj();
   for (std::size_t i = 0; i < kEdgeClassCount; ++i) {
-    if (i != 0) out += ',';
-    out += '"';
-    out += edge_class_name(static_cast<EdgeClass>(i));
-    out += "\":";
-    out += std::to_string(by_class[i]);
+    j.key(edge_class_name(static_cast<EdgeClass>(i))).val(by_class[i]);
   }
-  out += "},\"edges\":[";
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const CpEdge& e = edges[i];
-    if (i != 0) out += ',';
-    out += "{\"class\":\"";
-    out += edge_class_name(e.cls);
-    out += "\",\"start_ns\":";
-    out += std::to_string(e.start);
-    out += ",\"dur_ns\":";
-    out += std::to_string(e.dur());
-    if (!e.label.empty()) {
-      out += ",\"label\":\"";
-      append_escaped(out, e.label);
-      out += '"';
-    }
-    out += '}';
+  j.end().key("edges").arr();
+  for (const CpEdge& e : edges) {
+    j.obj().key("class").val(edge_class_name(e.cls)).key("start_ns").val(e.start);
+    j.key("dur_ns").val(e.dur());
+    if (!e.label.empty()) j.key("label").val(e.label);
+    j.end();
   }
-  out += "]}";
-  return out;
+  j.end().end();
 }
 
 CriticalPath CpRecorder::resolve(std::int64_t window_start, std::int64_t window_end) const {

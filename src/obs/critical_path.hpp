@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace migr::obs {
 
 /// Named classes of blackout time. Keep in sync with edge_class_name(),
@@ -74,11 +76,11 @@ struct CriticalPath {
   EdgeClass dominant() const noexcept;
   /// JSON object: {"window_start_ns":..,"window_end_ns":..,"total_ns":..,
   ///  "dominant":"..","by_class":{..all classes..},"edges":[..]}
-  std::string json() const;
+  void write(common::Json& j) const;
 };
 
-/// Interval collector fed directly by the instrumented layers (migration
-/// controller, transfer mux, FT controller). Disabled, add() is a no-op.
+/// Interval collector fed directly by the instrumented layers (the blackout
+/// slice push, the transfer mux). Disabled, add() is a no-op.
 class CpRecorder {
  public:
   void set_enabled(bool on) noexcept { enabled_ = on; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -92,54 +91,13 @@ void FlightRecorder::clear() {
   last_dump_path_.clear();
 }
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_packet(std::string& out, const PacketRecord& r) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"ts_ns\":%lld,\"src\":%u,\"dst\":%u,\"op\":%u,\"qpn\":%u,"
-                "\"psn\":%llu,\"bytes\":%u,\"verdict\":\"%s\"}",
-                static_cast<long long>(r.ts_ns), r.src, r.dst,
-                static_cast<unsigned>(r.opcode), r.qpn,
-                static_cast<unsigned long long>(r.psn), r.bytes, to_string(r.verdict));
-  out += buf;
-}
-
-}  // namespace
-
-void FlightRecorder::append_records_json(std::string& out, std::int64_t from_ns) const {
-  // Deterministic host order (rings_ is unordered), then a stable merge by
-  // time so concurrent records keep host order within one timestamp.
-  std::vector<std::uint32_t> hosts;
-  hosts.reserve(rings_.size());
+void FlightRecorder::append_records_json(common::Json& j, std::int64_t from_ns) const {
+  // A stable merge by (time, host): each host's records keep their ring
+  // order, whatever order the (unordered) rings are visited in.
+  std::vector<PacketRecord> merged;
   for (const auto& [host, ring] : rings_) {
     (void)ring;
-    hosts.push_back(host);
-  }
-  std::sort(hosts.begin(), hosts.end());
-
-  std::vector<PacketRecord> merged;
-  for (std::uint32_t h : hosts) {
-    for (const PacketRecord& r : records(h)) {
+    for (const PacketRecord& r : records(host)) {
       if (r.ts_ns >= from_ns) merged.push_back(r);
     }
   }
@@ -149,12 +107,14 @@ void FlightRecorder::append_records_json(std::string& out, std::int64_t from_ns)
                      return a.src < b.src;
                    });
 
-  out += "\"packets\":[";
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    if (i != 0) out += ',';
-    append_packet(out, merged[i]);
+  j.key("packets").arr();
+  for (const PacketRecord& r : merged) {
+    j.obj().key("ts_ns").val(r.ts_ns).key("src").val(r.src).key("dst").val(r.dst);
+    j.key("op").val(static_cast<unsigned>(r.opcode)).key("qpn").val(r.qpn);
+    j.key("psn").val(r.psn).key("bytes").val(r.bytes).key("verdict").val(to_string(r.verdict));
+    j.end();
   }
-  out += ']';
+  j.end();
 }
 
 std::string FlightRecorder::trigger_dump(std::int64_t now_ns, std::string_view reason,
@@ -166,43 +126,25 @@ std::string FlightRecorder::trigger_dump(std::int64_t now_ns, std::string_view r
   const std::int64_t from_ns = now_ns - window_ns_;
   std::string out;
   out.reserve(4096);
-  out += "{\"kind\":\"flight_recorder_dump\",\"reason\":\"";
-  append_escaped(out, reason);
-  out += "\",\"ts_ns\":";
-  out += std::to_string(now_ns);
-  out += ",\"window_ns\":";
-  out += std::to_string(window_ns_);
-  out += ",\"detail\":{";
-  out += detail;  // caller-provided JSON object fragment
-  out += "},";
-  append_records_json(out, from_ns);
+  common::Json j(out);
+  j.obj().key("kind").val("flight_recorder_dump").key("reason").val(reason);
+  j.key("ts_ns").val(now_ns).key("window_ns").val(window_ns_);
+  j.key("detail").obj().raw(detail).end();  // caller-provided object members
+  append_records_json(j, from_ns);
 
   // The surrounding trace window: spans/instants whose timestamp falls in
   // the same look-back window, so the dump reads as "what the workflow was
   // doing while these packets were on the wire".
-  out += ",\"trace\":[";
-  bool first = true;
+  j.key("trace").arr();
   for (const TraceEvent& ev : Tracer::global().events()) {
     if (ev.ts_ns < from_ns) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"";
-    out += static_cast<char>(ev.ph);
-    out += "\",\"ts_ns\":";
-    out += std::to_string(ev.ts_ns);
-    if (ev.ph == TraceEvent::Phase::complete) {
-      out += ",\"dur_ns\":";
-      out += std::to_string(ev.dur_ns);
-    }
-    out += ",\"name\":\"";
-    append_escaped(out, ev.name);
-    out += "\",\"cat\":\"";
-    append_escaped(out, ev.cat);
-    out += "\",\"args\":{";
-    out += ev.args;
-    out += "}}";
+    const char ph[] = {static_cast<char>(ev.ph), '\0'};
+    j.obj().key("ph").val(ph).key("ts_ns").val(ev.ts_ns);
+    if (ev.ph == TraceEvent::Phase::complete) j.key("dur_ns").val(ev.dur_ns);
+    j.key("name").val(ev.name).key("cat").val(ev.cat);
+    j.key("args").obj().raw(ev.args).end().end();
   }
-  out += "]}";
+  j.end().end();
 
   last_dump_json_ = out;
   last_dump_path_.clear();
@@ -212,12 +154,7 @@ std::string FlightRecorder::trigger_dump(std::int64_t now_ns, std::string_view r
       name += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
     }
     const std::string path = dump_dir_ + "/" + name + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      last_dump_path_ = path;
-    }
+    if (common::write_file(path, out).is_ok()) last_dump_path_ = path;
   }
   return out;
 }
@@ -225,30 +162,16 @@ std::string FlightRecorder::trigger_dump(std::int64_t now_ns, std::string_view r
 std::string FlightRecorder::export_json() const {
   std::string out;
   out.reserve(4096);
-  out += "{\"kind\":\"flight_recorder_capture\",\"total_recorded\":";
-  out += std::to_string(total_);
-  out += ",\"overwritten\":";
-  out += std::to_string(overwritten());
-  out += ",\"dumps\":";
-  out += std::to_string(dumps_);
-  out += ',';
-  append_records_json(out, /*from_ns=*/std::numeric_limits<std::int64_t>::min());
-  out += '}';
+  common::Json j(out);
+  j.obj().key("kind").val("flight_recorder_capture").key("total_recorded").val(total_);
+  j.key("overwritten").val(overwritten()).key("dumps").val(dumps_);
+  append_records_json(j, /*from_ns=*/std::numeric_limits<std::int64_t>::min());
+  j.end();
   return out;
 }
 
 common::Status FlightRecorder::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return common::err(common::Errc::internal, "cannot open recorder file " + path);
-  }
-  const std::string json = export_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return common::err(common::Errc::internal, "short write to recorder file " + path);
-  }
-  return common::Status::ok();
+  return common::write_file(path, export_json());
 }
 
 }  // namespace migr::obs

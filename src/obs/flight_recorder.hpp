@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/result.hpp"
 
 namespace migr::obs {
@@ -125,7 +126,7 @@ class FlightRecorder {
   };
 
   Ring& ring_for(std::uint32_t src_host);
-  void append_records_json(std::string& out, std::int64_t from_ns) const;
+  void append_records_json(common::Json& j, std::int64_t from_ns) const;
 
   bool enabled_ = false;
   std::size_t capacity_;

@@ -34,30 +34,19 @@ double SliWindow::retx_rate() const noexcept {
   return static_cast<double>(retransmits) * sim::kSecond / static_cast<double>(d);
 }
 
-std::string BrownoutAttribution::json() const {
-  char buf[256];
-  std::string out = "{";
-  std::snprintf(buf, sizeof buf,
-                "\"valid\":%s,\"migration_start_ns\":%" PRId64
-                ",\"freeze_at_ns\":%" PRId64 ",\"resume_at_ns\":%" PRId64,
-                valid ? "true" : "false", migration_start, freeze_at, resume_at);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                ",\"baseline_p99_ns\":%" PRId64
-                ",\"baseline_goodput_bps\":%.1f,\"goodput_loss_bytes\":%.1f"
-                ",\"retransmits\":%" PRIu64 ",\"recovery_ns\":%" PRId64,
-                baseline_p99_ns, baseline_goodput_bps, goodput_loss_bytes, retransmits,
-                recovery_ns);
-  out += buf;
-  out += ",\"precopy_p99\":[";
-  for (std::size_t i = 0; i < precopy_p99.size(); ++i) {
-    const auto& it = precopy_p99[i];
-    std::snprintf(buf, sizeof buf, "%s{\"iter\":%d,\"p99_ns\":%" PRId64 ",\"inflation\":%.3f}",
-                  i ? "," : "", it.iter, it.p99_ns, it.inflation);
-    out += buf;
+void BrownoutAttribution::write(common::Json& j) const {
+  j.obj().key("valid").val(valid).key("migration_start_ns").val(migration_start);
+  j.key("freeze_at_ns").val(freeze_at).key("resume_at_ns").val(resume_at);
+  j.key("baseline_p99_ns").val(baseline_p99_ns);
+  j.key("baseline_goodput_bps").fixed(baseline_goodput_bps, 1);
+  j.key("goodput_loss_bytes").fixed(goodput_loss_bytes, 1);
+  j.key("retransmits").val(retransmits).key("recovery_ns").val(recovery_ns);
+  j.key("precopy_p99").arr();
+  for (const IterInflation& it : precopy_p99) {
+    j.obj().key("iter").val(it.iter).key("p99_ns").val(it.p99_ns);
+    j.key("inflation").fixed(it.inflation, 3).end();
   }
-  out += "]}";
-  return out;
+  j.end().end();
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/histogram.hpp"
 #include "sim/time.hpp"
 
@@ -112,8 +113,8 @@ struct BrownoutAttribution {
   /// recovery_factor of the baseline. -1 while recovery is still pending.
   sim::DurationNs recovery_ns = -1;
 
-  /// JSON object fragment for artifact/report embedding.
-  std::string json() const;
+  /// JSON object for artifact/report embedding.
+  void write(common::Json& j) const;
 };
 
 struct SliConfig {

@@ -1,8 +1,6 @@
 #include "obs/slo.hpp"
 
 #include <cctype>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/metrics.hpp"
@@ -77,15 +75,14 @@ bool fail(std::string* err, const std::string& msg) {
 
 }  // namespace
 
-std::string SloRule::json() const {
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"metric\":\"%s\",\"objective\":\"%s%s%.1f\","
-                "\"budget\":%.4f,\"fast_ns\":%" PRId64 ",\"slow_ns\":%" PRId64
-                ",\"burn_threshold\":%.2f}",
-                name.c_str(), metric_name(metric), metric_name(metric),
-                want_below ? "<" : ">", bound, budget, fast, slow, burn_threshold);
-  return buf;
+void SloRule::write(common::Json& j) const {
+  std::string objective = metric_name(metric);
+  objective += want_below ? "<" : ">";
+  common::Json(objective).fixed(bound, 1);  // e.g. "p99<60000.0"
+  j.obj().key("name").val(name).key("metric").val(metric_name(metric));
+  j.key("objective").val(objective).key("budget").fixed(budget, 4);
+  j.key("fast_ns").val(fast).key("slow_ns").val(slow);
+  j.key("burn_threshold").fixed(burn_threshold, 2).end();
 }
 
 bool parse_slo_spec(std::string_view spec, std::vector<SloRule>* out, std::string* err) {
@@ -299,74 +296,49 @@ std::size_t SloEngine::active_alert_count() const {
 std::string export_slo_json(SliHub& hub, const SloEngine* engine,
                             const std::string& scenario,
                             const std::string& extra_json) {
-  std::string out = "{\"kind\":\"slo_report\",\"version\":1,\"scenario\":\"";
-  out += scenario;
-  out += "\"";
-  char buf[384];
-  std::snprintf(buf, sizeof buf, ",\"window_ns\":%" PRId64, hub.config().window);
-  out += buf;
+  std::string out;
+  common::Json j(out);
+  j.obj().key("kind").val("slo_report").key("version").val(1).key("scenario").val(scenario);
+  j.key("window_ns").val(hub.config().window);
 
-  out += ",\"rules\":[";
+  j.key("rules").arr();
   if (engine) {
-    const auto& rules = engine->rules();
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      if (i) out += ',';
-      out += rules[i].json();
-    }
+    for (const SloRule& r : engine->rules()) r.write(j);
   }
-  out += "]";
+  j.end();
 
-  out += ",\"guests\":[";
-  bool first_guest = true;
+  j.key("guests").arr();
   for (std::uint32_t id : hub.guest_ids()) {
     GuestSli* g = hub.find(id);
     if (!g) continue;
-    if (!first_guest) out += ',';
-    first_guest = false;
-    std::snprintf(buf, sizeof buf, "{\"guest\":%u,\"windows\":[", id);
-    out += buf;
-    const auto& ws = g->windows();
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      const SliWindow& w = ws[i];
-      std::snprintf(buf, sizeof buf,
-                    "%s{\"start_ns\":%" PRId64 ",\"end_ns\":%" PRId64
-                    ",\"phase\":\"%s\",\"precopy_iter\":%d,\"msgs\":%" PRIu64
-                    ",\"bytes\":%" PRIu64 ",\"retransmits\":%" PRIu64
-                    ",\"p50_ns\":%" PRId64 ",\"p99_ns\":%" PRId64
-                    ",\"p999_ns\":%" PRId64 ",\"max_ns\":%" PRId64
-                    ",\"goodput_bps\":%.1f,\"retx_rate\":%.1f}",
-                    i ? "," : "", w.start, w.end, service_phase_name(w.phase),
-                    w.precopy_iter, w.msgs, w.bytes, w.retransmits, w.p50_ns,
-                    w.p99_ns, w.p999_ns, w.max_ns, w.goodput_bps(), w.retx_rate());
-      out += buf;
+    j.obj().key("guest").val(id).key("windows").arr();
+    for (const SliWindow& w : g->windows()) {
+      j.obj().key("start_ns").val(w.start).key("end_ns").val(w.end);
+      j.key("phase").val(service_phase_name(w.phase)).key("precopy_iter").val(w.precopy_iter);
+      j.key("msgs").val(w.msgs).key("bytes").val(w.bytes).key("retransmits").val(w.retransmits);
+      j.key("p50_ns").val(w.p50_ns).key("p99_ns").val(w.p99_ns);
+      j.key("p999_ns").val(w.p999_ns).key("max_ns").val(w.max_ns);
+      j.key("goodput_bps").fixed(w.goodput_bps(), 1).key("retx_rate").fixed(w.retx_rate(), 1);
+      j.end();
     }
-    out += "],\"attribution\":";
-    out += hub.attribution(id).json();
-    out += "}";
+    j.end().key("attribution");
+    hub.attribution(id).write(j);
+    j.end();
   }
-  out += "]";
+  j.end();
 
-  out += ",\"alerts\":[";
+  j.key("alerts").arr();
   if (engine) {
-    const auto& alerts = engine->alerts();
-    for (std::size_t i = 0; i < alerts.size(); ++i) {
-      const SloAlert& a = alerts[i];
-      std::snprintf(buf, sizeof buf,
-                    "%s{\"guest\":%u,\"rule\":\"%s\",\"fired_at_ns\":%" PRId64
-                    ",\"resolved_at_ns\":%" PRId64
-                    ",\"burn_fast\":%.2f,\"burn_slow\":%.2f}",
-                    i ? "," : "", a.guest, a.rule.c_str(), a.fired_at,
-                    a.resolved_at, a.burn_fast, a.burn_slow);
-      out += buf;
+    for (const SloAlert& a : engine->alerts()) {
+      j.obj().key("guest").val(a.guest).key("rule").val(a.rule);
+      j.key("fired_at_ns").val(a.fired_at).key("resolved_at_ns").val(a.resolved_at);
+      j.key("burn_fast").fixed(a.burn_fast, 2).key("burn_slow").fixed(a.burn_slow, 2).end();
     }
   }
-  out += "]";
+  j.end();
 
-  if (!extra_json.empty()) {
-    out += ',';
-    out += extra_json;
-  }
-  out += "}\n";
+  j.raw(extra_json).end();
+  out += '\n';
   return out;
 }
 

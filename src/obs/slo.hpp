@@ -60,7 +60,7 @@ struct SloRule {
   sim::DurationNs slow = sim::msec(5);
   double burn_threshold = 2.0;
 
-  std::string json() const;
+  void write(common::Json& j) const;
 };
 
 /// Parse an SLO spec string. Returns false and sets *err on malformed input.

@@ -1,29 +1,23 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+
+#include "common/json.hpp"
 
 namespace migr::obs {
 
 namespace {
 
-void append_num(std::string& out, double v) {
-  char buf[40];
+std::string num(double v) {
   // %.17g round-trips doubles exactly; trim the common integer case so the
   // CSV stays readable (counters dominate).
   if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::to_string(static_cast<long long>(v));
   }
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
+  char buf[32];  // "-1.2345678901234567e-308" is the longest %.17g form
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  return {buf, r.ptr};
 }
 
 }  // namespace
@@ -105,7 +99,7 @@ std::string TimeSeriesSampler::export_csv() const {
     out += std::to_string(row.ts_ns);
     for (std::uint32_t id : order) {
       out += ',';
-      if (present[id]) append_num(out, cells[id]);
+      if (present[id]) out += num(cells[id]);
     }
     out += '\n';
   }
@@ -115,47 +109,26 @@ std::string TimeSeriesSampler::export_csv() const {
 std::string TimeSeriesSampler::export_json() const {
   std::string out;
   out.reserve(rows_.size() * 64 + 256);
-  out += "{\"kind\":\"timeseries\",\"series\":[";
-  bool first_series = true;
+  common::Json j(out);
+  j.obj().key("kind").val("timeseries").key("series").arr();
   for (const auto& [name, id] : columns_) {
-    if (!first_series) out += ',';
-    first_series = false;
-    out += "{\"name\":\"";
-    append_escaped(out, name);
-    out += "\",\"points\":[";
-    bool first_pt = true;
+    j.obj().key("name").val(name).key("points").arr();
     for (const Row& row : rows_) {
       for (const auto& [cid, v] : row.values) {
         if (cid != id) continue;
-        if (!first_pt) out += ',';
-        first_pt = false;
-        out += '[';
-        out += std::to_string(row.ts_ns);
-        out += ',';
-        append_num(out, v);
-        out += ']';
+        j.arr().val(row.ts_ns).raw(num(v)).end();
         break;
       }
     }
-    out += "]}";
+    j.end().end();
   }
-  out += "]}";
+  j.end().end();
   return out;
 }
 
 common::Status TimeSeriesSampler::write(const std::string& path) const {
   const bool json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  const std::string body = json ? export_json() : export_csv();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return common::err(common::Errc::internal, "cannot open timeseries file " + path);
-  }
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (written != body.size()) {
-    return common::err(common::Errc::internal, "short write to timeseries file " + path);
-  }
-  return common::Status::ok();
+  return common::write_file(path, json ? export_json() : export_csv());
 }
 
 }  // namespace migr::obs

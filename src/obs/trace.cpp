@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -106,99 +105,51 @@ std::vector<TraceEvent> Tracer::events() const {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_us(std::string& out, std::int64_t ns) {
-  // Chrome wants microseconds; print with nanosecond resolution and no
-  // floating-point round-trip (ns exactness matters to the tests).
-  char buf[40];
-  const char* sign = ns < 0 ? "-" : "";
-  const std::uint64_t mag = ns < 0 ? static_cast<std::uint64_t>(-ns)
-                                   : static_cast<std::uint64_t>(ns);
-  std::snprintf(buf, sizeof(buf), "%s%" PRIu64 ".%03" PRIu64, sign, mag / 1000, mag % 1000);
-  out += buf;
+// Chrome wants microseconds; print with nanosecond resolution and no
+// floating-point round-trip (ns exactness matters to the tests).
+std::string exact_us(std::int64_t ns) {
+  const auto mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns) : static_cast<std::uint64_t>(ns);
+  const std::string frac = std::to_string(1000 + mag % 1000);  // "1" and three digits
+  return (ns < 0 ? "-" : "") + std::to_string(mag / 1000) + '.' + frac.substr(1);
 }
 
 }  // namespace
 
-void Tracer::append_event_json(std::string& out, const TraceEvent& ev,
-                               std::map<std::string, int>& tids, bool& first) const {
+void Tracer::append_event_json(common::Json& j, const TraceEvent& ev,
+                               std::map<std::string, int>& tids) const {
   // Assign one Perfetto track ("thread") per category in first-seen order,
   // emitting the thread_name metadata record inline the first time (viewers
   // accept metadata anywhere in the stream).
   auto [it, inserted] = tids.emplace(ev.cat, static_cast<int>(tids.size()) + 1);
   if (inserted) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    out += std::to_string(it->second);
-    out += ",\"args\":{\"name\":\"";
-    append_escaped(out, ev.cat);
-    out += "\"}}";
+    j.obj().key("name").val("thread_name").key("ph").val("M").key("pid").val(1);
+    j.key("tid").val(it->second).key("args").obj().key("name").val(ev.cat).end().end();
   }
-  if (!first) out += ',';
-  first = false;
-  out += "{\"name\":\"";
-  append_escaped(out, ev.name);
-  out += "\",\"cat\":\"";
-  append_escaped(out, ev.cat);
-  out += "\",\"ph\":\"";
-  out += static_cast<char>(ev.ph);
-  out += "\",\"ts\":";
-  append_us(out, ev.ts_ns);
-  if (ev.ph == TraceEvent::Phase::complete) {
-    out += ",\"dur\":";
-    append_us(out, ev.dur_ns);
-  }
-  if (ev.ph == TraceEvent::Phase::instant) {
-    out += ",\"s\":\"g\"";  // global-scope instant: draws a full-height line
-  }
-  if (ev.ph == TraceEvent::Phase::flow_start || ev.ph == TraceEvent::Phase::flow_finish) {
-    out += ",\"id\":";
-    out += std::to_string(ev.id);
-    if (ev.ph == TraceEvent::Phase::flow_finish) {
-      out += ",\"bp\":\"e\"";  // bind to the enclosing slice
-    }
-  }
-  out += ",\"pid\":1,\"tid\":";
-  out += std::to_string(it->second);
-  out += ",\"args\":{\"ts_ns\":";
-  out += std::to_string(ev.ts_ns);
-  if (ev.ph == TraceEvent::Phase::complete) {
-    out += ",\"dur_ns\":";
-    out += std::to_string(ev.dur_ns);
-  }
-  if (ev.id != 0 && ev.ph != TraceEvent::Phase::flow_start &&
-      ev.ph != TraceEvent::Phase::flow_finish) {
-    out += ",\"id\":";
-    out += std::to_string(ev.id);
-  }
-  if (ev.parent != 0) {
-    out += ",\"parent\":";
-    out += std::to_string(ev.parent);
-  }
-  if (!ev.args.empty()) {
-    out += ',';
-    out += ev.args;
-  }
-  out += "}}";
+  const char ph[] = {static_cast<char>(ev.ph), '\0'};
+  j.obj().key("name").val(ev.name).key("cat").val(ev.cat).key("ph").val(ph);
+  j.key("ts").raw(exact_us(ev.ts_ns));
+  if (ev.ph == TraceEvent::Phase::complete) j.key("dur").raw(exact_us(ev.dur_ns));
+  // A global-scope instant draws a full-height line; a flow finish binds to
+  // the enclosing slice.
+  if (ev.ph == TraceEvent::Phase::instant) j.key("s").val("g");
+  const bool flow =
+      ev.ph == TraceEvent::Phase::flow_start || ev.ph == TraceEvent::Phase::flow_finish;
+  if (flow) j.key("id").val(ev.id);
+  if (ev.ph == TraceEvent::Phase::flow_finish) j.key("bp").val("e");
+  j.key("pid").val(1).key("tid").val(it->second);
+  j.key("args").obj().key("ts_ns").val(ev.ts_ns);
+  if (ev.ph == TraceEvent::Phase::complete) j.key("dur_ns").val(ev.dur_ns);
+  if (ev.id != 0 && !flow) j.key("id").val(ev.id);
+  if (ev.parent != 0) j.key("parent").val(ev.parent);
+  j.raw(ev.args).end().end();
+}
+
+void Tracer::append_stats_json(common::Json& j) const {
+  // Stats record so tools can tell a complete graph from a truncated one
+  // (the parent-link check is only sound when nothing was evicted).
+  j.obj().key("name").val("trace_stats").key("ph").val("M").key("pid").val(1);
+  j.key("tid").val(0).key("args").obj().key("total").val(total_);
+  j.key("dropped").val(dropped()).key("spilled").val(spilled_).end().end();
 }
 
 std::string Tracer::export_chrome_json() const {
@@ -206,20 +157,11 @@ std::string Tracer::export_chrome_json() const {
   std::map<std::string, int> tids;
   std::string out;
   out.reserve(evs.size() * 128 + 256);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const auto& ev : evs) append_event_json(out, ev, tids, first);
-  // Stats record so tools can tell a complete graph from a truncated one
-  // (the parent-link check is only sound when nothing was evicted).
-  if (!first) out += ',';
-  out += "{\"name\":\"trace_stats\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"total\":";
-  out += std::to_string(total_);
-  out += ",\"dropped\":";
-  out += std::to_string(dropped());
-  out += ",\"spilled\":";
-  out += std::to_string(spilled_);
-  out += "}}";
-  out += "]}";
+  common::Json j(out);
+  j.obj().key("displayTimeUnit").val("ms").key("traceEvents").arr();
+  for (const auto& ev : evs) append_event_json(j, ev, tids);
+  append_stats_json(j);
+  j.end().end();
   return out;
 }
 
@@ -249,11 +191,12 @@ common::Status Tracer::spill_buffer() {
   }
   std::string out;
   out.reserve(buf_.size() * 128);
-  bool first = inc_first_;
+  if (!inc_first_) out += ',';
+  inc_first_ = false;
+  common::Json j(out);  // the batch continues the file's event array
   for (std::size_t i = 0; i < buf_.size(); ++i) {
-    append_event_json(out, buf_[(head_ + i) % buf_.size()], inc_tids_, first);
+    append_event_json(j, buf_[(head_ + i) % buf_.size()], inc_tids_);
   }
-  inc_first_ = first;
   out += "]}";
   const std::size_t written = std::fwrite(out.data(), 1, out.size(), inc_file_);
   std::fflush(inc_file_);
@@ -291,29 +234,15 @@ common::Status Tracer::write_chrome_json(const std::string& path) {
     if (std::fseek(inc_file_, -2, SEEK_END) == 0) {
       std::string out;
       if (!inc_first_) out += ',';
-      out += "{\"name\":\"trace_stats\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"total\":";
-      out += std::to_string(total_);
-      out += ",\"dropped\":";
-      out += std::to_string(dropped());
-      out += ",\"spilled\":";
-      out += std::to_string(spilled_);
-      out += "}}]}";
+      common::Json j(out);
+      append_stats_json(j);
+      out += "]}";
       std::fwrite(out.data(), 1, out.size(), inc_file_);
     }
     close_incremental();
     return common::Status::ok();
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return common::err(common::Errc::internal, "cannot open trace file " + path);
-  }
-  const std::string json = export_chrome_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return common::err(common::Errc::internal, "short write to trace file " + path);
-  }
-  return common::Status::ok();
+  return common::write_file(path, export_chrome_json());
 }
 
 }  // namespace migr::obs

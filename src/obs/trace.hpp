@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/json.hpp"
 #include "common/result.hpp"
 
 namespace migr::obs {
@@ -154,8 +155,9 @@ class Tracer {
 
  private:
   void push(TraceEvent ev);
-  void append_event_json(std::string& out, const TraceEvent& ev,
-                         std::map<std::string, int>& tids, bool& first) const;
+  void append_event_json(common::Json& j, const TraceEvent& ev,
+                         std::map<std::string, int>& tids) const;
+  void append_stats_json(common::Json& j) const;
   common::Status spill_buffer();
   void close_incremental();
 

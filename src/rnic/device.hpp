@@ -392,6 +392,7 @@ class Device {
   /// Kong et al. measured and Fig. 5 shows as brownout dips.
   void add_ctrl_pressure(sim::DurationNs duration);
   bool under_ctrl_pressure() const { return loop_.now() < ctrl_pressure_until_; }
+  sim::TimeNs ctrl_pressure_until() const noexcept { return ctrl_pressure_until_; }
 
   std::uint32_t qp_count() const noexcept { return static_cast<std::uint32_t>(qp_routes_.size()); }
   /// First QPN this device hands out (the driver knows its own allocation

@@ -176,7 +176,7 @@ TEST(CriticalPathResolve, JsonCarriesSchemaFields) {
   CpRecorder rec;
   rec.set_enabled(true);
   rec.add(0, 40, EdgeClass::ckpt_dump, "dump");
-  const std::string j = rec.resolve(0, 100).json();
+  const std::string j = common::to_json(rec.resolve(0, 100));
   for (const char* needle :
        {"\"window_start_ns\":0", "\"window_end_ns\":100", "\"total_ns\":100",
         "\"dominant\":\"ckpt_dump\"", "\"by_class\"", "\"slack\":60", "\"edges\"",

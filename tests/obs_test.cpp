@@ -1,7 +1,7 @@
 // Unified telemetry layer: registry semantics, histogram percentile edges,
-// trace JSON well-formedness, and the cross-check that the phase spans a
-// seeded migration emits reproduce MigrationReport's blackout breakdown
-// field-for-field.
+// trace JSON well-formedness, hostile strings through every artifact writer,
+// and the cross-check that the blackout slices a seeded migration emits
+// reproduce MigrationReport's blackout breakdown field-for-field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,8 +10,14 @@
 #include <vector>
 
 #include "apps/perftest.hpp"
+#include "cluster/drain.hpp"
+#include "ft/ft.hpp"
 #include "migr/migration.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "rnic/world.hpp"
 
@@ -305,7 +311,15 @@ class JsonParser {
           case 'n': out += '\n'; break;
           case 't': out += '\t'; break;
           case 'r': out += '\r'; break;
-          case 'u': pos_ += 4; out += '?'; break;  // good enough for tests
+          case 'u': {
+            // The writers \u-escape control bytes only; anything wider reads
+            // back as '?'.
+            if (pos_ + 4 >= s_.size()) return false;
+            const unsigned long cp = std::stoul(s_.substr(pos_ + 1, 4), nullptr, 16);
+            out += cp < 0x80 ? static_cast<char>(cp) : '?';
+            pos_ += 4;
+            break;
+          }
           default: out += s_[pos_];
         }
       } else {
@@ -401,6 +415,81 @@ TEST(TracerTest, ChromeJsonParsesAndCarriesExactNs) {
 }
 
 // ---------------------------------------------------------------------------
+// Every artifact writer escapes what it is handed
+// ---------------------------------------------------------------------------
+
+// A name with a quote, a backslash, a newline and a control byte, 300
+// characters long: each artifact that carries a caller's string must still
+// parse and give the string back unchanged.
+std::string hostile_string() {
+  std::string s = "tail \"p99\" \\ x\nnext\x01line ";
+  while (s.size() < 300) s += static_cast<char>('a' + s.size() % 26);
+  return s;
+}
+
+Json parsed(const std::string& text) {
+  Json root;
+  EXPECT_TRUE(JsonParser(text).parse(root)) << text.substr(0, 400);
+  return root;
+}
+
+const Json& first(const Json& array) {
+  static const Json kNull;
+  return array.arr.empty() ? kNull : array.arr[0];
+}
+
+TEST(ArtifactEscapeTest, HostileStringsRoundTripThroughEveryWriter) {
+  const std::string name = hostile_string();
+  ASSERT_EQ(name.size(), 300u);
+
+  SloRule rule;
+  rule.name = name;
+  const SloEngine engine({rule});
+  SliHub hub;
+  const Json slo = parsed(export_slo_json(hub, &engine, "scenario"));
+  EXPECT_EQ(first(slo.at("rules")).at("name").str, name);
+
+  ft::FtReport ft;
+  ft.error = name;
+  ft.failover_reason = name;
+  const Json ftj = parsed(ft.json());
+  EXPECT_EQ(ftj.at("error").str, name);
+  EXPECT_EQ(ftj.at("failover").at("reason").str, name);
+
+  const Json drain = parsed(cluster::drain_report_json(cluster::DrainReport{}, name, name));
+  EXPECT_EQ(drain.at("scenario").str, name);
+  EXPECT_EQ(drain.at("mode").str, name);
+
+  CpRecorder rec;
+  rec.set_enabled(true);
+  rec.add(0, 10, EdgeClass::ckpt_dump, name);
+  const Json cp = parsed(common::to_json(rec.resolve(0, 10)));
+  EXPECT_EQ(first(cp.at("edges")).at("label").str, name);
+
+  Registry reg;
+  reg.counter("hostile", {{"label", name}}).inc();
+  TimeSeriesSampler sampler(reg);
+  sampler.sample(0);
+  const Json ts = parsed(sampler.export_json());
+  EXPECT_EQ(first(ts.at("series")).at("name").str,
+            Registry::render_name("hostile", {{"label", name}}));
+
+  Tracer tracer(8);
+  tracer.set_enabled(true);
+  tracer.complete(0, 1, name, "cat");
+  const Json trace = parsed(tracer.export_chrome_json());
+  std::string span_name;
+  for (const Json& e : trace.at("traceEvents").arr) {
+    if (e.at("ph").str == "X") span_name = e.at("name").str;
+  }
+  EXPECT_EQ(span_name, name);
+
+  FlightRecorder recorder;
+  recorder.set_enabled(true);
+  EXPECT_EQ(parsed(recorder.trigger_dump(0, name, {})).at("reason").str, name);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: spans of a seeded migration reproduce MigrationReport exactly
 // ---------------------------------------------------------------------------
 
@@ -457,12 +546,15 @@ TEST_F(ObsEndToEndTest, TracedSpansMatchMigrationReportFieldForField) {
 
   // Parse the Chrome export and index the migration-phase complete-events
   // by name -> (ts_ns, dur_ns), using the exact integers carried in args.
+  // Workflow steps are `migr` spans; the blackout's steps are its slices on
+  // the `migr.blackout` track.
   Json root;
   ASSERT_TRUE(JsonParser(Tracer::global().export_chrome_json()).parse(root));
   std::map<std::string, std::pair<std::int64_t, std::int64_t>> spans;
   std::map<std::string, std::int64_t> instants;
   for (const auto& e : root.at("traceEvents").arr) {
-    if (e.at("cat").str != "migr") continue;
+    const std::string& cat = e.at("cat").str;
+    if (cat != "migr" && cat != "migr.blackout") continue;
     const std::string& name = e.at("name").str;
     if (e.at("ph").str == "X") {
       spans[name] = {static_cast<std::int64_t>(e.at("args").at("ts_ns").num),

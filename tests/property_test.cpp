@@ -7,6 +7,9 @@
 //    blackout components are consistent;
 //  * serialization: random RdmaImages and page sets round-trip; mutated
 //    images, image payloads and FT epoch frames are rejected or read back;
+//  * untrusted frames on live endpoints: mutated post-copy page requests and
+//    replies, and mutated TransferMux data and ACK frames, are dropped or
+//    handled within what they carry;
 //  * address space: random operation sequences agree with a reference model.
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 
@@ -25,6 +29,9 @@
 #include "criu/pagedelta.hpp"
 #include "fault/fault.hpp"
 #include "migr/migration.hpp"
+#include "migr/postcopy.hpp"
+#include "migr/xfer.hpp"
+#include "net/fabric.hpp"
 #include "rnic/wire.hpp"
 #include "rnic/world.hpp"
 
@@ -772,6 +779,311 @@ TEST_P(PayloadMutationSweep, FtEpochFrame) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PayloadMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
+
+// ---------------------------------------------------------------------------
+// Post-copy page requests and replies under mutation
+// ---------------------------------------------------------------------------
+
+// A post-copy drain of kPcPages pages between two hosts: the pump serves page
+// requests on the source (`migr.pcp.req.<guest>`) and installs the replies
+// that reach the destination through its mux. While it runs, the sweep
+// injects mutants and truncations of a request and of a reply framed as the
+// pump frames them (a kind byte and a u32 count, then per page its address,
+// or its address and length-prefixed contents), plus replies whose records
+// each carry part of a page. Nothing throws; a request holds the source
+// under ctrl pressure for at most the pages it carries; a reply installs only
+// pages it carries in full; the drain completes.
+constexpr migrlib::GuestId kPcGuest = 9;
+constexpr proc::VirtAddr kPcBase = 0x40000000;
+constexpr std::size_t kPcPages = 48;
+constexpr std::uint8_t kPcFault = 2;  // PostcopyPump's demand-fault request kind
+
+common::Bytes pc_request(std::span<const proc::VirtAddr> pages) {
+  common::ByteWriter w;
+  w.u8(kPcFault);
+  w.u32(static_cast<std::uint32_t>(pages.size()));
+  for (proc::VirtAddr p : pages) w.u64(p);
+  return std::move(w).take();
+}
+
+// A reply; `cut` > 0 makes every record carry only that many bytes of its page.
+common::Bytes pc_reply(proc::AddressSpace& src, std::span<const proc::VirtAddr> pages,
+                       std::size_t cut = 0) {
+  common::ByteWriter w;
+  w.u8(kPcFault);
+  w.u32(static_cast<std::uint32_t>(pages.size()));
+  for (proc::VirtAddr p : pages) {
+    w.u64(p);
+    const auto& data = src.page_at(p)->data;
+    w.bytes({data.data(), cut > 0 ? cut : data.size()});
+  }
+  return std::move(w).take();
+}
+
+class PostcopyMutationSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PostcopyMutationSweep, RequestsAndRepliesStayBounded) {
+  rnic::World world({}, GetParam());
+  rnic::Device& src_dev = world.add_device(1);
+  world.add_device(2);
+  proc::SimProcess& src = world.add_process("source");
+  proc::SimProcess& dest = world.add_process("dest");
+  ASSERT_TRUE(src.mem().mmap_fixed(kPcBase, kPcPages * proc::kPageSize, "heap").is_ok());
+  ASSERT_TRUE(dest.mem().mmap_fixed(kPcBase, kPcPages * proc::kPageSize, "heap").is_ok());
+  common::Rng rng(GetParam());
+  std::vector<proc::VirtAddr> pages;
+  for (std::size_t i = 0; i < kPcPages; ++i) {
+    pages.push_back(kPcBase + i * proc::kPageSize);
+    // Odd bytes: no source page, nor any mutant of one, reads as zeros.
+    for (auto& b : src.mem().page_at(pages.back())->data) {
+      b = static_cast<std::uint8_t>(rng.next() | 1);
+    }
+  }
+
+  migrlib::TransferMux mux(world.loop(), world.fabric(), "pcp.sweep", 1, 2, {});
+  migrlib::PostcopyConfig cfg;
+  cfg.batch_pages = 4;
+  migrlib::PostcopyPump pump(world.loop(), world.fabric(), kPcGuest, 1, 2, src, dest, src_dev,
+                             mux, cfg);
+  pump.arm(pages);
+  std::optional<common::Status> drained;
+  pump.start([&](const common::Status& st) { drained = st; });
+
+  // What each destination page may hold at the end: its source contents, or
+  // the contents of a record that carried it in full.
+  std::map<proc::VirtAddr, std::vector<common::Bytes>> allowed;
+  for (proc::VirtAddr p : pages) {
+    const auto& data = src.mem().page_at(p)->data;
+    allowed[p].emplace_back(data.begin(), data.end());
+  }
+  auto allow_full_records = [&](const common::Bytes& reply) {
+    common::ByteReader r{reply};
+    if (!r.u8().is_ok() || !r.u32().is_ok()) return;
+    for (;;) {
+      auto addr = r.u64();
+      auto data = r.view();
+      if (!addr.is_ok() || !data.is_ok()) return;
+      if (data->size() == proc::kPageSize) {
+        allowed[*addr & ~(proc::kPageSize - 1)].emplace_back(data->begin(), data->end());
+      }
+    }
+  };
+
+  // Replies first, for the pages the prefetch stream reaches last, so they
+  // land while those pages are still missing; the partial ones lead.
+  const std::span<const proc::VirtAddr> tail{pages.end() - 4, pages.end()};
+  std::vector<common::Bytes> replies;
+  for (std::size_t cut : {std::size_t{1}, std::size_t{100}, proc::kPageSize - 1}) {
+    replies.push_back(pc_reply(src.mem(), tail, cut));
+  }
+  for (common::Bytes& m : mutants(pc_reply(src.mem(), tail), rng)) replies.push_back(std::move(m));
+  for (const common::Bytes& m : replies) {
+    allow_full_records(m);
+    mux.send(m);
+  }
+
+  // Requests one at a time: the source handles each at its delivery instant,
+  // bracketed by one probe just before and one just after it.
+  const std::string service = "migr.pcp.req." + std::to_string(kPcGuest);
+  auto pressure_charged = [&](const common::Bytes& frame) -> sim::DurationNs {
+    auto sent = world.fabric().send_ctrl(2, 1, service, frame);
+    EXPECT_TRUE(sent.is_ok());
+    const sim::TimeNs at = sent.value() + world.fabric().config().propagation;
+    sim::TimeNs before = 0;
+    sim::TimeNs after = 0;
+    world.loop().schedule_at(at - 1, [&] { before = src_dev.ctrl_pressure_until(); });
+    world.loop().schedule_at(at, [&] { after = src_dev.ctrl_pressure_until(); });
+    EXPECT_NO_THROW(world.loop().run_until(at));
+    return after > before ? after - std::max(before, at) : 0;
+  };
+  const std::span<const proc::VirtAddr> head{pages.begin() + 8, pages.begin() + 16};
+  const common::Bytes request = pc_request(head);
+  EXPECT_EQ(pressure_charged(request),
+            cfg.per_page_read * static_cast<sim::DurationNs>(head.size()));
+  for (const common::Bytes& m : mutants(request, rng)) {
+    const std::size_t carried = m.size() >= 5 ? (m.size() - 5) / 8 : 0;
+    EXPECT_LE(pressure_charged(m), cfg.per_page_read * static_cast<sim::DurationNs>(carried))
+        << "a " << m.size() << "-byte request carrying " << carried << " pages";
+  }
+
+  while (!drained && world.loop().now() < sim::sec(2)) {
+    ASSERT_NO_THROW(world.loop().run_for(sim::msec(1)));
+  }
+  ASSERT_TRUE(drained.has_value()) << "the drain did not finish";
+  EXPECT_TRUE(drained->is_ok()) << drained->to_string();
+  for (proc::VirtAddr p : pages) {
+    const auto& data = dest.mem().page_at(p)->data;
+    const common::Bytes got(data.begin(), data.end());
+    EXPECT_TRUE(std::ranges::find(allowed[p], got) != allowed[p].end())
+        << "page 0x" << std::hex << p << " holds contents no reply carried in full";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PostcopyMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
+
+// ---------------------------------------------------------------------------
+// TransferMux frames under mutation
+// ---------------------------------------------------------------------------
+
+// A live mux between two hosts carries three transfers. The sweep injects
+// mutants and truncations of their data frames on the stream services and
+// of their ACK frames on the ACK service, while the first two are in flight
+// and again after they were delivered; the third is sent after that. Frames
+// are framed as the mux frames them: seq u64, index u32, chunk count u32,
+// stream u32 and the length-prefixed chunk; an ACK is seq u64 and index u32.
+// A mutant in the exact shape of a frame (or an ACK) the receiver (or the
+// sender) may still be waiting for is a genuine frame by construction, since
+// the format carries no checksum; the sweep injects one of those only when
+// it is the genuine frame's bytes. Every data mutant is dropped or acked, and
+// one that does not fit a live transfer is dropped unacked with the
+// receiver's accounting untouched. Each transfer is delivered once, in order
+// and intact, and nothing else is delivered.
+constexpr std::uint32_t kMuxStreams = 2;
+constexpr std::uint64_t kMuxChunk = 1024;
+
+std::uint64_t mux_chunks(std::size_t payload_bytes) {
+  return std::max<std::uint64_t>(1, (payload_bytes + kMuxChunk - 1) / kMuxChunk);
+}
+
+common::Bytes mux_frame(std::uint64_t seq, std::uint32_t index, const common::Bytes& payload) {
+  const std::uint64_t off = index * kMuxChunk;
+  common::ByteWriter w;
+  w.u64(seq);
+  w.u32(index);
+  w.u32(static_cast<std::uint32_t>(mux_chunks(payload.size())));
+  w.u32(index % kMuxStreams);
+  w.bytes({payload.data() + off, std::min<std::uint64_t>(kMuxChunk, payload.size() - off)});
+  return std::move(w).take();
+}
+
+common::Bytes mux_ack(std::uint64_t seq, std::uint32_t index) {
+  common::ByteWriter w;
+  w.u64(seq);
+  w.u32(index);
+  return std::move(w).take();
+}
+
+class XferMutationSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(XferMutationSweep, MutantsAreDroppedOrAckedAndNeverDelivered) {
+  sim::EventLoop loop;
+  net::Fabric fabric(loop, net::FabricConfig{}, GetParam());
+  ASSERT_TRUE(fabric.attach_host(1).is_ok());
+  ASSERT_TRUE(fabric.attach_host(2).is_ok());
+  migrlib::XferOptions xo;
+  xo.streams = kMuxStreams;
+  xo.chunk_bytes = kMuxChunk;
+  xo.stream_gbps = 0.01;  // ~0.8 ms a chunk: the transfers stay in flight
+  xo.chunk_timeout = sim::sec(1);
+  const std::string base = "xfer.sweep";
+  migrlib::TransferMux mux(loop, fabric, base, 1, 2, xo);
+  std::vector<common::Bytes> got;
+  int failures = 0;
+  mux.open([&](common::Bytes&& p) { got.push_back(std::move(p)); },
+           [&](const common::Status&) { failures++; });
+
+  common::Rng rng(GetParam());
+  std::vector<common::Bytes> sent;
+  auto send = [&](std::size_t n) {
+    common::Bytes& p = sent.emplace_back(n);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng.next());
+    mux.send(p);
+  };
+  auto nchunks = [&](std::uint64_t seq) { return mux_chunks(sent[seq].size()); };
+  // In flight: sent and not yet delivered.
+  auto live = [&](std::uint64_t seq) { return seq >= got.size() && seq < sent.size(); };
+
+  // Send `frame` from host `from` to `service` on host `to` and return what
+  // the mux's receiving side did with it: ACKs sent and stream bytes counted,
+  // read by one probe just before the frame's delivery instant and one just
+  // after it.
+  struct Effect {
+    std::uint64_t acks = 0;
+    std::uint64_t counted = 0;
+  };
+  auto inject = [&](net::HostId from, net::HostId to, const std::string& service,
+                    const common::Bytes& frame) {
+    auto sent_at = fabric.send_ctrl(from, to, service, frame);
+    EXPECT_TRUE(sent_at.is_ok());
+    const sim::TimeNs at = sent_at.value() + fabric.config().propagation;
+    auto snapshot = [&] {
+      Effect e{fabric.stats(2).ctrl_messages_tx, 0};
+      for (const auto& s : mux.stats().streams) e.counted += s.bytes_delivered;
+      return e;
+    };
+    Effect before;
+    Effect after;
+    loop.schedule_at(at - 1, [&] { before = snapshot(); });
+    loop.schedule_at(at, [&] { after = snapshot(); });
+    EXPECT_NO_THROW(loop.run_until(at));
+    return Effect{after.acks - before.acks, after.counted - before.counted};
+  };
+
+  auto sweep_data = [&](std::uint64_t seq, std::uint32_t index) {
+    const common::Bytes genuine = mux_frame(seq, index, sent[seq]);
+    const std::string service = base + "." + std::to_string(index % kMuxStreams);
+    for (const common::Bytes& m : mutants(genuine, rng)) {
+      common::ByteReader r{m};
+      auto s = r.u64();
+      auto i = r.u32();
+      auto n = r.u32();
+      auto k = r.u32();
+      auto chunk = r.view();
+      const bool parsed = s.is_ok() && i.is_ok() && n.is_ok() && k.is_ok() && chunk.is_ok() &&
+                          r.done();
+      const bool for_live = parsed && live(*s);
+      const bool fits = for_live && *n == nchunks(*s) && *i < *n &&
+                        *k == index % kMuxStreams && *k == *i % kMuxStreams &&
+                        chunk->size() <= kMuxChunk &&
+                        (*i + 1 == *n || chunk->size() == kMuxChunk);
+      if (fits && m != mux_frame(*s, *i, sent[*s])) continue;  // indistinguishable
+      const Effect e = inject(1, 2, service, m);
+      EXPECT_LE(e.acks, 1u) << "a mutant is dropped or acked once";
+      if (!parsed || (for_live && !fits) || (parsed && *s >= sent.size())) {
+        EXPECT_EQ(e.acks, 0u) << "a frame that fits no live transfer was acked";
+        EXPECT_EQ(e.counted, 0u) << "a frame that fits no live transfer was counted";
+      }
+    }
+  };
+  auto sweep_acks = [&](std::uint64_t seq, std::uint32_t index) {
+    for (const common::Bytes& m : mutants(mux_ack(seq, index), rng)) {
+      common::ByteReader r{m};
+      auto s = r.u64();
+      auto i = r.u32();
+      if (s.is_ok() && i.is_ok() && r.done() && live(*s) && *i < nchunks(*s)) continue;
+      (void)inject(2, 1, base + ".ack", m);
+    }
+  };
+
+  send(5 * kMuxChunk + 300);  // 6 chunks, the last one short
+  send(3 * kMuxChunk);        // 3 full chunks
+  ASSERT_NO_THROW(loop.run_for(sim::msec(1)));
+  ASSERT_TRUE(got.empty()) << "the transfers should still be in flight";
+  sweep_data(0, 1);
+  sweep_data(0, 5);
+  sweep_data(1, 0);
+  sweep_acks(0, 0);
+  sweep_acks(1, 2);
+
+  while (got.size() < 2 && loop.now() < sim::sec(5)) ASSERT_NO_THROW(loop.run_for(sim::msec(1)));
+  ASSERT_EQ(got.size(), 2u);
+  // After delivery: every mutant names a finished transfer or none.
+  sweep_data(0, 1);
+  sweep_data(1, 2);
+  sweep_acks(0, 3);
+  sweep_acks(1, 0);
+
+  send(700);  // the mux still carries a fresh transfer
+  while (got.size() < 3 && loop.now() < sim::sec(10)) ASSERT_NO_THROW(loop.run_for(sim::msec(1)));
+  ASSERT_NO_THROW(loop.run_for(sim::msec(10)));
+  EXPECT_EQ(failures, 0);
+  ASSERT_EQ(got.size(), sent.size()) << "a transfer was lost or something else was delivered";
+  for (std::size_t t = 0; t < sent.size(); ++t) {
+    EXPECT_EQ(got[t], sent[t]) << "transfer " << t << " was not delivered intact, in order";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, XferMutationSweep, ::testing::Values(1, 2, 3, 7, 42, 1337));
 
 // ---------------------------------------------------------------------------
 // Wire-parser mutation sweep

@@ -259,7 +259,7 @@ TEST_F(SliHubTest, AttributionCountsOnlyTheEpisodesRetransmits) {
   const BrownoutAttribution att = hub.attribution(6);
   ASSERT_TRUE(att.valid);
   EXPECT_EQ(att.retransmits, 12u);
-  EXPECT_NE(att.json().find("\"retransmits\":12"), std::string::npos);
+  EXPECT_NE(common::to_json(att).find("\"retransmits\":12"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Full CI pipeline: plain build + tests, the adversarial/lossy suites on
-# their own (fast signal on transport/migration robustness regressions),
-# a perf smoke (simulator event-rate bench vs the checked-in baseline),
-# a blackout-anatomy artifact stage (instrumented lossy drain + schema
-# validation of the trace/timeseries/flight-recorder outputs), a blackout
+# their own (fast signal on transport/migration robustness regressions,
+# including the mutation sweeps of every parser of untrusted bytes and the
+# hostile-string round trip through every JSON artifact writer), a perf
+# smoke (simulator event-rate bench vs the checked-in baseline), a
+# blackout-anatomy artifact stage (instrumented lossy drain + schema
+# validation of the trace/timeseries/flight-recorder outputs, and an SLO
+# report whose rule name needs escaping), a blackout
 # critical-path stage (lossy + clean drains with causal attribution armed,
 # gated on the tiling invariant and the dominant edge matching the injected
 # fault), a pre-copy vs post-copy drain comparison gated on post-copy's
@@ -36,11 +39,13 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 # cluster suite (scheduler admission/retry plus the seeded lossy drain with
 # a mid-drain partition), the data path's train-vs-single-packet admission
 # sweep, the retransmit-timer deadline and event-population pins, the
-# mutation sweeps of the wire parser and of the image-payload and FT
-# epoch-frame readers, and the FT teardown tests (ending protection releases
-# what the standby staged).
+# mutation sweeps of the wire parser, of the image-payload and FT
+# epoch-frame readers, of the post-copy page request/reply readers and of
+# the TransferMux data/ACK frames, the hostile-string round trip through
+# every JSON artifact writer, and the FT teardown tests (ending protection
+# releases what the standby staged).
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|FtTeardown)'
+  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown)'
 
 echo "==> [3/11] perf smoke (bench_simrate vs BENCH_simrate.json baseline)"
 # Advisory, not a gate: wall time on shared CI machines is noisy, so a
@@ -104,6 +109,11 @@ build/bench/bench_cluster_drain --loss 0.2 --seed 11 --conc 4 \
   --slo-out "$ART_DIR/drain.slo.json" \
   --sli-csv "$ART_DIR/drain.sli.csv"
 python3 tools/validate_artifacts.py --slo "$ART_DIR/drain.slo.json" --expect-alert
+# A rule name with quotes and a backslash must come out escaped: the report
+# still parses and passes the schema checks.
+build/tools/migrrdma_sim --qps 2 --slo 'name=tail "p99" \ x,p99<60us' \
+  --slo-out "$ART_DIR/sim.slo.json"
+python3 tools/validate_artifacts.py --slo "$ART_DIR/sim.slo.json"
 
 echo "==> [5/11] blackout critical-path attribution (lossy drain, retry-dominant)"
 # Causal attribution stage (DESIGN.md §16): a wire-bound drain — restore

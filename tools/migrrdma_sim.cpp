@@ -37,6 +37,7 @@
 #include <string>
 
 #include "apps/perftest.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "migr/migration.hpp"
 #include "obs/flight_recorder.hpp"
@@ -265,14 +266,9 @@ int main(int argc, char** argv) {
   // success path: a blackout anatomy of a failed run is exactly when the
   // artifacts matter.
   auto write_text = [](const std::string& path, const std::string& body) -> bool {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    return true;
+    const common::Status st = common::write_file(path, body);
+    if (!st.is_ok()) std::fprintf(stderr, "cannot write %s\n", st.to_string().c_str());
+    return st.is_ok();
   };
   auto write_artifacts = [&]() -> bool {
     bool ok = true;
@@ -384,7 +380,7 @@ int main(int argc, char** argv) {
   if (report.critical_path.valid) {
     std::printf("critical path (dominant=%s): %s\n",
                 obs::edge_class_name(report.critical_path.dominant()),
-                report.critical_path.json().c_str());
+                common::to_json(report.critical_path).c_str());
   }
   if (opt.metrics) {
     std::printf("\nmetrics registry:\n");
