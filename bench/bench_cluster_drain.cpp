@@ -37,6 +37,41 @@ using namespace migr::cluster;
 
 namespace {
 
+struct Options {
+  std::string trace_path;
+  std::string timeseries_path;
+  std::string record_path;
+  double loss = 0.0;
+  double ctrl_loss = 0.0;  // ctrl-plane message loss (exercises chunk retries)
+  std::uint64_t seed = 42;
+  std::uint32_t conc = 4;
+  bool artifact_mode = false;  // any flag given: single instrumented drain
+  std::string slo_spec;        // arm SLI + burn-rate engine + policy compare
+  std::string slo_out = "slo_report.json";
+  std::string sli_csv;
+  migrlib::MigrationMode mode = migrlib::MigrationMode::precopy;
+  std::string drain_out;       // drain_report_json artifact path
+  std::uint32_t mem_mb = 2;    // per-guest dirty MR size (write-heavy knob)
+  // Parallel transfer streams. --streams engages per-stream pacing (25 Gbps
+  // default unless --stream-gbps overrides) even at N=1, so single- vs
+  // multi-stream legs compare pipelines, not pacing on/off.
+  std::uint32_t streams = 1;
+  double stream_gbps = -1.0;   // <0 = unset
+  bool streams_given = false;
+  bool suppress = false;       // zero/delta page suppression in pre-copy
+  bool critical_path = false;  // per-migration blackout edge attribution
+  std::uint64_t trace_max_events = 0;  // 0 = tracer default capacity
+  // CRIU final-restore base cost override (0 = model default). A pre-synced
+  // restore target (as in the FT bench) makes the blackout wire-bound, which
+  // is what lets loss-driven retry edges show up as the dominant class.
+  std::uint32_t restore_ms = 0;
+
+  double effective_gbps() const {
+    if (stream_gbps >= 0) return stream_gbps;
+    return streams_given ? 25.0 : 0.0;
+  }
+};
+
 struct SweepRow {
   std::uint32_t concurrency = 0;
   DrainReport report;
@@ -55,23 +90,20 @@ struct SweepRow {
   }
 };
 
-SweepRow run_drain(std::uint32_t concurrency, std::uint64_t seed = 42, double loss = 0.0,
-                   bool traced = false, obs::TimeSeriesSampler* sampler = nullptr,
-                   sim::DurationNs sample_interval = sim::usec(250),
-                   bool slo_defer = false,
-                   migrlib::MigrationMode mode = migrlib::MigrationMode::precopy,
-                   std::uint32_t mem_mb = 2, std::uint32_t streams = 1,
-                   double stream_gbps = 0.0, bool suppress = false,
-                   bool critical_path = false, double ctrl_loss = 0.0,
-                   sim::DurationNs restore_base = 0) {
+// Metric time-series sample period of an artifact-mode drain.
+constexpr sim::DurationNs kSampleInterval = sim::usec(250);
+
+/// One drain as `opt` describes it. An SLO spec turns on SLO-aware
+/// admission; the caller arms the hub and its engine.
+SweepRow run_drain(const Options& opt, bool traced, obs::TimeSeriesSampler* sampler) {
   ClusterConfig cfg;
   cfg.hosts = 8;
-  cfg.seed = seed;
+  cfg.seed = opt.seed;
   ClusterModel model(cfg);
   if (obs::SliHub::global().enabled()) model.enable_sli(obs::SliHub::global());
   if (traced) obs::Tracer::global().set_clock(&model.loop());
   if (sampler != nullptr) {
-    model.loop().schedule_every(sample_interval,
+    model.loop().schedule_every(kSampleInterval,
                                 [&model, sampler] { sampler->sample(model.loop().now()); });
   }
 
@@ -81,7 +113,7 @@ SweepRow run_drain(std::uint32_t concurrency, std::uint64_t seed = 42, double lo
   TrafficProfile profile;
   profile.send_interval = sim::usec(20);
   profile.msg_bytes = 2048;
-  profile.extra_mem_bytes = static_cast<std::uint64_t>(mem_mb) << 20;
+  profile.extra_mem_bytes = static_cast<std::uint64_t>(opt.mem_mb) << 20;
   profile.dirty_interval = sim::msec(1);
   for (GuestId g = 0; g < 8; ++g) {
     (void)model.add_guest(1, 100 + g, profile).value();
@@ -91,29 +123,31 @@ SweepRow run_drain(std::uint32_t concurrency, std::uint64_t seed = 42, double lo
   model.run_for(sim::msec(5));  // reach steady state before draining
 
   fault::ScenarioRunner scenario(model.loop(), model.fabric());
-  if (loss > 0 || ctrl_loss > 0) {
+  if (opt.loss > 0 || opt.ctrl_loss > 0) {
     fault::FaultPlan plan;
-    plan.baseline(loss);
-    if (ctrl_loss > 0) plan.ctrl_loss(ctrl_loss);
+    plan.baseline(opt.loss);
+    if (opt.ctrl_loss > 0) plan.ctrl_loss(opt.ctrl_loss);
     scenario.run(plan);
   }
 
   SchedulerConfig scfg;
-  scfg.limits.max_concurrent_fleet = concurrency;
-  scfg.limits.max_concurrent_per_source = concurrency;
-  scfg.limits.max_concurrent_per_dest = concurrency;
-  scfg.slo_defer = slo_defer;
-  scfg.migration.mode = mode;
-  scfg.migration.xfer_streams = streams;
-  scfg.migration.xfer_stream_gbps = stream_gbps;
-  scfg.migration.suppress_pages = suppress;
-  scfg.migration.critical_path = critical_path;
-  if (restore_base > 0) scfg.migration.criu_costs.final_restore_base = restore_base;
+  scfg.limits.max_concurrent_fleet = opt.conc;
+  scfg.limits.max_concurrent_per_source = opt.conc;
+  scfg.limits.max_concurrent_per_dest = opt.conc;
+  scfg.slo_defer = !opt.slo_spec.empty();
+  scfg.migration.mode = opt.mode;
+  scfg.migration.xfer_streams = opt.streams;
+  scfg.migration.xfer_stream_gbps = opt.effective_gbps();
+  scfg.migration.suppress_pages = opt.suppress;
+  scfg.migration.critical_path = opt.critical_path;
+  if (opt.restore_ms > 0) {
+    scfg.migration.criu_costs.final_restore_base = sim::msec(opt.restore_ms);
+  }
   MigrationScheduler sched(model, scfg);
   DrainWorkflow drain(model, sched);
 
   SweepRow row;
-  row.concurrency = concurrency;
+  row.concurrency = opt.conc;
   row.report = drain.run(1);
   for (const BandwidthSample& s : row.report.egress_gbps) {
     row.peak_gbps = std::max(row.peak_gbps, s.gbps);
@@ -167,41 +201,6 @@ void write_policy_stats(common::Json& j, const PolicyStats& s) {
   j.key("goodput_loss_bytes").fixed(s.goodput_loss_bytes, 1);
   j.key("slo_alerts").val(s.alerts).key("slo_deferrals").val(s.deferrals).end();
 }
-
-struct Options {
-  std::string trace_path;
-  std::string timeseries_path;
-  std::string record_path;
-  double loss = 0.0;
-  double ctrl_loss = 0.0;  // ctrl-plane message loss (exercises chunk retries)
-  std::uint64_t seed = 42;
-  std::uint32_t conc = 4;
-  bool artifact_mode = false;  // any flag given: single instrumented drain
-  std::string slo_spec;        // arm SLI + burn-rate engine + policy compare
-  std::string slo_out = "slo_report.json";
-  std::string sli_csv;
-  migrlib::MigrationMode mode = migrlib::MigrationMode::precopy;
-  std::string drain_out;       // drain_report_json artifact path
-  std::uint32_t mem_mb = 2;    // per-guest dirty MR size (write-heavy knob)
-  // Parallel transfer streams. --streams engages per-stream pacing (25 Gbps
-  // default unless --stream-gbps overrides) even at N=1, so single- vs
-  // multi-stream legs compare pipelines, not pacing on/off.
-  std::uint32_t streams = 1;
-  double stream_gbps = -1.0;   // <0 = unset
-  bool streams_given = false;
-  bool suppress = false;       // zero/delta page suppression in pre-copy
-  bool critical_path = false;  // per-migration blackout edge attribution
-  std::uint64_t trace_max_events = 0;  // 0 = tracer default capacity
-  // CRIU final-restore base cost override (0 = model default). A pre-synced
-  // restore target (as in the FT bench) makes the blackout wire-bound, which
-  // is what lets loss-driven retry edges show up as the dominant class.
-  std::uint32_t restore_ms = 0;
-
-  double effective_gbps() const {
-    if (stream_gbps >= 0) return stream_gbps;
-    return streams_given ? 25.0 : 0.0;
-  }
-};
 
 Options parse(int argc, char** argv) {
   Options o;
@@ -303,10 +302,11 @@ int run_artifact_mode(const Options& opt) {
     hub.clear();
     engine = std::make_unique<obs::SloEngine>(slo_rules);
     hub.set_slo_engine(engine.get());
-    const SweepRow b = run_drain(opt.conc, opt.seed, opt.loss, false, nullptr,
-                                 sim::usec(250), false, opt.mode, opt.mem_mb,
-                                 opt.streams, opt.effective_gbps(), opt.suppress,
-                                 /*critical_path=*/false, opt.ctrl_loss);
+    Options baseline = opt;
+    baseline.slo_spec.clear();  // admission blind to SLO burn
+    baseline.critical_path = false;
+    baseline.restore_ms = 0;
+    const SweepRow b = run_drain(baseline, /*traced=*/false, nullptr);
     base = collect_policy_stats(b.report);
     hub.set_slo_engine(nullptr);
     if (b.failed_loudly()) {
@@ -340,11 +340,7 @@ int run_artifact_mode(const Options& opt) {
     engine = std::make_unique<obs::SloEngine>(slo_rules);
     hub.set_slo_engine(engine.get());
   }
-  const SweepRow row = run_drain(opt.conc, opt.seed, opt.loss, traced, sp, sim::usec(250),
-                                 /*slo_defer=*/!slo_rules.empty(), opt.mode, opt.mem_mb,
-                                 opt.streams, opt.effective_gbps(), opt.suppress,
-                                 opt.critical_path, opt.ctrl_loss,
-                                 sim::msec(opt.restore_ms));
+  const SweepRow row = run_drain(opt, traced, sp);
   std::fputs(format_drain_report(row.report).c_str(), stdout);
   std::printf("sim: %llu events dispatched\n", static_cast<unsigned long long>(row.events));
   if (!opt.drain_out.empty()) {
@@ -450,7 +446,9 @@ int main(int argc, char** argv) {
                            "retries", "failed", "peak_gbps"});
   int rc = 0;
   for (std::uint32_t conc : {1u, 2u, 4u, 8u}) {
-    const SweepRow row = run_drain(conc);
+    Options sweep;
+    sweep.conc = conc;
+    const SweepRow row = run_drain(sweep, /*traced=*/false, nullptr);
     std::printf("%16u%16.2f%16.3f%16.3f%16.3f%16llu%16llu%16.1f\n", row.concurrency,
                 sim::to_msec(row.report.makespan()), sim::to_msec(row.report.blackout_p50),
                 sim::to_msec(row.report.blackout_p99),

@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/log.hpp"
 
@@ -179,6 +180,17 @@ std::vector<net::HostId> ClusterModel::placeable_hosts(net::HostId exclude) cons
     out.push_back(h);
   }
   return out;
+}
+
+common::Result<net::HostId> ClusterModel::least_loaded(
+    const std::vector<net::HostId>& candidates) const {
+  if (candidates.empty()) return common::err(Errc::not_found, "no placeable host");
+  auto load = [this](net::HostId h) {
+    return std::make_tuple(guest_count(h), traffic_weight(h), h);
+  };
+  auto best = load(candidates.front());
+  for (net::HostId h : candidates) best = std::min(best, load(h));
+  return std::get<2>(best);
 }
 
 void ClusterModel::set_throttle(GuestId id, double factor) {

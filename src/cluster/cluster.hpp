@@ -97,13 +97,17 @@ class ClusterModel {
   double traffic_weight(net::HostId host) const;
 
   /// Draining hosts accept no new placements (maintenance mode). The flag is
-  /// advisory: policies consult it, the scheduler does not enforce it for
+  /// advisory: placement consults it, the scheduler does not enforce it for
   /// explicitly-pinned destinations.
   void set_draining(net::HostId host, bool draining);
   bool draining(net::HostId host) const { return draining_.contains(host); }
   /// Hosts eligible as migration destinations: attached, not draining, not
   /// partitioned, and != exclude. Sorted by host id.
   std::vector<net::HostId> placeable_hosts(net::HostId exclude = 0) const;
+  /// The placement rule every scheduler and planner uses: the candidate
+  /// with the fewest guests, then the lower offered traffic, then the lower
+  /// host id. not_found on an empty set.
+  common::Result<net::HostId> least_loaded(const std::vector<net::HostId>& candidates) const;
 
   /// Auto-converge throttle: skip `factor` of the guest's traffic and dirty
   /// generator ticks (0 = full speed, clamped to 0.95). Wired into

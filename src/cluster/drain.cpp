@@ -18,6 +18,10 @@ using common::Status;
 
 namespace {
 
+constexpr int kDrainPriority = 10;  // drains outrank default-priority single moves
+constexpr sim::DurationNs kSampleInterval = sim::msec(1);  // bandwidth-vs-time sampling
+constexpr sim::DurationNs kRunDeadline = sim::sec(600);    // for the synchronous run()
+
 std::uint64_t egress_bytes(const net::Fabric& fabric, net::HostId host) {
   const net::PortStats& s = fabric.stats(host);
   return s.data_bytes_tx + s.ctrl_bytes_tx;
@@ -27,11 +31,10 @@ std::uint64_t egress_bytes(const net::Fabric& fabric, net::HostId host) {
 
 DrainWorkflow::~DrainWorkflow() { sampler_.cancel(); }
 
-Status DrainWorkflow::start(net::HostId host, DoneCb done, DrainOptions options) {
+Status DrainWorkflow::start(net::HostId host, DoneCb done) {
   if (active_) return common::err(Errc::failed_precondition, "drain already running");
   if (!model_.fabric().attached(host)) return common::err(Errc::not_found, "no such host");
 
-  options_ = options;
   done_ = std::move(done);
   report_ = DrainReport{};
   report_.host = host;
@@ -67,16 +70,16 @@ Status DrainWorkflow::start(net::HostId host, DoneCb done, DrainOptions options)
   wire_at_start_ = model_.wire_counters();
 
   last_egress_bytes_ = egress_bytes(model_.fabric(), host);
-  sampler_ = model_.loop().schedule_every(options_.sample_interval, [this, host] {
+  sampler_ = model_.loop().schedule_every(kSampleInterval, [this, host] {
     const std::uint64_t now_bytes = egress_bytes(model_.fabric(), host);
     const double bits = static_cast<double>(now_bytes - last_egress_bytes_) * 8.0;
     last_egress_bytes_ = now_bytes;
     report_.egress_gbps.push_back(
-        {model_.loop().now(), bits / static_cast<double>(options_.sample_interval)});
+        {model_.loop().now(), bits / static_cast<double>(kSampleInterval)});
   });
 
   for (GuestId g : residents) {
-    scheduler_->submit(MigrationRequest{g, 0, options_.priority},
+    scheduler_->submit(MigrationRequest{g, 0, kDrainPriority},
                        [this](const MigrationOutcome& out) { on_outcome(out); });
   }
   return Status::ok();
@@ -190,22 +193,19 @@ void DrainWorkflow::finalize() {
   if (done_) done_(report_);
 }
 
-DrainReport DrainWorkflow::run(net::HostId host, DrainOptions options) {
+DrainReport DrainWorkflow::run(net::HostId host) {
   DrainReport out;
   bool done = false;
-  auto st = start(
-      host,
-      [&](const DrainReport& r) {
-        out = r;
-        done = true;
-      },
-      options);
+  auto st = start(host, [&](const DrainReport& r) {
+    out = r;
+    done = true;
+  });
   if (!st.is_ok()) {
     out.host = host;
     out.error = st.to_string();
     return out;
   }
-  const sim::TimeNs deadline = model_.loop().now() + options.deadline;
+  const sim::TimeNs deadline = model_.loop().now() + kRunDeadline;
   while (!done && model_.loop().now() < deadline) model_.run_for(sim::msec(1));
   if (!done) {
     out = report_;

@@ -1,10 +1,11 @@
 // DrainWorkflow: end-to-end host evacuation for maintenance.
 //
-// Marks the host draining (no new placements), submits one policy-placed
-// migration request per resident guest at drain priority, and tracks the
-// batch to completion through the scheduler — including the scheduler's
-// abort/backoff-retry handling. While the drain runs it samples the drained
-// host's egress (data + ctrl bytes) into a bandwidth-vs-time series; at the
+// Marks the host draining (no new placements), submits one migration request
+// per resident guest at drain priority (each to the least-loaded placeable
+// host, picked per attempt), and tracks the batch to completion through the
+// scheduler — including the scheduler's abort/backoff-retry handling. While
+// the drain runs it samples the drained host's egress (data + ctrl bytes)
+// every 1 ms into a bandwidth-vs-time series; at the
 // end it emits a fleet-level DrainReport: makespan, per-migration blackout
 // percentiles, aborts/retries/failures, and the sampled series.
 //
@@ -21,12 +22,6 @@
 #include "obs/histogram.hpp"
 
 namespace migr::cluster {
-
-struct DrainOptions {
-  int priority = 10;  // drains outrank default-priority single moves
-  sim::DurationNs sample_interval = sim::msec(1);  // bandwidth-vs-time sampling
-  sim::DurationNs deadline = sim::sec(600);        // for the synchronous run()
-};
 
 struct BandwidthSample {
   sim::TimeNs at = 0;
@@ -126,9 +121,11 @@ class DrainWorkflow {
 
   /// Kick off the evacuation of `host`; `done` fires when the last resident
   /// guest reaches a terminal outcome (synchronously for an empty host).
-  common::Status start(net::HostId host, DoneCb done, DrainOptions options = {});
-  /// Synchronous convenience: start + pump the loop until done or deadline.
-  DrainReport run(net::HostId host, DrainOptions options = {});
+  /// Drain requests outrank default-priority single moves.
+  common::Status start(net::HostId host, DoneCb done);
+  /// Synchronous convenience: start + pump the loop until done or 600
+  /// simulated seconds pass.
+  DrainReport run(net::HostId host);
 
   bool active() const noexcept { return active_; }
   const DrainReport& report() const noexcept { return report_; }
@@ -139,7 +136,6 @@ class DrainWorkflow {
 
   ClusterModel& model_;
   MigrationScheduler* scheduler_;
-  DrainOptions options_;
   DrainReport report_;
   DoneCb done_;
   bool active_ = false;

@@ -6,15 +6,10 @@ namespace migr::cluster {
 
 using common::Errc;
 
-FtPlanner::FtPlanner(ClusterModel& model, FtPlanOptions options)
-    : model_(model), options_(std::move(options)), policy_(make_policy(options_.policy)) {}
-
 sim::DurationNs FtPlanner::epoch_interval_for(const TrafficProfile& profile) const {
   const double rate = profile.dirty_bytes_per_sec();
-  if (rate <= 0) return options_.default_epoch_interval;
-  const double sec = static_cast<double>(options_.epoch_byte_budget) / rate;
-  const auto iv = static_cast<sim::DurationNs>(sec * sim::kSecond);
-  return std::clamp(iv, options_.min_epoch_interval, options_.max_epoch_interval);
+  if (rate <= 0) return ft::FtOptions{}.epoch_interval;
+  return ft::budget_epoch_interval(kEpochByteBudget, rate);
 }
 
 common::Result<FtPlanEntry> FtPlanner::plan(GuestId guest) {
@@ -29,36 +24,16 @@ common::Result<FtPlanEntry> FtPlanner::plan(GuestId guest) {
     const net::HostId ph = model_.host_of(pid);
     eligible.erase(std::remove(eligible.begin(), eligible.end(), ph), eligible.end());
   }
-  if (eligible.empty()) {
-    return common::err(Errc::not_found, "no eligible standby host");
-  }
-
-  // Let the configured policy choose; when its pick is a partner host (the
-  // policy does not know about the exclusion), fall back to the
-  // least-loaded rule over the filtered set — same tie-breaks, still
-  // deterministic.
-  net::HostId backup = 0;
-  if (auto picked = policy_->pick(model_, guest, primary);
-      picked.is_ok() &&
-      std::find(eligible.begin(), eligible.end(), picked.value()) != eligible.end()) {
-    backup = picked.value();
-  } else {
-    backup = eligible.front();
-    for (net::HostId h : eligible) {
-      const auto lhs = std::make_tuple(model_.guest_count(h), model_.traffic_weight(h), h);
-      const auto rhs = std::make_tuple(model_.guest_count(backup),
-                                       model_.traffic_weight(backup), backup);
-      if (lhs < rhs) backup = h;
-    }
-  }
+  auto backup = model_.least_loaded(eligible);
+  if (!backup.is_ok()) return common::err(Errc::not_found, "no eligible standby host");
 
   FtPlanEntry entry;
   entry.guest = guest;
   entry.primary = primary;
-  entry.backup = backup;
+  entry.backup = backup.value();
   const TrafficProfile* profile = model_.profile_of(guest);
   entry.epoch_interval =
-      profile != nullptr ? epoch_interval_for(*profile) : options_.default_epoch_interval;
+      profile != nullptr ? epoch_interval_for(*profile) : ft::FtOptions{}.epoch_interval;
   return entry;
 }
 
@@ -73,9 +48,7 @@ std::vector<FtPlanEntry> FtPlanner::plan_all() {
 
 ft::FtOptions FtPlanner::options_for(const FtPlanEntry& entry, ft::FtOptions base) const {
   base.epoch_interval = entry.epoch_interval;
-  base.epoch_byte_budget = options_.epoch_byte_budget;
-  base.min_epoch_interval = options_.min_epoch_interval;
-  base.max_epoch_interval = options_.max_epoch_interval;
+  base.epoch_byte_budget = kEpochByteBudget;
   return base;
 }
 

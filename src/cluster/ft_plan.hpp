@@ -4,37 +4,27 @@
 // Protecting a guest needs two cluster-level decisions the FtController
 // itself is agnostic about:
 //
-//   * where the standby lives — chosen through the same PlacementPolicy
-//     machinery migration destinations use (so maintenance mode, partitions
-//     and anti-affinity all apply to standbys for free), additionally
-//     excluding every host that holds one of the guest's messaging partners:
-//     a standby sharing a failure domain with a partner would turn one host
-//     loss into a correlated guest+partner loss.
+//   * where the standby lives — the least-loaded of the hosts a migration
+//     could go to (so maintenance mode and partitions apply to standbys for
+//     free), additionally excluding every host that holds one of the
+//     guest's messaging partners: a standby sharing a failure domain with a
+//     partner would turn one host loss into a correlated guest+partner loss.
 //
 //   * how often to checkpoint — derived from the guest's TrafficProfile: the
 //     epoch interval targets a fixed byte budget per epoch
-//     (interval = budget / dirty_bytes_per_sec, clamped), so write-heavy
-//     guests checkpoint often (bounded loss window) and quiet guests stop
-//     paying freeze tax for near-empty epochs. The same budget is forwarded
-//     to FtOptions::epoch_byte_budget so the controller's sampled dirty-rate
+//     (ft::budget_epoch_interval), so write-heavy guests checkpoint often
+//     (bounded loss window) and quiet guests stop paying freeze tax for
+//     near-empty epochs. The same budget is forwarded to
+//     FtOptions::epoch_byte_budget so the controller's sampled dirty-rate
 //     estimator keeps adapting the cadence while protected.
 #pragma once
 
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/placement.hpp"
 #include "ft/ft.hpp"
 
 namespace migr::cluster {
-
-struct FtPlanOptions {
-  std::string policy = "least-loaded";  // standby placement policy
-  std::uint64_t epoch_byte_budget = 256ull << 10;  // target bytes per epoch
-  sim::DurationNs default_epoch_interval = sim::msec(5);  // idle/clean guests
-  sim::DurationNs min_epoch_interval = sim::msec(2);
-  sim::DurationNs max_epoch_interval = sim::msec(50);
-};
 
 /// One protection assignment: guest, its primary, the chosen standby, and
 /// the initial checkpoint cadence.
@@ -47,7 +37,10 @@ struct FtPlanEntry {
 
 class FtPlanner {
  public:
-  explicit FtPlanner(ClusterModel& model, FtPlanOptions options = {});
+  /// Target bytes dirtied per epoch.
+  static constexpr std::uint64_t kEpochByteBudget = 256ull << 10;
+
+  explicit FtPlanner(ClusterModel& model) : model_(model) {}
 
   /// Pick a standby host and cadence for one placed guest. not_found when
   /// no eligible host remains (fleet draining/partitioned, or every host
@@ -58,18 +51,16 @@ class FtPlanner {
   /// eligible standby are skipped.
   std::vector<FtPlanEntry> plan_all();
 
-  /// Derived cadence for a profile: budget / dirty rate, clamped; the
+  /// Derived cadence for a profile: budget / dirty rate, clamped; FtOptions'
   /// default interval for clean/idle guests.
   sim::DurationNs epoch_interval_for(const TrafficProfile& profile) const;
 
   /// Translate a plan entry into controller options layered on `base`
-  /// (cadence, adaptive budget, clamps — everything else untouched).
+  /// (cadence and adaptive budget — everything else untouched).
   ft::FtOptions options_for(const FtPlanEntry& entry, ft::FtOptions base = {}) const;
 
  private:
   ClusterModel& model_;
-  FtPlanOptions options_;
-  std::unique_ptr<PlacementPolicy> policy_;
 };
 
 }  // namespace migr::cluster

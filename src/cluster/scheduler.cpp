@@ -13,6 +13,11 @@ using common::Errc;
 using common::Status;
 
 namespace {
+// SLO-aware admission: a burning tenant's request is re-examined this long
+// after a deferral, and admitted anyway after this many deferrals.
+constexpr sim::DurationNs kSloDeferBackoff = sim::msec(1);
+constexpr int kSloDeferMax = 8;
+
 void trace_instant(sim::EventLoop& loop, std::string_view name, std::string args) {
   auto& t = obs::Tracer::global();
   if (t.enabled()) t.instant(loop.now(), name, "cluster", std::move(args));
@@ -20,7 +25,7 @@ void trace_instant(sim::EventLoop& loop, std::string_view name, std::string args
 }  // namespace
 
 MigrationScheduler::MigrationScheduler(ClusterModel& model, SchedulerConfig config)
-    : model_(model), config_(std::move(config)), policy_(make_policy(config_.policy)) {
+    : model_(model), config_(std::move(config)) {
   auto& reg = obs::Registry::global();
   queued_gauge_ = &reg.gauge("cluster.sched.queued");
   running_gauge_ = &reg.gauge("cluster.sched.running");
@@ -52,10 +57,6 @@ RequestId MigrationScheduler::submit(MigrationRequest req, OutcomeCb done) {
   schedule_pump();
   update_gauges();
   return id;
-}
-
-void MigrationScheduler::set_policy(std::unique_ptr<PlacementPolicy> policy) {
-  if (policy) policy_ = std::move(policy);
 }
 
 const MigrationOutcome* MigrationScheduler::outcome(RequestId id) const {
@@ -107,26 +108,7 @@ bool MigrationScheduler::admission_ok(net::HostId src, net::HostId dest) const {
     return it == m.end() ? 0u : it->second;
   };
   if (count_of(running_per_source_, src) >= lim.max_concurrent_per_source) return false;
-  if (count_of(running_per_dest_, dest) >= lim.max_concurrent_per_dest) return false;
-  const double demand = migration_demand_gbps();
-  if (lim.link_budget_gbps > 0 && demand > 0) {
-    auto reserved = [this](net::HostId h) {
-      auto it = reserved_gbps_.find(h);
-      return it == reserved_gbps_.end() ? 0.0 : it->second;
-    };
-    if (reserved(src) + demand > lim.link_budget_gbps) return false;
-    if (reserved(dest) + demand > lim.link_budget_gbps) return false;
-  }
-  return true;
-}
-
-double MigrationScheduler::migration_demand_gbps() const {
-  const std::uint32_t streams =
-      std::max<std::uint32_t>(1u, config_.migration.xfer_streams);
-  if (config_.migration.xfer_stream_gbps > 0) {
-    return config_.migration.xfer_stream_gbps * streams;
-  }
-  return config_.limits.per_migration_gbps * streams;
+  return count_of(running_per_dest_, dest) < lim.max_concurrent_per_dest;
 }
 
 void MigrationScheduler::pump() {
@@ -172,7 +154,7 @@ void MigrationScheduler::pump() {
       keep.push_back(std::move(p));
       continue;
     }
-    if (config_.slo_defer && p.slo_defers < config_.slo_defer_max) {
+    if (config_.slo_defer && p.slo_defers < kSloDeferMax) {
       const obs::SloEngine* slo = obs::SliHub::global().slo_engine();
       if (slo != nullptr && slo->burning(p.req.guest)) {
         // Tenant is eating its error budget right now: migrating it would
@@ -185,7 +167,7 @@ void MigrationScheduler::pump() {
                           ",\"defers\":" + std::to_string(p.slo_defers));
         if (!defer_pump_scheduled_) {
           defer_pump_scheduled_ = true;
-          model_.loop().schedule_in(config_.slo_defer_backoff, [this] {
+          model_.loop().schedule_in(kSloDeferBackoff, [this] {
             defer_pump_scheduled_ = false;
             schedule_pump();
           });
@@ -196,7 +178,7 @@ void MigrationScheduler::pump() {
     }
     net::HostId dest = p.req.dest;
     if (dest == 0) {
-      auto picked = policy_->pick(model_, p.req.guest, src);
+      auto picked = model_.least_loaded(model_.placeable_hosts(src));
       if (!picked.is_ok()) {
         // Nowhere to place right now (fleet draining/partitioned); keep
         // queued — a later pump may find a host again.
@@ -268,10 +250,6 @@ void MigrationScheduler::start_attempt(Pending p, net::HostId src, net::HostId d
   started_->inc();
   running_per_source_[src]++;
   running_per_dest_[dest]++;
-  if (const double demand = migration_demand_gbps(); demand > 0) {
-    reserved_gbps_[src] += demand;
-    reserved_gbps_[dest] += demand;
-  }
   trace_instant(model_.loop(), "sched_start",
                 "\"guest\":" + std::to_string(p.req.guest) + ",\"src\":" +
                     std::to_string(src) + ",\"dest\":" + std::to_string(dest) +
@@ -294,10 +272,6 @@ void MigrationScheduler::on_done(RequestId id, const MigrationReport& rep) {
   };
   dec(running_per_source_, r.source);
   dec(running_per_dest_, r.dest);
-  if (const double demand = migration_demand_gbps(); demand > 0) {
-    reserved_gbps_[r.source] -= demand;
-    reserved_gbps_[r.dest] -= demand;
-  }
 
   MigrationOutcome& out = outcomes_[id];
   out.report = rep;
@@ -312,7 +286,7 @@ void MigrationScheduler::on_done(RequestId id, const MigrationReport& rep) {
     finish(id);
   } else if (rep.aborted && r.attempt <= config_.max_retries) {
     // Rolled back cleanly; source still serving. Retry with backoff. A
-    // policy-placed request gets a fresh destination pick on re-admission.
+    // request without a pinned destination gets a fresh pick on re-admission.
     aborted_->inc();
     retried_->inc();
     const sim::DurationNs backoff = config_.retry_backoff << (r.attempt - 1);
@@ -352,7 +326,6 @@ void MigrationScheduler::finish(RequestId id) {
     request_cbs_.erase(cb);
     if (fn) fn(out);
   }
-  if (outcome_cb_) outcome_cb_(out);
 }
 
 void MigrationScheduler::update_gauges() {

@@ -5,17 +5,14 @@
 // them under admission control:
 //
 //  * fleet / per-source / per-destination concurrency caps,
-//  * an optional per-host dirty-copy bandwidth budget (each running
-//    migration reserves an estimated share of its source and destination
-//    port; a start that would overdraw a port is deferred),
 //  * guest-conflict exclusion — a guest with a migration in flight, or one
 //    that is a messaging partner of an in-flight migration, is never
 //    started concurrently (two partnered migrations would race each
 //    other's wait-before-stop and partner-QP switch).
 //
-// Destinations come from a pluggable PlacementPolicy when the request does
-// not pin one; policy-placed requests are re-placed on every retry, so an
-// abort caused by a dead destination routes the retry elsewhere. Aborted
+// A request that does not pin a destination goes to the least-loaded
+// placeable host (ClusterModel::least_loaded), picked again on every retry,
+// so an abort caused by a dead destination routes the retry elsewhere. Aborted
 // migrations (MigrationReport.aborted, PR 2's rollback path) are re-queued
 // with exponential backoff up to a retry budget, then surfaced as failed.
 // Hard failures past the commit point are terminal immediately.
@@ -33,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/placement.hpp"
+#include "cluster/cluster.hpp"
 
 namespace migr::cluster {
 
@@ -46,11 +43,6 @@ struct AdmissionLimits {
   std::uint32_t max_concurrent_fleet = 4;
   std::uint32_t max_concurrent_per_source = 2;
   std::uint32_t max_concurrent_per_dest = 2;
-  // Per-host dirty-copy bandwidth budget. Each running migration reserves
-  // per_migration_gbps on its source and destination port; a start that
-  // would push either port past link_budget_gbps is deferred. 0 disables.
-  double link_budget_gbps = 0.0;
-  double per_migration_gbps = 0.0;
 };
 
 struct SchedulerConfig {
@@ -58,7 +50,6 @@ struct SchedulerConfig {
   MigrationOptions migration;  // applied to every controller the queue spawns
   int max_retries = 3;         // re-submissions after an aborted attempt
   sim::DurationNs retry_backoff = sim::msec(10);  // doubles per retry
-  std::string policy = "least-loaded";            // see placement.hpp
 
   // Mode policy: a guest whose profile dirties at least this many bytes/sec
   // is migrated post-copy (pre-copy would chase the dirty set). 0 disables;
@@ -68,16 +59,14 @@ struct SchedulerConfig {
   // SLO-aware admission (DESIGN.md §12): when true and an SloEngine is
   // attached to the global SliHub, a request whose guest is currently
   // burning its error budget (active SLO alert) is deferred and re-examined
-  // after slo_defer_backoff — at most slo_defer_max times, then admitted
-  // anyway so a permanently-burning tenant cannot livelock its own drain.
+  // 1 ms later — at most 8 times, then admitted anyway so a
+  // permanently-burning tenant cannot livelock its own drain.
   bool slo_defer = false;
-  sim::DurationNs slo_defer_backoff = sim::msec(1);
-  int slo_defer_max = 8;
 };
 
 struct MigrationRequest {
   GuestId guest = 0;
-  net::HostId dest = 0;  // 0 = pick via the placement policy (per attempt)
+  net::HostId dest = 0;  // 0 = the least-loaded placeable host (per attempt)
   int priority = 0;      // higher runs first; ties in submission order
   // Pre/post-copy override for this request; unset = SchedulerConfig default
   // (postcopy_dirty_bps policy, else config_.migration.mode).
@@ -115,7 +104,7 @@ class MigrationScheduler {
   ~MigrationScheduler();
 
   /// Enqueue a request. `done` (optional) fires once, at the terminal
-  /// outcome; the fleet-wide callback (set_outcome_callback) also fires.
+  /// outcome.
   RequestId submit(MigrationRequest req, OutcomeCb done = nullptr);
 
   /// Rolling rebalance: guests to move (lowest ids first) from the most- to
@@ -124,9 +113,6 @@ class MigrationScheduler {
   std::vector<MigrationRequest> plan_rebalance(std::uint32_t max_moves) const;
   std::vector<RequestId> submit_rebalance(std::uint32_t max_moves, int priority = 0);
 
-  void set_policy(std::unique_ptr<PlacementPolicy> policy);
-  PlacementPolicy& policy() { return *policy_; }
-  void set_outcome_callback(OutcomeCb cb) { outcome_cb_ = std::move(cb); }
   const SchedulerConfig& config() const noexcept { return config_; }
 
   std::size_t queued() const noexcept { return pending_.size(); }
@@ -150,7 +136,7 @@ class MigrationScheduler {
     RequestId id = 0;
     MigrationRequest req;
     int attempt = 0;     // completed controller starts so far
-    int slo_defers = 0;  // SLO-burn deferrals so far (capped by slo_defer_max)
+    int slo_defers = 0;  // SLO-burn deferrals so far (capped by kSloDeferMax)
   };
   struct Running {
     RequestId id = 0;
@@ -166,10 +152,6 @@ class MigrationScheduler {
   void schedule_pump();
   bool conflicts_with_running(GuestId guest) const;
   bool admission_ok(net::HostId src, net::HostId dest) const;
-  /// Port bandwidth one migration reserves: the per-migration estimate
-  /// scaled by the transfer-stream fan-out (a 4-stream mux claims 4 shares
-  /// of its ports), or streams x the explicit per-stream pacing rate.
-  double migration_demand_gbps() const;
   void start_attempt(Pending p, net::HostId src, net::HostId dest);
   void on_done(RequestId id, const MigrationReport& rep);
   void finish(RequestId id);  // outcome already marked terminal
@@ -177,7 +159,6 @@ class MigrationScheduler {
 
   ClusterModel& model_;
   SchedulerConfig config_;
-  std::unique_ptr<PlacementPolicy> policy_;
 
   RequestId next_id_ = 1;
   std::vector<Pending> pending_;  // kept sorted (priority desc, id asc) at pump
@@ -189,12 +170,10 @@ class MigrationScheduler {
   bool pump_scheduled_ = false;
   bool defer_pump_scheduled_ = false;  // one delayed re-pump per defer wave
   std::uint64_t slo_deferrals_ = 0;
-  OutcomeCb outcome_cb_;
 
   // Admission bookkeeping.
   std::map<net::HostId, std::uint32_t> running_per_source_;
   std::map<net::HostId, std::uint32_t> running_per_dest_;
-  std::map<net::HostId, double> reserved_gbps_;
 
   // Cached instruments (resolved once; hot path is plain adds).
   obs::Gauge* queued_gauge_ = nullptr;

@@ -8,6 +8,8 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+constexpr std::size_t kSamplePages = 512;  // pages hashed per interval (all, if fewer)
+constexpr double kEwmaAlpha = 0.5;         // weight of the newest interval
 
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len, std::uint64_t h) {
   for (std::size_t i = 0; i < len; i++) {
@@ -40,7 +42,7 @@ void DirtyRateEstimator::begin_interval(sim::TimeNs now) {
   }
 
   const std::size_t want =
-      std::min<std::size_t>(cfg_.sample_pages, total_pages_);
+      std::min<std::size_t>(kSamplePages, total_pages_);
   samples_.reserve(want);
   for (std::size_t i = 0; i < want; i++) {
     // Uniform page index over the whole mapped set, mapped back to an
@@ -79,8 +81,7 @@ std::uint64_t DirtyRateEstimator::end_interval(sim::TimeNs now) {
   if (intervals_ == 0) {
     rate_pps_ = interval_pps;
   } else {
-    rate_pps_ = cfg_.ewma_alpha * interval_pps +
-                (1.0 - cfg_.ewma_alpha) * rate_pps_;
+    rate_pps_ = kEwmaAlpha * interval_pps + (1.0 - kEwmaAlpha) * rate_pps_;
   }
   intervals_++;
   return static_cast<std::uint64_t>(est_pages);

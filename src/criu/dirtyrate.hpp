@@ -17,16 +17,14 @@
 
 namespace migr::criu {
 
-struct DirtyRateConfig {
-  std::size_t sample_pages = 512;  // pages hashed per interval (all, if fewer)
-  double ewma_alpha = 0.5;         // weight of the newest interval
-  std::uint64_t seed = 0x6d696772;
-};
-
 class DirtyRateEstimator {
  public:
-  explicit DirtyRateEstimator(proc::SimProcess& proc, DirtyRateConfig cfg = {})
-      : proc_(proc), cfg_(cfg), rng_(cfg.seed) {}
+  /// Base of the sampler's seed; controllers add the guest id so each guest
+  /// draws its own sample set.
+  static constexpr std::uint64_t kDefaultSeed = 0x6d696772;
+
+  explicit DirtyRateEstimator(proc::SimProcess& proc, std::uint64_t seed = kDefaultSeed)
+      : proc_(proc), rng_(seed) {}
 
   /// Snapshot a fresh page sample at sim-time `now`. Replaces any interval
   /// already open.
@@ -57,7 +55,6 @@ class DirtyRateEstimator {
   std::uint64_t hash_page(proc::VirtAddr page) const;
 
   proc::SimProcess& proc_;
-  DirtyRateConfig cfg_;
   common::Rng rng_;
   std::vector<Sample> samples_;
   std::uint64_t total_pages_ = 0;   // mapped pages when the interval opened

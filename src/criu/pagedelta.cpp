@@ -13,6 +13,10 @@ namespace {
 
 constexpr std::uint8_t kMagic = 0xE5;
 
+// A changed page delta-encodes only when the fraction of its bytes that
+// changed is below this; above it a full page is cheaper than run framing.
+constexpr double kDeltaThreshold = 0.5;
+
 // Per-page encodings, source → destination.
 enum Tag : std::uint8_t {
   kFull = 0,   // raw kPageSize bytes follow
@@ -99,7 +103,7 @@ common::Bytes PageDeltaEncoder::encode(const PageSet& set, PageDeltaStats* batch
       const std::size_t changed = diff_runs(prev, page.data, runs);
       const double frac =
           static_cast<double>(changed) / static_cast<double>(page.data.size());
-      if (frac < cfg_.delta_threshold && runs.size() <= 0xFFFF) {
+      if (frac < kDeltaThreshold && runs.size() <= 0xFFFF) {
         w.u8(kDelta);
         w.u16(static_cast<std::uint16_t>(runs.size()));
         for (const DeltaRun& run : runs) {

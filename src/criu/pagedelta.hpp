@@ -27,12 +27,6 @@
 
 namespace migr::criu {
 
-struct PageDeltaConfig {
-  // A changed page delta-encodes only when the fraction of its bytes that
-  // changed is below this; above it a full page is cheaper than run framing.
-  double delta_threshold = 0.5;
-};
-
 /// Cumulative suppression accounting. `raw` is the page content the dirty
 /// set was worth (pages x kPageSize); `shipped` is the page content bytes
 /// that actually went on the wire. The invariant raw == shipped + suppressed
@@ -64,8 +58,6 @@ struct PageDeltaStats {
 /// page so later rounds can delta- or same-suppress against it.
 class PageDeltaEncoder {
  public:
-  explicit PageDeltaEncoder(PageDeltaConfig cfg = {}) : cfg_(cfg) {}
-
   /// Encode one dirty-round page set. Updates the shadow cache and the
   /// cumulative stats; per-batch numbers land in `batch` when non-null.
   common::Bytes encode(const PageSet& set, PageDeltaStats* batch = nullptr);
@@ -73,7 +65,6 @@ class PageDeltaEncoder {
   const PageDeltaStats& stats() const noexcept { return stats_; }
 
  private:
-  PageDeltaConfig cfg_;
   std::unordered_map<proc::VirtAddr, common::Bytes> shipped_;  // last-shipped content
   std::uint64_t next_seq_ = 0;
   PageDeltaStats stats_;

@@ -20,7 +20,20 @@ namespace {
 // PSNs of the replacement connections a standby establishes; the flight
 // recorder's wire capture carries them.
 constexpr rnic::Psn kPsnBase = 700'000;
+// Bounds of the adaptive epoch cadence.
+constexpr sim::DurationNs kMinEpochInterval = sim::msec(2);
+constexpr sim::DurationNs kMaxEpochInterval = sim::msec(50);
+// Control-plane bookkeeping charged to the promote slice (directory CAS,
+// ownership transfer, partner notifications).
+constexpr sim::DurationNs kPromoteCost = sim::usec(50);
 }  // namespace
+
+sim::DurationNs budget_epoch_interval(std::uint64_t budget, double dirty_bytes_per_sec) {
+  if (dirty_bytes_per_sec <= 0) return kMaxEpochInterval;
+  const double sec = static_cast<double>(budget) / dirty_bytes_per_sec;
+  const auto iv = static_cast<sim::DurationNs>(sec * sim::kSecond);
+  return std::clamp(iv, kMinEpochInterval, kMaxEpochInterval);
+}
 
 void FtReport::write(common::Json& j) const {
   j.obj().key("kind").val("ft_report").key("version").val(1).key("guest").val(guest);
@@ -75,7 +88,7 @@ void FtReport::write(common::Json& j) const {
 FtController::FtController(sim::EventLoop& loop, net::Fabric& fabric,
                            migrlib::GuestDirectory& directory, FtOptions options)
     : loop_(loop), fabric_(fabric), directory_(directory), options_(options),
-      move_(loop, fabric, directory, "ft", kPsnBase, options.criu_costs, options.migr_costs) {}
+      move_(loop, fabric, directory, "ft", kPsnBase, options.criu_costs) {}
 
 FtController::~FtController() {
   stop_timers();
@@ -98,18 +111,15 @@ Status FtController::protect(GuestId id, net::HostId backup_host,
   if (node == nullptr) return common::err(Errc::invalid_argument, "ft needs the guest's MsgNode");
   migrlib::XferOptions xo;
   xo.streams = options_.xfer_streams;
-  xo.stream_gbps = options_.xfer_stream_gbps;
   xo.chunk_bytes = options_.chunk_bytes;
-  xo.max_backoff = std::min(xo.max_backoff, options_.max_transfer_backoff);
   MIGR_RETURN_IF_ERROR(move_.open(id, backup_host, backup_proc, "ft.xfer", xo));
   app_ = app;
   node_ = node;
   ready_ = std::move(ready);
   done_ = std::move(done);
   if (options_.epoch_byte_budget > 0) {
-    criu::DirtyRateConfig cfg = options_.dirty_rate;
-    cfg.seed += id;
-    estimator_ = std::make_unique<criu::DirtyRateEstimator>(move_.src_proc(), cfg);
+    estimator_ = std::make_unique<criu::DirtyRateEstimator>(
+        move_.src_proc(), criu::DirtyRateEstimator::kDefaultSeed + id);
   }
 
   const net::HostId primary_host = move_.src_rt().host();
@@ -290,11 +300,7 @@ sim::DurationNs FtController::next_epoch_interval() {
   if (options_.epoch_byte_budget == 0 || !estimator_ || !estimator_->primed()) {
     return options_.epoch_interval;
   }
-  const double bps = estimator_->bytes_per_sec();
-  if (bps <= 0) return options_.max_epoch_interval;
-  const double sec = static_cast<double>(options_.epoch_byte_budget) / bps;
-  const auto iv = static_cast<sim::DurationNs>(sec * sim::kSecond);
-  return std::clamp(iv, options_.min_epoch_interval, options_.max_epoch_interval);
+  return budget_epoch_interval(options_.epoch_byte_budget, estimator_->bytes_per_sec());
 }
 
 void FtController::capture_epoch() {
@@ -382,7 +388,7 @@ void FtController::on_ack_timeout(std::uint64_t epoch) {
   if (EpochRecord* rec = record(epoch)) rec->retries++;
   obs::Registry::global().counter("ft.transfer_retries").inc();
   const sim::DurationNs backoff = std::min<sim::DurationNs>(
-      options_.transfer_retry_backoff << (xfer_attempt_ - 1), options_.max_transfer_backoff);
+      options_.transfer_retry_backoff << (xfer_attempt_ - 1), migrlib::kMaxTransferBackoff);
   MIGR_WARN() << "ft epoch " << epoch << " unacked; retry " << xfer_attempt_ << "/"
               << options_.max_transfer_retries << " after " << backoff << " ns";
   loop_.schedule_in(backoff, [this, epoch] {
@@ -579,7 +585,7 @@ void FtController::phase_promote() {
   const sim::DurationNs rearm_cost = rearm.value();
 
   report_.promoted_epoch = applied_epoch_;
-  move_.push_slice("promote", options_.promote_cost, obs::EdgeClass::ctrl_rtt,
+  move_.push_slice("promote", kPromoteCost, obs::EdgeClass::ctrl_rtt,
                    "\"epoch\":" + std::to_string(report_.promoted_epoch));
   move_.push_slice("restore", restore_cost, obs::EdgeClass::restore_apply,
                    "\"deferred\":" + std::to_string(fin->deferred.size()));
@@ -590,7 +596,7 @@ void FtController::phase_promote() {
   // epochs never became visible and the state that generated them is gone —
   // drop them before the committed backlog flushes.
   const std::uint64_t committed = report_.promoted_epoch;
-  loop_.schedule_in(options_.promote_cost + restore_cost + rearm_cost, [this, committed] {
+  loop_.schedule_in(kPromoteCost + restore_cost + rearm_cost, [this, committed] {
     if (finished_) return;
     // Re-point the app (and its MsgNode) at the promoted process first: the
     // committed backlog released below is written into send slots in guest

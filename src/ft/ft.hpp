@@ -51,42 +51,31 @@ using migrlib::GuestId;
 struct FtOptions {
   // Checkpoint cadence: the gap between an epoch's commit and the next
   // capture. With epoch_byte_budget > 0 the interval adapts per epoch from
-  // the sampled dirty rate (interval = budget / dirty_bytes_per_sec,
-  // clamped), so write-heavy guests checkpoint more often and quiet guests
-  // stop paying for near-empty epochs.
+  // the sampled dirty rate (budget_epoch_interval), so write-heavy guests
+  // checkpoint more often and quiet guests stop paying for near-empty
+  // epochs.
   sim::DurationNs epoch_interval = sim::msec(5);
   std::uint64_t epoch_byte_budget = 0;  // 0 = fixed interval
-  sim::DurationNs min_epoch_interval = sim::msec(2);
-  sim::DurationNs max_epoch_interval = sim::msec(50);
-  criu::DirtyRateConfig dirty_rate;
 
   // Chunk geometry of the epoch-sync TransferMux (the mc-rdma idiom:
   // bounded buffers, fixed-size chunks, last chunk short).
   std::uint64_t chunk_bytes = 2ull << 20;
 
   // Epoch ACK deadline + bounded re-sends on top of the mux's per-chunk
-  // retries. Exhaustion drops protection, never the guest.
+  // retries. Exhaustion drops protection, never the guest. The doubling
+  // backoff is capped at migrlib::kMaxTransferBackoff.
   sim::DurationNs transfer_timeout = sim::sec(1);
   int max_transfer_retries = 3;
   sim::DurationNs transfer_retry_backoff = sim::msec(50);  // doubles per retry
-  // Ceiling for the doubling backoff (50/100/200 ms at the stock 3-retry
-  // budget); it also caps the mux's per-chunk backoff.
-  sim::DurationNs max_transfer_backoff = sim::msec(500);
 
-  // Epoch streams: the sync's chunks round-robin over `xfer_streams` ctrl
-  // streams (`ft.xfer.<id>.<instance>.<k>`), each paced at
-  // `xfer_stream_gbps` (0 = line rate), with per-chunk ack/retry *beneath*
-  // the epoch-level ACK that drives output commit.
+  // Epoch streams: the sync's chunks round-robin over `xfer_streams`
+  // unpaced ctrl streams (`ft.xfer.<id>.<instance>.<k>`), with per-chunk
+  // ack/retry *beneath* the epoch-level ACK that drives output commit.
   std::uint32_t xfer_streams = 1;
-  double xfer_stream_gbps = 0.0;
 
   // Failure detection: primary-side agent heartbeats, backup-side watchdog.
   sim::DurationNs heartbeat_interval = sim::msec(5);
   int missed_heartbeats = 3;
-
-  // Control-plane bookkeeping charged to the promote slice (directory CAS,
-  // ownership transfer, partner notifications).
-  sim::DurationNs promote_cost = sim::usec(50);
 
   // Record causal critical-path intervals and attribute the failover
   // blackout [killed_at, resume_at] to edge classes (DESIGN.md §16). Off by
@@ -94,8 +83,12 @@ struct FtOptions {
   bool critical_path = false;
 
   criu::CriuCosts criu_costs;
-  migrlib::MigrCosts migr_costs;
 };
+
+/// Adaptive epoch cadence: the interval over which a guest dirtying
+/// `dirty_bytes_per_sec` fills `budget` bytes, clamped to [2 ms, 50 ms];
+/// 50 ms for a guest that dirties nothing.
+sim::DurationNs budget_epoch_interval(std::uint64_t budget, double dirty_bytes_per_sec);
 
 /// One committed (or in-flight) micro-checkpoint epoch. Epoch 0 is the full
 /// sync; epochs >= 1 are incremental.

@@ -15,9 +15,8 @@ using common::Status;
 // Construction / teardown
 // ---------------------------------------------------------------------------
 
-GuestContext::GuestContext(MigrRdmaRuntime& runtime, proc::SimProcess& proc, GuestId id,
-                           GuestConfig config)
-    : runtime_(&runtime), proc_(&proc), id_(id), config_(config) {
+GuestContext::GuestContext(MigrRdmaRuntime& runtime, proc::SimProcess& proc, GuestId id)
+    : runtime_(&runtime), proc_(&proc), id_(id) {
   auto ctx = runtime.device().open(proc);
   ctx_ = ctx.value();  // open() only fails on exhaustion, not modelled
   lkey_table_.resize(64, 0);
@@ -26,7 +25,7 @@ GuestContext::GuestContext(MigrRdmaRuntime& runtime, proc::SimProcess& proc, Gue
   // the process (§3.4) and sleeps until it is signalled: by suspend(), or by
   // an intercepted backlog it must drain (pending_flush_). It is a daemon,
   // so a freeze does not stop it mid-duty.
-  wbs_task_ = proc_->spawn_task(config_.wbs_poll_interval, [this] { return wbs_tick(); },
+  wbs_task_ = proc_->spawn_task(kWbsPollInterval, [this] { return wbs_tick(); },
                                 /*daemon=*/true);
 }
 
@@ -165,7 +164,7 @@ Result<VQpn> GuestContext::create_qp(const GuestQpAttr& attr) {
   // The driver's queue mapping for this QP is ordinary process memory; CRIU
   // restores it like any other VMA (and its count is why DumpOthers grows
   // with #QPs in Fig. 3).
-  auto shadow = proc_->mem().mmap(config_.qp_shadow_bytes, "qp_shadow");
+  auto shadow = proc_->mem().mmap(kQpShadowBytes, "qp_shadow");
   if (shadow.is_ok()) qp_shadow_vmas_.emplace(vqpn, shadow.value());
   qps_.emplace(vqpn, std::move(qp));
   return vqpn;
@@ -458,7 +457,7 @@ void GuestContext::deliver_peer_n_sent(VQpn vqpn, std::uint64_t peer_n_sent) {
 }
 
 void GuestContext::drain_real_cqs() {
-  std::vector<rnic::Cqe> batch(config_.cq_drain_batch);
+  std::vector<rnic::Cqe> batch(kCqDrainBatch);
   bool parked_any = false;
   for (auto& [vcq, cq] : cqs_) {
     for (;;) {

@@ -63,19 +63,9 @@ struct VMr {
   std::uint64_t length = 0;
 };
 
-struct GuestConfig {
-  sim::DurationNs wbs_poll_interval = sim::usec(5);
-  std::uint32_t cq_drain_batch = 64;
-  // Per-QP-buffer driver mapping size: each QP's queue memory is a VMA in
-  // the process (restored by CRIU like any other memory). This is what
-  // makes DumpOthers grow with the number of QPs in Fig. 3.
-  std::uint64_t qp_shadow_bytes = 16 * 1024;
-};
-
 class GuestContext {
  public:
-  GuestContext(MigrRdmaRuntime& runtime, proc::SimProcess& proc, GuestId id,
-               GuestConfig config = {});
+  GuestContext(MigrRdmaRuntime& runtime, proc::SimProcess& proc, GuestId id);
   ~GuestContext();
   GuestContext(const GuestContext&) = delete;
   GuestContext& operator=(const GuestContext&) = delete;
@@ -321,10 +311,17 @@ class GuestContext {
   common::Status create_physical_qp(QpVirt& qp);
   void harvest_pending_recvs(RdmaImage& image);
 
+  // Wait-before-stop poll period and the real-CQ drain batch.
+  static constexpr sim::DurationNs kWbsPollInterval = sim::usec(5);
+  static constexpr std::size_t kCqDrainBatch = 64;
+  // Per-QP-buffer driver mapping size: each QP's queue memory is a VMA in
+  // the process (restored by CRIU like any other memory). This is what
+  // makes DumpOthers grow with the number of QPs in Fig. 3.
+  static constexpr std::uint64_t kQpShadowBytes = 16 * 1024;
+
   MigrRdmaRuntime* runtime_;
   proc::SimProcess* proc_;
   GuestId id_;
-  GuestConfig config_;
   rnic::Context* ctx_ = nullptr;
 
   // Virtual handle allocators. Dense lkeys start at 1 (0 = invalid).

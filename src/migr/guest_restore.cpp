@@ -105,7 +105,7 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> GuestContext::pinned_ranges
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   for (const auto& [vlkey, mr] : mrs_) out.emplace_back(mr.rec.addr, mr.rec.length);
   for (const auto& [vqpn, addr] : qp_shadow_vmas_) {
-    out.emplace_back(addr, config_.qp_shadow_bytes);
+    out.emplace_back(addr, kQpShadowBytes);
   }
   for (const auto& [vdm, dm] : dms_) out.emplace_back(dm.rec.mapped_at, dm.rec.length);
   return out;
@@ -339,7 +339,7 @@ Status GuestContext::adopt_staged(StagedRestore&& staged) {
   }
 
   runtime_->indirection().register_guest(this);
-  wbs_task_ = proc_->spawn_task(config_.wbs_poll_interval, [this] { return wbs_tick(); },
+  wbs_task_ = proc_->spawn_task(kWbsPollInterval, [this] { return wbs_tick(); },
                                 /*daemon=*/true);
   return Status::ok();
 }

@@ -23,6 +23,16 @@ namespace {
 // PSNs of the replacement connections a migration establishes; the flight
 // recorder's wire capture carries them.
 constexpr rnic::Psn kPsnBase = 500'000;
+
+// Adaptive pre-copy's convergence predictor.
+constexpr int kMinPrecopyRounds = 1;  // rounds before the predictor may stop
+// A round counts as converging only if it is predicted to shrink the
+// pending dirty set below kPrecopyGain x current — asking for a real
+// margin, not any shrink, keeps marginal rounds from burning brownout for
+// nothing.
+constexpr double kPrecopyGain = 0.7;
+constexpr double kAutoconvergeStep = 0.3;  // throttle increment per diverging round
+constexpr double kAutoconvergeMax = 0.9;   // hard cap on guest slowdown
 }  // namespace
 
 const char* migration_mode_name(MigrationMode m) noexcept {
@@ -51,7 +61,7 @@ std::string MigrationReport::waterfall_json() const {
 MigrationController::MigrationController(sim::EventLoop& loop, net::Fabric& fabric,
                                          GuestDirectory& directory, MigrationOptions options)
     : loop_(loop), fabric_(fabric), options_(options),
-      move_(loop, fabric, directory, "migr", kPsnBase, options.criu_costs, options.migr_costs) {}
+      move_(loop, fabric, directory, "migr", kPsnBase, options.criu_costs) {}
 
 Status MigrationController::start(GuestId id, net::HostId dest_host,
                                   proc::SimProcess& dest_proc, MigratableApp* app,
@@ -65,12 +75,11 @@ Status MigrationController::start(GuestId id, net::HostId dest_host,
   xo.chunk_timeout = options_.transfer_timeout;
   xo.max_chunk_retries = options_.max_transfer_retries;
   xo.retry_backoff = options_.transfer_retry_backoff;
-  xo.max_backoff = options_.max_transfer_backoff;
+  xo.max_backoff = kMaxTransferBackoff;
   MIGR_RETURN_IF_ERROR(move_.open(id, dest_host, dest_proc, "migr.xfer", xo));
   src_ctx_ = &move_.guest().raw();
   if (options_.suppress_pages) {
-    page_enc_ = std::make_unique<criu::PageDeltaEncoder>(
-        criu::PageDeltaConfig{options_.delta_threshold});
+    page_enc_ = std::make_unique<criu::PageDeltaEncoder>();
     page_dec_ = std::make_unique<criu::PageDeltaDecoder>();
   }
 
@@ -78,9 +87,9 @@ Status MigrationController::start(GuestId id, net::HostId dest_host,
   report_.start = loop_.now();
   report_.mode = options_.mode;
   if (options_.adaptive_precopy && options_.mode == MigrationMode::precopy) {
-    criu::DirtyRateConfig cfg = options_.dirty_rate;
-    cfg.seed += id;  // distinct sample sets per guest, still seeded
-    estimator_ = std::make_unique<criu::DirtyRateEstimator>(move_.src_proc(), cfg);
+    // Distinct sample sets per guest, still seeded.
+    estimator_ = std::make_unique<criu::DirtyRateEstimator>(
+        move_.src_proc(), criu::DirtyRateEstimator::kDefaultSeed + id);
   }
   // Brownout attribution: iteration 0 covers the initial full copy +
   // partial restore; phase_precopy_round advances it per dirty round.
@@ -186,11 +195,6 @@ void MigrationController::abort(const Status& st) {
   if (done_) done_(report_);
 }
 
-std::uint64_t MigrationController::effective_bytes_threshold() const {
-  if (options_.dirty_bytes_threshold != 0) return options_.dirty_bytes_threshold;
-  return static_cast<std::uint64_t>(options_.dirty_page_threshold) * proc::kPageSize;
-}
-
 void MigrationController::reset_throttle() {
   if (throttle_factor_ > 0 && options_.throttle) options_.throttle(0);
   throttle_factor_ = 0;
@@ -198,7 +202,7 @@ void MigrationController::reset_throttle() {
 
 bool MigrationController::precopy_should_continue(std::uint64_t pending_bytes) {
   if (!estimator_->primed()) return true;
-  if (rounds_done_ < options_.min_precopy_rounds) return true;
+  if (rounds_done_ < kMinPrecopyRounds) return true;
 
   // Predicted wall clock of the next round: dump walk, serialization at line
   // rate, restore on the destination. While it runs, the (possibly
@@ -219,16 +223,15 @@ bool MigrationController::precopy_should_continue(std::uint64_t pending_bytes) {
   // worth the brownout if the round shrinks the pending set by a real
   // margin — marginal shrinkage loses to the model's per-round overheads.
   const double next_pending = estimator_->bytes_per_sec() * round_sec;
-  if (next_pending < static_cast<double>(pending_bytes) * options_.precopy_gain) {
+  if (next_pending < static_cast<double>(pending_bytes) * kPrecopyGain) {
     return true;
   }
 
   // Diverging. Step the auto-converge throttle if there is still headroom
   // (QEMU's auto-converge ladder); otherwise stop iterating — more rounds
   // only burn brownout without shrinking the stop-and-copy set.
-  if (options_.throttle && throttle_factor_ < options_.autoconverge_max) {
-    throttle_factor_ = std::min(options_.autoconverge_max,
-                                throttle_factor_ + options_.autoconverge_step);
+  if (options_.throttle && throttle_factor_ < kAutoconvergeMax) {
+    throttle_factor_ = std::min(kAutoconvergeMax, throttle_factor_ + kAutoconvergeStep);
     report_.autoconverge_steps++;
     report_.throttle_factor = std::max(report_.throttle_factor, throttle_factor_);
     options_.throttle(throttle_factor_);
@@ -384,13 +387,13 @@ void MigrationController::phase_precopy_round() {
   if (estimator_ && estimator_->open()) {
     (void)estimator_->end_interval(loop_.now());
   }
-  const std::uint64_t pending_bytes =
-      static_cast<std::uint64_t>(move_.ckpt().pending_dirty()) * proc::kPageSize;
+  const std::size_t pending_pages = move_.ckpt().pending_dirty();
+  const std::uint64_t pending_bytes = static_cast<std::uint64_t>(pending_pages) * proc::kPageSize;
   if (rounds_done_ >= options_.max_precopy_rounds) {
     report_.stop_reason = "max_rounds";
     return phase_stop_and_copy();
   }
-  if (pending_bytes <= effective_bytes_threshold()) {
+  if (pending_pages <= options_.dirty_page_threshold) {
     report_.stop_reason = "bytes_threshold";
     return phase_stop_and_copy();
   }
@@ -632,8 +635,7 @@ void MigrationController::phase_final_restore(Bytes payload) {
     // the pump drains.
     pump_ = std::make_unique<PostcopyPump>(
         loop_, fabric_, move_.id(), move_.src_rt().host(), move_.dest_rt().host(),
-        move_.src_proc(), move_.dest_proc(), move_.src_rt().device(), move_.mux(),
-        options_.postcopy);
+        move_.src_proc(), move_.dest_proc(), move_.src_rt().device(), move_.mux());
     pump_->arm(std::move(postcopy_missing_));
     postcopy_missing_.clear();
   }

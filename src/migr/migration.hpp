@@ -38,46 +38,36 @@ enum class MigrationMode : std::uint8_t { precopy, postcopy };
 
 const char* migration_mode_name(MigrationMode m) noexcept;
 
+/// Ceiling on a doubling transfer-retry backoff, shared by migration's
+/// per-chunk policy and FT's epoch-level re-sends: a many-retry transfer on
+/// a lossy link must not back off past its deadline (50/100/200 ms at the
+/// default budget).
+inline constexpr sim::DurationNs kMaxTransferBackoff = sim::msec(500);
+
 struct MigrationOptions {
   MigrationMode mode = MigrationMode::precopy;
   bool pre_setup = true;            // RDMA pre-setup during partial restore (§3.2)
   int max_precopy_rounds = 3;       // dirty-page iterations after the full copy
   std::size_t dirty_page_threshold = 64;  // stop iterating below this many pages
-  // Stop criterion in bytes: iterate until the pending dirty set (pages ×
-  // page size) fits under this — round cost and link time are byte-driven,
-  // so the page count alone under-stops guests with big dirty footprints.
-  // 0 derives dirty_page_threshold × page size, preserving existing configs.
-  std::uint64_t dirty_bytes_threshold = 0;
   // Adaptive pre-copy (default off; default runs stay byte-identical): a
   // sampled dirty-page-rate estimator drives a convergence predictor — keep
   // iterating only while a round drains the dirty set faster than the guest
   // refills it, stepping the auto-converge throttle when it diverges.
   bool adaptive_precopy = false;
-  criu::DirtyRateConfig dirty_rate;
-  int min_precopy_rounds = 1;      // rounds before the predictor may stop
-  // A round counts as converging only if it is predicted to shrink the
-  // pending dirty set below gain × current — asking for a real margin, not
-  // any shrink, keeps marginal rounds from burning brownout for nothing.
-  double precopy_gain = 0.7;
-  double autoconverge_step = 0.3;  // throttle increment per diverging round
-  double autoconverge_max = 0.9;   // hard cap on guest slowdown
   // Auto-converge actuator: called with the current throttle factor
   // (0 = full speed). The cluster layer points this at the guest's traffic
   // and dirty generators; unset means the predictor can only stop early.
   std::function<void(double)> throttle;
-  PostcopyConfig postcopy;
   sim::DurationNs wbs_timeout = sim::sec(5);  // §3.4 buggy-network upper bound
   // Adversarial-network handling: the per-chunk policy of the TransferMux
   // that carries every image transfer (pre-copy rounds, the final diff and
   // post-copy pages). Each chunk gets a deadline from the moment it left the
-  // source port and bounded re-sends with doubling backoff; exhaustion
-  // aborts the migration and rolls the source back.
+  // source port and bounded re-sends with doubling backoff, capped at
+  // kMaxTransferBackoff; exhaustion aborts the migration and rolls the
+  // source back.
   sim::DurationNs transfer_timeout = sim::sec(1);
   int max_transfer_retries = 3;                  // re-sends after the first attempt
   sim::DurationNs transfer_retry_backoff = sim::msec(50);  // doubles per retry
-  // Ceiling on the doubled backoff: a many-retry chunk on a lossy link must
-  // not back off past its deadline (50/100/200 ms at the default budget).
-  sim::DurationNs max_transfer_backoff = sim::msec(500);
   // Multifd-style transfer geometry (DESIGN.md §15): the mux splits each
   // payload into `xfer_chunk_bytes` chunks round-robined over `xfer_streams`
   // ctrl streams. `xfer_stream_gbps` models the per-stream processing
@@ -90,7 +80,6 @@ struct MigrationOptions {
   // pages and unchanged pages ship a marker, small diffs ship XOR-sparse
   // runs against the previous round's shipped content.
   bool suppress_pages = false;
-  double delta_threshold = 0.5;
   // WBS-timeout policy: false = §3.4 forced stop-and-copy (harvest in-flight
   // WRs for replay); true = treat the timeout as fatal and abort/roll back.
   bool abort_on_wbs_timeout = false;
@@ -100,7 +89,6 @@ struct MigrationOptions {
   // so default runs stay byte-identical.
   bool critical_path = false;
   criu::CriuCosts criu_costs;
-  MigrCosts migr_costs;
 };
 
 struct MigrationReport {
@@ -170,8 +158,9 @@ struct MigrationReport {
   std::uint64_t xfer_bytes_shipped = 0;    // page content that went on the wire
   std::uint64_t xfer_bytes_suppressed = 0; // raw - shipped
 
-  // Why pre-copy stopped iterating: "max_rounds", "bytes_threshold",
-  // "diverging" (predictor gave up), or "postcopy" (single-pass mode).
+  // Why pre-copy stopped iterating: "max_rounds", "bytes_threshold" (the
+  // pending dirty set fell to dirty_page_threshold pages), "diverging"
+  // (predictor gave up), or "postcopy" (single-pass mode).
   std::string stop_reason;
   double dirty_pages_per_sec = 0;  // estimator EWMA at stop (0 = disabled)
   int autoconverge_steps = 0;      // throttle escalations applied
@@ -276,9 +265,6 @@ class MigrationController {
   void phase_resume();
   void on_postcopy_drained(const common::Status& st);
 
-  /// Bytes-based stop threshold (derived from the page threshold when the
-  /// byte threshold is unset).
-  std::uint64_t effective_bytes_threshold() const;
   /// Convergence predictor: true while the next round is predicted to
   /// shrink the dirty set (possibly after stepping the throttle).
   bool precopy_should_continue(std::uint64_t pending_bytes);

@@ -24,10 +24,9 @@ common::Result<EpochFrame> read_epoch_frame(Section frame) {
 }
 
 GuestMove::GuestMove(sim::EventLoop& loop, net::Fabric& fabric, GuestDirectory& directory,
-                     const char* cat, rnic::Psn psn_base, criu::CriuCosts criu_costs,
-                     MigrCosts migr_costs)
+                     const char* cat, rnic::Psn psn_base, criu::CriuCosts criu_costs)
     : loop_(loop), fabric_(fabric), directory_(directory), cat_(cat), psn_cursor_(psn_base),
-      criu_costs_(criu_costs), plugin_(migr_costs) {}
+      criu_costs_(criu_costs) {}
 
 Status GuestMove::open(GuestId id, net::HostId dest_host, proc::SimProcess& dest_proc,
                        std::string_view mux_prefix, XferOptions xo) {

@@ -77,8 +77,7 @@ class GuestMove {
   /// `cat` is the trace category of the owner's spans; `psn_base` seeds the
   /// PSNs of the replacement connections (the flight recorder carries them).
   GuestMove(sim::EventLoop& loop, net::Fabric& fabric, GuestDirectory& directory,
-            const char* cat, rnic::Psn psn_base, criu::CriuCosts criu_costs,
-            MigrCosts migr_costs);
+            const char* cat, rnic::Psn psn_base, criu::CriuCosts criu_costs);
 
   /// Resolve guest `id` on its host and the destination host, build the
   /// source Checkpointer and a Restorer into `dest_proc`, and open a mux on

@@ -16,6 +16,13 @@ using common::ByteWriter;
 using common::Errc;
 using common::Status;
 
+namespace {
+// Stall watchdog: if no page arrives for this long while fetches are
+// outstanding, re-request; after kMaxFetchRetries stalls the drain fails.
+constexpr sim::DurationNs kFetchTimeout = sim::msec(100);
+constexpr int kMaxFetchRetries = 5;
+}  // namespace
+
 void PostcopyStats::write(common::Json& j) const {
   j.obj().key("missing_pages").val(missing_pages).key("demand_faults").val(demand_faults);
   j.key("prefetched_pages").val(prefetched_pages).key("fetch_requests").val(fetch_requests);
@@ -61,9 +68,7 @@ void PostcopyPump::start(DoneCb done) {
   done_ = std::move(done);
   started_ = true;
   started_at_ = loop_.now();
-  if (cfg_.fetch_timeout > 0) {
-    watchdog_ = loop_.schedule_every(cfg_.fetch_timeout, [this] { on_watchdog(); });
-  }
+  watchdog_ = loop_.schedule_every(kFetchTimeout, [this] { on_watchdog(); });
   request_next_batch();
   maybe_finish();
 }
@@ -103,7 +108,7 @@ void PostcopyPump::on_request(Bytes&& payload) {
   if (!kind.is_ok() || !count.is_ok()) return;
   // The source-side page server walks frozen process memory: ctrl pressure
   // on the source NIC, like the dump walks during pre-copy.
-  src_dev_.add_ctrl_pressure(cfg_.per_page_read *
+  src_dev_.add_ctrl_pressure(kPostcopyPerPageRead *
                              static_cast<sim::DurationNs>(count.value()));
   ByteWriter w;
   w.u8(kind.value());
@@ -189,12 +194,12 @@ void PostcopyPump::on_watchdog() {
     return;  // nothing outstanding; maybe_finish owns completion
   }
   stalls_++;
-  if (stalls_ > cfg_.max_fetch_retries) {
+  if (stalls_ > kMaxFetchRetries) {
     return finish(common::err(Errc::timeout, "postcopy page fetch stalled"));
   }
   st_.retries++;
   MIGR_WARN() << "postcopy fetch stalled for guest " << guest_ << "; re-requesting ("
-              << stalls_ << "/" << cfg_.max_fetch_retries << ")";
+              << stalls_ << "/" << kMaxFetchRetries << ")";
   // A lost reply chunk holds every later reply behind it until its chunk
   // deadline (the migration's transfer_timeout, far longer than this
   // watchdog's budget): drop the stuck replies; the re-requests below cover

@@ -40,13 +40,12 @@ namespace migr::migrlib {
 
 class TransferMux;
 
+/// Source-side page walk per requested page, charged as ctrl pressure on
+/// the source NIC.
+inline constexpr sim::DurationNs kPostcopyPerPageRead = 250;
+
 struct PostcopyConfig {
   std::uint32_t batch_pages = 32;  // pages per background prefetch request
-  sim::DurationNs per_page_read = 250;  // source-side page walk per page
-  // Stall watchdog: if no page arrives for this long while fetches are
-  // outstanding, re-request; after max_retries stalls the drain fails.
-  sim::DurationNs fetch_timeout = sim::msec(100);
-  int max_fetch_retries = 5;
 };
 
 /// Drain outcome + accounting, embedded in MigrationReport.

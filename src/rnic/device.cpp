@@ -167,35 +167,6 @@ const Device::RkeyTarget* Device::find_rkey(Rkey rkey) const {
   return it == rkeys_.end() ? nullptr : &it->second;
 }
 
-Result<MigrosQpState> Device::migros_extract_qp(Qpn qpn) {
-  if (!config_.migration_aware_hw) {
-    return common::err(Errc::failed_precondition,
-                       "commodity RNIC: QP transport state is not extractable");
-  }
-  auto it = qp_routes_.find(qpn);
-  if (it == qp_routes_.end()) return common::err(Errc::not_found, "no such QP");
-  const Qp& qp = *it->second;
-  return MigrosQpState{qpn, qp.next_psn, qp.acked_psn, qp.expected_psn, qp.sq.size()};
-}
-
-Status Device::migros_inject_qp(Qpn qpn, const MigrosQpState& st) {
-  if (!config_.migration_aware_hw) {
-    return common::err(Errc::failed_precondition,
-                       "commodity RNIC: QP transport state is not injectable");
-  }
-  auto it = qp_routes_.find(qpn);
-  if (it == qp_routes_.end()) return common::err(Errc::not_found, "no such QP");
-  Qp& qp = *it->second;
-  qp.next_psn = st.next_psn;
-  qp.acked_psn = st.acked_psn;
-  qp.expected_psn = st.expected_psn;
-  // The NAK-suppression sentinel belongs to the old PSN space; a stale
-  // value equal to the injected expected_psn would swallow the first NAK
-  // of the QP's new life.
-  qp.last_nak_psn = static_cast<Psn>(-1);
-  return Status::ok();
-}
-
 std::vector<Qpn> Device::audit_stuck_qps(sim::DurationNs stale_after) const {
   std::vector<Qpn> stuck;
   for (const auto& [qpn, qp] : qp_routes_) {

@@ -13,8 +13,7 @@
 // private. The only externally visible values are the ones real ibverbs
 // exposes (QPNs, keys, CQEs, port counters) plus the driver-level queue
 // occupancy counters MigrRDMA's indirection layer shares with its library
-// (paper §3.4). An optional "migration-aware firmware" mode used by the
-// MigrOS ablation bench is the single, clearly-marked exception.
+// (paper §3.4).
 #pragma once
 
 #include <cstdint>
@@ -54,9 +53,6 @@ struct DeviceConfig {
   // recorder (if enabled) dumps the surrounding packet window. 0 disables.
   std::uint32_t nak_storm_threshold = 64;
   sim::DurationNs nak_storm_window = sim::msec(1);
-  // MigrOS ablation only: allows extract/inject of live QP transport state
-  // as a modified RNIC would. Commodity mode (default) refuses.
-  bool migration_aware_hw = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -237,16 +233,6 @@ struct PortCounters {
   PortCounters operator-(const PortCounters& o) const;
 };
 
-/// Opaque QP transport state blob for the MigrOS ablation (migration-aware
-/// firmware). Not available on commodity devices.
-struct MigrosQpState {
-  Qpn qpn = 0;
-  Psn next_psn = 0;
-  Psn acked_psn = 0;
-  Psn expected_psn = 0;
-  std::uint64_t inflight_wqes = 0;
-};
-
 // ---------------------------------------------------------------------------
 
 class Context {
@@ -407,12 +393,6 @@ class Device {
   /// or flush to error — the fault-injection property tests drain the loop
   /// and assert this comes back empty.
   std::vector<Qpn> audit_stuck_qps(sim::DurationNs stale_after) const;
-
-  // ---- MigrOS ablation (migration-aware firmware only) ----
-  common::Result<MigrosQpState> migros_extract_qp(Qpn qpn);
-  common::Status migros_inject_qp(Qpn qpn, const MigrosQpState& st);
-  /// Firmware cost per QP of extract/inject/stop, per §6's analysis.
-  sim::DurationNs migros_per_qp_cost() const { return sim::usec(120); }
 
  private:
   friend class Context;

@@ -1,7 +1,11 @@
-// Allocation pins for the copy-once byte paths, counted with a global
-// operator new in this TU (like recorder_test and sli_test):
+// Allocation pins, counted with a global operator new in this TU (like
+// recorder_test and sli_test):
 //  * a fleet MsgNode pair under the traffic generator sends and delivers
 //    its messages without allocating once warmed up;
+//  * a perftest RDMA WRITE stream (multi-packet trains) allocates nothing
+//    once warmed up;
+//  * brownout SLI taps wired to the disarmed hub add no event and no
+//    allocation to a drain ("observability off = free", DESIGN.md §12);
 //  * a pre-copy round (dump -> payload -> parse -> apply) of 512 dirty pages
 //    into destination pages that already exist allocates a few blocks per
 //    round, not per page.
@@ -12,8 +16,10 @@
 #include <new>
 #include <set>
 
-#include "cluster/cluster.hpp"
+#include "apps/perftest.hpp"
+#include "cluster/drain.hpp"
 #include "criu/checkpoint.hpp"
+#include "obs/sli.hpp"
 #include "sim/event_loop.hpp"
 
 // ---------------------------------------------------------------------------
@@ -103,6 +109,91 @@ TEST(AllocPin, FleetMsgNodePairAllocatesNothingPerMessage) {
   // The handler saw whole 2 KiB payloads, not empty ones.
   EXPECT_GT(bytes_seen - bytes0, 0u);
   EXPECT_EQ((bytes_seen - bytes0) % profile.msg_bytes, 0u);
+}
+
+TEST(AllocPin, PerftestWriteStreamAllocatesNothingInSteadyState) {
+  cluster::ClusterConfig cfg;
+  cfg.hosts = 2;
+  cluster::ClusterModel model(cfg);
+  apps::PerftestConfig pcfg;
+  pcfg.num_qps = 4;
+  pcfg.msg_size = 256 * 1024;  // 64 MTU-sized packets per WRITE
+  pcfg.queue_depth = 4;
+  pcfg.opcode = rnic::WrOpcode::rdma_write;
+  using Peer = apps::PerftestPeer;
+  Peer tx(model.runtime(1), model.world().add_process("tx"), 100, Peer::Role::sender, pcfg);
+  Peer rx(model.runtime(2), model.world().add_process("rx"), 200, Peer::Role::receiver, pcfg);
+  for (std::uint32_t i = 0; i < pcfg.num_qps; ++i) {
+    ASSERT_TRUE(Peer::connect_pair(tx, i, rx, i).is_ok());
+  }
+  tx.start();
+  rx.start();
+  // Warm-up: payload pool, slot table, train pool and dirty sets reach
+  // their high-water marks.
+  model.run_for(sim::msec(5));
+
+  const std::uint64_t wrs0 = tx.stats().completed_msgs;
+  const std::uint64_t allocs0 = g_alloc_count;
+  model.run_for(sim::msec(50));
+  const std::uint64_t allocs = g_alloc_count - allocs0;
+  const std::uint64_t wrs = tx.stats().completed_msgs - wrs0;
+  tx.stop();
+  rx.stop();
+
+  // Inline SGE lists, pooled payloads and closures, try_emplace dirty
+  // tracking and the GrowRing pump rotation each exist to hold this.
+  EXPECT_EQ(allocs, 0u) << "over " << wrs << " WRs";
+  EXPECT_GT(wrs, 1000u);
+  EXPECT_EQ(tx.stats().errors, 0u);
+}
+
+struct DrainCost {
+  bool ok = false;
+  std::uint64_t events = 0;
+  std::uint64_t allocs = 0;
+};
+
+/// Drain host 1 of a 4-host fleet: two busy guests there, each messaging a
+/// partner on its own host. Counts what the drain itself dispatches and
+/// allocates.
+DrainCost small_drain(bool sli_taps) {
+  cluster::ClusterConfig cfg;
+  cfg.hosts = 4;
+  cluster::ClusterModel model(cfg);
+  if (sli_taps) model.enable_sli(obs::SliHub::global());
+  cluster::TrafficProfile profile;  // drain8's
+  profile.send_interval = sim::usec(20);
+  profile.msg_bytes = 2048;
+  profile.extra_mem_bytes = 2 << 20;
+  profile.dirty_interval = sim::msec(1);
+  for (cluster::GuestId g = 0; g < 2; ++g) {
+    if (!model.add_guest(1, 100 + g, profile).is_ok() ||
+        !model.add_guest(2 + g, 200 + g, profile).is_ok() ||
+        !model.connect_guests(100 + g, 200 + g).is_ok()) {
+      return {};
+    }
+  }
+  model.run_for(sim::msec(5));
+
+  cluster::MigrationScheduler sched(model);
+  cluster::DrainWorkflow drain(model, sched);
+  const std::uint64_t events0 = model.loop().events_dispatched();
+  const std::uint64_t allocs0 = g_alloc_count;
+  const bool ok = drain.run(1).ok;
+  return {ok, model.loop().events_dispatched() - events0, g_alloc_count - allocs0};
+}
+
+TEST(AllocPin, DisarmedSliTapsAddNoEventOrAllocationToADrain) {
+  ASSERT_FALSE(obs::SliHub::global().enabled());
+  // The first drain interns the process-wide metric names; both measured
+  // drains then run in a warm process, so their difference is the taps'.
+  ASSERT_TRUE(small_drain(/*sli_taps=*/false).ok);
+  const DrainCost plain = small_drain(/*sli_taps=*/false);
+  const DrainCost tapped = small_drain(/*sli_taps=*/true);
+  ASSERT_TRUE(plain.ok);
+  ASSERT_TRUE(tapped.ok);
+  EXPECT_EQ(tapped.events, plain.events);
+  EXPECT_EQ(tapped.allocs, plain.allocs);
 }
 
 TEST(AllocPin, PrecopyRoundOf512DirtyPagesAllocatesAFewBlocks) {

@@ -4,6 +4,7 @@
 //    backoff-retry -> terminal failure after budget exhaustion, no two
 //    concurrent migrations sharing a guest (same guest twice, and partnered
 //    guests), rolling-rebalance planning;
+//  * ClusterPlacement: the least-loaded rule's tie-breaks;
 //  * ClusterDrain: zero-guest drain completes immediately, the acceptance
 //    drain (8 hosts, concurrency 4) is deterministic down to the rendered
 //    report, leaves no stuck QPs, and beats concurrency 1 on makespan;
@@ -195,6 +196,32 @@ TEST(ClusterSchedulerTest, RebalancePlanLevelsGuestCounts) {
   sched.submit_rebalance(10);
   ASSERT_TRUE(sched.run_until_idle(sim::sec(60)).is_ok());
   for (net::HostId h = 1; h <= 4; ++h) EXPECT_EQ(model.guest_count(h), 1u) << "host " << h;
+}
+
+// ---------------------------------------------------------------------------
+// Placement
+// ---------------------------------------------------------------------------
+
+TEST(ClusterPlacementTest, LeastLoadedOrdersByGuestsThenTrafficThenHostId) {
+  ClusterConfig cfg;
+  cfg.hosts = 4;
+  ClusterModel model(cfg);
+  TrafficProfile chatty;
+  chatty.send_interval = sim::usec(50);
+  // Host 1: two idle guests. Host 2: one guest offering traffic. Hosts 3
+  // and 4: one idle guest each.
+  ASSERT_TRUE(model.add_guest(1, 10).is_ok());
+  ASSERT_TRUE(model.add_guest(1, 11).is_ok());
+  ASSERT_TRUE(model.add_guest(2, 20, chatty).is_ok());
+  ASSERT_TRUE(model.add_guest(3, 30).is_ok());
+  ASSERT_TRUE(model.add_guest(4, 40).is_ok());
+
+  EXPECT_EQ(model.least_loaded({}).code(), common::Errc::not_found);
+  EXPECT_EQ(model.least_loaded({1, 2, 3, 4}).value(), 3u);
+  EXPECT_EQ(model.least_loaded({4, 3}).value(), 3u) << "host id breaks the tie, not order";
+  EXPECT_EQ(model.least_loaded({2, 4}).value(), 4u) << "lower traffic beats lower id";
+  EXPECT_EQ(model.least_loaded({1, 2}).value(), 2u) << "fewer guests beats lower traffic";
+  EXPECT_EQ(model.least_loaded({1}).value(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ TEST_F(CriuTest, DumpCostGrowsSuperlinearlyInVmaCount) {
 
 TEST_F(CriuTest, DirtyRateEstimatorEstimatesChurnFraction) {
   const VirtAddr va = alloc_filled(src_, 256 * kPageSize, 0x11);
-  DirtyRateEstimator est(src_, DirtyRateConfig{});
+  DirtyRateEstimator est(src_);
   EXPECT_FALSE(est.open());
   EXPECT_FALSE(est.primed());
   est.begin_interval(0);
@@ -270,7 +270,7 @@ TEST_F(CriuTest, DirtyRateEstimatorEstimatesChurnFraction) {
   // A mapping that was never written hashes as zero pages: storing zeros
   // into every page changes no content, storing anything else changes all.
   const VirtAddr fresh = dst_.mem().mmap(64 * kPageSize, "fresh").value();
-  DirtyRateEstimator fresh_est(dst_, DirtyRateConfig{});
+  DirtyRateEstimator fresh_est(dst_);
   for (const std::uint8_t b : {std::uint8_t{0}, std::uint8_t{0x5A}}) {
     fresh_est.begin_interval(sim::sec(2));
     for (VirtAddr p = 0; p < 64; ++p) {

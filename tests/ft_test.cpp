@@ -493,13 +493,13 @@ TEST(FtPlanner, StandbyAvoidsPrimaryAndPartnerHosts) {
   EXPECT_NE(plan->backup, 2u) << "standby must not share a host with a partner";
 
   // Dirty-rate-driven cadence: 1 MiB/ms dirty rate against a 256 KiB budget
-  // clamps to the minimum interval.
-  EXPECT_EQ(plan->epoch_interval, cluster::FtPlanOptions{}.min_epoch_interval);
+  // clamps to the 2 ms minimum interval.
+  EXPECT_EQ(plan->epoch_interval, sim::msec(2));
 
   // A clean guest gets the default cadence.
   auto idle_plan = planner.plan(20);
   ASSERT_TRUE(idle_plan.is_ok());
-  EXPECT_EQ(idle_plan->epoch_interval, cluster::FtPlanOptions{}.default_epoch_interval);
+  EXPECT_EQ(idle_plan->epoch_interval, ft::FtOptions{}.epoch_interval);
 
   // plan_all covers both and is deterministic.
   auto all = planner.plan_all();
@@ -510,7 +510,30 @@ TEST(FtPlanner, StandbyAvoidsPrimaryAndPartnerHosts) {
   // options_for forwards the cadence and adaptive budget.
   ft::FtOptions fo = planner.options_for(plan.value());
   EXPECT_EQ(fo.epoch_interval, plan->epoch_interval);
-  EXPECT_EQ(fo.epoch_byte_budget, cluster::FtPlanOptions{}.epoch_byte_budget);
+  EXPECT_EQ(fo.epoch_byte_budget, cluster::FtPlanner::kEpochByteBudget);
+}
+
+TEST(FtPlanner, StandbyFallsBackToLeastLoadedEligibleHost) {
+  cluster::ClusterConfig cfg;
+  cfg.hosts = 4;
+  cluster::ClusterModel model(cfg);
+  cluster::TrafficProfile chatty;
+  chatty.send_interval = sim::usec(100);
+  // Guest 10 on host 1, its partner 20 (idle) alone on host 2, two guests
+  // on host 3 and one guest offering traffic on host 4.
+  ASSERT_TRUE(model.add_guest(1, 10).is_ok());
+  ASSERT_TRUE(model.add_guest(2, 20).is_ok());
+  ASSERT_TRUE(model.connect_guests(10, 20).is_ok());
+  ASSERT_TRUE(model.add_guest(3, 30).is_ok());
+  ASSERT_TRUE(model.add_guest(3, 31).is_ok());
+  ASSERT_TRUE(model.add_guest(4, 40, chatty).is_ok());
+
+  // The least-loaded placeable host holds the partner...
+  ASSERT_EQ(model.least_loaded(model.placeable_hosts(1)).value(), 2u);
+  // ...so the standby goes to the least-loaded of the rest.
+  auto plan = cluster::FtPlanner(model).plan(10);
+  ASSERT_TRUE(plan.is_ok());
+  EXPECT_EQ(plan->backup, 4u);
 }
 
 }  // namespace

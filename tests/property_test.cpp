@@ -899,10 +899,10 @@ TEST_P(PostcopyMutationSweep, RequestsAndRepliesStayBounded) {
   const std::span<const proc::VirtAddr> head{pages.begin() + 8, pages.begin() + 16};
   const common::Bytes request = pc_request(head);
   EXPECT_EQ(pressure_charged(request),
-            cfg.per_page_read * static_cast<sim::DurationNs>(head.size()));
+            migrlib::kPostcopyPerPageRead * static_cast<sim::DurationNs>(head.size()));
   for (const common::Bytes& m : mutants(request, rng)) {
     const std::size_t carried = m.size() >= 5 ? (m.size() - 5) / 8 : 0;
-    EXPECT_LE(pressure_charged(m), cfg.per_page_read * static_cast<sim::DurationNs>(carried))
+    EXPECT_LE(pressure_charged(m), migrlib::kPostcopyPerPageRead * static_cast<sim::DurationNs>(carried))
         << "a " << m.size() << "-byte request carrying " << carried << " pages";
   }
 

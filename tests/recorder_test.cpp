@@ -1,6 +1,6 @@
 // Flight-recorder unit tests: ring wraparound, dump-on-anomaly contents,
 // the disabled-mode zero-allocation guarantee (pinned with a counting
-// global operator new in this TU, like bench_simrate), and the fabric hook
+// global operator new in this TU, like alloc_test), and the fabric hook
 // decoding real wire headers for single packets and trains.
 #include <gtest/gtest.h>
 

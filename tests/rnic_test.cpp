@@ -723,28 +723,8 @@ TEST_F(RnicTest, DeviceMemoryExhaustion) {
 }
 
 // ---------------------------------------------------------------------------
-// Opaqueness + counters (the paper's premise)
+// Port counters
 // ---------------------------------------------------------------------------
-
-TEST_F(RnicTest, CommodityHardwareRefusesStateExtraction) {
-  auto [qa, qb] = connect_pair();
-  EXPECT_EQ(dev_a_->migros_extract_qp(qa).code(), Errc::failed_precondition);
-  EXPECT_EQ(dev_a_->migros_inject_qp(qa, MigrosQpState{}).code(), Errc::failed_precondition);
-}
-
-TEST_F(RnicTest, MigrationAwareHardwareAllowsIt) {
-  DeviceConfig cfg;
-  cfg.migration_aware_hw = true;
-  Device& d = world_.add_device(8, cfg);
-  auto& p = world_.add_process("p8");
-  Context* ctx = d.open(p).value();
-  Handle pd = ctx->alloc_pd().value();
-  Handle cq = ctx->create_cq(16).value();
-  Qpn q = ctx->create_qp({QpType::rc, pd, cq, cq, 0, {}}).value();
-  auto st = d.migros_extract_qp(q);
-  ASSERT_TRUE(st.is_ok());
-  EXPECT_TRUE(d.migros_inject_qp(q, st.value()).is_ok());
-}
 
 TEST_F(RnicTest, PortCountersTrackBytes) {
   auto [qa, qb] = connect_pair();

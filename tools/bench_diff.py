@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare fresh bench JSON outputs against the checked-in baselines.
 
-Walks the known bench artifacts (BENCH_simrate.json, BENCH_xfer.json,
+Walks the known bench artifacts (BENCH_migrbench.json, BENCH_xfer.json,
 BENCH_ft.json), flattens every numeric leaf to a dotted metric path, and
 prints a per-metric delta table: baseline value, current value, ratio.
 Metrics whose ratio strays past --threshold are flagged.
@@ -24,16 +24,11 @@ import json
 import os
 import sys
 
-BENCH_FILES = ["BENCH_simrate.json", "BENCH_xfer.json", "BENCH_ft.json"]
+BENCH_FILES = ["BENCH_migrbench.json", "BENCH_xfer.json", "BENCH_ft.json"]
 
 # Metric name substrings where *larger* is better (rates, ratios, speedups);
 # everything else numeric is treated as smaller-is-better (times, counts).
-HIGHER_IS_BETTER = ("speedup", "ratio", "epochs_committed")
-
-# Per-event rates, shown but never flagged: removing wasted events lowers
-# events_per_sec and raises allocs_per_event while the run gets cheaper.
-# events, wall_ns and allocs carry the signal.
-UNSCORED = ("events_per_sec", "allocs_per_event")
+HIGHER_IS_BETTER = ("speedup", "ratio", "epochs_committed", "goodput")
 
 # Leaves that are configuration echoes or identities, not measurements:
 # comparing them produces noise (e.g. the scenario string, schema version).
@@ -94,7 +89,7 @@ def compare_file(name, base_path, cur_path, threshold):
         mark = ""
         regressed = (ratio > threshold if not better_is_higher(metric)
                      else ratio < 1.0 / threshold)
-        if b != 0 and regressed and not any(tok in metric for tok in UNSCORED):
+        if b != 0 and regressed:
             mark = "  <-- regressed"
             flagged += 1
         print(f"    {metric:<52} {b:>14.6g} {c:>14.6g} {ratio:>7.2f}{mark}")

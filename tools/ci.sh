@@ -2,8 +2,7 @@
 # Full CI pipeline: plain build + tests, the adversarial/lossy suites on
 # their own (fast signal on transport/migration robustness regressions,
 # including the mutation sweeps of every parser of untrusted bytes and the
-# hostile-string round trip through every JSON artifact writer), a perf
-# smoke (simulator event-rate bench vs the checked-in baseline), a
+# hostile-string round trip through every JSON artifact writer), a
 # blackout-anatomy artifact stage (instrumented lossy drain + schema
 # validation of the trace/timeseries/flight-recorder outputs, and an SLO
 # report whose rule name needs escaping), a blackout
@@ -13,10 +12,11 @@
 # shorter blackout, a multifd scale-out stage (1-stream vs 4-stream drain
 # gated on the mux cutting the median transfer phase >= 1.5x), an FT
 # failover stage (kill-primary under a lossy seed, gated on the output-
-# commit invariant and the validated ft_report incl. its critical path), a
-# bench-delta advisory (tools/bench_diff.py vs the committed BENCH_*.json
-# baselines), the repository benchmark's correctness gates (migrbench on
-# every declared workload), then the ASan+UBSan sanitizer pass.
+# commit invariant and the validated ft_report incl. its critical path),
+# the repository benchmark's correctness gates (migrbench on every declared
+# workload, results saved to build/BENCH_migrbench.json), a bench-delta
+# advisory (tools/bench_diff.py vs the committed BENCH_*.json baselines),
+# then the ASan+UBSan sanitizer pass.
 #
 #   tools/ci.sh              # everything
 #   tools/ci.sh --fast       # skip the sanitizer pass
@@ -28,12 +28,12 @@ cd "$REPO_ROOT"
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
-echo "==> [1/11] plain build + full test suite"
+echo "==> [1/10] plain build + full test suite"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, lossy drain)"
+echo "==> [2/10] lossy-seed suites (fault injection, adversarial migrations, lossy drain)"
 # Deterministic seeded runs: the fault scenario suite, every property test
 # that drives traffic through injected loss/reordering/partitions, the
 # cluster suite (scheduler admission/retry plus the seeded lossy drain with
@@ -47,44 +47,7 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
   -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown)'
 
-echo "==> [3/11] perf smoke (bench_simrate vs BENCH_simrate.json baseline)"
-# Advisory, not a gate: wall time on shared CI machines is noisy, so a
-# regression prints a loud warning instead of failing the pipeline. The
-# fresh numbers land in build/BENCH_simrate.json for inspection; refresh
-# the checked-in baseline from a quiet machine when the fast path changes.
-# The baseline is a Release (-O3) measurement, so the smoke builds
-# bench_simrate in its own Release tree: stage 1's RelWithDebInfo (-O2)
-# binary would compare build types, not code.
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "$(nproc)" --target bench_simrate
-build-release/bench/bench_simrate build/BENCH_simrate.json
-if [[ -f BENCH_simrate.json ]]; then
-  python3 - <<'EOF'
-import json
-
-with open("BENCH_simrate.json") as f:
-    base = json.load(f)["workloads"]
-with open("build/BENCH_simrate.json") as f:
-    cur = json.load(f)["workloads"]
-
-regressed = False
-for name, b in base.items():
-    c = cur.get(name)
-    if c is None:
-        continue
-    ratio = c["wall_ns"] / b["wall_ns"] if b["wall_ns"] > 0 else 1.0
-    print(f"    {name}: {c['wall_ns'] / 1e6:.0f} ms vs baseline {b['wall_ns'] / 1e6:.0f} ms ({ratio:.2f}x)")
-    if ratio > 2.0:
-        regressed = True
-        print(f"    WARNING: {name} wall time regressed >2x vs baseline")
-if regressed:
-    print("==> PERF SMOKE WARNING: simulator wall-time regression detected (advisory only)")
-EOF
-else
-  echo "    no checked-in BENCH_simrate.json baseline; skipping comparison"
-fi
-
-echo "==> [4/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
+echo "==> [3/10] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
 # trace, metric time series, and the wire flight recorder. The python
 # validator pins the artifact schemas so downstream tooling (trace viewers,
@@ -115,7 +78,7 @@ build/tools/migrrdma_sim --qps 2 --slo 'name=tail "p99" \ x,p99<60us' \
   --slo-out "$ART_DIR/sim.slo.json"
 python3 tools/validate_artifacts.py --slo "$ART_DIR/sim.slo.json"
 
-echo "==> [5/11] blackout critical-path attribution (lossy drain, retry-dominant)"
+echo "==> [4/10] blackout critical-path attribution (lossy drain, retry-dominant)"
 # Causal attribution stage (DESIGN.md §16): a wire-bound drain — restore
 # pre-synced like the FT standby (--restore-ms 2) so the blackout is not
 # restore-dominated — under ctrl-plane loss, so image chunks time out and
@@ -141,7 +104,7 @@ build/bench/bench_cluster_drain --loss 0.01 --seed 18 --conc 4 \
 python3 tools/validate_artifacts.py --drain "$ART_DIR/drain.cp_clean.json" \
   --critical-path --expect-dominant restore_apply
 
-echo "==> [6/11] pre-copy vs post-copy drain comparison (write-heavy fleet)"
+echo "==> [5/10] pre-copy vs post-copy drain comparison (write-heavy fleet)"
 # The same write-heavy drain (8 MiB dirty MR per guest, clean fabric) run
 # once per migration mode. The validator pins the drain_report schema on
 # both legs — including gap-free waterfall tiling and the post-copy fault
@@ -158,7 +121,7 @@ python3 tools/validate_artifacts.py --max-wasted 0.01 \
   --drain "$ART_DIR/drain.postcopy.json" \
   --expect-postcopy-faster "$ART_DIR/drain.precopy.json" "$ART_DIR/drain.postcopy.json"
 
-echo "==> [7/11] multifd scale-out (1-stream vs 4-stream drain)"
+echo "==> [6/10] multifd scale-out (1-stream vs 4-stream drain)"
 # The same write-heavy drain run once with a single paced 25 Gbps transfer
 # stream and once with the 4-stream mux (4 x 25 Gbps). Concurrency is pinned
 # to 1: at --conc 4 four concurrent migrations already fill the 100 Gbps
@@ -201,7 +164,7 @@ if ratio < 1.5:
              f"by >= 1.5x (got {ratio:.2f}x)")
 EOF
 
-echo "==> [8/11] FT failover comparison (kill-primary under a lossy seed)"
+echo "==> [7/10] FT failover comparison (kill-primary under a lossy seed)"
 # Continuous-protection stage: the seeded 8-host scenario with data-plane
 # loss, primary killed mid-traffic. The bench itself gates on the output-
 # commit invariant (zero duplicate client-visible messages) and on the FT
@@ -213,29 +176,43 @@ build/bench/bench_ft_failover --loss 0.01 --seed 11 --critical-path \
   --bench-out build/BENCH_ft.json
 python3 tools/validate_artifacts.py --ft "$ART_DIR/ft_report.json" --critical-path
 
-echo "==> [9/11] bench delta vs committed baselines (advisory)"
-# Per-metric delta table over every BENCH_*.json pair (simrate from stage 3,
-# ft from stage 8, xfer regenerated here). Advisory like the perf smoke:
-# shared-machine wall times are noisy; refresh baselines from a quiet box.
-build/bench/bench_xfer --out build/BENCH_xfer.json
-python3 tools/bench_diff.py
-
-echo "==> [10/11] repository benchmark correctness gates (migrbench)"
+echo "==> [8/10] repository benchmark correctness gates (migrbench)"
 # A short run of every workload BENCHMARK.json declares. run.py exits
 # non-zero on a build error, a metric-extraction test failure or a failed
 # correctness gate (drain completes, no stuck QPs, no corruption, exactly-
-# once FT, exact repeats). Wall times are printed, not gated.
+# once FT, exact repeats). Wall times are not gated here: each workload's
+# result line (run.py's last line) lands in build/BENCH_migrbench.json for
+# the advisory delta below.
 for workload in drain8 stream_rw ft_lossy; do
   CARGO_TARGET_DIR=build python3 migrbench/run.py --workload "$workload" \
-    --seed 1 --seconds 5 --trace 0
+    --seed 1 --seconds 5 --trace 0 | tee "build/migrbench.$workload.out"
 done
+python3 - <<'EOF'
+import json
+
+doc = {"bench": "migrbench", "scenario": "migrbench/run.py --seed 1 --seconds 5 --trace 0",
+       "workloads": {}}
+for workload in ("drain8", "stream_rw", "ft_lossy"):
+    with open(f"build/migrbench.{workload}.out") as f:
+        doc["workloads"][workload] = json.loads(f.read().splitlines()[-1])
+with open("build/BENCH_migrbench.json", "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
+
+echo "==> [9/10] bench delta vs committed baselines (advisory)"
+# Per-metric delta table over every BENCH_*.json pair (migrbench from stage
+# 8, ft from stage 7, xfer regenerated here). Advisory, not a gate: wall
+# times on shared machines are noisy; refresh baselines from a quiet box.
+build/bench/bench_xfer --out build/BENCH_xfer.json
+python3 tools/bench_diff.py
 
 if [[ "$FAST" == "1" ]]; then
-  echo "==> [11/11] sanitizer pass skipped (--fast)"
+  echo "==> [10/10] sanitizer pass skipped (--fast)"
   exit 0
 fi
 
-echo "==> [11/11] sanitizer pass (address,undefined)"
+echo "==> [10/10] sanitizer pass (address,undefined)"
 # One instrumented tree runs the suite under ASan and UBSan together, so
 # the parsers' bounds checks and view arithmetic run under both.
 tools/run_sanitized.sh address,undefined
