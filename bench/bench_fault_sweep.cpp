@@ -93,15 +93,23 @@ void print_row(const SweepRow& row) {
               row.traffic_resumed ? "yes" : "NO");
 }
 
-void sweep() {
+// True if every loss row completed with its service resumed, and both
+// failure scenarios rolled back to a running source.
+bool sweep() {
+  bool ok = true;
   print_header(
       "Migration under adversarial networks: loss sweep\n"
       "(4 QPs, 8 KiB WRITEs; blackout/wbs in ms)");
   print_row_header({"loss_%", "reorder", "outcome", "blackout_ms", "wbs_ms",
                     "xfer_retries", "retransmits", "svc_resumed"});
+  auto lossy_row = [&](double loss, bool reorder) {
+    const SweepRow row = run_lossy_migration(loss, reorder);
+    print_row(row);
+    ok = ok && row.report.ok && row.traffic_resumed;
+  };
   for (double loss : {0.0, 0.001, 0.01, 0.05}) {
-    print_row(run_lossy_migration(loss, /*reorder=*/false));
-    if (loss > 0) print_row(run_lossy_migration(loss, /*reorder=*/true));
+    lossy_row(loss, /*reorder=*/false);
+    if (loss > 0) lossy_row(loss, /*reorder=*/true);
   }
 
   print_header("Failure recovery: abort/rollback scenarios");
@@ -131,12 +139,19 @@ void sweep() {
 
   print_registry_section("migr.migrations_aborted");
   print_registry_section("fault.");
+  for (const SweepRow* row : {&part, &wbs}) {
+    ok = ok && row->report.aborted && row->report.source_resumed && row->traffic_resumed;
+  }
+  return ok;
 }
 
 }  // namespace
 }  // namespace migr::bench
 
 int main() {
-  migr::bench::sweep();
+  if (!migr::bench::sweep()) {
+    std::fprintf(stderr, "a loss row failed or a failure scenario did not roll back\n");
+    return 1;
+  }
   return 0;
 }

@@ -47,6 +47,7 @@ void run_case(bool migrate_sender) {
   }
   cluster.run_for(sim::msec(400));
   sampler.stop();
+  check_stream(sender, receiver);
 
   print_header(std::string("Fig 5(") + (migrate_sender ? "a" : "b") + "): migrating the " +
                (migrate_sender ? "sender" : "receiver") +

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -100,6 +101,28 @@ inline std::vector<obs::SnapshotEntry> print_registry_section(const std::string&
     }
   }
   return snap;
+}
+
+/// The §5.3 check on a perftest stream across a migration: exits 1 when
+/// either peer reports a failed or out-of-order completion, or the receiver
+/// a corrupted message. A WRITE receiver completes no messages, so on a
+/// WRITE stream the sender's counters carry the check.
+inline void check_stream(const PerftestPeer& sender, const PerftestPeer& receiver) {
+  const auto& tx = sender.stats();
+  const auto& rx = receiver.stats();
+  if (tx.errors == 0 && tx.order_violations == 0 && rx.errors == 0 &&
+      rx.order_violations == 0 && rx.content_corruptions == 0) {
+    return;
+  }
+  std::fprintf(stderr,
+               "correctness violation: sender errors=%llu order_violations=%llu; "
+               "receiver errors=%llu order_violations=%llu content_corruptions=%llu\n",
+               static_cast<unsigned long long>(tx.errors),
+               static_cast<unsigned long long>(tx.order_violations),
+               static_cast<unsigned long long>(rx.errors),
+               static_cast<unsigned long long>(rx.order_violations),
+               static_cast<unsigned long long>(rx.content_corruptions));
+  std::exit(1);
 }
 
 inline void print_header(const std::string& title) {

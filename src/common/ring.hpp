@@ -98,21 +98,6 @@ class GrowRing {
     assert(!empty());
     ++head_;
   }
-  /// Element i from the front (0 = front). i < size().
-  T& operator[](std::size_t i) {
-    assert(i < size());
-    return slots_[(head_ + i) & (slots_.size() - 1)];
-  }
-  const T& operator[](std::size_t i) const {
-    assert(i < size());
-    return slots_[(head_ + i) & (slots_.size() - 1)];
-  }
-  /// Drop the n oldest elements.
-  void drop_front(std::size_t n) {
-    assert(n <= size());
-    head_ += n;
-  }
-  void clear() noexcept { head_ = tail_ = 0; }
 
  private:
   void grow() {

@@ -15,10 +15,9 @@
 // deliveries, pump slots) without any handle bookkeeping.
 //
 // A parkable periodic task leaves the heap after a tick that found no work,
-// and its skipped ticks cost nothing. While some task is parked, every
-// dispatch leaves a mark in a short history; wake() derives from those marks
-// the sequence number the task's next tick would have had, so the task comes
-// back exactly where an always-ticking one would be (DESIGN.md §10).
+// and its skipped ticks cost nothing. It keeps its grid: wake() pushes its
+// next tick at the first grid instant at or after now(), with a fresh
+// sequence number like any other push (DESIGN.md §10).
 #pragma once
 
 #include <cassert>
@@ -26,7 +25,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -34,7 +32,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/ring.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
@@ -150,14 +147,7 @@ struct Slot {
   std::uint32_t gen = 0;
   bool parked = false;    // parkable task off the heap until woken
   DurationNs period = 0;  // > 0: periodic task, fn retained across firings
-  // Periodic: orders its woken ticks among others derived from the same gap
-  // (EventLoop::assign_label).
-  std::uint32_t label = 0;
-  // Periodic: the time of its next tick. Parked: the exact key of a skipped
-  // tick, its first until the mark history is trimmed; the numbers of later
-  // ones are derived when it wakes.
-  TimeNs next_at = 0;
-  std::uint64_t next_seq = 0;
+  TimeNs next_at = 0;     // parked: its next grid instant when it parked
   EventFn fn;
 };
 
@@ -171,7 +161,6 @@ struct SlotTable {
   bool running_cancelled = false;   // cancel() arrived during that execution
   bool running_idle = false;        // that execution found no work
   bool running_woken = false;       // wake() arrived during that execution
-  std::uint32_t parked = 0;         // parked tasks
 
   std::uint32_t acquire() {
     if (!free_list.empty()) {
@@ -186,10 +175,8 @@ struct SlotTable {
   void release(std::uint32_t slot) {
     Slot& s = slots[slot];
     s.gen++;
-    if (s.parked) --parked;
     s.parked = false;
     s.period = 0;
-    s.label = 0;
     s.fn.reset();
     free_list.push_back(slot);
   }
@@ -245,8 +232,6 @@ class EventHandle {
 
 class EventLoop : public common::SimTimeSource {
  public:
-  using Fn = std::function<void()>;
-
   EventLoop();
 
   TimeNs now() const noexcept { return now_; }
@@ -277,11 +262,9 @@ class EventLoop : public common::SimTimeSource {
   /// Like schedule_every, but `fn` returns whether its tick found work. A
   /// tick that returns false parks the task: it keeps its slot and its grid
   /// (first firing + k * period) but leaves the heap until wake(). Its
-  /// skipped ticks do no work and take no sequence number; every other
-  /// event keeps the place it had beside an always-ticking task.
+  /// skipped ticks do no work and take no sequence number.
   template <typename F>
   EventHandle schedule_parkable(DurationNs period, F&& fn, DurationNs first_delay = -1) {
-    assert(period < kMarkPeriods);
     return schedule_every(
         period,
         [table = table_.get(), f = std::forward<F>(fn)]() mutable {
@@ -290,12 +273,12 @@ class EventLoop : public common::SimTimeSource {
         first_delay);
   }
 
-  /// Re-arm a parked task of this loop: its next tick enters the heap with
-  /// the time and sequence number it would have had had it never parked,
-  /// derived from the marks of the events dispatched since it parked.
-  /// Called from inside the task's own tick, it keeps the task armed
-  /// whatever the tick returns. A no-op for armed, cancelled and one-shot
-  /// events.
+  /// Re-arm a parked task of this loop: its next tick enters the heap at the
+  /// first instant of its grid at or after now(), with a fresh sequence
+  /// number, so work that lands on that instant is seen there, after the
+  /// waking event. Called from inside the task's own tick, it keeps the task
+  /// armed whatever the tick returns. A no-op for armed, cancelled and
+  /// one-shot events.
   void wake(const EventHandle& h);
 
   /// Fire-and-forget fast path: like schedule_at but returns no handle, so
@@ -345,89 +328,14 @@ class EventLoop : public common::SimTimeSource {
       return a.seq > b.seq;
     }
   };
-  /// A dispatched event, or the end of a run_until deadline (seq kLastSeq),
-  /// recorded while some task is parked. `gap` is next_seq_ when it began:
-  /// the number a tick skipped just before it would have handed its
-  /// successor. A periodic task's mark carries its label and period.
-  struct Mark {
-    TimeNs at;
-    std::uint64_t seq;
-    std::uint64_t gap;
-    std::uint32_t label;
-    std::uint32_t period;  // clamped to kMarkPeriods
-  };
-  struct Tick {
-    TimeNs at;
-    std::uint64_t seq;
-  };
-  struct Member {
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
   static constexpr TimeNs kForever = std::numeric_limits<TimeNs>::max();
-  static constexpr std::uint64_t kLastSeq = ~std::uint64_t{0};
-  static constexpr std::uint32_t kMarkPeriods = 0xFFFF'FFFF;
-  static constexpr std::size_t kMarks = 4096;  // history kept, in marks
-
-  // Sequence numbers. A push takes real number n (below 2^40, a trillion
-  // pushes) as n << 24 | kReal. A woken tick takes gap << 24 | label: after
-  // every event pushed before next_seq_ reached the gap, before every event
-  // pushed since, and among the ticks derived from one gap in label order,
-  // which is the order an always-ticking loop gives them (assign_label).
-  static constexpr std::uint32_t kReal = 0xFF'FFFF;
-  static constexpr std::uint32_t kLabelStep = 1 << 12;
-  static constexpr std::uint64_t real_seq(std::uint64_t n) noexcept { return n << 24 | kReal; }
-  static constexpr std::uint64_t derived_seq(std::uint64_t gap, std::uint32_t label) noexcept {
-    return gap << 24 | label;
-  }
-  static constexpr std::uint32_t mark_period(DurationNs period) noexcept {
-    return period < kMarkPeriods ? static_cast<std::uint32_t>(period) : kMarkPeriods;
-  }
 
   EventHandle do_schedule(TimeNs at, DurationNs period, detail::EventFn fn);
   void do_post(TimeNs at, detail::EventFn fn);
   void push_entry(TimeNs at, std::uint32_t slot);
-  void push_heap_entry(const HeapEntry& e);
   void pop_entry();
   /// Dispatch the earliest live event at or before `deadline`; false if none.
   bool dispatch_one(TimeNs deadline);
-  void park(std::uint32_t slot);
-  void record_mark(const Mark& m) {
-    if (marks_.size() == kMarks) trim_marks();
-    marks_.push_back(m);
-  }
-  /// Re-anchor every parked task at its first tick after the older half of
-  /// the marks, which then place nothing any more, and drop that half.
-  void trim_marks();
-
-  /// The label of a new periodic task whose first tick is at `first_at`.
-  /// Labels order every two tasks whose ticks can tie as an always-ticking
-  /// loop does: the longer period first (its tick before ran earlier), and
-  /// on one grid (same period and phase) in grid order.
-  std::uint32_t assign_label(std::uint32_t slot, TimeNs first_at);
-  /// Re-space every label in use, in the same order, when a new one does
-  /// not fit.
-  void relabel();
-  /// True if mark `m` ran after the tick (m.at, seq) of periodic task `s`.
-  static bool runs_after(const Mark& m, std::uint64_t seq, const detail::Slot& s) noexcept;
-  /// Index of the first mark at or after instant `at`.
-  std::size_t first_at_or_after(TimeNs at) const;
-  /// Index of the first mark that ran after the tick (at, seq) of `s`,
-  /// scanning from i = first_at_or_after(at).
-  std::size_t first_after(std::size_t i, TimeNs at, std::uint64_t seq,
-                          const detail::Slot& s) const;
-  std::uint64_t gap_at(std::size_t i) const noexcept {
-    return i < marks_.size() ? marks_[i].gap : next_seq_;
-  }
-  /// The number of parked `s`'s tick at `at`, at or after the skipped tick
-  /// whose key it keeps; the tick before it must have run.
-  std::uint64_t skipped_seq(const detail::Slot& s, TimeNs at) const;
-  /// The first tick of parked `s` that runs after mark `pos`.
-  Tick tick_after(const detail::Slot& s, std::size_t pos) const;
-  Tick next_skipped(const detail::Slot& s) const {
-    return marks_.empty() ? Tick{s.next_at, s.next_seq} : tick_after(s, marks_.size() - 1);
-  }
-
   void account_run(TimeNs sim_start, std::int64_t wall_start_ns);
 
   TimeNs now_ = 0;
@@ -435,11 +343,6 @@ class EventLoop : public common::SimTimeSource {
   bool stopped_ = false;
   std::shared_ptr<detail::SlotTable> table_;
   std::vector<HeapEntry> heap_;
-  // Marks in dispatch order, since the first of the parked tasks parked or
-  // was last re-anchored (record_mark keeps at most kMarks).
-  common::GrowRing<Mark> marks_;
-  // Every periodic task (stale entries are dropped by assign_label).
-  std::vector<Member> periodic_;
 
   // Telemetry (process-wide registry; several loops aggregate).
   std::uint64_t dispatched_ = 0;

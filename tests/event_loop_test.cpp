@@ -3,11 +3,12 @@
 // counters must not let a cancelled or stale handle touch a recycled slot,
 // and dispatch order must stay FIFO among equal timestamps (the fabric's
 // in-order delivery guarantee rides on that tie-break). A parked task must
-// leave the heap and come back exactly where it would have been.
+// leave the heap and come back on its own grid, losing no work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -142,10 +143,12 @@ TEST(EventLoopCore, ParkedTaskLeavesTheHeapAndWakesOnItsGrid) {
   EXPECT_TRUE(loop.empty());
 }
 
-TEST(EventLoopCore, WakeOnAGridTickKeepsTheAlwaysTickingOrder) {
-  // Work landing exactly on a grid tick is seen on that tick only if the
-  // landing event was queued before the tick was, one period earlier. A
-  // parked task must see it exactly where an always-ticking one does.
+TEST(EventLoopCore, WakeOnAGridTickRunsAfterTheWakingEvent) {
+  // Work landing exactly on a grid tick is seen on that tick by an
+  // always-ticking poller only if the landing event was queued before the
+  // tick was, one period earlier. A parked poller is woken by the landing
+  // event and takes its tick there after it, so it sees the work on that
+  // tick either way.
   auto first_seen = [](bool parks, TimeNs queued_at) {
     EventLoop loop;
     bool work = false;
@@ -170,7 +173,7 @@ TEST(EventLoopCore, WakeOnAGridTickKeepsTheAlwaysTickingOrder) {
   EXPECT_EQ(first_seen(/*parks=*/false, usec(50)), usec(100));
   EXPECT_EQ(first_seen(/*parks=*/false, usec(97)), usec(105));
   EXPECT_EQ(first_seen(/*parks=*/true, usec(50)), usec(100));
-  EXPECT_EQ(first_seen(/*parks=*/true, usec(97)), usec(105));
+  EXPECT_EQ(first_seen(/*parks=*/true, usec(97)), usec(100));
 }
 
 TEST(EventLoopCore, WakeDuringOwnIdleTickKeepsTheTaskArmed) {
@@ -186,72 +189,56 @@ TEST(EventLoopCore, WakeDuringOwnIdleTickKeepsTheTaskArmed) {
   EXPECT_EQ(ticks, 2);
 }
 
-TEST(EventLoopCore, CrowdedGridKeepsItsOrderThroughParkAndWake) {
-  // Forty-eight pollers join one 5 us grid at one instant. The spawning
-  // event runs between the ticks there of the grid's two members A and Z,
-  // so half the newcomers nest between A and Z; the other half start two
-  // periods later, which puts them in front of A. So many nested arrivals
-  // re-space the grid's order. Parked, then all woken from one gap, their
-  // ticks derive equal numbers and must run in grid order, exactly as when
-  // every poller ticks.
-  auto ticks = [](bool parks) {
-    EventLoop loop;
-    std::vector<int> work;
-    std::vector<EventHandle> tasks;
-    std::vector<std::pair<int, TimeNs>> seen;
-    std::function<void(DurationNs)> spawn;
-    auto tick = [&](int id) {
+TEST(EventLoopCore, PollersWokenTogetherTickOnTheirOwnGridsInWakeOrder) {
+  // Three parked pollers on one 5 us grid (5, 10, ... us) and one on a 3 us
+  // grid (3, 6, ... us), all woken by one event at 92 us in the order
+  // 2, 0, 3, 1. Each ticks at its own next grid instant; the three that
+  // share 95 us tick there in wake order, not in spawn order.
+  EventLoop loop;
+  std::vector<int> work(4, 0);
+  std::vector<EventHandle> tasks;
+  std::vector<std::pair<int, TimeNs>> seen;
+  for (int id = 0; id < 4; ++id) {
+    tasks.push_back(loop.schedule_parkable(id < 3 ? usec(5) : usec(3), [&, id] {
       if (work[id] == 0) return false;
       --work[id];
       seen.emplace_back(id, loop.now());
-      if (id == 1) {
-        // Z at 95 us: the event it queues at 100 us runs after A's tick
-        // there, queued when A's tick at 95 us ran, and before Z's own.
-        loop.schedule_at(usec(100), [&] {
-          for (int i = 0; i < 48; ++i) spawn(i % 2 == 0 ? usec(5) : usec(10));
-        });
-      }
       return true;
-    };
-    spawn = [&](DurationNs first) {
-      const int id = static_cast<int>(tasks.size());
-      work.push_back(0);
-      tasks.push_back(parks ? loop.schedule_parkable(usec(5), [&, id] { return tick(id); }, first)
-                            : loop.schedule_every(usec(5), [&, id] { (void)tick(id); }, first));
-    };
-    spawn(usec(5));  // A
-    spawn(usec(5));  // Z
-    loop.schedule_at(usec(92), [&] {
-      work[1] = 1;
-      loop.wake(tasks[1]);
-    });
-    // Queued first, so it runs before every tick at 200 us; it wakes the
-    // pollers newest first.
-    loop.schedule_at(usec(200), [&] {
-      for (std::size_t i = tasks.size(); i-- > 0;) {
-        work[i] = 1;
-        loop.wake(tasks[i]);
-      }
-    });
-    loop.run_until(usec(300));
-    return seen;
-  };
-  const auto want = ticks(/*parks=*/false);
-  ASSERT_EQ(want.size(), 51u);
-  EXPECT_EQ(ticks(/*parks=*/true), want);
+    }));
+  }
+  loop.schedule_at(usec(92), [&] {
+    for (int id : {2, 0, 3, 1}) {
+      work[id] = 1;
+      loop.wake(tasks[id]);
+    }
+  });
+  loop.run_until(usec(200));
+  EXPECT_EQ(seen, (std::vector<std::pair<int, TimeNs>>{
+                      {3, usec(93)}, {2, usec(95)}, {0, usec(95)}, {1, usec(95)}}));
 }
 
 // ---------------------------------------------------------------------------
-// EventLoopProperty: parking is invisible. Each seeded scenario runs twice:
-// once with parkable pollers, once with pollers that tick every period and do
-// nothing on an idle tick. The ordered log of every tick that found work,
-// interleaved with every other event, must be identical. The scenarios crowd
-// many pollers onto few instants: periods of 1-6 us that share instants,
-// several pollers on one grid, spawns at a same-grid tick instant from inside
-// an event or a tick, one-shots landing on grid ticks (also one period after
-// the instant that scheduled them), wakes from inside events, from inside the
-// task's own tick and between run_until calls, cancels, and runs stopped
-// before their deadline.
+// EventLoopProperty: parked pollers lose no work and keep their grids. The
+// seeded scenarios mix pollers of periods 1-6 us, spawns from inside events
+// and ticks, one-shots, wakes from inside events, from inside the task's own
+// tick and between run_until calls, cancels, and runs stopped before their
+// deadline.
+//
+// Off-grid: every poller runs on its own sub-microsecond phase, and one-shots
+// and run_until deadlines land on whole or half microseconds, so no wake
+// lands on the woken poller's grid instant and no two pollers share an
+// instant. Each scenario runs twice, once with parkable pollers and once with
+// pollers that tick every period and do nothing on an idle tick; the ordered
+// log of every tick that found work, interleaved with every other event, must
+// be identical.
+//
+// On-grid: pollers crowd onto shared grids, spawned at one another's tick
+// instants, and one-shots land on grid ticks (also one period after the
+// instant that scheduled them). There a woken tick may run after an event
+// that an always-ticking one runs before, so only invariants are checked:
+// every tick that finds work lies on its poller's grid, work handed over at
+// time w is seen at a grid instant in [w, w + period], and two runs of one
+// seed give identical logs.
 // ---------------------------------------------------------------------------
 
 struct LogEntry {
@@ -267,8 +254,8 @@ std::ostream& operator<<(std::ostream& os, const LogEntry& e) {
 
 class ParkingScenario {
  public:
-  ParkingScenario(std::uint64_t seed, bool parks, TimeNs horizon, int max_events)
-      : rng_(seed), parks_(parks), horizon_(horizon), max_events_(max_events) {}
+  ParkingScenario(std::uint64_t seed, bool parks, bool on_grid, TimeNs horizon, int max_events)
+      : rng_(seed), parks_(parks), on_grid_(on_grid), horizon_(horizon), max_events_(max_events) {}
 
   std::vector<LogEntry> run() {
     const std::uint64_t initial = 2 + rng_.below(6);
@@ -279,22 +266,29 @@ class ParkingScenario {
       deadline += static_cast<TimeNs>(rng_.range(1, 40)) * usec(1) / (rng_.chance(0.2) ? 2 : 1);
       loop_.run_until(deadline);
       log_.push_back({loop_.now(), 'r', -1});
+      for (std::size_t i : live_) {
+        if (pollers_[i].due_by < loop_.now()) violate(i, "lost the work handed to it");
+      }
       act(1 + static_cast<int>(rng_.below(3)));  // pushed and woken between runs
     }
     return log_;
   }
 
   std::uint64_t dispatched() const { return loop_.events_dispatched(); }
+  // The first broken invariant, or empty.
+  const std::string& violation() const { return violation_; }
 
  private:
   static constexpr std::size_t kMaxLive = 24;
   static constexpr DurationNs kPeriods[] = {usec(1), usec(2), usec(3), usec(4), usec(6)};
+  static constexpr TimeNs kNotDue = std::numeric_limits<TimeNs>::max();
 
   struct Poller {
     EventHandle handle;
     DurationNs period;
-    TimeNs phase;  // one of its tick instants
+    TimeNs phase;  // its first tick instant
     int work = 0;
+    TimeNs due_by = kNotDue;  // its next tick must find its work by then
   };
 
   void act(int n) {
@@ -304,7 +298,7 @@ class ParkingScenario {
         case 1:
         case 2: give_work(pick_live()); break;
         case 3: schedule_event(random_time()); break;
-        case 4: schedule_event(grid_time()); break;
+        case 4: schedule_event(on_grid_ ? grid_time() : random_time()); break;
         case 5: spawn(); break;
         case 6:
           if (rng_.chance(0.3)) cancel(pick_live());
@@ -322,8 +316,11 @@ class ParkingScenario {
   std::size_t pick_live() { return live_.empty() ? pick() : live_[rng_.below(live_.size())]; }
 
   void give_work(std::size_t i) {
-    pollers_[i].work += 1 + static_cast<int>(rng_.below(3));
-    loop_.wake(pollers_[i].handle);
+    Poller& p = pollers_[i];
+    p.work += 1 + static_cast<int>(rng_.below(3));
+    // Not before its first tick.
+    p.due_by = std::min(p.due_by, std::max(loop_.now() + p.period, p.phase));
+    loop_.wake(p.handle);
   }
 
   void cancel(std::size_t i) {
@@ -331,8 +328,21 @@ class ParkingScenario {
     std::erase(live_, i);
   }
 
-  // A whole-microsecond instant, so that grids and events share instants.
-  TimeNs random_time() { return loop_.now() + static_cast<TimeNs>(rng_.below(13)) * usec(1); }
+  void violate(std::size_t i, const char* what) {
+    if (!violation_.empty()) return;
+    std::ostringstream os;
+    os << "poller " << i << " (period " << pollers_[i].period << ", phase " << pollers_[i].phase
+       << ") " << what << " at " << loop_.now();
+    violation_ = os.str();
+  }
+
+  // On-grid, whole microseconds on, so that grids and events share
+  // instants. Off-grid, a whole-microsecond instant, on no poller's grid.
+  TimeNs random_time() {
+    const TimeNs now = loop_.now();
+    if (on_grid_) return now + static_cast<TimeNs>(rng_.below(13)) * usec(1);
+    return now / usec(1) * usec(1) + static_cast<TimeNs>(rng_.range(1, 13)) * usec(1);
+  }
 
   // A tick instant of some poller's grid: the next one, or one or two periods on.
   TimeNs grid_time() {
@@ -351,10 +361,23 @@ class ParkingScenario {
     });
   }
 
+  // Off-grid: the smallest sub-microsecond offset no live poller ticks on,
+  // and not a half microsecond, where run_until deadlines may land.
+  TimeNs own_offset() const {
+    for (TimeNs offset = 1;; ++offset) {
+      if (offset == usec(1) / 2) continue;
+      const bool taken = std::any_of(live_.begin(), live_.end(), [&](std::size_t i) {
+        return pollers_[i].phase % usec(1) == offset;
+      });
+      if (!taken) return offset;
+    }
+  }
+
   void spawn() {
     if (live_.size() >= kMaxLive) return;
-    // Half the spawns join an existing poller's period, so they often land on
-    // its grid: spawned at one of its tick instants with the default delay.
+    // Half the spawns join an existing poller's period, so on-grid they often
+    // land on its grid: spawned at one of its tick instants with the default
+    // delay.
     const DurationNs period = rng_.chance(0.5) ? pollers_.empty() ? usec(2)
                                                                   : pollers_[pick_live()].period
                                                : kPeriods[rng_.below(5)];
@@ -365,6 +388,11 @@ class ParkingScenario {
       case 2: first = period / 2; break;
       default: break;
     }
+    if (!on_grid_) {
+      // Its first tick a whole number of microseconds on, at its own offset.
+      const TimeNs now = loop_.now();
+      first = now / usec(1) * usec(1) + first / usec(1) * usec(1) + usec(1) + own_offset() - now;
+    }
     const int id = static_cast<int>(pollers_.size());
     pollers_.push_back(Poller{{}, period, loop_.now() + first});
     live_.push_back(pollers_.size() - 1);
@@ -374,9 +402,14 @@ class ParkingScenario {
   }
 
   bool tick(int id) {
-    if (pollers_[id].work == 0) return false;
-    --pollers_[id].work;
-    log_.push_back({loop_.now(), 't', id});
+    Poller& p = pollers_[id];
+    if (p.work == 0) return false;
+    const TimeNs now = loop_.now();
+    if ((now - p.phase) % p.period != 0) violate(id, "ticked off its grid");
+    if (now > p.due_by) violate(id, "saw its work more than a period late");
+    --p.work;
+    p.due_by = p.work > 0 ? now + p.period : kNotDue;
+    log_.push_back({now, 't', id});
     act(static_cast<int>(rng_.below(2)));
     if (rng_.chance(0.1)) {
       // Learned of more work mid-tick: stays armed whatever the tick returns.
@@ -388,39 +421,61 @@ class ParkingScenario {
 
   common::Rng rng_;
   bool parks_;
+  bool on_grid_;
   TimeNs horizon_;
   int max_events_;
   EventLoop loop_;
   std::vector<Poller> pollers_;
   std::vector<std::size_t> live_;  // pollers not cancelled by the scenario
   std::vector<LogEntry> log_;
+  std::string violation_;
   int events_ = 0;
 };
 
-// Runs `seeds` scenarios both ways and fails at the first divergence.
+std::string divergence(const std::vector<LogEntry>& got, const std::vector<LogEntry>& want,
+                       const char* got_name, const char* want_name) {
+  std::size_t i = 0;
+  while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+  std::ostringstream os;
+  os << "logs diverge at entry " << i << " of " << want.size();
+  if (i > 0) os << ", after " << want[i - 1];
+  if (i < got.size()) os << "; " << got_name << ' ' << got[i];
+  if (i < want.size()) os << "; " << want_name << ' ' << want[i];
+  return os.str();
+}
+
+// Off-grid: runs `seeds` scenarios both ways and fails at the first
+// divergence or broken invariant.
 void expect_parking_invisible(std::uint64_t seeds, TimeNs horizon, int max_events) {
   std::uint64_t parked_events = 0;
   std::uint64_t ticking_events = 0;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    ParkingScenario parked(seed, /*parks=*/true, horizon, max_events);
-    ParkingScenario ticking(seed, /*parks=*/false, horizon, max_events);
+    ParkingScenario parked(seed, /*parks=*/true, /*on_grid=*/false, horizon, max_events);
+    ParkingScenario ticking(seed, /*parks=*/false, /*on_grid=*/false, horizon, max_events);
     const std::vector<LogEntry> got = parked.run();
     const std::vector<LogEntry> want = ticking.run();
     parked_events += parked.dispatched();
     ticking_events += ticking.dispatched();
-    if (got == want) continue;
-    std::size_t i = 0;
-    while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
-    std::ostringstream diverged;
-    diverged << "seed " << seed << ": logs diverge at entry " << i << " of " << want.size();
-    if (i > 0) diverged << ", after " << want[i - 1];
-    if (i < got.size()) diverged << "; parked " << got[i];
-    if (i < want.size()) diverged << "; always-ticking " << want[i];
-    FAIL() << diverged.str();
+    ASSERT_EQ(parked.violation(), "") << "seed " << seed << ", parked";
+    ASSERT_EQ(ticking.violation(), "") << "seed " << seed << ", always-ticking";
+    if (got != want) FAIL() << "seed " << seed << ": " << divergence(got, want, "parked", "always-ticking");
   }
   // The scenarios must leave pollers idle for most ticks, or parking is not
   // being exercised.
   EXPECT_LT(parked_events * 2, ticking_events);
+}
+
+// On-grid: runs `seeds` parked scenarios twice each and fails at the first
+// broken invariant or difference between the two runs.
+void expect_parking_keeps_grids(std::uint64_t seeds, TimeNs horizon, int max_events) {
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    ParkingScenario first(seed, /*parks=*/true, /*on_grid=*/true, horizon, max_events);
+    ParkingScenario again(seed, /*parks=*/true, /*on_grid=*/true, horizon, max_events);
+    const std::vector<LogEntry> want = first.run();
+    const std::vector<LogEntry> got = again.run();
+    ASSERT_EQ(first.violation(), "") << "seed " << seed;
+    if (got != want) FAIL() << "seed " << seed << ": " << divergence(got, want, "rerun", "first run");
+  }
 }
 
 TEST(EventLoopProperty, ParkedPollersDispatchLikeAlwaysTickingOnes) {
@@ -428,9 +483,13 @@ TEST(EventLoopProperty, ParkedPollersDispatchLikeAlwaysTickingOnes) {
 }
 
 // Long parked stretches: thousands of dispatches pass while pollers stay
-// parked, so the loop drops old dispatch history under them.
+// parked.
 TEST(EventLoopProperty, LongParkedStretchesDispatchLikeAlwaysTickingOnes) {
   expect_parking_invisible(6, msec(25), 25000);
+}
+
+TEST(EventLoopProperty, ParkedPollersOnSharedGridsKeepTheirGridsAndLoseNoWork) {
+  expect_parking_keeps_grids(150, usec(1500), 1500);
 }
 
 }  // namespace

@@ -1007,9 +1007,9 @@ TEST_F(MigrTest, BlackoutComponentsArePopulated) {
 
 // ---------------------------------------------------------------------------
 // Parked pollers (DESIGN.md §10): each wake source re-arms a parked poller
-// so that it sees its work on the grid tick a poller that never parked would.
-// Work appears off the grid in each test, so that tick is simply the next.
-// (EventLoopCore.WakeOnAGridTickKeepsTheAlwaysTickingOrder covers on-grid.)
+// so that it sees its work on its next grid tick. Work appears off the grid
+// in each test, so a poller that never parked would see it on that tick too.
+// (EventLoopCore.WakeOnAGridTickRunsAfterTheWakingEvent covers on-grid.)
 // ---------------------------------------------------------------------------
 
 TEST_F(MigrTest, CqePushWakesParkedPoller) {

@@ -14,9 +14,11 @@
 # failover stage (kill-primary under a lossy seed, gated on the output-
 # commit invariant and the validated ft_report incl. its critical path),
 # the repository benchmark's correctness gates (migrbench on every declared
-# workload, results saved to build/BENCH_migrbench.json), a bench-delta
-# advisory (tools/bench_diff.py vs the committed BENCH_*.json baselines),
-# then the ASan+UBSan sanitizer pass.
+# workload, results saved to build/BENCH_migrbench.json), a bench delta vs
+# the committed BENCH_*.json baselines (tools/bench_diff.py: a changed
+# simulated value fails, wall-time deltas are advisory), the fast figure
+# benches (tables kept under build/figures/), then the ASan+UBSan
+# sanitizer pass.
 #
 #   tools/ci.sh              # everything
 #   tools/ci.sh --fast       # skip the sanitizer pass
@@ -28,12 +30,12 @@ cd "$REPO_ROOT"
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
-echo "==> [1/10] plain build + full test suite"
+echo "==> [1/11] plain build + full test suite"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> [2/10] lossy-seed suites (fault injection, adversarial migrations, lossy drain)"
+echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, lossy drain)"
 # Deterministic seeded runs: the fault scenario suite, every property test
 # that drives traffic through injected loss/reordering/partitions, the
 # cluster suite (scheduler admission/retry plus the seeded lossy drain with
@@ -47,7 +49,7 @@ echo "==> [2/10] lossy-seed suites (fault injection, adversarial migrations, los
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
   -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown)'
 
-echo "==> [3/10] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
+echo "==> [3/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
 # trace, metric time series, and the wire flight recorder. The python
 # validator pins the artifact schemas so downstream tooling (trace viewers,
@@ -78,7 +80,7 @@ build/tools/migrrdma_sim --qps 2 --slo 'name=tail "p99" \ x,p99<60us' \
   --slo-out "$ART_DIR/sim.slo.json"
 python3 tools/validate_artifacts.py --slo "$ART_DIR/sim.slo.json"
 
-echo "==> [4/10] blackout critical-path attribution (lossy drain, retry-dominant)"
+echo "==> [4/11] blackout critical-path attribution (lossy drain, retry-dominant)"
 # Causal attribution stage (DESIGN.md §16): a wire-bound drain — restore
 # pre-synced like the FT standby (--restore-ms 2) so the blackout is not
 # restore-dominated — under ctrl-plane loss, so image chunks time out and
@@ -104,7 +106,7 @@ build/bench/bench_cluster_drain --loss 0.01 --seed 18 --conc 4 \
 python3 tools/validate_artifacts.py --drain "$ART_DIR/drain.cp_clean.json" \
   --critical-path --expect-dominant restore_apply
 
-echo "==> [5/10] pre-copy vs post-copy drain comparison (write-heavy fleet)"
+echo "==> [5/11] pre-copy vs post-copy drain comparison (write-heavy fleet)"
 # The same write-heavy drain (8 MiB dirty MR per guest, clean fabric) run
 # once per migration mode. The validator pins the drain_report schema on
 # both legs — including gap-free waterfall tiling and the post-copy fault
@@ -121,7 +123,7 @@ python3 tools/validate_artifacts.py --max-wasted 0.01 \
   --drain "$ART_DIR/drain.postcopy.json" \
   --expect-postcopy-faster "$ART_DIR/drain.precopy.json" "$ART_DIR/drain.postcopy.json"
 
-echo "==> [6/10] multifd scale-out (1-stream vs 4-stream drain)"
+echo "==> [6/11] multifd scale-out (1-stream vs 4-stream drain)"
 # The same write-heavy drain run once with a single paced 25 Gbps transfer
 # stream and once with the 4-stream mux (4 x 25 Gbps). Concurrency is pinned
 # to 1: at --conc 4 four concurrent migrations already fill the 100 Gbps
@@ -164,7 +166,7 @@ if ratio < 1.5:
              f"by >= 1.5x (got {ratio:.2f}x)")
 EOF
 
-echo "==> [7/10] FT failover comparison (kill-primary under a lossy seed)"
+echo "==> [7/11] FT failover comparison (kill-primary under a lossy seed)"
 # Continuous-protection stage: the seeded 8-host scenario with data-plane
 # loss, primary killed mid-traffic. The bench itself gates on the output-
 # commit invariant (zero duplicate client-visible messages) and on the FT
@@ -176,7 +178,7 @@ build/bench/bench_ft_failover --loss 0.01 --seed 11 --critical-path \
   --bench-out build/BENCH_ft.json
 python3 tools/validate_artifacts.py --ft "$ART_DIR/ft_report.json" --critical-path
 
-echo "==> [8/10] repository benchmark correctness gates (migrbench)"
+echo "==> [8/11] repository benchmark correctness gates (migrbench)"
 # A short run of every workload BENCHMARK.json declares. run.py exits
 # non-zero on a build error, a metric-extraction test failure or a failed
 # correctness gate (drain completes, no stuck QPs, no corruption, exactly-
@@ -200,19 +202,35 @@ with open("build/BENCH_migrbench.json", "w") as f:
     f.write("\n")
 EOF
 
-echo "==> [9/10] bench delta vs committed baselines (advisory)"
+echo "==> [9/11] bench delta vs committed baselines"
 # Per-metric delta table over every BENCH_*.json pair (migrbench from stage
-# 8, ft from stage 7, xfer regenerated here). Advisory, not a gate: wall
-# times on shared machines are noisy; refresh baselines from a quiet box.
+# 8, ft from stage 7, xfer regenerated here). Simulated values are a
+# deterministic function of the seed, so any change in one fails the stage
+# until the same diff refreshes the baseline. Wall-time deltas are
+# advisory: wall times on shared machines are noisy.
 build/bench/bench_xfer --out build/BENCH_xfer.json
 python3 tools/bench_diff.py
 
+echo "==> [10/11] fast figure benches (paper tables)"
+# Each bench exits non-zero on a failed migration (the fault sweep: on a
+# failed loss row or a failure scenario that does not roll back), and
+# Fig. 5 on a broken stream (bench/bench_util.hpp check_stream). Their
+# tables are simulated values, kept under build/figures/ so two builds'
+# tables can be compared with cmp. Fig. 3's sweep takes minutes (its
+# 4096-QP cells) and stays out.
+FIG_DIR=build/figures
+mkdir -p "$FIG_DIR"
+for bench in bench_fig4_wbs bench_fig5_tput bench_fig6_hadoop bench_ablation_wbs \
+             bench_migros_ablation bench_fault_sweep; do
+  "build/bench/$bench" > "$FIG_DIR/$bench.txt"
+done
+
 if [[ "$FAST" == "1" ]]; then
-  echo "==> [10/10] sanitizer pass skipped (--fast)"
+  echo "==> [11/11] sanitizer pass skipped (--fast)"
   exit 0
 fi
 
-echo "==> [10/10] sanitizer pass (address,undefined)"
+echo "==> [11/11] sanitizer pass (address,undefined)"
 # One instrumented tree runs the suite under ASan and UBSan together, so
 # the parsers' bounds checks and view arithmetic run under both.
 tools/run_sanitized.sh address,undefined
