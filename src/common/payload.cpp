@@ -1,5 +1,7 @@
 #include "common/payload.hpp"
 
+#include <bit>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -11,6 +13,10 @@ namespace {
 constexpr std::size_t kMinClass = 64;
 constexpr std::size_t kMaxClass = 4u << 20;
 constexpr int kNumClasses = 17;  // 64 << 16 == 4 MiB
+
+// A displaced page block returns to the pool as a block of its own class.
+static_assert(std::has_single_bit(kPageBlockBytes) && kPageBlockBytes >= kMinClass &&
+              kPageBlockBytes <= kMaxClass);
 
 int class_of(std::size_t n) noexcept {
   std::size_t c = kMinClass;
@@ -60,5 +66,15 @@ void payload_block_free(PayloadBlock* b) noexcept {
   }
   g_pool.free[cls].push_back(b);
 }
+
+PayloadBlock* page_block_new() {
+  auto* b = static_cast<PayloadBlock*>(::operator new(sizeof(PayloadBlock) + kPageBlockBytes));
+  b->refs = 1;
+  b->capacity = kPageBlockBytes;
+  std::memset(payload_block_data(b), 0, kPageBlockBytes);
+  return b;
+}
+
+void page_block_delete(PayloadBlock* b) noexcept { ::operator delete(b); }
 
 }  // namespace migr::common::detail

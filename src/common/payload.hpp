@@ -1,19 +1,29 @@
-// Zero-copy packet payloads.
+// Zero-copy packet payloads and page-table blocks.
 //
 // A PayloadRef is a refcounted (offset, length) view into a pooled buffer
-// block. The transport allocates one block per message, DMA-reads directly
-// into it, and every MTU-sized packet of the message carries a slice of the
-// same block — packetization stops copying bytes. Blocks come from a
-// size-classed free-list pool, so steady-state traffic allocates nothing.
+// block. The sending NIC DMA-reads each packet into a block of its own, and
+// the packet's body carries that block to the receiver without a copy.
+// Blocks come from a size-classed free-list pool, so steady-state traffic
+// allocates nothing.
+//
+// A PageBlock is the one owner of a block of the pool's 4 KiB class: a page
+// slot of proc::AddressSpace. A landing DMA whose payload is a whole such
+// block with no other reference hands the block to the page table
+// (PayloadRef::hand_over) and the displaced page goes back to the pool for
+// the sender's next packet: one block for one, so the pool's population
+// stays fixed. A page's first block comes from the heap and an unmapped
+// page returns to it, so mapping memory neither drains nor grows the pool.
 //
 // Refcounts are NOT atomic: like the EventLoop, payloads belong to one
 // simulation thread. The pool is thread_local so independent loops on
 // different threads (some tests do this) stay safe.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 
 #include "common/bytes.hpp"
 
@@ -28,12 +38,54 @@ struct PayloadBlock {
 
 PayloadBlock* payload_block_alloc(std::size_t n);
 void payload_block_free(PayloadBlock* b) noexcept;
+// Page blocks bypass the pool: zeroed from the heap, freed to the heap.
+PayloadBlock* page_block_new();
+void page_block_delete(PayloadBlock* b) noexcept;
 
 inline std::uint8_t* payload_block_data(PayloadBlock* b) noexcept {
   return reinterpret_cast<std::uint8_t*>(b + 1);
 }
 
 }  // namespace detail
+
+/// Bytes of a page block: the pool's 4 KiB size class.
+inline constexpr std::size_t kPageBlockBytes = 4096;
+
+/// The sole owner of one page-size block (see the header comment). One
+/// pointer wide; its block's refcount stays 1.
+class PageBlock {
+ public:
+  PageBlock() = default;
+  PageBlock(PageBlock&& o) noexcept : block_(std::exchange(o.block_, nullptr)) {}
+  PageBlock& operator=(PageBlock&& o) noexcept {
+    if (this != &o) {
+      detail::page_block_delete(block_);
+      block_ = std::exchange(o.block_, nullptr);
+    }
+    return *this;
+  }
+  ~PageBlock() { detail::page_block_delete(block_); }
+
+  /// A zero-filled block from the heap.
+  static PageBlock zeroed() {
+    PageBlock p;
+    p.block_ = detail::page_block_new();
+    return p;
+  }
+
+  explicit operator bool() const noexcept { return block_ != nullptr; }
+  std::span<std::uint8_t, kPageBlockBytes> bytes() noexcept {
+    return std::span<std::uint8_t, kPageBlockBytes>(detail::payload_block_data(block_),
+                                                     kPageBlockBytes);
+  }
+  const std::uint8_t* data() const noexcept {
+    return detail::payload_block_data(block_);
+  }
+
+ private:
+  friend class PayloadRef;
+  detail::PayloadBlock* block_ = nullptr;
+};
 
 class PayloadRef {
  public:
@@ -112,6 +164,23 @@ class PayloadRef {
   }
 
   Bytes to_bytes() const { return Bytes(data(), data() + len_); }
+
+  /// Whether this is the only reference to a whole page-size block, which
+  /// can then change hands (hand_over) instead of being copied.
+  bool sole_page_block() const noexcept {
+    return block_ != nullptr && block_->refs == 1 && off_ == 0 && len_ == kPageBlockBytes &&
+           block_->capacity == kPageBlockBytes;
+  }
+
+  /// Puts this payload's block into `page` and returns the block `page`
+  /// held to the pool. Requires sole_page_block() and a non-empty `page`;
+  /// leaves this ref empty.
+  void hand_over(PageBlock& page) noexcept {
+    assert(sole_page_block() && page);
+    std::swap(block_, page.block_);
+    len_ = 0;
+    release();
+  }
 
  private:
   PayloadRef(detail::PayloadBlock* block, std::uint32_t off, std::uint32_t len) noexcept

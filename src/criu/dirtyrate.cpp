@@ -25,9 +25,9 @@ std::uint64_t DirtyRateEstimator::hash_page(proc::VirtAddr page) const {
   // page_at materializes a never-written page as zeros, so zero bytes
   // written to it later do not count as dirtying. An address unmapped since
   // sampling hashes to the offset basis.
-  const proc::PhysPage* phys = proc_.mem().page_at(page);
-  if (phys == nullptr) return kFnvOffset;
-  return fnv1a(phys->data.data(), phys->data.size(), kFnvOffset);
+  const auto phys = proc_.mem().page_at(page);
+  if (!phys) return kFnvOffset;
+  return fnv1a(phys->data(), phys->size(), kFnvOffset);
 }
 
 void DirtyRateEstimator::begin_interval(sim::TimeNs now) {

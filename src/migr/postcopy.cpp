@@ -119,8 +119,7 @@ void PostcopyPump::on_request(Bytes&& payload) {
     w.u64(addr.value());
     auto phys = src_proc_.mem().page_at(addr.value());
     static const std::array<std::uint8_t, proc::kPageSize> kZeros{};
-    w.bytes(phys ? std::span<const std::uint8_t>{phys->data}
-                 : std::span<const std::uint8_t>{kZeros});
+    w.bytes(phys ? std::span<const std::uint8_t>{*phys} : std::span<const std::uint8_t>{kZeros});
   }
   mux_.send(std::move(w).take());
 }
@@ -146,7 +145,7 @@ void PostcopyPump::on_data(Bytes&& payload) {
       // Still missing: this delivery owns the page. Install the contents
       // directly (no write(): the fill is not guest dirtying).
       if (auto phys = mem.page_at(page)) {
-        std::copy(data.value().begin(), data.value().end(), phys->data.begin());
+        std::copy(data.value().begin(), data.value().end(), phys->begin());
       }
       st_.prefetched_pages++;
       progress_++;
@@ -250,7 +249,7 @@ void PostcopyPump::copy_page(proc::VirtAddr page) {
   auto dst = dest_proc_.mem().page_at(page);
   if (!dst) return;  // unmapped in the meantime; nothing to fill
   auto src = src_proc_.mem().page_at(page);
-  if (src) dst->data = src->data;
+  if (src) std::copy(src->begin(), src->end(), dst->begin());
 }
 
 PostcopyStats PostcopyPump::stats() const {

@@ -40,7 +40,7 @@ auto range_entry(Map& vmas, VirtAddr addr, std::uint64_t len) {
 }
 
 // What a never-written slot reads as.
-const PhysPage kZeroPage{};
+constexpr std::uint8_t kZeroPage[kPageSize] = {};
 
 // Out of line so the copy stays a call to the C library's memcpy. Inlined,
 // with a size it can bound by one page, GCC expands the copy to `rep movsq`,
@@ -158,8 +158,8 @@ Status AddressSpace::read(VirtAddr addr, std::span<std::uint8_t> out) const {
     const std::uint64_t off = (cur - m.vma.start) % kPageSize;
     const std::size_t n = std::min<std::size_t>(out.size() - done, kPageSize - off);
     if (!missing_.empty()) fault_in(page_floor(cur));
-    const PhysPage& page = m.pages[idx] ? *m.pages[idx] : kZeroPage;
-    copy_bytes(out.data() + done, page.data.data() + off, n);
+    const std::uint8_t* page = m.pages[idx] ? m.pages[idx].data() : kZeroPage;
+    copy_bytes(out.data() + done, page + off, n);
     done += n;
   }
   return Status::ok();
@@ -177,10 +177,29 @@ Status AddressSpace::write(VirtAddr addr, std::span<const std::uint8_t> in) {
     const std::uint64_t off = (cur - m.vma.start) % kPageSize;
     const std::size_t n = std::min<std::size_t>(in.size() - done, kPageSize - off);
     if (!missing_.empty()) fault_in(page_floor(cur));
-    copy_bytes(m.materialize(idx).data.data() + off, in.data() + done, n);
+    copy_bytes(m.materialize(idx).data() + off, in.data() + done, n);
     m.mark_dirty(idx);
     done += n;
   }
+  return Status::ok();
+}
+
+Status AddressSpace::write(VirtAddr addr, common::PayloadRef&& in) {
+  if (!in.sole_page_block() || addr != page_floor(addr)) return write(addr, in.span());
+  // VMAs are whole pages, so one holds all of an aligned page or none of it.
+  auto it = entry_at(vmas_, addr);
+  if (it == vmas_.end()) return unmapped();
+  Mapping& m = it->second;
+  const std::uint64_t idx = (addr - m.vma.start) / kPageSize;
+  if (!missing_.empty()) fault_in(addr);
+  // One block for one: a never-written slot takes its first block from the
+  // heap, as the copying write does, so the pool keeps its population.
+  if (m.pages[idx]) {
+    in.hand_over(m.pages[idx]);
+  } else {
+    copy_bytes(m.materialize(idx).data(), in.data(), kPageSize);
+  }
+  m.mark_dirty(idx);
   return Status::ok();
 }
 
@@ -192,11 +211,11 @@ void AddressSpace::fault_in(VirtAddr page) const {
   }
 }
 
-PhysPage* AddressSpace::page_at(VirtAddr page_addr) {
+std::optional<PageBytes> AddressSpace::page_at(VirtAddr page_addr) {
   auto it = entry_at(vmas_, page_addr);
-  if (it == vmas_.end()) return nullptr;
+  if (it == vmas_.end()) return std::nullopt;
   Mapping& m = it->second;
-  return &m.materialize((page_addr - m.vma.start) / kPageSize);
+  return m.materialize((page_addr - m.vma.start) / kPageSize);
 }
 
 std::vector<VirtAddr> AddressSpace::collect_dirty(bool clear) {

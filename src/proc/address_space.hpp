@@ -9,23 +9,27 @@
 // dirty tracking for iterative pre-copy, and NIC-initiated DMA that dirties
 // pages behind the application's back.
 //
-// Each VMA owns a flat page table: one slot per page, allocated zeroed on
-// first write, plus a dirty bitmap. mremap() moves the VMA together with
-// its table, so physical identity and dirty bits survive the move, exactly
-// like the mremap(2) behaviour the paper relies on for on-chip memory and
-// MR structures.
+// Each VMA owns a flat page table plus a dirty bitmap. A slot owns one
+// 4 KiB block of the payload pool's page class (common::PageBlock),
+// allocated zeroed from the heap on first write. A NIC landing whose
+// payload is a whole page-aligned block with no other reference swaps that
+// block into the slot instead of copying it, the way a DMA engine places
+// bytes without the CPU. mremap() moves the VMA together with its table,
+// so physical identity and dirty bits survive the move, exactly like the
+// mremap(2) behaviour the paper relies on for on-chip memory and MR
+// structures.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "common/payload.hpp"
 #include "common/result.hpp"
 
 namespace migr::proc {
@@ -37,11 +41,10 @@ constexpr std::uint64_t kPageSize = 4096;
 inline VirtAddr page_floor(VirtAddr a) { return a & ~(kPageSize - 1); }
 inline VirtAddr page_ceil(VirtAddr a) { return page_floor(a + kPageSize - 1); }
 
-/// One physical page. Owned by its VMA's page table; keeps its identity
-/// across mremap.
-struct PhysPage {
-  std::array<std::uint8_t, kPageSize> data{};
-};
+static_assert(kPageSize == common::kPageBlockBytes, "a page slot holds one page block");
+
+/// The bytes of one physical page.
+using PageBytes = std::span<std::uint8_t, kPageSize>;
 
 /// A virtual memory area: a contiguous, page-aligned mapping.
 struct Vma {
@@ -88,12 +91,18 @@ class AddressSpace {
   /// pick up.
   common::Status read(VirtAddr addr, std::span<std::uint8_t> out) const;
   common::Status write(VirtAddr addr, std::span<const std::uint8_t> in);
+  /// The span write's contract, for a NIC landing. A whole page-aligned
+  /// payload block with no other reference (PayloadRef::sole_page_block)
+  /// lands by taking the place of an already written page's block, which
+  /// goes back to the pool, and leaves `in` empty; anything else is copied.
+  common::Status write(VirtAddr addr, common::PayloadRef&& in);
 
   /// Direct physical-page access for checkpoint/restore machinery: the page
   /// backing `page_addr`, materialized as a zero page if it was never
-  /// written; nullptr if unmapped. Filling it neither dirties nor faults.
-  /// The pointer stays valid across mremap, until the VMA is unmapped.
-  PhysPage* page_at(VirtAddr page_addr);
+  /// written; nullopt if unmapped. Filling it neither dirties nor faults.
+  /// The bytes stay valid across mremap, until the VMA is unmapped or a
+  /// landing hands the slot another block.
+  std::optional<PageBytes> page_at(VirtAddr page_addr);
 
   /// Dirty-page tracking for pre-copy. Returns addresses of dirty pages in
   /// ascending order; `clear` resets the bits (soft-dirty style).
@@ -128,18 +137,18 @@ class AddressSpace {
 
  private:
   /// A VMA and its page table. Slot i backs page vma.start + i * kPageSize;
-  /// a null slot was never written and reads as zeros. Bit i of `dirty` is
+  /// an empty slot was never written and reads as zeros. Bit i of `dirty` is
   /// that page's soft-dirty bit; `dirty_pages` counts the set bits.
   struct Mapping {
     Vma vma;
-    std::vector<std::unique_ptr<PhysPage>> pages;
+    std::vector<common::PageBlock> pages;
     std::vector<std::uint64_t> dirty;
     std::size_t dirty_pages = 0;
 
-    PhysPage& materialize(std::uint64_t idx) {
+    PageBytes materialize(std::uint64_t idx) {
       auto& slot = pages[idx];
-      if (!slot) slot = std::make_unique<PhysPage>();
-      return *slot;
+      if (!slot) slot = common::PageBlock::zeroed();
+      return slot.bytes();
     }
     void mark_dirty(std::uint64_t idx) {
       std::uint64_t& word = dirty[idx / 64];

@@ -134,9 +134,6 @@ struct SendWqe {
   SendWr wr;
   std::uint64_t bytes = 0;     // total payload length
   std::uint32_t npkts = 0;     // packets this WQE occupies in PSN space
-  // Message staging buffer: allocated at first emission; each packet's
-  // payload is a zero-copy slice of it. Retransmissions re-DMA into it.
-  common::PayloadRef msg_buf;
   bool psn_assigned = false;
   Psn first_psn = 0;
   std::uint32_t emitted_pkts = 0;   // transmit progress (rewound by go-back-N)
@@ -406,8 +403,8 @@ class Device {
   void on_request_read(Qp& qp, const WirePacket& pkt);
   void reply_remote_error(Qp& qp);
   void on_ack(Qp& qp, const WirePacket& pkt);
-  void on_read_resp(Qp& qp, const WirePacket& pkt);
-  void on_atomic_resp(Qp& qp, const WirePacket& pkt);
+  void on_read_resp(Qp& qp, WirePacket& pkt);
+  void on_atomic_resp(Qp& qp, WirePacket& pkt);
   void send_ack(Qp& qp);
   void send_nak(Qp& qp, bool rnr = false);
   // Requester side of an RNR NAK: hold the QP for kRnrHold, then re-kick it.
@@ -437,8 +434,8 @@ class Device {
   // the scheduler, clean fabric or faulty.
   bool emit_burst(Qp& qp);
   // The next packet of SEND/WRITE `wqe` into `pkt`, its payload DMA-read
-  // into the WQE's staging buffer. False on a local protection fault (the
-  // caller flushes the QP).
+  // into a block of its own. False on a local protection fault (the caller
+  // flushes the QP).
   bool build_payload_packet(Qp& qp, SendWqe& wqe, WirePacket& pkt);
   // Frame a wire packet for the fabric, counting it as transmitted.
   net::Packet frame(WirePacket&& pkt, net::HostId dst);
@@ -452,12 +449,18 @@ class Device {
   void flush_qp(Qp& qp, bool notify);
   void arm_retransmit_timer(Qp& qp);
   void on_retransmit_timer(Qpn qpn);
+  // Completes a consumed receive WQE with a local protection error (a
+  // message too long for it, or a buffer that went away).
+  void fail_recv(Qp& qp, const RecvWr& wr);
   void deliver_recv_cqe(Qp& qp, const RecvWr& wr, std::uint32_t byte_len, bool has_imm,
                         std::uint32_t imm, Qpn src_qp, CqeOpcode op = CqeOpcode::recv);
   common::Status dma_read(Context& ctx, std::span<const Sge> sge, std::uint64_t offset,
                           std::span<std::uint8_t> out);
+  // Lands a payload through the SGE list. A payload that lands whole in
+  // one SGE goes to AddressSpace::write by rvalue, which may take its block
+  // instead of copying it.
   common::Status dma_write(Context& ctx, std::span<const Sge> sge, std::uint64_t offset,
-                           std::span<const std::uint8_t> in);
+                           common::PayloadRef&& in);
   common::Status validate_sges(Context& ctx, std::span<const Sge> sge, bool need_write);
 
   sim::EventLoop& loop_;

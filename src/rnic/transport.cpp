@@ -445,12 +445,11 @@ bool Device::build_payload_packet(Qp& qp, SendWqe& wqe, WirePacket& pkt) {
   const std::uint64_t offset = static_cast<std::uint64_t>(wqe.emitted_pkts) * mtu;
   const std::uint32_t chunk =
       static_cast<std::uint32_t>(std::min<std::uint64_t>(mtu, wqe.bytes - offset));
-  if (wqe.msg_buf.empty() && wqe.bytes > 0) {
-    wqe.msg_buf = common::PayloadRef::alloc(wqe.bytes);
-  }
+  // Each emission DMA-reads its packet into a block of its own, so the
+  // bytes on the wire are fixed when the packet leaves, as on hardware.
+  pkt.payload = common::PayloadRef::alloc(chunk);
   if (chunk > 0) {
-    auto st = dma_read(*qp.ctx, wqe.wr.sge, offset,
-                       wqe.msg_buf.mutable_span().subspan(offset, chunk));
+    auto st = dma_read(*qp.ctx, wqe.wr.sge, offset, pkt.payload.mutable_span());
     if (!st.is_ok()) {
       // Local protection fault mid-transfer (e.g. buffer unmapped): the
       // caller moves the QP to error, as real hardware does.
@@ -477,7 +476,6 @@ bool Device::build_payload_packet(Qp& qp, SendWqe& wqe, WirePacket& pkt) {
     pkt.has_imm = true;
     pkt.imm = wqe.wr.imm;
   }
-  pkt.payload = wqe.msg_buf.slice(offset, chunk);
   return true;
 }
 
@@ -807,13 +805,14 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
     // Datagram: no PSN discipline; needs an RQ WQE or the packet is dropped.
     if (qp.rq.empty()) return;
     RecvWr wr = qp.rq.pop();
-    if (pkt.payload.size() > wr.total_length()) return;  // silently dropped
-    if (!pkt.payload.empty()) {
-      (void)dma_write(*qp.ctx, wr.sge, 0, pkt.payload);
+    const auto len = static_cast<std::uint32_t>(pkt.payload.size());
+    if (len > wr.total_length() ||
+        (len > 0 && !dma_write(*qp.ctx, wr.sge, 0, std::move(pkt.payload)).is_ok())) {
+      fail_recv(qp, wr);  // the WQE comes back in error; the QP keeps receiving
+      return;
     }
     qp.n_recv++;
-    deliver_recv_cqe(qp, wr, static_cast<std::uint32_t>(pkt.payload.size()), pkt.has_imm,
-                     pkt.imm, pkt.src_qpn);
+    deliver_recv_cqe(qp, wr, len, pkt.has_imm, pkt.imm, pkt.src_qpn);
     return;
   }
 
@@ -877,13 +876,7 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         }
         if (pkt.msg_len > wr.total_length()) {
           // Message too long for the posted buffer: local length error.
-          qp.n_recv++;
-          Cqe cqe;
-          cqe.wr_id = wr.wr_id;
-          cqe.status = CqeStatus::local_protection_err;
-          cqe.opcode = CqeOpcode::recv;
-          cqe.qpn = qp.qpn;
-          qp.ctx->push_cqe(qp.recv_cq, cqe);
+          fail_recv(qp, wr);
           flush_qp(qp, /*notify=*/true);
           return;
         }
@@ -894,8 +887,15 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
       }
       if (!qp.recv_active) return;  // mid-message packet with no assembly: drop
       if (!pkt.payload.empty()) {
-        (void)dma_write(*qp.ctx, qp.recv_cur.sge, pkt.offset, pkt.payload);
-        qp.recv_written += static_cast<std::uint32_t>(pkt.payload.size());
+        const auto len = static_cast<std::uint32_t>(pkt.payload.size());
+        if (!dma_write(*qp.ctx, qp.recv_cur.sge, pkt.offset, std::move(pkt.payload)).is_ok()) {
+          // The receive buffer went away under the message: local
+          // protection error, like a message too long for it.
+          fail_recv(qp, qp.recv_cur);
+          flush_qp(qp, /*notify=*/true);
+          return;
+        }
+        qp.recv_written += len;
       }
       qp.expected_psn = pkt.psn + 1;
       counters_.rx_in_order++;
@@ -920,7 +920,12 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
       }
       if (!pkt.payload.empty()) {
         // DMA into the target process's memory: dirties pages for pre-copy.
-        (void)target->ctx->process().mem().write(pkt.remote_addr, pkt.payload);
+        // An MR can outlive its memory (free_dm unmaps what an MR covers).
+        const Sge dst{pkt.remote_addr, static_cast<std::uint32_t>(pkt.payload.size()), 0};
+        if (!dma_write(*target->ctx, {&dst, 1}, 0, std::move(pkt.payload)).is_ok()) {
+          reply_remote_error(qp);
+          return;
+        }
       }
       qp.expected_psn = pkt.psn + 1;
       if (pkt.last && pkt.has_imm) {
@@ -967,10 +972,12 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         reply_remote_error(qp);
         return;
       }
-      qp.expected_psn = pkt.psn + 1;
-      counters_.rx_in_order++;
+      auto& mem = target->ctx->process().mem();
       std::uint8_t buf[8];
-      (void)target->ctx->process().mem().read(pkt.remote_addr, buf);
+      if (!mem.read(pkt.remote_addr, buf).is_ok()) {
+        reply_remote_error(qp);
+        return;
+      }
       std::uint64_t orig;
       std::memcpy(&orig, buf, 8);
       std::uint64_t updated = orig;
@@ -980,7 +987,12 @@ void Device::on_request(Qp& qp, WirePacket& pkt) {
         updated = orig + pkt.compare_add;
       }
       std::memcpy(buf, &updated, 8);
-      (void)target->ctx->process().mem().write(pkt.remote_addr, buf);
+      if (!mem.write(pkt.remote_addr, buf).is_ok()) {
+        reply_remote_error(qp);
+        return;
+      }
+      qp.expected_psn = pkt.psn + 1;
+      counters_.rx_in_order++;
       // Bounded replay cache so retried atomics are not re-executed.
       qp.atomic_cache.emplace(pkt.psn, orig);
       while (qp.atomic_cache.size() > 64) qp.atomic_cache.erase(qp.atomic_cache.begin());
@@ -1009,18 +1021,21 @@ void Device::on_request_read(Qp& qp, const WirePacket& pkt) {
     reply_remote_error(qp);
     return;
   }
-  // Stream the response. Response packets carry the requester's token so a
-  // re-issued read matches up with the same WQE. One buffer holds the whole
-  // message; each response packet carries a zero-copy slice of it.
+  // Stream the response, each packet DMA-read into a block of its own.
+  // Response packets carry the requester's token so a re-issued read
+  // matches up with the same WQE. A failed read (an MR that outlived its
+  // memory) ends the stream with a remote access error.
   const std::uint32_t mtu = fabric_.config().mtu;
-  common::PayloadRef buf = common::PayloadRef::alloc(pkt.msg_len);
-  if (pkt.msg_len > 0) {
-    (void)target->ctx->process().mem().read(pkt.remote_addr, buf.mutable_span());
-  }
+  auto& mem = target->ctx->process().mem();
   std::uint32_t off = 0;
   do {
     const std::uint32_t chunk = std::min(mtu, pkt.msg_len - off);
     WirePacket resp;
+    resp.payload = common::PayloadRef::alloc(chunk);
+    if (chunk > 0 && !mem.read(pkt.remote_addr + off, resp.payload.mutable_span()).is_ok()) {
+      reply_remote_error(qp);
+      return;
+    }
     resp.op = PktOp::read_resp;
     resp.src_qpn = qp.qpn;
     resp.dst_qpn = qp.remote_qpn;
@@ -1029,7 +1044,6 @@ void Device::on_request_read(Qp& qp, const WirePacket& pkt) {
     resp.msg_len = pkt.msg_len;
     resp.first = off == 0;
     resp.last = off + chunk >= pkt.msg_len;
-    resp.payload = buf.slice(off, chunk);
     transmit(std::move(resp), qp.remote_host, qp.route);
     off += chunk;
   } while (off < pkt.msg_len);
@@ -1045,7 +1059,7 @@ void Device::reply_remote_error(Qp& qp) {
   transmit(std::move(e), qp.remote_host, qp.route);
 }
 
-void Device::on_read_resp(Qp& qp, const WirePacket& pkt) {
+void Device::on_read_resp(Qp& qp, WirePacket& pkt) {
   // Locate the WQE by its token (= first_psn, stable across retries).
   for (std::size_t i = 0; i < qp.sq.size(); ++i) {
     SendWqe& w = qp.sq.at(i);
@@ -1054,11 +1068,11 @@ void Device::on_read_resp(Qp& qp, const WirePacket& pkt) {
       continue;
     }
     if (w.resp_received >= w.bytes && w.bytes > 0) return;  // duplicate replay
-    if (!pkt.payload.empty()) {
-      (void)dma_write(*qp.ctx, w.wr.sge, pkt.offset, pkt.payload);
-    }
     // Note: with re-issued reads, offsets may repeat; count via high-water.
     const std::uint64_t high = pkt.offset + pkt.payload.size();
+    if (!pkt.payload.empty()) {
+      (void)dma_write(*qp.ctx, w.wr.sge, pkt.offset, std::move(pkt.payload));
+    }
     if (high > w.resp_received) w.resp_received = high;
     qp.last_progress = loop_.now();
     qp.retries = 0;
@@ -1071,7 +1085,7 @@ void Device::on_read_resp(Qp& qp, const WirePacket& pkt) {
   }
 }
 
-void Device::on_atomic_resp(Qp& qp, const WirePacket& pkt) {
+void Device::on_atomic_resp(Qp& qp, WirePacket& pkt) {
   for (std::size_t i = 0; i < qp.sq.size(); ++i) {
     SendWqe& w = qp.sq.at(i);
     if (!w.psn_assigned || w.first_psn != pkt.resp_token) continue;
@@ -1081,7 +1095,7 @@ void Device::on_atomic_resp(Qp& qp, const WirePacket& pkt) {
     }
     if (w.resp_done) return;  // duplicate
     if (pkt.payload.size() == 8 && !w.wr.sge.empty()) {
-      (void)dma_write(*qp.ctx, w.wr.sge, 0, pkt.payload);
+      (void)dma_write(*qp.ctx, w.wr.sge, 0, std::move(pkt.payload));
     }
     w.resp_done = true;
     qp.last_progress = loop_.now();
@@ -1090,6 +1104,16 @@ void Device::on_atomic_resp(Qp& qp, const WirePacket& pkt) {
     complete_head_wqes(qp);
     return;
   }
+}
+
+void Device::fail_recv(Qp& qp, const RecvWr& wr) {
+  qp.n_recv++;
+  Cqe cqe;
+  cqe.wr_id = wr.wr_id;
+  cqe.status = CqeStatus::local_protection_err;
+  cqe.opcode = CqeOpcode::recv;
+  cqe.qpn = qp.qpn;
+  qp.ctx->push_cqe(qp.recv_cq, cqe);
 }
 
 void Device::deliver_recv_cqe(Qp& qp, const RecvWr& wr, std::uint32_t byte_len,
@@ -1134,23 +1158,30 @@ common::Status Device::dma_read(Context& ctx, std::span<const Sge> sge,
 }
 
 common::Status Device::dma_write(Context& ctx, std::span<const Sge> sge,
-                                 std::uint64_t offset, std::span<const std::uint8_t> in) {
+                                 std::uint64_t offset, common::PayloadRef&& in) {
+  auto& mem = ctx.process().mem();
+  const std::size_t total = in.size();
   std::uint64_t skip = offset;
   std::size_t consumed = 0;
   for (const auto& s : sge) {
-    if (consumed == in.size()) break;
+    if (consumed == total) break;
     if (skip >= s.length) {
       skip -= s.length;
       continue;
     }
     const std::uint64_t avail = s.length - skip;
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(avail, in.size() - consumed));
-    MIGR_RETURN_IF_ERROR(ctx.process().mem().write(s.addr + skip, in.subspan(consumed, n)));
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(avail, total - consumed));
+    if (n == total) {
+      // The whole payload lands in this SGE: its block may change hands.
+      MIGR_RETURN_IF_ERROR(mem.write(s.addr + skip, std::move(in)));
+    } else {
+      MIGR_RETURN_IF_ERROR(mem.write(s.addr + skip, in.span().subspan(consumed, n)));
+    }
     consumed += n;
     skip = 0;
   }
-  if (consumed != in.size()) {
+  if (consumed != total) {
     return common::err(Errc::invalid_argument, "recv buffer shorter than message");
   }
   return Status::ok();

@@ -3,7 +3,7 @@
 //  * a fleet MsgNode pair under the traffic generator sends and delivers
 //    its messages without allocating once warmed up;
 //  * a perftest RDMA WRITE stream (multi-packet trains) allocates nothing
-//    once warmed up;
+//    once warmed up, and neither does stream_rw's WRITE beside READ mix;
 //  * brownout SLI taps wired to the disarmed hub add no event and no
 //    allocation to a drain ("observability off = free", DESIGN.md §12);
 //  * a pre-copy round (dump -> payload -> parse -> apply) of 512 dirty pages
@@ -145,6 +145,54 @@ TEST(AllocPin, PerftestWriteStreamAllocatesNothingInSteadyState) {
   EXPECT_EQ(allocs, 0u) << "over " << wrs << " WRs";
   EXPECT_GT(wrs, 1000u);
   EXPECT_EQ(tx.stats().errors, 0u);
+}
+
+TEST(AllocPin, PerftestWriteBesideReadStreamAllocatesNothingInSteadyState) {
+  // stream_rw's mix: every WRITE and READ-response packet takes a pool block
+  // of its own, and landing by hand-over gives the displaced page back.
+  cluster::ClusterConfig cfg;
+  cfg.hosts = 2;
+  cluster::ClusterModel model(cfg);
+  apps::PerftestConfig wcfg;
+  wcfg.num_qps = 2;
+  wcfg.msg_size = 256 * 1024;
+  wcfg.queue_depth = 4;
+  wcfg.opcode = rnic::WrOpcode::rdma_write;
+  apps::PerftestConfig rcfg = wcfg;
+  rcfg.opcode = rnic::WrOpcode::rdma_read;
+  using Peer = apps::PerftestPeer;
+  auto& w = model.world();
+  Peer w_tx(model.runtime(1), w.add_process("w_tx"), 100, Peer::Role::sender, wcfg);
+  Peer w_rx(model.runtime(2), w.add_process("w_rx"), 200, Peer::Role::receiver, wcfg);
+  Peer r_tx(model.runtime(1), w.add_process("r_tx"), 101, Peer::Role::sender, rcfg);
+  Peer r_rx(model.runtime(2), w.add_process("r_rx"), 201, Peer::Role::receiver, rcfg);
+  for (std::uint32_t i = 0; i < wcfg.num_qps; ++i) {
+    ASSERT_TRUE(Peer::connect_pair(w_tx, i, w_rx, i).is_ok());
+    ASSERT_TRUE(Peer::connect_pair(r_tx, i, r_rx, i).is_ok());
+  }
+  Peer* peers[] = {&w_rx, &r_rx, &w_tx, &r_tx};
+  for (Peer* p : peers) p->start();
+  // Warm-up: the packets in flight reach their high-water mark, and with it
+  // the pool's page class (about 12 ms in, once the READ responses' backlog
+  // peaks beside the WRITE trains).
+  model.run_for(sim::msec(20));
+
+  const std::uint64_t writes0 = w_tx.stats().completed_msgs;
+  const std::uint64_t reads0 = r_tx.stats().completed_msgs;
+  const std::uint64_t allocs0 = g_alloc_count;
+  model.run_for(sim::msec(50));
+  const std::uint64_t allocs = g_alloc_count - allocs0;
+  const std::uint64_t writes = w_tx.stats().completed_msgs - writes0;
+  const std::uint64_t reads = r_tx.stats().completed_msgs - reads0;
+  for (Peer* p : peers) p->stop();
+
+  EXPECT_EQ(allocs, 0u) << "over " << writes << " WRITEs and " << reads << " READs";
+  EXPECT_GT(writes, 500u);
+  EXPECT_GT(reads, 500u);
+  for (Peer* p : peers) {
+    EXPECT_EQ(p->stats().errors + p->stats().order_violations + p->stats().content_corruptions,
+              0u);
+  }
 }
 
 struct DrainCost {

@@ -117,7 +117,7 @@ TEST(AddressSpace, MremapPreservesContentAndPhysicalIdentity) {
   ASSERT_TRUE(mem.mmap_fixed(0x10000, 2 * kPageSize, "buf").is_ok());
   std::uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   ASSERT_TRUE(mem.write(0x10000 + kPageSize, data).is_ok());
-  const PhysPage* phys_before = mem.page_at(0x10000 + kPageSize);
+  const std::uint8_t* phys_before = mem.page_at(0x10000 + kPageSize)->data();
 
   ASSERT_TRUE(mem.mremap(0x10000, 0x40000).is_ok());
   EXPECT_FALSE(mem.mapped(0x10000, 1));
@@ -125,7 +125,7 @@ TEST(AddressSpace, MremapPreservesContentAndPhysicalIdentity) {
   ASSERT_TRUE(mem.read(0x40000 + kPageSize, out).is_ok());
   EXPECT_EQ(std::memcmp(data, out, 8), 0);
   // Same physical page object after the move (mremap keeps phys pages).
-  EXPECT_EQ(phys_before, mem.page_at(0x40000 + kPageSize));
+  EXPECT_EQ(phys_before, mem.page_at(0x40000 + kPageSize)->data());
 }
 
 TEST(AddressSpace, MremapCarriesDirtyBits) {

@@ -21,6 +21,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <tuple>
 
 #include "apps/msg_node.hpp"
 #include "apps/perftest.hpp"
@@ -814,7 +815,7 @@ common::Bytes pc_reply(proc::AddressSpace& src, std::span<const proc::VirtAddr> 
   w.u32(static_cast<std::uint32_t>(pages.size()));
   for (proc::VirtAddr p : pages) {
     w.u64(p);
-    const auto& data = src.page_at(p)->data;
+    const auto data = *src.page_at(p);
     w.bytes({data.data(), cut > 0 ? cut : data.size()});
   }
   return std::move(w).take();
@@ -835,9 +836,8 @@ TEST_P(PostcopyMutationSweep, RequestsAndRepliesStayBounded) {
   for (std::size_t i = 0; i < kPcPages; ++i) {
     pages.push_back(kPcBase + i * proc::kPageSize);
     // Odd bytes: no source page, nor any mutant of one, reads as zeros.
-    for (auto& b : src.mem().page_at(pages.back())->data) {
-      b = static_cast<std::uint8_t>(rng.next() | 1);
-    }
+    const proc::PageBytes page = *src.mem().page_at(pages.back());
+    for (auto& b : page) b = static_cast<std::uint8_t>(rng.next() | 1);
   }
 
   migrlib::TransferMux mux(world.loop(), world.fabric(), "pcp.sweep", 1, 2, {});
@@ -853,7 +853,7 @@ TEST_P(PostcopyMutationSweep, RequestsAndRepliesStayBounded) {
   // the contents of a record that carried it in full.
   std::map<proc::VirtAddr, std::vector<common::Bytes>> allowed;
   for (proc::VirtAddr p : pages) {
-    const auto& data = src.mem().page_at(p)->data;
+    const auto data = *src.mem().page_at(p);
     allowed[p].emplace_back(data.begin(), data.end());
   }
   auto allow_full_records = [&](const common::Bytes& reply) {
@@ -912,7 +912,7 @@ TEST_P(PostcopyMutationSweep, RequestsAndRepliesStayBounded) {
   ASSERT_TRUE(drained.has_value()) << "the drain did not finish";
   EXPECT_TRUE(drained->is_ok()) << drained->to_string();
   for (proc::VirtAddr p : pages) {
-    const auto& data = dest.mem().page_at(p)->data;
+    const auto data = *dest.mem().page_at(p);
     const common::Bytes got(data.begin(), data.end());
     EXPECT_TRUE(std::ranges::find(allowed[p], got) != allowed[p].end())
         << "page 0x" << std::hex << p << " holds contents no reply carried in full";
@@ -1284,6 +1284,47 @@ TEST_P(AddressSpaceModel, RandomOpsAgreeWithReferenceModel) {
     }
     return {start + len - rng.range(1, 64), rng.range(1, 2 * kPageSize + 128)};
   };
+  // A NIC landing: a payload handed to write(VirtAddr, PayloadRef&&). It is
+  // a whole page block with no other reference (taken when it lands on an
+  // aligned, already written page), the same block with a second reference,
+  // a page-sized slice of a larger block, a partial page, or a whole block
+  // at an unaligned address. It goes to a page of some VMA or to the page
+  // just past one (an adjacent VMA or a gap).
+  struct Landing {
+    VirtAddr addr = 0;
+    common::PayloadRef payload;
+    common::PayloadRef other;  // another reference to the payload's block
+  };
+  auto pick_landing = [&] {
+    Landing l;
+    auto it = std::next(vmas.begin(), static_cast<std::ptrdiff_t>(rng.below(vmas.size())));
+    const auto [start, len] = *it;
+    l.addr = start + rng.below(len / kPageSize + 1) * kPageSize;
+    switch (rng.below(6)) {
+      case 0:
+      case 1:
+        l.payload = common::PayloadRef::alloc(kPageSize);
+        break;
+      case 2:
+        l.payload = common::PayloadRef::alloc(kPageSize);
+        l.other = l.payload;
+        break;
+      case 3:
+        l.other = common::PayloadRef::alloc(2 * kPageSize);
+        l.payload = l.other.slice(kPageSize, kPageSize);
+        break;
+      case 4:
+        l.payload = common::PayloadRef::alloc(rng.range(1, kPageSize - 1));
+        break;
+      default:
+        l.payload = common::PayloadRef::alloc(kPageSize);
+        l.addr += rng.range(1, kPageSize - 1);
+        break;
+    }
+    for (auto& b : l.payload.mutable_span()) b = static_cast<std::uint8_t>(rng.next());
+    return l;
+  };
+  std::size_t handed_over = 0;
 
   for (int step = 0; step < 400; ++step) {
     const auto op = rng.range(0, 10);
@@ -1302,17 +1343,35 @@ TEST_P(AddressSpaceModel, RandomOpsAgreeWithReferenceModel) {
       vmas.emplace(base, la);
       vmas.emplace(b, lb);
     } else if (op <= 5) {  // write: all of it lands, or none of it does
-      const auto [a, n] = pick_range();
-      std::vector<std::uint8_t> data(n);
-      for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+      // Half the writes are stores through a span, half NIC landings.
+      VirtAddr a = 0;
+      common::Bytes data;
+      common::Status st = common::Status::ok();
+      if (rng.below(2) == 0) {
+        std::uint64_t n = 0;
+        std::tie(a, n) = pick_range();
+        data.resize(n);
+        for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+        st = mem.write(a, data);
+      } else {
+        Landing l = pick_landing();
+        a = l.addr;
+        data = l.payload.to_bytes();
+        st = mem.write(a, std::move(l.payload));
+        if (l.payload.empty()) handed_over++;
+        // A copied payload, and any other reference to a payload's block,
+        // no longer reaches memory.
+        for (auto* p : {&l.payload, &l.other}) std::ranges::fill(p->mutable_span(), 0xEE);
+      }
+      const std::uint64_t n = data.size();
       if (model_mapped(a, n)) {
-        ASSERT_TRUE(mem.write(a, data).is_ok());
+        ASSERT_TRUE(st.is_ok());
         for (std::uint64_t i = 0; i < n; ++i) model[a + i] = data[i];
         for (VirtAddr p = proc::page_floor(a); p < a + n; p += kPageSize) dirty.insert(p);
       } else {
-        ASSERT_EQ(mem.write(a, data).code(), common::Errc::permission_denied);
-        expect_model(a, n);
+        ASSERT_EQ(st.code(), common::Errc::permission_denied);
       }
+      expect_model(a, n);
     } else if (op <= 7) {  // read
       const auto [a, n] = pick_range();
       std::vector<std::uint8_t> data(n);
@@ -1327,10 +1386,11 @@ TEST_P(AddressSpaceModel, RandomOpsAgreeWithReferenceModel) {
       const auto [start, len] = *it;
       const VirtAddr target = 0x2000'0000'0000ULL + step * (1ull << 24);
       const std::uint64_t off = rng.below(len / kPageSize) * kPageSize;
-      const proc::PhysPage* phys = mem.page_at(start + off);
-      ASSERT_NE(phys, nullptr);
+      const auto phys = mem.page_at(start + off);
+      ASSERT_TRUE(phys.has_value());
       ASSERT_TRUE(mem.mremap(start, target).is_ok());
-      EXPECT_EQ(mem.page_at(target + off), phys) << "mremap must keep the physical page";
+      EXPECT_EQ(mem.page_at(target + off)->data(), phys->data())
+          << "mremap must keep the physical page";
       carry(start, len, target);
       vmas.erase(it);
       vmas.emplace(target, len);
@@ -1348,6 +1408,7 @@ TEST_P(AddressSpaceModel, RandomOpsAgreeWithReferenceModel) {
     }
     ASSERT_EQ(mem.dirty_count(), dirty.size()) << "step " << step;
   }
+  EXPECT_GT(handed_over, 0u) << "no landing took its payload's block";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AddressSpaceModel, ::testing::Values(11, 22, 33, 44, 55));

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <set>
 
 #include "rnic/device.hpp"
 #include "rnic/world.hpp"
@@ -762,6 +764,267 @@ TEST_F(RnicTest, NSentNRecvCountersForWbs) {
   // One RECV remains posted with no matching send: an "inflight RECV" that
   // wait-before-stop must replay after migration (§3.4).
   EXPECT_EQ(ctx_b_->find_qp(qb)->rq.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Responder memory faults: an MR can outlive its memory (free_dm unmaps the
+// device memory an MR still covers). The failed access must not complete as
+// a success.
+// ---------------------------------------------------------------------------
+
+class RnicResponderFaultTest : public RnicTest {
+ protected:
+  /// An MR over one page of device memory on host b, filled with `seed`'s
+  /// pattern. free_dm() then unmaps the memory under it.
+  Mr dm_mr(std::uint8_t seed) {
+    auto dm = ctx_b_->alloc_dm(proc::kPageSize);
+    EXPECT_TRUE(dm.is_ok());
+    dm_ = dm.value();
+    auto mr = ctx_b_->reg_mr(pd_b_, dm_.mapped_at, proc::kPageSize,
+                             kAccessLocalWrite | kAccessRemoteWrite | kAccessRemoteRead |
+                                 kAccessRemoteAtomic);
+    EXPECT_TRUE(mr.is_ok());
+    fill_pattern(*proc_b_, dm_.mapped_at, proc::kPageSize, seed);
+    return mr.value();
+  }
+  void free_dm() {
+    ASSERT_TRUE(ctx_b_->free_dm(dm_.handle).is_ok());
+    ASSERT_FALSE(proc_b_->mem().mapped(dm_.mapped_at, 1));
+  }
+  DeviceMemory dm_;
+};
+
+TEST_F(RnicResponderFaultTest, ReadThroughAnMrWhoseMemoryIsGoneFailsRemotely) {
+  auto [qa, qb] = connect_pair();
+  auto local = make_buf(*ctx_a_, pd_a_, proc::kPageSize);
+  const Mr mr = dm_mr(9);
+  SendWr wr;
+  wr.wr_id = 1;
+  wr.opcode = WrOpcode::rdma_read;
+  wr.remote_addr = dm_.mapped_at;
+  wr.rkey = mr.rkey;
+  wr.sge = {{local.addr, static_cast<std::uint32_t>(proc::kPageSize), local.mr.lkey}};
+  // A normal READ first: its response block goes back to the pool with the
+  // page's bytes in it.
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  EXPECT_EQ(wait_cqe(*ctx_a_, cq_a_).status, CqeStatus::success);
+  expect_pattern(*proc_a_, local.addr, proc::kPageSize, 9);
+
+  free_dm();
+  fill_pattern(*proc_a_, local.addr, proc::kPageSize, 1);
+  wr.wr_id = 2;
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  const Cqe cqe = wait_cqe(*ctx_a_, cq_a_);
+  EXPECT_EQ(cqe.wr_id, 2u);
+  EXPECT_EQ(cqe.status, CqeStatus::remote_access_err);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+  expect_pattern(*proc_a_, local.addr, proc::kPageSize, 1);  // nothing landed
+}
+
+TEST_F(RnicResponderFaultTest, WriteThroughAnMrWhoseMemoryIsGoneFailsRemotely) {
+  auto [qa, qb] = connect_pair();
+  auto src = make_buf(*ctx_a_, pd_a_, proc::kPageSize);
+  const Mr mr = dm_mr(9);
+  free_dm();
+  SendWr wr;
+  wr.wr_id = 3;
+  wr.opcode = WrOpcode::rdma_write;
+  wr.remote_addr = dm_.mapped_at;
+  wr.rkey = mr.rkey;
+  wr.sge = {{src.addr, static_cast<std::uint32_t>(proc::kPageSize), src.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  const Cqe cqe = wait_cqe(*ctx_a_, cq_a_);
+  EXPECT_EQ(cqe.wr_id, 3u);
+  EXPECT_EQ(cqe.status, CqeStatus::remote_access_err);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+}
+
+TEST_F(RnicResponderFaultTest, AtomicThroughAnMrWhoseMemoryIsGoneFailsRemotely) {
+  auto [qa, qb] = connect_pair();
+  auto local = make_buf(*ctx_a_, pd_a_, proc::kPageSize);
+  const Mr mr = dm_mr(9);
+  free_dm();
+  SendWr wr;
+  wr.wr_id = 4;
+  wr.opcode = WrOpcode::atomic_fetch_and_add;
+  wr.remote_addr = dm_.mapped_at;
+  wr.rkey = mr.rkey;
+  wr.compare_add = 1;
+  wr.sge = {{local.addr, 8, local.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  const Cqe cqe = wait_cqe(*ctx_a_, cq_a_);
+  EXPECT_EQ(cqe.wr_id, 4u);
+  EXPECT_EQ(cqe.status, CqeStatus::remote_access_err);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+}
+
+TEST_F(RnicResponderFaultTest, SendIntoABufferWhoseMemoryIsGoneFailsTheRecv) {
+  auto [qa, qb] = connect_pair();
+  auto src = make_buf(*ctx_a_, pd_a_, proc::kPageSize);
+  const Mr mr = dm_mr(9);
+  RecvWr rwr;
+  rwr.wr_id = 5;
+  rwr.sge = {{dm_.mapped_at, static_cast<std::uint32_t>(proc::kPageSize), mr.lkey}};
+  ASSERT_TRUE(ctx_b_->post_recv(qb, rwr).is_ok());
+  free_dm();
+  SendWr wr;
+  wr.opcode = WrOpcode::send;
+  wr.sge = {{src.addr, 64, src.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  const Cqe cqe = wait_cqe(*ctx_b_, cq_b_);
+  EXPECT_EQ(cqe.wr_id, 5u);
+  EXPECT_EQ(cqe.opcode, CqeOpcode::recv);
+  EXPECT_EQ(cqe.status, CqeStatus::local_protection_err);
+  EXPECT_EQ(ctx_b_->query_qp_state(qb).value(), QpState::err);
+}
+
+// ---------------------------------------------------------------------------
+// Landing: a whole page-aligned packet block changes hands instead of being
+// copied (AddressSpace::write(VirtAddr, PayloadRef&&)).
+// ---------------------------------------------------------------------------
+
+class RnicLandingTest : public RnicTest {
+ protected:
+  std::vector<const std::uint8_t*> page_blocks(proc::SimProcess& p, proc::VirtAddr addr,
+                                               std::size_t pages) {
+    std::vector<const std::uint8_t*> out;
+    for (std::size_t i = 0; i < pages; ++i) {
+      out.push_back(p.mem().page_at(addr + i * proc::kPageSize)->data());
+    }
+    return out;
+  }
+};
+
+TEST_F(RnicLandingTest, LandedPagesShareTheirBlocksWithNoOne) {
+  auto [qa, qb] = connect_pair();
+  constexpr std::size_t kPages = 8;
+  const std::size_t size = kPages * proc::kPageSize;
+  auto src = make_buf(*ctx_a_, pd_a_, size);
+  auto dst = make_buf(*ctx_b_, pd_b_, size);
+  fill_pattern(*proc_a_, src.addr, size, 42);
+  fill_pattern(*proc_b_, dst.addr, size, 0);  // written pages: a landing swaps one for one
+  const auto displaced = page_blocks(*proc_b_, dst.addr, kPages);
+
+  SendWr wr;
+  wr.opcode = WrOpcode::rdma_write;
+  wr.remote_addr = dst.addr;
+  wr.rkey = dst.mr.rkey;
+  wr.sge = {{src.addr, static_cast<std::uint32_t>(size), src.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  ASSERT_EQ(wait_cqe(*ctx_a_, cq_a_).status, CqeStatus::success);
+  expect_pattern(*proc_b_, dst.addr, size, 42);
+  const auto landed = page_blocks(*proc_b_, dst.addr, kPages);
+  for (std::size_t i = 0; i < kPages; ++i) {
+    EXPECT_NE(landed[i], displaced[i]) << "page " << i << " was copied, not handed over";
+  }
+
+  // Each side sees only its own writes.
+  fill_pattern(*proc_a_, src.addr, size, 7);
+  expect_pattern(*proc_b_, dst.addr, size, 42);
+  fill_pattern(*proc_b_, dst.addr, size, 99);
+  expect_pattern(*proc_a_, src.addr, size, 7);
+  expect_pattern(*proc_b_, dst.addr, size, 99);
+
+  // No block backs two pages, the blocks the next packets take are no page
+  // of either side, and each displaced page is a page again (a later packet
+  // of the WRITE took it from the pool) or waits in the pool.
+  std::set<const std::uint8_t*> pages;
+  for (const auto* b : page_blocks(*proc_a_, src.addr, kPages)) pages.insert(b);
+  for (const auto* b : page_blocks(*proc_b_, dst.addr, kPages)) pages.insert(b);
+  EXPECT_EQ(pages.size(), 2 * kPages);
+  std::set<const std::uint8_t*> next;
+  std::vector<common::PayloadRef> taken;
+  for (int i = 0; i < 256; ++i) {
+    taken.push_back(common::PayloadRef::alloc(proc::kPageSize));
+    EXPECT_FALSE(pages.contains(taken.back().data()));
+    std::memset(taken.back().mutable_data(), 0xEE, proc::kPageSize);
+    next.insert(taken.back().data());
+  }
+  for (const auto* b : displaced) {
+    EXPECT_TRUE(pages.contains(b) || next.contains(b)) << "a displaced page left the pool";
+  }
+  expect_pattern(*proc_a_, src.addr, size, 7);
+  expect_pattern(*proc_b_, dst.addr, size, 99);
+}
+
+TEST_F(RnicLandingTest, WholePageWriteIntoAMissingPageFaultsItInFirst) {
+  auto [qa, qb] = connect_pair();
+  const std::size_t size = 2 * proc::kPageSize;
+  auto src = make_buf(*ctx_a_, pd_a_, size);
+  auto dst = make_buf(*ctx_b_, pd_b_, size);
+  fill_pattern(*proc_a_, src.addr, size, 42);
+  // A post-copy destination: the pages' contents still live on the source.
+  // The hook fills them the way PostcopyPump does, through page_at.
+  auto& mem = proc_b_->mem();
+  std::map<proc::VirtAddr, const std::uint8_t*> faulted;
+  mem.set_fault_hook([&](proc::VirtAddr page) {
+    const proc::PageBytes bytes = *mem.page_at(page);
+    std::fill(bytes.begin(), bytes.end(), 0xAA);
+    faulted[page] = bytes.data();
+  });
+  mem.mark_missing(dst.addr);
+  mem.mark_missing(dst.addr + proc::kPageSize);
+  (void)mem.collect_dirty();
+
+  SendWr wr;
+  wr.opcode = WrOpcode::rdma_write;
+  wr.remote_addr = dst.addr;
+  wr.rkey = dst.mr.rkey;
+  wr.sge = {{src.addr, static_cast<std::uint32_t>(size), src.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  ASSERT_EQ(wait_cqe(*ctx_a_, cq_a_).status, CqeStatus::success);
+
+  ASSERT_EQ(faulted.size(), 2u) << "the landing must fault each page in first";
+  EXPECT_EQ(mem.missing_count(), 0u);
+  const auto landed = page_blocks(*proc_b_, dst.addr, 2);
+  EXPECT_NE(landed[0], faulted[dst.addr]) << "the landing copied instead of handing over";
+  EXPECT_NE(landed[1], faulted[dst.addr + proc::kPageSize]);
+  EXPECT_EQ(mem.collect_dirty().size(), 2u);
+  expect_pattern(*proc_b_, dst.addr, size, 42);  // the source's contents did not win
+}
+
+TEST_F(RnicLandingTest, UdDatagramLongerThanItsBufferCompletesInError) {
+  QpInitAttr attr_a{QpType::ud, pd_a_, cq_a_, cq_a_, 0, {}};
+  QpInitAttr attr_b{QpType::ud, pd_b_, cq_b_, cq_b_, 0, {}};
+  Qpn qa = ctx_a_->create_qp(attr_a).value();
+  Qpn qb = ctx_b_->create_qp(attr_b).value();
+  for (auto [ctx, qpn] : {std::pair{ctx_a_, qa}, std::pair{ctx_b_, qb}}) {
+    ASSERT_TRUE(ctx->modify_qp_init(qpn).is_ok());
+    ASSERT_TRUE(ctx->modify_qp_rtr(qpn, 0, 0, 0).is_ok());
+    ASSERT_TRUE(ctx->modify_qp_rts(qpn, 0).is_ok());
+  }
+  auto sbuf = make_buf(*ctx_a_, pd_a_, 4096);
+  auto rbuf = make_buf(*ctx_b_, pd_b_, 4096);
+  fill_pattern(*proc_a_, sbuf.addr, 256, 5);
+  RecvWr small;
+  small.wr_id = 1;
+  small.sge = {{rbuf.addr, 128, rbuf.mr.lkey}};
+  RecvWr big;
+  big.wr_id = 2;
+  big.sge = {{rbuf.addr + 1024, 1024, rbuf.mr.lkey}};
+  ASSERT_TRUE(ctx_b_->post_recv(qb, small).is_ok());
+  ASSERT_TRUE(ctx_b_->post_recv(qb, big).is_ok());
+
+  SendWr wr;
+  wr.opcode = WrOpcode::send;
+  wr.remote_host = 2;
+  wr.remote_qpn = qb;
+  wr.sge = {{sbuf.addr, 256, sbuf.mr.lkey}};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+    EXPECT_EQ(wait_cqe(*ctx_a_, cq_a_).status, CqeStatus::success);
+  }
+  world_.loop().run_until(world_.loop().now() + sim::msec(1));
+
+  Cqe cqes[4];
+  ASSERT_EQ(ctx_b_->poll_cq(cq_b_, cqes), 2);
+  EXPECT_EQ(cqes[0].wr_id, 1u);
+  EXPECT_EQ(cqes[0].status, CqeStatus::local_protection_err);
+  EXPECT_EQ(cqes[1].wr_id, 2u);
+  EXPECT_EQ(cqes[1].status, CqeStatus::success);
+  EXPECT_EQ(cqes[1].byte_len, 256u);
+  expect_pattern(*proc_b_, rbuf.addr + 1024, 256, 5);
+  EXPECT_EQ(ctx_b_->query_qp_state(qb).value(), QpState::rts);
 }
 
 }  // namespace

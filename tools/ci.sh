@@ -44,10 +44,12 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 # mutation sweeps of the wire parser, of the image-payload and FT
 # epoch-frame readers, of the post-copy page request/reply readers and of
 # the TransferMux data/ACK frames, the hostile-string round trip through
-# every JSON artifact writer, and the FT teardown tests (ending protection
-# releases what the standby staged).
+# every JSON artifact writer, the FT teardown tests (ending protection
+# releases what the standby staged), the responder's memory-fault replies,
+# and payload landing (a whole page block handed to the page table, checked
+# against the address-space reference model).
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown)'
+  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicLandingTest|AddressSpaceModel)'
 
 echo "==> [3/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
