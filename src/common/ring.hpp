@@ -94,6 +94,10 @@ class GrowRing {
     assert(!empty());
     return slots_[head_ & (slots_.size() - 1)];
   }
+  const T& back() const {
+    assert(!empty());
+    return slots_[(tail_ - 1) & (slots_.size() - 1)];
+  }
   void pop_front() {
     assert(!empty());
     ++head_;

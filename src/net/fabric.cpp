@@ -58,8 +58,7 @@ Status Fabric::attach_host(HostId host) {
   if (ports_.contains(host)) {
     return common::err(Errc::already_exists, "host already attached");
   }
-  Port port;
-  port.id = host;
+  Port& port = ports_.try_emplace(host, host, *this).first->second;
   if (partitioned_orphans_.erase(host) > 0) port.is_partitioned = true;
   // Register the port's stats with the process-wide registry so one
   // snapshot covers all fabric layers; the struct stays the accessor API.
@@ -78,7 +77,6 @@ Status Fabric::attach_host(HostId host) {
             {"ctrl_messages_dropped", static_cast<double>(s.ctrl_messages_dropped)},
         };
       });
-  ports_.emplace(host, std::move(port));
   return Status::ok();
 }
 
@@ -194,7 +192,20 @@ void Fabric::post_delivery(Route& r, Packet&& packet) {
 }
 
 void Fabric::send_data(Route& r, Packet&& packet) {
-  if (admit(r, packet) != Admission::dropped) post_delivery(r, std::move(packet));
+  switch (admit(r, packet)) {
+    case Admission::dropped:
+      break;
+    case Admission::held_back:
+      post_delivery(r, std::move(packet));
+      break;
+    case Admission::on_time: {
+      // Egress serializes in admission order and propagation is constant:
+      // the lane's delivery times never decrease (EventLane::push asserts).
+      const sim::TimeNs at = packet.deliver_at_;
+      r.src->lane.push(at, InFlight{&r, std::move(packet)});
+      break;
+    }
+  }
 }
 
 void Fabric::deliver(Route& r, Packet&& packet) {

@@ -20,10 +20,14 @@
 // is plain pointer work instead of 4-6 hash lookups. Every data packet,
 // alone (send_data) or in a train (send_data_burst), clean fabric or faulty,
 // passes one admission step: counters, egress reservation, then the
-// loss/partition draw and the reorder draw, in packet order. A train keeps
-// the packets admitted on time and delivers each at its own time through a
-// single self-re-arming event; a held-back packet leaves it for its own
-// delivery event, a lost one is gone.
+// loss/partition draw and the reorder draw, in packet order. A lost packet
+// is gone; a held-back one gets a delivery event of its own. A packet sent
+// alone and admitted on time waits in its source port's lane
+// (sim::EventLane): egress serializes in admission order and propagation is
+// constant, so on one port delivery times never decrease, and only the
+// lane's head has an event in the loop, under the sequence number the
+// packet took at admission. A train keeps its on-time packets and delivers
+// each at its own time through a single self-re-arming event.
 #pragma once
 
 #include <cstdint>
@@ -122,15 +126,30 @@ class Fabric {
   /// (source host, payload)
   using CtrlHandler = std::function<void(HostId, common::Bytes&&)>;
 
+  struct Route;
+  /// A packet admitted on time, waiting in its source port's lane.
+  struct InFlight {
+    Route* route = nullptr;
+    Packet packet;
+  };
+  struct DeliverInFlight {
+    Fabric* fabric;
+    void operator()(InFlight&& f) const { fabric->deliver(*f.route, std::move(f.packet)); }
+  };
+
   /// One attached host port. Stable address for the fabric's lifetime
   /// (callers treat it as opaque; it is public only so Route can be).
   struct Port {
+    Port(HostId host, Fabric& fabric) : id(host), lane(fabric.loop_, {&fabric}) {}
+
     HostId id = 0;
     sim::TimeNs egress_free_at = 0;  // when the port finishes its current tx
     bool is_partitioned = false;
     DataHandler handler;
     PortStats stats;
     std::uint64_t source_id = 0;  // obs registry source handle
+    /// Packets sent alone and admitted on time, in admission order.
+    sim::EventLane<InFlight, DeliverInFlight> lane;
   };
 
   /// Resolved (src, dst) fast-path handle: port pointers plus the directed

@@ -447,6 +447,10 @@ class Device {
 
   void complete_head_wqes(Qp& qp);
   void flush_qp(Qp& qp, bool notify);
+  // A READ or atomic response that cannot land in its WQE's local buffer:
+  // the WQEs ahead complete as the response's implied ACK allows, the failed
+  // one with a local protection error, and the QP flushes to error.
+  void fail_landing(Qp& qp, Psn first_psn);
   void arm_retransmit_timer(Qp& qp);
   void on_retransmit_timer(Qpn qpn);
   // Completes a consumed receive WQE with a local protection error (a

@@ -1070,8 +1070,10 @@ void Device::on_read_resp(Qp& qp, WirePacket& pkt) {
     if (w.resp_received >= w.bytes && w.bytes > 0) return;  // duplicate replay
     // Note: with re-issued reads, offsets may repeat; count via high-water.
     const std::uint64_t high = pkt.offset + pkt.payload.size();
-    if (!pkt.payload.empty()) {
-      (void)dma_write(*qp.ctx, w.wr.sge, pkt.offset, std::move(pkt.payload));
+    if (!pkt.payload.empty() &&
+        !dma_write(*qp.ctx, w.wr.sge, pkt.offset, std::move(pkt.payload)).is_ok()) {
+      fail_landing(qp, w.first_psn);
+      return;
     }
     if (high > w.resp_received) w.resp_received = high;
     qp.last_progress = loop_.now();
@@ -1094,8 +1096,10 @@ void Device::on_atomic_resp(Qp& qp, WirePacket& pkt) {
       continue;
     }
     if (w.resp_done) return;  // duplicate
-    if (pkt.payload.size() == 8 && !w.wr.sge.empty()) {
-      (void)dma_write(*qp.ctx, w.wr.sge, 0, std::move(pkt.payload));
+    if (pkt.payload.size() == 8 && !w.wr.sge.empty() &&
+        !dma_write(*qp.ctx, w.wr.sge, 0, std::move(pkt.payload)).is_ok()) {
+      fail_landing(qp, w.first_psn);
+      return;
     }
     w.resp_done = true;
     qp.last_progress = loop_.now();
@@ -1104,6 +1108,23 @@ void Device::on_atomic_resp(Qp& qp, WirePacket& pkt) {
     complete_head_wqes(qp);
     return;
   }
+}
+
+void Device::fail_landing(Qp& qp, Psn first_psn) {
+  // The response implies an ACK of every PSN before the failed WQE's.
+  if (qp.acked_psn < first_psn) qp.acked_psn = first_psn;
+  complete_head_wqes(qp);
+  if (!qp.sq.empty() && qp.sq.front().first_psn == first_psn) {
+    const SendWqe& head = qp.sq.front();
+    Cqe cqe;
+    cqe.wr_id = head.wr.wr_id;
+    cqe.status = CqeStatus::local_protection_err;
+    cqe.opcode = send_cqe_opcode(head.wr.opcode);
+    cqe.qpn = qp.qpn;
+    qp.ctx->push_cqe(qp.send_cq, cqe);
+    qp.sq.pop();
+  }
+  flush_qp(qp, /*notify=*/true);
 }
 
 void Device::fail_recv(Qp& qp, const RecvWr& wr) {

@@ -94,26 +94,33 @@ EventHandle EventLoop::do_schedule(TimeNs at, DurationNs period, detail::EventFn
   detail::Slot& s = table_->slots[slot];
   s.period = period;
   s.fn = std::move(fn);
-  push_entry(at, slot);
+  push_entry(at, next_seq_++, slot);
   return EventHandle(table_, slot, s.gen);
 }
 
-void EventLoop::do_post(TimeNs at, detail::EventFn fn) {
+void EventLoop::do_post(TimeNs at, std::uint64_t seq, detail::EventFn fn) {
   const std::uint32_t slot = table_->acquire();
   detail::Slot& s = table_->slots[slot];
   s.period = 0;
   s.fn = std::move(fn);
-  push_entry(at, slot);
+  push_entry(at, seq, slot);
 }
 
-void EventLoop::push_entry(TimeNs at, std::uint32_t slot) {
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, table_->slots[slot].gen});
+void EventLoop::push_entry(TimeNs at, std::uint64_t seq, std::uint32_t slot) {
+  heap_.push_back(HeapEntry{at, seq, slot, table_->slots[slot].gen});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventLoop::pop_entry() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
+}
+
+void EventLoop::drop_cancelled() {
+  const auto& slots = table_->slots;
+  std::erase_if(heap_, [&](const HeapEntry& e) { return slots[e.slot].gen != e.gen; });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  table_->cancelled = 0;
 }
 
 void EventLoop::wake(const EventHandle& h) {
@@ -131,14 +138,19 @@ void EventLoop::wake(const EventHandle& h) {
   const TimeNs behind = now_ - s.next_at;
   const TimeNs at = behind > 0 ? s.next_at + (behind + s.period - 1) / s.period * s.period
                                : s.next_at;
-  push_entry(at, h.slot_);
+  push_entry(at, next_seq_++, h.slot_);
 }
 
 bool EventLoop::dispatch_one(TimeNs deadline) {
   auto& slots = table_->slots;
+  // Once cancelled entries outnumber the live ones, one O(n) rebuild drops
+  // them all: each rebuild follows at least n/2 cancels, so a cancel costs
+  // amortised O(1) and the heap stays within twice its live entries.
+  if (2 * table_->cancelled > heap_.size()) drop_cancelled();
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
     if (slots[top.slot].gen != top.gen) {  // cancelled; slot already recycled
+      table_->cancelled--;
       pop_entry();
       continue;
     }
@@ -165,7 +177,7 @@ bool EventLoop::dispatch_one(TimeNs deadline) {
         s.parked = true;
         s.next_at = now_ + s.period;
       } else {
-        push_entry(now_ + s.period, top.slot);
+        push_entry(now_ + s.period, next_seq_++, top.slot);
       }
     } else {
       // One-shot: free the slot before invoking, so the callback can safely

@@ -11,8 +11,18 @@
 // to a size-classed free-list pool), cancellation is a generation-counter
 // check instead of a per-event shared_ptr<bool>, and the ready queue is a
 // binary heap of 24-byte POD entries over a slot table that recycles
-// storage. A handle-free post_at() covers fire-and-forget events (packet
-// deliveries, pump slots) without any handle bookkeeping.
+// storage. A handle-free post_at() covers fire-and-forget events (pump
+// slots, held-back packets, control messages) without any handle
+// bookkeeping.
+//
+// The heap holds only what can fire next. An EventLane queues one-shot
+// events whose times never decrease (the fabric's per-port delivery lane):
+// each takes its sequence number when it is queued, and only the lane's
+// head waits in the heap, under that number, so every event fires at the
+// same instant and in the same order as if each had been posted alone. A
+// cancelled event's entry stays in the heap until it reaches the top,
+// unless cancelled entries come to outnumber the live ones: then the heap
+// is rebuilt without them.
 //
 // A parkable periodic task leaves the heap after a tick that found no work,
 // and its skipped ticks cost nothing. It keeps its grid: wake() pushes its
@@ -32,6 +42,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/ring.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
@@ -157,6 +168,7 @@ struct Slot {
 struct SlotTable {
   std::deque<Slot> slots;
   std::vector<std::uint32_t> free_list;
+  std::size_t cancelled = 0;        // heap entries of cancelled slots
   std::uint32_t running = kNoSlot;  // slot whose periodic fn is executing
   bool running_cancelled = false;   // cancel() arrived during that execution
   bool running_idle = false;        // that execution found no work
@@ -195,6 +207,7 @@ struct SlotTable {
       running_cancelled = true;
       return;
     }
+    if (!slots[slot].parked) cancelled++;  // its heap entry is now dead
     release(slot);
   }
 
@@ -282,14 +295,25 @@ class EventLoop : public common::SimTimeSource {
   void wake(const EventHandle& h);
 
   /// Fire-and-forget fast path: like schedule_at but returns no handle, so
-  /// the hot paths (packet delivery, pump pacing) skip handle bookkeeping.
+  /// the hot paths (pump pacing, held-back packets) skip handle bookkeeping.
   template <typename F>
   void post_at(TimeNs at, F&& fn) {
-    do_post(at < now_ ? now_ : at, detail::EventFn(std::forward<F>(fn)));
+    do_post(at < now_ ? now_ : at, next_seq_++, detail::EventFn(std::forward<F>(fn)));
   }
   template <typename F>
   void post_in(DurationNs delay, F&& fn) {
     post_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
+  }
+
+  /// The sequence number a post made now would take, taken without posting.
+  std::uint64_t take_seq() noexcept { return next_seq_++; }
+  /// post_at under a number from take_seq(): among events at `at` it fires
+  /// as if it had been posted when the number was taken. The caller keeps
+  /// (at, seq) from preceding the event being dispatched (EventLane does).
+  template <typename F>
+  void post_at_seq(TimeNs at, std::uint64_t seq, F&& fn) {
+    assert(at >= now_ && seq < next_seq_);
+    do_post(at, seq, detail::EventFn(std::forward<F>(fn)));
   }
 
   /// Run events until the queue is empty or stop() is called.
@@ -307,7 +331,11 @@ class EventLoop : public common::SimTimeSource {
   void stop() noexcept { stopped_ = true; }
 
   bool empty() const noexcept { return table_->allocated() == 0; }
+  /// Scheduled callbacks: one-shot events not yet fired and periodic tasks,
+  /// parked ones included.
   std::size_t pending_events() const noexcept { return table_->allocated(); }
+  /// Entries in the ready heap, live and cancelled.
+  std::size_t heap_entries() const noexcept { return heap_.size(); }
 
   /// Events dispatched by this loop since construction.
   std::uint64_t events_dispatched() const noexcept { return dispatched_; }
@@ -331,9 +359,11 @@ class EventLoop : public common::SimTimeSource {
   static constexpr TimeNs kForever = std::numeric_limits<TimeNs>::max();
 
   EventHandle do_schedule(TimeNs at, DurationNs period, detail::EventFn fn);
-  void do_post(TimeNs at, detail::EventFn fn);
-  void push_entry(TimeNs at, std::uint32_t slot);
+  void do_post(TimeNs at, std::uint64_t seq, detail::EventFn fn);
+  void push_entry(TimeNs at, std::uint64_t seq, std::uint32_t slot);
   void pop_entry();
+  /// Rebuild the heap without the entries of cancelled slots.
+  void drop_cancelled();
   /// Dispatch the earliest live event at or before `deadline`; false if none.
   bool dispatch_one(TimeNs deadline);
   void account_run(TimeNs sim_start, std::int64_t wall_start_ns);
@@ -351,6 +381,57 @@ class EventLoop : public common::SimTimeSource {
   obs::Counter* sim_ns_counter_ = nullptr;
   obs::Counter* wall_ns_counter_ = nullptr;
   obs::Gauge* drift_gauge_ = nullptr;
+};
+
+/// A FIFO of one-shot events whose times never decrease, with only its head
+/// in the loop's heap. Each event takes its sequence number when it is
+/// queued and its head enters the heap under that number, so the lane's
+/// events fire at the instants and in the order they would have if each
+/// had been posted alone, while the heap holds one entry for the lane
+/// however deep it is. `fire` is called with each item in turn. Storage
+/// grows to the lane's high-water mark and is reused from then on. The
+/// head's event points at the lane, so a lane never moves.
+template <typename T, typename Fire>
+class EventLane {
+ public:
+  EventLane(EventLoop& loop, Fire fire) : loop_(loop), fire_(std::move(fire)) {}
+  EventLane(const EventLane&) = delete;
+  EventLane& operator=(const EventLane&) = delete;
+
+  bool empty() const noexcept { return q_.empty(); }
+  std::size_t size() const noexcept { return q_.size(); }
+
+  /// Queue `item` to fire at `at`: not before now(), nor before the time of
+  /// the item queued last.
+  void push(TimeNs at, T item) {
+    assert(at >= loop_.now() && (q_.empty() || q_.back().at <= at));
+    const bool idle = q_.empty();
+    q_.push_back(Entry{at, loop_.take_seq(), std::move(item)});
+    if (idle) arm();
+  }
+
+ private:
+  struct Entry {
+    TimeNs at = 0;
+    std::uint64_t seq = 0;
+    T item;
+  };
+
+  void arm() {
+    const Entry& head = q_.front();
+    loop_.post_at_seq(head.at, head.seq, [this] { fire_head(); });
+  }
+
+  void fire_head() {
+    T item = std::move(q_.front().item);
+    q_.pop_front();
+    if (!q_.empty()) arm();
+    fire_(std::move(item));
+  }
+
+  EventLoop& loop_;
+  Fire fire_;
+  common::GrowRing<Entry> q_;
 };
 
 }  // namespace migr::sim

@@ -3,7 +3,8 @@
 //  * a fleet MsgNode pair under the traffic generator sends and delivers
 //    its messages without allocating once warmed up;
 //  * a perftest RDMA WRITE stream (multi-packet trains) allocates nothing
-//    once warmed up, and neither does stream_rw's WRITE beside READ mix;
+//    once warmed up, and neither does stream_rw's WRITE beside READ mix,
+//    whose event heap stays small while hundreds of packets are in flight;
 //  * brownout SLI taps wired to the disarmed hub add no event and no
 //    allocation to a drain ("observability off = free", DESIGN.md §12);
 //  * a pre-copy round (dump -> payload -> parse -> apply) of 512 dirty pages
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <new>
 #include <set>
@@ -147,52 +149,114 @@ TEST(AllocPin, PerftestWriteStreamAllocatesNothingInSteadyState) {
   EXPECT_EQ(tx.stats().errors, 0u);
 }
 
-TEST(AllocPin, PerftestWriteBesideReadStreamAllocatesNothingInSteadyState) {
-  // stream_rw's mix: every WRITE and READ-response packet takes a pool block
-  // of its own, and landing by hand-over gives the displaced page back.
-  cluster::ClusterConfig cfg;
-  cfg.hosts = 2;
-  cluster::ClusterModel model(cfg);
-  apps::PerftestConfig wcfg;
-  wcfg.num_qps = 2;
-  wcfg.msg_size = 256 * 1024;
-  wcfg.queue_depth = 4;
-  wcfg.opcode = rnic::WrOpcode::rdma_write;
-  apps::PerftestConfig rcfg = wcfg;
-  rcfg.opcode = rnic::WrOpcode::rdma_read;
+/// stream_rw's mix on two hosts: 256 KiB WRITEs beside 256 KiB READs, two
+/// QPs each. Every WRITE and READ-response packet takes a pool block of its
+/// own, and landing by hand-over gives the displaced page back.
+class WriteBesideReadStream {
+ public:
   using Peer = apps::PerftestPeer;
-  auto& w = model.world();
-  Peer w_tx(model.runtime(1), w.add_process("w_tx"), 100, Peer::Role::sender, wcfg);
-  Peer w_rx(model.runtime(2), w.add_process("w_rx"), 200, Peer::Role::receiver, wcfg);
-  Peer r_tx(model.runtime(1), w.add_process("r_tx"), 101, Peer::Role::sender, rcfg);
-  Peer r_rx(model.runtime(2), w.add_process("r_rx"), 201, Peer::Role::receiver, rcfg);
-  for (std::uint32_t i = 0; i < wcfg.num_qps; ++i) {
-    ASSERT_TRUE(Peer::connect_pair(w_tx, i, w_rx, i).is_ok());
-    ASSERT_TRUE(Peer::connect_pair(r_tx, i, r_rx, i).is_ok());
-  }
-  Peer* peers[] = {&w_rx, &r_rx, &w_tx, &r_tx};
-  for (Peer* p : peers) p->start();
-  // Warm-up: the packets in flight reach their high-water mark, and with it
-  // the pool's page class (about 12 ms in, once the READ responses' backlog
-  // peaks beside the WRITE trains).
-  model.run_for(sim::msec(20));
 
-  const std::uint64_t writes0 = w_tx.stats().completed_msgs;
-  const std::uint64_t reads0 = r_tx.stats().completed_msgs;
+  WriteBesideReadStream()
+      : model_(two_hosts()),
+        w_tx_(model_.runtime(1), world().add_process("w_tx"), 100, Peer::Role::sender,
+              config(rnic::WrOpcode::rdma_write)),
+        w_rx_(model_.runtime(2), world().add_process("w_rx"), 200, Peer::Role::receiver,
+              config(rnic::WrOpcode::rdma_write)),
+        r_tx_(model_.runtime(1), world().add_process("r_tx"), 101, Peer::Role::sender,
+              config(rnic::WrOpcode::rdma_read)),
+        r_rx_(model_.runtime(2), world().add_process("r_rx"), 201, Peer::Role::receiver,
+              config(rnic::WrOpcode::rdma_read)) {
+    for (std::uint32_t i = 0; i < kQps; ++i) {
+      EXPECT_TRUE(Peer::connect_pair(w_tx_, i, w_rx_, i).is_ok());
+      EXPECT_TRUE(Peer::connect_pair(r_tx_, i, r_rx_, i).is_ok());
+    }
+    for (Peer* p : peers()) p->start();
+  }
+  ~WriteBesideReadStream() {
+    for (Peer* p : peers()) p->stop();
+  }
+
+  void run_for(sim::DurationNs d) { model_.run_for(d); }
+  rnic::World& world() { return model_.world(); }
+  std::uint64_t writes() const { return w_tx_.stats().completed_msgs; }
+  std::uint64_t reads() const { return r_tx_.stats().completed_msgs; }
+  /// Data packets serialized but not yet delivered (the fabric is clean).
+  std::uint64_t packets_in_flight() {
+    const net::PortStats& a = world().fabric().stats(1);
+    const net::PortStats& b = world().fabric().stats(2);
+    return a.data_packets_tx + b.data_packets_tx - a.data_packets_rx - b.data_packets_rx;
+  }
+  std::uint64_t faults() {
+    std::uint64_t n = 0;
+    for (Peer* p : peers()) {
+      n += p->stats().errors + p->stats().order_violations + p->stats().content_corruptions;
+    }
+    return n;
+  }
+
+ private:
+  static constexpr std::uint32_t kQps = 2;
+
+  static cluster::ClusterConfig two_hosts() {
+    cluster::ClusterConfig cfg;
+    cfg.hosts = 2;
+    return cfg;
+  }
+  static apps::PerftestConfig config(rnic::WrOpcode op) {
+    apps::PerftestConfig c;
+    c.num_qps = kQps;
+    c.msg_size = 256 * 1024;
+    c.queue_depth = 4;
+    c.opcode = op;
+    return c;
+  }
+  std::array<Peer*, 4> peers() { return {&w_rx_, &r_rx_, &w_tx_, &r_tx_}; }
+
+  cluster::ClusterModel model_;
+  Peer w_tx_;
+  Peer w_rx_;
+  Peer r_tx_;
+  Peer r_rx_;
+};
+
+TEST(AllocPin, PerftestWriteBesideReadStreamAllocatesNothingInSteadyState) {
+  WriteBesideReadStream stream;
+  // Warm-up: the packets in flight reach their high-water mark, and with it
+  // the pool's page class and the ports' delivery lanes (about 12 ms in,
+  // once the READ responses' backlog peaks beside the WRITE trains).
+  stream.run_for(sim::msec(20));
+
+  const std::uint64_t writes0 = stream.writes();
+  const std::uint64_t reads0 = stream.reads();
   const std::uint64_t allocs0 = g_alloc_count;
-  model.run_for(sim::msec(50));
+  stream.run_for(sim::msec(50));
   const std::uint64_t allocs = g_alloc_count - allocs0;
-  const std::uint64_t writes = w_tx.stats().completed_msgs - writes0;
-  const std::uint64_t reads = r_tx.stats().completed_msgs - reads0;
-  for (Peer* p : peers) p->stop();
+  const std::uint64_t writes = stream.writes() - writes0;
+  const std::uint64_t reads = stream.reads() - reads0;
 
   EXPECT_EQ(allocs, 0u) << "over " << writes << " WRITEs and " << reads << " READs";
   EXPECT_GT(writes, 500u);
   EXPECT_GT(reads, 500u);
-  for (Peer* p : peers) {
-    EXPECT_EQ(p->stats().errors + p->stats().order_violations + p->stats().content_corruptions,
-              0u);
+  EXPECT_EQ(stream.faults(), 0u);
+}
+
+// Heap-bound pin: a READ response's packets wait in the responder port's
+// delivery lane, so the event heap holds the lane heads, the trains and the
+// pollers, not one entry per packet in flight.
+TEST(HeapBoundPin, WriteBesideReadStreamKeepsPacketsInFlightOutOfTheHeap) {
+  WriteBesideReadStream stream;
+  stream.run_for(sim::msec(5));
+  std::size_t heap_peak = 0;
+  std::uint64_t in_flight_peak = 0;
+  for (int i = 0; i < 200; ++i) {
+    stream.run_for(sim::usec(100));
+    heap_peak = std::max(heap_peak, stream.world().loop().heap_entries());
+    in_flight_peak = std::max(in_flight_peak, stream.packets_in_flight());
   }
+  EXPECT_LE(heap_peak, 32u);
+  EXPECT_GE(in_flight_peak, 200u);
+  EXPECT_GT(stream.reads(), 100u);
+  EXPECT_EQ(stream.faults(), 0u);
 }
 
 struct DrainCost {

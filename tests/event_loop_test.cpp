@@ -3,12 +3,17 @@
 // counters must not let a cancelled or stale handle touch a recycled slot,
 // and dispatch order must stay FIFO among equal timestamps (the fabric's
 // in-order delivery guarantee rides on that tie-break). A parked task must
-// leave the heap and come back on its own grid, losing no work.
+// leave the heap and come back on its own grid, losing no work. Events
+// queued in an EventLane and a heap rebuilt without its cancelled entries
+// must dispatch exactly as if every event had been posted alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <map>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -490,6 +495,336 @@ TEST(EventLoopProperty, LongParkedStretchesDispatchLikeAlwaysTickingOnes) {
 
 TEST(EventLoopProperty, ParkedPollersOnSharedGridsKeepTheirGridsAndLoseNoWork) {
   expect_parking_keeps_grids(150, usec(1500), 1500);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch order against a reference model. Seeded scenarios mix one-shot
+// posts, cancellable timers, periodic and parkable tasks and EventLane
+// pushes, most made from inside callbacks, on a coarse time grain so that
+// many events share an instant. Batches of far-future timers are cancelled
+// in bulk, which forces the heap to rebuild without them. The model keeps
+// every event the loop owes, keyed by (time, posting order), where a lane
+// event is posted when it is queued and a periodic tick when its previous
+// tick returns; each dispatch must be the model's earliest event.
+// ---------------------------------------------------------------------------
+
+class DispatchOrderScenario {
+ public:
+  explicit DispatchOrderScenario(std::uint64_t seed) : rng_(seed) {
+    for (int l = 0; l < kLanes; ++l) {
+      lanes_.push_back(std::make_unique<Lane>(loop_, LaneFire{this}));
+    }
+  }
+
+  void run() {
+    for (int i = 0; i < 4; ++i) spawn();
+    for (int i = 0; i < 6; ++i) act(1);
+    TimeNs deadline = 0;
+    while (deadline < kHorizon) {
+      deadline += static_cast<TimeNs>(rng_.range(1, 40)) * kGrain;
+      loop_.run_until(deadline);
+      settle();
+      check_after_run(deadline);
+      act(1 + static_cast<int>(rng_.below(3)));  // between runs
+    }
+  }
+
+  const std::string& violation() const { return violation_; }
+  std::uint64_t dispatched() const { return loop_.events_dispatched(); }
+  int rebuilds_seen() const { return rebuilds_seen_; }
+  int lane_ties() const { return lane_ties_; }
+
+ private:
+  static constexpr TimeNs kGrain = 50;
+  static constexpr TimeNs kHorizon = usec(400);
+  static constexpr TimeNs kFar = sec(1);
+  static constexpr int kLanes = 3;
+  static constexpr int kMaxPosts = 6000;
+  static constexpr std::size_t kMaxTasks = 10;
+  static constexpr int kTaskIds = 1'000'000;  // tick ids: kTaskIds + task index
+
+  struct Key {
+    TimeNs at;
+    std::uint64_t order;
+    auto operator<=>(const Key&) const = default;
+  };
+  struct Task {
+    EventHandle handle;
+    DurationNs period = 0;
+    bool parkable = false;
+    bool cancelled = false;
+    bool parked = false;
+    TimeNs next_at = 0;  // parked: its next grid instant
+    int work = 0;
+    bool armed = false;  // `key` is in the model
+    Key key{};
+  };
+  struct Timer {
+    EventHandle handle;
+    Key key;
+  };
+  struct LaneFire {
+    DispatchOrderScenario* s;
+    void operator()(int id) const { s->lane_fired(id); }
+  };
+  using Lane = EventLane<int, LaneFire>;
+
+  TimeNs now() const { return loop_.now(); }
+  TimeNs soon(std::uint64_t grains) { return now() + static_cast<TimeNs>(rng_.below(grains)) * kGrain; }
+
+  Key expect(TimeNs at, int id) {
+    const Key key{at, order_++};
+    model_.emplace(key, id);
+    return key;
+  }
+
+  // The first thing every callback does: the dispatch must be the model's
+  // earliest event.
+  void fire(int id) {
+    settle();
+    if (!violation_.empty()) return;
+    std::ostringstream os;
+    if (model_.empty()) {
+      os << "dispatched " << id << " at " << now() << " with nothing owed";
+    } else if (model_.begin()->second != id || model_.begin()->first.at != now()) {
+      os << "dispatched " << id << " at " << now() << ", model's earliest is "
+         << model_.begin()->second << " at " << model_.begin()->first.at;
+    } else {
+      model_.erase(model_.begin());
+      return;
+    }
+    violation_ = os.str();
+  }
+
+  // A periodic tick's next firing is posted when the tick returns, before
+  // anything else happens.
+  void settle() {
+    if (rearm_ < 0) return;
+    arm(tasks_[static_cast<std::size_t>(rearm_)], rearm_at_);
+    rearm_ = -1;
+  }
+
+  void arm(Task& t, TimeNs at) {
+    const int id = kTaskIds + static_cast<int>(&t - tasks_.data());
+    t.key = expect(at, id);
+    t.armed = true;
+  }
+
+  void check_after_run(TimeNs deadline) {
+    if (!violation_.empty()) return;
+    std::ostringstream os;
+    if (!model_.empty() && model_.begin()->first.at <= deadline) {
+      os << "event " << model_.begin()->second << " due at " << model_.begin()->first.at
+         << " never fired";
+      violation_ = os.str();
+      return;
+    }
+    // Live heap entries: all the model owes but the lanes' non-head events.
+    std::size_t live = model_.size();
+    for (const auto& lane : lanes_) live -= lane->empty() ? 0 : lane->size() - 1;
+    if (loop_.heap_entries() > 2 * live) {
+      os << loop_.heap_entries() << " heap entries for " << live << " live ones";
+      violation_ = os.str();
+    }
+    if (far_cancelled_ > 0) {
+      // Without a rebuild the cancelled far timers would all still be there.
+      if (loop_.heap_entries() < far_cancelled_) rebuilds_seen_++;
+      far_cancelled_ = 0;
+    }
+  }
+
+  void act(int n) {
+    for (int i = 0; i < n; ++i) {
+      switch (rng_.below(12)) {
+        case 0:
+        case 1: post(soon(6)); break;
+        case 2: timer(soon(20)); break;
+        case 3:
+          if (!timers_.empty()) cancel_timer(rng_.below(timers_.size()));
+          break;
+        case 4:
+        case 5:
+        case 6: lane_push(static_cast<int>(rng_.below(kLanes))); break;
+        case 7: give_work(); break;
+        case 8: spawn(); break;
+        case 9:
+          if (rng_.chance(0.3)) cancel_task(rng_.below(tasks_.size()));
+          break;
+        case 10:
+          if (rng_.chance(0.3)) far_batch();
+          break;
+        default:
+          if (!far_.empty()) cancel_far();
+          break;
+      }
+    }
+  }
+
+  bool budget() { return posts_++ < kMaxPosts; }
+
+  void post(TimeNs at) {
+    if (!budget()) return;
+    const int id = next_id_++;
+    expect(at, id);
+    loop_.post_at(at, [this, id] {
+      fire(id);
+      act(static_cast<int>(rng_.below(3)));
+    });
+  }
+
+  void timer(TimeNs at) {
+    if (!budget()) return;
+    const int id = next_id_++;
+    const Key key = expect(at, id);
+    EventHandle h = loop_.schedule_at(at, [this, id] {
+      fire(id);
+      act(static_cast<int>(rng_.below(3)));
+    });
+    timers_.push_back({h, key});
+  }
+
+  void cancel_timer(std::size_t i) {
+    timers_[i].handle.cancel();
+    model_.erase(timers_[i].key);  // a no-op once it has fired
+    timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  // A batch of far-future deadlines, most of which will be cancelled.
+  void far_batch() {
+    if (!budget()) return;
+    const int n = 50 + static_cast<int>(rng_.below(250));
+    for (int k = 0; k < n; ++k) {
+      const int id = next_id_++;
+      const TimeNs at = kFar + static_cast<TimeNs>(rng_.below(1000)) * kGrain;
+      const Key key = expect(at, id);
+      far_.push_back({loop_.schedule_at(at, [this, id] { fire(id); }), key});
+    }
+  }
+
+  void cancel_far() {
+    std::size_t kept = 0;
+    for (Timer& t : far_) {
+      if (rng_.chance(0.05)) {
+        far_[kept++] = t;
+        continue;
+      }
+      t.handle.cancel();
+      model_.erase(t.key);
+      far_cancelled_++;
+    }
+    far_.resize(kept);
+  }
+
+  void lane_push(int l) {
+    if (!budget()) return;
+    Lane& lane = *lanes_[static_cast<std::size_t>(l)];
+    TimeNs& tail = lane_tail_[l];
+    const TimeNs at = std::max(tail, soon(4));
+    if (at == tail) lane_ties_++;
+    tail = at;
+    const int id = next_id_++;
+    expect(at, id);
+    lane.push(at, id);
+  }
+
+  void lane_fired(int id) {
+    fire(id);
+    act(static_cast<int>(rng_.below(3)));
+  }
+
+  void spawn() {
+    if (tasks_.size() >= kMaxTasks) return;
+    tasks_.reserve(kMaxTasks);  // arm() takes a task's index from its address
+    const std::size_t i = tasks_.size();
+    Task& t = tasks_.emplace_back();
+    t.period = static_cast<DurationNs>(rng_.range(2, 12)) * kGrain;
+    t.parkable = rng_.chance(0.5);
+    const DurationNs first = static_cast<DurationNs>(rng_.below(8)) * kGrain;
+    arm(t, now() + first);
+    t.handle = t.parkable ? loop_.schedule_parkable(t.period, [this, i] { return tick(i); }, first)
+                          : loop_.schedule_every(t.period, [this, i] { (void)tick(i); }, first);
+  }
+
+  bool tick(std::size_t i) {
+    fire(kTaskIds + static_cast<int>(i));
+    tasks_[i].armed = false;
+    running_ = static_cast<int>(i);
+    act(static_cast<int>(rng_.below(2)));
+    running_ = -1;
+    Task& t = tasks_[i];
+    const bool found = !t.parkable || t.work > 0;
+    if (t.parkable && found) t.work--;
+    if (!t.cancelled) {
+      if (found) {
+        rearm_ = static_cast<int>(i);
+        rearm_at_ = now() + t.period;
+      } else {
+        t.parked = true;
+        t.next_at = now() + t.period;
+      }
+    }
+    return found;
+  }
+
+  void give_work() {
+    if (tasks_.empty()) return;
+    const std::size_t i = rng_.below(tasks_.size());
+    if (static_cast<int>(i) == running_) return;  // a wake from its own tick keeps it armed
+    Task& t = tasks_[i];
+    t.work += 1 + static_cast<int>(rng_.below(3));
+    loop_.wake(t.handle);
+    if (t.cancelled || !t.parked) return;
+    t.parked = false;
+    const TimeNs behind = now() - t.next_at;
+    arm(t, behind > 0 ? t.next_at + (behind + t.period - 1) / t.period * t.period : t.next_at);
+  }
+
+  void cancel_task(std::size_t i) {
+    Task& t = tasks_[i];
+    if (t.cancelled) return;
+    t.handle.cancel();
+    t.cancelled = true;
+    if (t.armed) model_.erase(t.key);
+    t.armed = false;
+  }
+
+  common::Rng rng_;
+  EventLoop loop_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  TimeNs lane_tail_[kLanes] = {};
+  std::map<Key, int> model_;  // every event the loop owes, by (time, posting order)
+  std::uint64_t order_ = 0;
+  std::vector<Task> tasks_;
+  std::vector<Timer> timers_;
+  std::vector<Timer> far_;
+  std::size_t far_cancelled_ = 0;  // since the last run_until
+  int rearm_ = -1;                 // task whose tick returned armed, not yet settled
+  TimeNs rearm_at_ = 0;
+  int running_ = -1;  // task whose tick is executing
+  int next_id_ = 0;
+  int posts_ = 0;
+  int rebuilds_seen_ = 0;
+  int lane_ties_ = 0;
+  std::string violation_;
+};
+
+TEST(EventLoopProperty, DispatchOrderIsTimeThenPostingOrder) {
+  std::uint64_t dispatched = 0;
+  int rebuilds = 0;
+  int ties = 0;
+  constexpr std::uint64_t kSeeds = 100;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    DispatchOrderScenario scenario(seed);
+    scenario.run();
+    ASSERT_EQ(scenario.violation(), "") << "seed " << seed;
+    dispatched += scenario.dispatched();
+    rebuilds += scenario.rebuilds_seen();
+    ties += scenario.lane_ties();
+  }
+  // The scenarios must exercise what they are for.
+  EXPECT_GT(dispatched, 100'000u);
+  EXPECT_GE(rebuilds, 3 * static_cast<int>(kSeeds));
+  EXPECT_GT(ties, 1000);
 }
 
 }  // namespace

@@ -17,12 +17,15 @@
 //    parent link resolves to a recorded event;
 //  * teardown: ending protection drops the standby's staged RDMA state and
 //    the partner's prepared QP, and thaws a primary caught mid-capture;
+//  * heap bound: the epoch-ACK deadlines cancelled every epoch leave the
+//    event heap instead of waiting there for a second;
 //  * determinism guard: two seeded kill-primary runs produce byte-identical
 //    ft_report JSON;
 //  * kill-time sweep: kills across epoch boundaries never release
 //    uncommitted output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -408,6 +411,27 @@ TEST(FtTeardown, UnprotectDuringAnEpochFreezeThawsThePrimary) {
   const std::size_t received = s.received_.size();
   s.run_for(sim::msec(5));
   EXPECT_GT(s.received_.size(), received) << "the primary's traffic stopped";
+}
+
+// Heap-bound pin: every 1 ms epoch re-arms a 1 s epoch-ACK deadline and
+// cancels it about a millisecond later. Left in the heap until it expired,
+// each cancelled deadline would hold an entry for a second, some thousand at
+// once; the heap drops them once they outnumber the live entries.
+TEST(HeapBoundPin, CancelledEpochDeadlinesLeaveTheHeap) {
+  FtScenario s(/*seed=*/42);
+  ASSERT_TRUE(s.protect().is_ok());
+  ASSERT_TRUE(s.run_until_protected());
+  const std::uint64_t epoch0 = s.ctrl_->committed_epoch();
+  const sim::EventLoop& loop = s.world_.loop();
+  std::size_t heap_peak = 0;
+  for (int i = 0; i < 2000; ++i) {
+    s.run_for(sim::msec(1));
+    heap_peak = std::max(heap_peak, loop.heap_entries());
+    ASSERT_LE(loop.heap_entries(), 2 * loop.pending_events() + 64)
+        << "after " << i + 1 << " ms, " << loop.pending_events() << " callbacks scheduled";
+  }
+  EXPECT_GE(s.ctrl_->committed_epoch() - epoch0, 1000u);
+  EXPECT_LT(heap_peak, 200u);
 }
 
 TEST(GuestDirectory, TakeoverSucceedsExactlyOnceAndFailsLoudly) {

@@ -878,6 +878,90 @@ TEST_F(RnicResponderFaultTest, SendIntoABufferWhoseMemoryIsGoneFailsTheRecv) {
   EXPECT_EQ(ctx_b_->query_qp_state(qb).value(), QpState::err);
 }
 
+// Requester-side landing faults: the local buffer of a READ or an atomic
+// goes away (free_dm) while its response is on the wire. The response cannot
+// land, so the WQE must not complete as a success: it fails with a local
+// protection error and the QP moves to error, flushing the WQEs behind it.
+// The WQEs ahead complete, since the response implies their ACK.
+class RnicRequesterFaultTest : public RnicTest {
+ protected:
+  /// A locally writable MR over one page of device memory on host a.
+  Mr local_dm_mr() {
+    auto dm = ctx_a_->alloc_dm(proc::kPageSize);
+    EXPECT_TRUE(dm.is_ok());
+    dm_ = dm.value();
+    auto mr = ctx_a_->reg_mr(pd_a_, dm_.mapped_at, proc::kPageSize, kAccessLocalWrite);
+    EXPECT_TRUE(mr.is_ok());
+    return mr.value();
+  }
+  void free_dm() { ASSERT_TRUE(ctx_a_->free_dm(dm_.handle).is_ok()); }
+
+  /// Post WRITE(ahead) + `wr` + WRITE(behind), free the DM under `wr`'s
+  /// buffer, and collect the three completions.
+  std::vector<Cqe> run_between_writes(Qpn qa, SendWr wr) {
+    auto src = make_buf(*ctx_a_, pd_a_, proc::kPageSize);
+    auto dst = make_buf(*ctx_b_, pd_b_, proc::kPageSize);
+    SendWr write;
+    write.opcode = WrOpcode::rdma_write;
+    write.remote_addr = dst.addr;
+    write.rkey = dst.mr.rkey;
+    write.sge = {{src.addr, 512, src.mr.lkey}};
+    write.wr_id = 10;
+    EXPECT_TRUE(ctx_a_->post_send(qa, write).is_ok());
+    EXPECT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+    write.wr_id = 12;
+    EXPECT_TRUE(ctx_a_->post_send(qa, write).is_ok());
+    free_dm();
+    std::vector<Cqe> cqes;
+    for (int i = 0; i < 3; ++i) cqes.push_back(wait_cqe(*ctx_a_, cq_a_));
+    return cqes;
+  }
+  DeviceMemory dm_;
+};
+
+TEST_F(RnicRequesterFaultTest, ReadResponseIntoABufferWhoseMemoryIsGoneFailsLocally) {
+  auto [qa, qb] = connect_pair();
+  auto remote = make_buf(*ctx_b_, pd_b_, proc::kPageSize);
+  fill_pattern(*proc_b_, remote.addr, proc::kPageSize, 3);
+  const Mr mr = local_dm_mr();
+  SendWr wr;
+  wr.wr_id = 11;
+  wr.opcode = WrOpcode::rdma_read;
+  wr.remote_addr = remote.addr;
+  wr.rkey = remote.mr.rkey;
+  wr.sge = {{dm_.mapped_at, static_cast<std::uint32_t>(proc::kPageSize), mr.lkey}};
+  const std::vector<Cqe> cqes = run_between_writes(qa, wr);
+  EXPECT_EQ(cqes[0].wr_id, 10u);
+  EXPECT_EQ(cqes[0].status, CqeStatus::success);
+  EXPECT_EQ(cqes[1].wr_id, 11u);
+  EXPECT_EQ(cqes[1].status, CqeStatus::local_protection_err);
+  EXPECT_EQ(cqes[1].opcode, CqeOpcode::rdma_read);
+  EXPECT_EQ(cqes[2].wr_id, 12u);
+  EXPECT_NE(cqes[2].status, CqeStatus::success);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+}
+
+TEST_F(RnicRequesterFaultTest, AtomicResponseIntoABufferWhoseMemoryIsGoneFailsLocally) {
+  auto [qa, qb] = connect_pair();
+  auto remote = make_buf(*ctx_b_, pd_b_, proc::kPageSize);
+  const Mr mr = local_dm_mr();
+  SendWr wr;
+  wr.wr_id = 11;
+  wr.opcode = WrOpcode::atomic_fetch_and_add;
+  wr.remote_addr = remote.addr;
+  wr.rkey = remote.mr.rkey;
+  wr.compare_add = 1;
+  wr.sge = {{dm_.mapped_at, 8, mr.lkey}};
+  const std::vector<Cqe> cqes = run_between_writes(qa, wr);
+  EXPECT_EQ(cqes[0].wr_id, 10u);
+  EXPECT_EQ(cqes[0].status, CqeStatus::success);
+  EXPECT_EQ(cqes[1].wr_id, 11u);
+  EXPECT_EQ(cqes[1].status, CqeStatus::local_protection_err);
+  EXPECT_EQ(cqes[2].wr_id, 12u);
+  EXPECT_NE(cqes[2].status, CqeStatus::success);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+}
+
 // ---------------------------------------------------------------------------
 // Landing: a whole page-aligned packet block changes hands instead of being
 // copied (AddressSpace::write(VirtAddr, PayloadRef&&)).

@@ -45,11 +45,14 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 # epoch-frame readers, of the post-copy page request/reply readers and of
 # the TransferMux data/ACK frames, the hostile-string round trip through
 # every JSON artifact writer, the FT teardown tests (ending protection
-# releases what the standby staged), the responder's memory-fault replies,
-# and payload landing (a whole page block handed to the page table, checked
-# against the address-space reference model).
+# releases what the standby staged), the responder's memory-fault replies
+# and the requester's failed READ/atomic landings, payload landing (a whole
+# page block handed to the page table, checked against the address-space
+# reference model), the event loop's seeded dispatch-order properties
+# (delivery lanes and heap rebuilds against a reference model) and the
+# event-heap bound pins.
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicLandingTest|AddressSpaceModel)'
+  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicRequesterFaultTest|RnicLandingTest|AddressSpaceModel|EventLoopProperty|HeapBoundPin)'
 
 echo "==> [3/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
