@@ -1,6 +1,7 @@
 #include "net/fabric.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "obs/trace.hpp"
@@ -141,7 +142,7 @@ void Fabric::send_data(Packet packet) {
   send_data(*r, std::move(packet));
 }
 
-Fabric::Admission Fabric::admit(Route& r, Packet& packet) {
+void Fabric::send_data(Route& r, Packet&& packet) {
   const std::size_t frame_bytes = packet.wire_size();
   r.src->stats.data_packets_tx++;
   r.src->stats.data_bytes_tx += frame_bytes;
@@ -150,7 +151,7 @@ Fabric::Admission Fabric::admit(Route& r, Packet& packet) {
 
   // Serialization happens (and consumes bandwidth) even for packets that
   // will be dropped in the network.
-  packet.deliver_at_ =
+  sim::TimeNs at =
       reserve_egress(*r.src, frame_bytes + config_.header_bytes) + config_.propagation;
   const bool recording = recorder_->enabled();
 
@@ -163,49 +164,26 @@ Fabric::Admission Fabric::admit(Route& r, Packet& packet) {
                     part ? obs::PacketVerdict::partitioned : obs::PacketVerdict::dropped,
                     loop_.now());
     }
-    return Admission::dropped;
+    return;
   }
 
-  Admission verdict = Admission::on_time;
   if (faults_.reorder_prob > 0 && faults_.reorder_delay > 0 &&
       rng_.chance(faults_.reorder_prob)) {
-    // Hold this packet back so packets serialized after it can overtake it.
-    packet.deliver_at_ += static_cast<sim::DurationNs>(
+    // Hold this packet back so packets serialized after it can overtake it:
+    // it leaves the lane's order for a delivery event of its own.
+    at += static_cast<sim::DurationNs>(
         rng_.range(1, static_cast<std::uint64_t>(faults_.reorder_delay)));
     r.src->stats.data_packets_reordered++;
-    verdict = Admission::held_back;
+    if (recording) record_packet(packet, obs::PacketVerdict::reordered, loop_.now());
+    loop_.post_at(at, [this, rp = &r, packet = std::move(packet)]() mutable {
+      deliver(*rp, std::move(packet));
+    });
+    return;
   }
-  if (recording) {
-    record_packet(packet,
-                  verdict == Admission::held_back ? obs::PacketVerdict::reordered
-                                                  : obs::PacketVerdict::delivered,
-                  loop_.now());
-  }
-  return verdict;
-}
-
-void Fabric::post_delivery(Route& r, Packet&& packet) {
-  const sim::TimeNs at = packet.deliver_at_;
-  loop_.post_at(at, [this, rp = &r, packet = std::move(packet)]() mutable {
-    deliver(*rp, std::move(packet));
-  });
-}
-
-void Fabric::send_data(Route& r, Packet&& packet) {
-  switch (admit(r, packet)) {
-    case Admission::dropped:
-      break;
-    case Admission::held_back:
-      post_delivery(r, std::move(packet));
-      break;
-    case Admission::on_time: {
-      // Egress serializes in admission order and propagation is constant:
-      // the lane's delivery times never decrease (EventLane::push asserts).
-      const sim::TimeNs at = packet.deliver_at_;
-      r.src->lane.push(at, InFlight{&r, std::move(packet)});
-      break;
-    }
-  }
+  if (recording) record_packet(packet, obs::PacketVerdict::delivered, loop_.now());
+  // Egress serializes in admission order and propagation is constant: the
+  // lane's delivery times never decrease (EventLane::push asserts).
+  r.src->lane.push(at, InFlight{&r, std::move(packet)});
 }
 
 void Fabric::deliver(Route& r, Packet&& packet) {
@@ -221,62 +199,6 @@ void Fabric::deliver(Route& r, Packet&& packet) {
   r.dst->stats.data_packets_rx++;
   r.dst->stats.data_bytes_rx += packet.wire_size();
   if (r.dst->handler) r.dst->handler(std::move(packet));
-}
-
-std::vector<Packet> Fabric::acquire_train() {
-  if (train_pool_.empty()) return {};
-  std::vector<Packet> train = std::move(train_pool_.back());
-  train_pool_.pop_back();
-  return train;
-}
-
-void Fabric::recycle_train(std::vector<Packet>&& train) {
-  train.clear();
-  // 128, not 32: trains stay checked out for their whole flight time, and a
-  // few QPs of deep multi-packet pipeline keep >32 in the air at once —
-  // every pool miss is a vector reallocation on the transmit fast path.
-  if (train_pool_.size() < 128) train_pool_.push_back(std::move(train));
-}
-
-void Fabric::send_data_burst(Route& r, std::vector<Packet>&& train) {
-  // Admit in packet order; the on-time packets close ranks over the lost
-  // and the held-back ones, so the train stays sorted by delivery time.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    switch (admit(r, train[i])) {
-      case Admission::dropped:
-        break;
-      case Admission::held_back:
-        post_delivery(r, std::move(train[i]));
-        break;
-      case Admission::on_time:
-        if (kept != i) train[kept] = std::move(train[i]);
-        kept++;
-        break;
-    }
-  }
-  train.resize(kept);
-  if (train.empty()) {
-    recycle_train(std::move(train));
-    return;
-  }
-  const sim::TimeNs first_at = train.front().deliver_at_;
-  loop_.post_at(first_at, [this, rp = &r, t = std::move(train)]() mutable {
-    deliver_burst(*rp, std::move(t), 0);
-  });
-}
-
-void Fabric::deliver_burst(Route& r, std::vector<Packet>&& train, std::size_t idx) {
-  deliver(r, std::move(train[idx]));
-  const std::size_t next = idx + 1;
-  if (next < train.size()) {
-    const sim::TimeNs at = train[next].deliver_at_;
-    loop_.post_at(at, [this, rp = &r, t = std::move(train), next]() mutable {
-      deliver_burst(*rp, std::move(t), next);
-    });
-  } else {
-    recycle_train(std::move(train));
-  }
 }
 
 common::Result<sim::TimeNs> Fabric::send_ctrl(HostId src, HostId dst,

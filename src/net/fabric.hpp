@@ -18,16 +18,14 @@
 // One data path: callers resolve a Route (src/dst port pointers + link
 // counters) once per connection and send through it, so the per-packet cost
 // is plain pointer work instead of 4-6 hash lookups. Every data packet,
-// alone (send_data) or in a train (send_data_burst), clean fabric or faulty,
-// passes one admission step: counters, egress reservation, then the
-// loss/partition draw and the reorder draw, in packet order. A lost packet
-// is gone; a held-back one gets a delivery event of its own. A packet sent
-// alone and admitted on time waits in its source port's lane
-// (sim::EventLane): egress serializes in admission order and propagation is
-// constant, so on one port delivery times never decrease, and only the
-// lane's head has an event in the loop, under the sequence number the
-// packet took at admission. A train keeps its on-time packets and delivers
-// each at its own time through a single self-re-arming event.
+// clean fabric or faulty, passes one admission step (send_data): counters,
+// egress reservation, then the partition check, the loss draw and the
+// reorder draw, in send order. A lost packet is gone; a held-back one gets a
+// delivery event of its own. A packet admitted on time waits in its source
+// port's lane (sim::EventLane): egress serializes in admission order and
+// propagation is constant, so on one port delivery times never decrease,
+// and only the lane's head has an event in the loop, under the sequence
+// number the packet took at admission.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +34,6 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/payload.hpp"
@@ -99,10 +96,6 @@ struct Packet {
   /// Bytes this packet occupies on the wire, excluding fabric framing
   /// overhead (FabricConfig::header_bytes).
   std::size_t wire_size() const noexcept { return header.size() + body.size(); }
-
- private:
-  friend class Fabric;
-  sim::TimeNs deliver_at_ = 0;  // set at admission
 };
 
 // Per-port counters. Each attached port also registers itself with the
@@ -148,7 +141,7 @@ class Fabric {
     DataHandler handler;
     PortStats stats;
     std::uint64_t source_id = 0;  // obs registry source handle
-    /// Packets sent alone and admitted on time, in admission order.
+    /// Packets admitted on time, in admission order.
     sim::EventLane<InFlight, DeliverInFlight> lane;
   };
 
@@ -196,7 +189,9 @@ class Fabric {
   /// Send a data-plane packet. Serialization on the source port + switch
   /// propagation; may be dropped per fault config or partition.
   void send_data(Packet packet);
-  /// Same semantics through a pre-resolved route.
+  /// Same semantics through a pre-resolved route. This is the admission
+  /// step: tx counters, egress reservation, then the partition check, the
+  /// loss draw and, for a surviving packet, the reorder draw.
   void send_data(Route& r, Packet&& packet);
 
   /// Flight recorder fed by the admission step and by mid-flight partition
@@ -206,15 +201,6 @@ class Fabric {
   void set_recorder(obs::FlightRecorder* rec) noexcept {
     recorder_ = rec == nullptr ? &obs::FlightRecorder::global() : rec;
   }
-
-  /// A recycled packet vector for assembling a burst train.
-  std::vector<Packet> acquire_train();
-  /// Send an in-order train through one route. Each packet is admitted in
-  /// order exactly as send_data admits it, so a train and the same packets
-  /// sent one by one at one instant draw the same faults and arrive at the
-  /// same times. One self-re-arming event delivers the on-time packets,
-  /// re-checking partitions per delivery.
-  void send_data_burst(Route& r, std::vector<Packet>&& train);
 
   /// Send a reliable ctrl-plane message to `service` on `dst`. Delivery is
   /// in-order per (src,dst) pair. Returns the simulated time at which the
@@ -229,14 +215,9 @@ class Fabric {
     return sim::transmit_time(bytes, config_.link_gbps);
   }
 
-  /// When `host`'s egress port finishes serializing everything queued on it.
-  /// NIC transmit schedulers pace themselves on this.
-  sim::TimeNs egress_free_at(HostId host) const {
-    auto it = ports_.find(host);
-    return it == ports_.end() ? loop_.now() : it->second.egress_free_at;
-  }
-  /// Stable pointer to the same value for pacing fast paths (no hash lookup
-  /// per read). nullptr if unattached.
+  /// Stable pointer to the time `host`'s egress port finishes serializing
+  /// everything queued on it; NIC transmit schedulers pace themselves on
+  /// it. nullptr if unattached.
   const sim::TimeNs* egress_clock(HostId host) const {
     auto it = ports_.find(host);
     return it == ports_.end() ? nullptr : &it->second.egress_free_at;
@@ -270,16 +251,7 @@ class Fabric {
   /// the last bit has been serialized.
   sim::TimeNs reserve_egress(Port& port, std::uint64_t wire_bytes);
 
-  enum class Admission : std::uint8_t { dropped, on_time, held_back };
-  /// The one admission step of the data plane: tx counters, egress
-  /// reservation (sets the packet's delivery time), then the loss/partition
-  /// draw and, for a surviving packet, the reorder draw.
-  Admission admit(Route& r, Packet& packet);
-  /// Post a delivery event of its own for an admitted packet.
-  void post_delivery(Route& r, Packet&& packet);
   void deliver(Route& r, Packet&& packet);
-  void deliver_burst(Route& r, std::vector<Packet>&& train, std::size_t idx);
-  void recycle_train(std::vector<Packet>&& train);
   /// Append one observation to the flight recorder (caller already checked
   /// recorder_->enabled()).
   void record_packet(const Packet& p, obs::PacketVerdict verdict, sim::TimeNs at);
@@ -295,7 +267,6 @@ class Fabric {
   std::uint64_t service_instances_ = 0;
   std::unordered_set<HostId> partitioned_orphans_;  // partitioned but unattached
   obs::FlightRecorder* recorder_ = &obs::FlightRecorder::global();
-  std::vector<std::vector<Packet>> train_pool_;
 };
 
 }  // namespace migr::net

@@ -424,15 +424,15 @@ class Device {
   const RkeyTarget* find_rkey(Rkey rkey) const;
 
   // Transmit scheduler: round-robin over QPs with pending work, one packet
-  // per slot, paced by the port's serialization rate.
+  // per slot (a burst for a QP alone in the rotation), paced by the port's
+  // serialization rate.
   void kick(Qp& qp);
   void pump();
   void schedule_pump(sim::TimeNs at);
-  bool emit_next_packet(Qp& qp);  // returns true if a packet was emitted
-  // Coalesced emission: stream up to kMaxBurst in-order packets of the
-  // cursor WQE as one fabric train. Only taken when this QP is alone in
-  // the scheduler, clean fabric or faulty.
-  bool emit_burst(Qp& qp);
+  // The one emission routine: executes the binds at the SQ cursor, then
+  // transmits up to `budget` packets of the next WQE that has packets left,
+  // never crossing into the WQE after it. Returns true if a packet left.
+  bool emit_packets(Qp& qp, std::uint32_t budget);
   // The next packet of SEND/WRITE `wqe` into `pkt`, its payload DMA-read
   // into a block of its own. False on a local protection fault (the caller
   // flushes the QP).
@@ -445,12 +445,22 @@ class Device {
   // threshold trips (then re-arms on a fresh window).
   void note_nak_for_storm(const Qp& qp);
 
+  // Every send completion is built here. A success completes only a
+  // signaled WR; an error completes every WR.
+  void complete_send(Qp& qp, const SendWqe& w, CqeStatus status);
   void complete_head_wqes(Qp& qp);
-  void flush_qp(Qp& qp, bool notify);
-  // A READ or atomic response that cannot land in its WQE's local buffer:
-  // the WQEs ahead complete as the response's implied ACK allows, the failed
-  // one with a local protection error, and the QP flushes to error.
-  void fail_landing(Qp& qp, Psn first_psn);
+  // Moves the QP to error and flushes both queues. Every send WQE completes
+  // wr_flush_err except `culprit` (an absolute SQ index; kNoWqe for none),
+  // the one the error is about, which completes `reason`. `notify` calls
+  // the QP error handler.
+  static constexpr std::uint64_t kNoWqe = ~std::uint64_t{0};
+  void flush_qp(Qp& qp, bool notify, std::uint64_t culprit = kNoWqe,
+                CqeStatus reason = CqeStatus::wr_flush_err);
+  // A READ or atomic response that cannot land in the local buffer of WQE
+  // `wqe` (an absolute SQ index): the WQEs ahead complete as the response's
+  // implied ACK allows, the failed one with a local protection error, and
+  // the QP flushes to error.
+  void fail_landing(Qp& qp, std::uint64_t wqe);
   void arm_retransmit_timer(Qp& qp);
   void on_retransmit_timer(Qpn qpn);
   // Completes a consumed receive WQE with a local protection error (a

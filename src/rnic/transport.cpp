@@ -23,7 +23,8 @@ constexpr std::uint8_t kErrRemoteAccess = 1;
 // rnr_retry) — whereas a plain sequence-error NAK counts against the budget.
 constexpr std::uint8_t kNakRnr = 2;
 
-// Largest packet train handed to the fabric in one coalesced emission.
+// Most packets of one WQE a QP alone in the transmit rotation emits in one
+// pump slot.
 constexpr std::uint32_t kMaxBurst = 64;
 
 // Whether [addr, addr+len) lies inside [base, base+size). Written without
@@ -279,26 +280,20 @@ void Device::schedule_pump(sim::TimeNs at) {
 
 void Device::pump() {
   pump_scheduled_ = false;
-  // Round-robin: emit one packet for the first QP that has work, requeue it,
-  // then pace the next slot at the port's serialization rate. QPs with no
-  // emittable work fall out of the ring until re-kicked. A QP that is alone
-  // in the rotation may stream a whole burst per slot instead.
+  // Round-robin: the first QP with emittable work emits one packet, or a
+  // burst of up to kMaxBurst packets of one WQE when it is alone in the
+  // rotation (a connected RC QP, the only kind with a route, and no
+  // control-command pressure); it is requeued and the next slot is paced at
+  // the port's serialization rate. QPs with no emittable work fall out of
+  // the ring until re-kicked.
   while (!pump_queue_.empty()) {
     const Qpn qpn = pump_queue_.front();
     pump_queue_.pop_front();
     auto it = qp_routes_.find(qpn);
     if (it == qp_routes_.end()) continue;  // destroyed while queued
     Qp& qp = *it->second;
-    if (pump_queue_.empty() && emit_burst(qp)) {
-      if (qp.emit_cursor < qp.sq.tail()) {
-        pump_queue_.push_back(qpn);
-        schedule_pump(std::max(loop_.now(), *egress_clock_));
-      } else {
-        qp.in_pump = false;
-      }
-      return;
-    }
-    if (emit_next_packet(qp)) {
+    const bool may_burst = pump_queue_.empty() && qp.route != nullptr && !under_ctrl_pressure();
+    if (emit_packets(qp, may_burst ? kMaxBurst : 1)) {
       // More work? Keep it in the rotation.
       if (qp.emit_cursor < qp.sq.tail()) {
         pump_queue_.push_back(qpn);
@@ -318,43 +313,7 @@ void Device::pump() {
   }
 }
 
-bool Device::emit_burst(Qp& qp) {
-  if (qp.state != QpState::rts || qp.type != QpType::rc || qp.route == nullptr) return false;
-  if (under_ctrl_pressure() || rnr_held(qp)) return false;
-  if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
-  if (qp.emit_cursor >= qp.sq.tail()) return false;
-  SendWqe& wqe = qp.sq.at(static_cast<std::size_t>(qp.emit_cursor - qp.sq.head()));
-  // Reads/atomics/binds keep the per-packet path.
-  if (!carries_payload(wqe.wr.opcode)) return false;
-  if (!wqe.psn_assigned) {
-    wqe.first_psn = qp.next_psn;
-    qp.next_psn += wqe.npkts;
-    wqe.psn_assigned = true;
-  }
-  if (wqe.npkts - wqe.emitted_pkts < 2) return false;  // trains need >= 2 packets
-
-  const std::uint32_t n = std::min(kMaxBurst, wqe.npkts - wqe.emitted_pkts);
-  std::vector<net::Packet> train = fabric_.acquire_train();
-  train.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WirePacket pkt;
-    if (!build_payload_packet(qp, wqe, pkt)) {
-      fabric_.send_data_burst(*qp.route, std::move(train));  // what made it out
-      flush_qp(qp, /*notify=*/true);
-      return true;
-    }
-    note_request_tx(qp, pkt.psn);
-    train.push_back(frame(std::move(pkt), qp.remote_host));
-    wqe.emitted_pkts++;
-  }
-  if (wqe.emitted_pkts == wqe.npkts) qp.emit_cursor++;
-  qp.last_progress = loop_.now();
-  fabric_.send_data_burst(*qp.route, std::move(train));
-  arm_retransmit_timer(qp);
-  return true;
-}
-
-bool Device::emit_next_packet(Qp& qp) {
+bool Device::emit_packets(Qp& qp, std::uint32_t budget) {
   if (qp.state != QpState::rts || rnr_held(qp)) return false;
   if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
 
@@ -391,42 +350,47 @@ bool Device::emit_next_packet(Qp& qp) {
       continue;
     }
 
-    WirePacket pkt;
-    net::HostId dst_host = qp.remote_host;
-    if (carries_payload(wqe.wr.opcode)) {
-      if (!build_payload_packet(qp, wqe, pkt)) {
-        flush_qp(qp, /*notify=*/true);
-        return false;
-      }
-      if (qp.type == QpType::ud) {
-        dst_host = wqe.wr.remote_host;
-        pkt.dst_qpn = wqe.wr.remote_qpn;
-      }
-    } else {
-      // READ and ATOMIC requests: one packet, answered by a response that
-      // echoes the WQE's token.
-      pkt.src_qpn = qp.qpn;
-      pkt.dst_qpn = qp.remote_qpn;
-      pkt.psn = wqe.first_psn;
-      pkt.remote_addr = wqe.wr.remote_addr;
-      pkt.rkey = wqe.wr.rkey;
-      pkt.resp_token = wqe.first_psn;
-      pkt.first = pkt.last = true;
-      if (wqe.wr.opcode == WrOpcode::rdma_read) {
-        pkt.op = PktOp::read_req;
-        pkt.msg_len = static_cast<std::uint32_t>(wqe.bytes);
+    // SEND and WRITE spend the budget on this WQE's packets; the burst ends
+    // at the WQE's last packet. READ and ATOMIC requests are one packet.
+    const bool payload = carries_payload(wqe.wr.opcode);
+    const std::uint32_t n = payload ? std::min(budget, wqe.npkts - wqe.emitted_pkts) : 1;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      WirePacket pkt;
+      net::HostId dst_host = qp.remote_host;
+      if (payload) {
+        if (!build_payload_packet(qp, wqe, pkt)) {
+          flush_qp(qp, /*notify=*/true, qp.emit_cursor, CqeStatus::local_protection_err);
+          return i > 0;  // whether a packet left before the fault
+        }
+        if (qp.type == QpType::ud) {
+          dst_host = wqe.wr.remote_host;
+          pkt.dst_qpn = wqe.wr.remote_qpn;
+        }
       } else {
-        pkt.op = PktOp::atomic_req;
-        pkt.atomic_op = wqe.wr.opcode == WrOpcode::atomic_cmp_and_swp ? 0 : 1;
-        pkt.compare_add = wqe.wr.compare_add;
-        pkt.swap = wqe.wr.swap;
+        // READ and ATOMIC requests: one packet, answered by a response that
+        // echoes the WQE's token.
+        pkt.src_qpn = qp.qpn;
+        pkt.dst_qpn = qp.remote_qpn;
+        pkt.psn = wqe.first_psn;
+        pkt.remote_addr = wqe.wr.remote_addr;
+        pkt.rkey = wqe.wr.rkey;
+        pkt.resp_token = wqe.first_psn;
+        pkt.first = pkt.last = true;
+        if (wqe.wr.opcode == WrOpcode::rdma_read) {
+          pkt.op = PktOp::read_req;
+          pkt.msg_len = static_cast<std::uint32_t>(wqe.bytes);
+        } else {
+          pkt.op = PktOp::atomic_req;
+          pkt.atomic_op = wqe.wr.opcode == WrOpcode::atomic_cmp_and_swp ? 0 : 1;
+          pkt.compare_add = wqe.wr.compare_add;
+          pkt.swap = wqe.wr.swap;
+        }
       }
+      if (qp.type == QpType::rc) note_request_tx(qp, pkt.psn);
+      transmit(std::move(pkt), dst_host,
+               qp.type == QpType::rc ? qp.route : fabric_.route(host_, dst_host));
+      wqe.emitted_pkts++;
     }
-
-    if (qp.type == QpType::rc) note_request_tx(qp, pkt.psn);
-    transmit(std::move(pkt), dst_host,
-             qp.type == QpType::rc ? qp.route : fabric_.route(host_, dst_host));
-    wqe.emitted_pkts++;
     if (wqe.emitted_pkts == wqe.npkts) qp.emit_cursor++;
     qp.last_progress = loop_.now();
 
@@ -574,7 +538,7 @@ void Device::on_retransmit_timer(Qpn qpn) {
   qp.retries++;
   if (qp.retries > costs().retry_count) {
     MIGR_WARN() << "QP " << qpn << " retry budget exhausted; moving to error";
-    flush_qp(qp, /*notify=*/true);
+    flush_qp(qp, /*notify=*/true, qp.sq.head(), CqeStatus::retry_exceeded);
     return;
   }
   counters_.retransmits++;
@@ -644,17 +608,7 @@ void Device::hold_for_rnr(Qp& qp) {
 void Device::on_ack(Qp& qp, const WirePacket& pkt) {
   if (pkt.atomic_op == kErrRemoteAccess) {
     // Remote access error: fatal for the QP, per RC semantics.
-    if (!qp.sq.empty()) {
-      SendWqe& head = qp.sq.front();
-      Cqe cqe;
-      cqe.wr_id = head.wr.wr_id;
-      cqe.status = CqeStatus::remote_access_err;
-      cqe.opcode = send_cqe_opcode(head.wr.opcode);
-      cqe.qpn = qp.qpn;
-      qp.ctx->push_cqe(qp.send_cq, cqe);
-      qp.sq.pop();
-    }
-    flush_qp(qp, /*notify=*/true);
+    flush_qp(qp, /*notify=*/true, qp.sq.head(), CqeStatus::remote_access_err);
     return;
   }
   if (pkt.psn > qp.acked_psn) {
@@ -673,7 +627,7 @@ void Device::on_ack(Qp& qp, const WirePacket& pkt) {
       qp.retries++;
       if (qp.retries > costs().retry_count) {
         MIGR_WARN() << "QP " << qp.qpn << " NAK rewind budget exhausted; moving to error";
-        flush_qp(qp, /*notify=*/true);
+        flush_qp(qp, /*notify=*/true, qp.sq.head(), CqeStatus::retry_exceeded);
         return;
       }
     }
@@ -719,34 +673,30 @@ void Device::complete_head_wqes(Qp& qp) {
         break;
     }
     if (!done) break;
-    if (w.wr.signaled) {
-      Cqe cqe;
-      cqe.wr_id = w.wr.wr_id;
-      cqe.status = CqeStatus::success;
-      cqe.opcode = send_cqe_opcode(w.wr.opcode);
-      cqe.byte_len = static_cast<std::uint32_t>(w.bytes);
-      cqe.qpn = qp.qpn;
-      qp.ctx->push_cqe(qp.send_cq, cqe);
-    }
+    complete_send(qp, w, CqeStatus::success);
     qp.sq.pop();
     if (qp.emit_cursor < qp.sq.head()) qp.emit_cursor = qp.sq.head();
   }
 }
 
-void Device::flush_qp(Qp& qp, bool notify) {
+void Device::complete_send(Qp& qp, const SendWqe& w, CqeStatus status) {
+  if (status == CqeStatus::success && !w.wr.signaled) return;
+  Cqe cqe;
+  cqe.wr_id = w.wr.wr_id;
+  cqe.status = status;
+  cqe.opcode = send_cqe_opcode(w.wr.opcode);
+  if (status == CqeStatus::success) cqe.byte_len = static_cast<std::uint32_t>(w.bytes);
+  cqe.qpn = qp.qpn;
+  qp.ctx->push_cqe(qp.send_cq, cqe);
+}
+
+void Device::flush_qp(Qp& qp, bool notify, std::uint64_t culprit, CqeStatus reason) {
   qp.state = QpState::err;
   note_qp_transition(qp.qpn, QpState::err);
-  const bool first_is_timeout = notify;
-  bool first = true;
   while (!qp.sq.empty()) {
-    SendWqe w = qp.sq.pop();
-    Cqe cqe;
-    cqe.wr_id = w.wr.wr_id;
-    cqe.status = (first && first_is_timeout) ? CqeStatus::retry_exceeded : CqeStatus::wr_flush_err;
-    cqe.opcode = send_cqe_opcode(w.wr.opcode);
-    cqe.qpn = qp.qpn;
-    qp.ctx->push_cqe(qp.send_cq, cqe);
-    first = false;
+    const bool is_culprit = qp.sq.head() == culprit;
+    const SendWqe w = qp.sq.pop();
+    complete_send(qp, w, is_culprit ? reason : CqeStatus::wr_flush_err);
   }
   while (!qp.rq.empty()) {
     RecvWr w = qp.rq.pop();
@@ -1072,7 +1022,7 @@ void Device::on_read_resp(Qp& qp, WirePacket& pkt) {
     const std::uint64_t high = pkt.offset + pkt.payload.size();
     if (!pkt.payload.empty() &&
         !dma_write(*qp.ctx, w.wr.sge, pkt.offset, std::move(pkt.payload)).is_ok()) {
-      fail_landing(qp, w.first_psn);
+      fail_landing(qp, qp.sq.head() + i);
       return;
     }
     if (high > w.resp_received) w.resp_received = high;
@@ -1098,7 +1048,7 @@ void Device::on_atomic_resp(Qp& qp, WirePacket& pkt) {
     if (w.resp_done) return;  // duplicate
     if (pkt.payload.size() == 8 && !w.wr.sge.empty() &&
         !dma_write(*qp.ctx, w.wr.sge, 0, std::move(pkt.payload)).is_ok()) {
-      fail_landing(qp, w.first_psn);
+      fail_landing(qp, qp.sq.head() + i);
       return;
     }
     w.resp_done = true;
@@ -1110,21 +1060,12 @@ void Device::on_atomic_resp(Qp& qp, WirePacket& pkt) {
   }
 }
 
-void Device::fail_landing(Qp& qp, Psn first_psn) {
+void Device::fail_landing(Qp& qp, std::uint64_t wqe) {
   // The response implies an ACK of every PSN before the failed WQE's.
+  const Psn first_psn = qp.sq.at(static_cast<std::size_t>(wqe - qp.sq.head())).first_psn;
   if (qp.acked_psn < first_psn) qp.acked_psn = first_psn;
   complete_head_wqes(qp);
-  if (!qp.sq.empty() && qp.sq.front().first_psn == first_psn) {
-    const SendWqe& head = qp.sq.front();
-    Cqe cqe;
-    cqe.wr_id = head.wr.wr_id;
-    cqe.status = CqeStatus::local_protection_err;
-    cqe.opcode = send_cqe_opcode(head.wr.opcode);
-    cqe.qpn = qp.qpn;
-    qp.ctx->push_cqe(qp.send_cq, cqe);
-    qp.sq.pop();
-  }
-  flush_qp(qp, /*notify=*/true);
+  flush_qp(qp, /*notify=*/true, wqe, CqeStatus::local_protection_err);
 }
 
 void Device::fail_recv(Qp& qp, const RecvWr& wr) {

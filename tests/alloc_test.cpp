@@ -2,7 +2,7 @@
 // recorder_test and sli_test):
 //  * a fleet MsgNode pair under the traffic generator sends and delivers
 //    its messages without allocating once warmed up;
-//  * a perftest RDMA WRITE stream (multi-packet trains) allocates nothing
+//  * a perftest RDMA WRITE stream (multi-packet bursts) allocates nothing
 //    once warmed up, and neither does stream_rw's WRITE beside READ mix,
 //    whose event heap stays small while hundreds of packets are in flight;
 //  * brownout SLI taps wired to the disarmed hub add no event and no
@@ -130,7 +130,7 @@ TEST(AllocPin, PerftestWriteStreamAllocatesNothingInSteadyState) {
   }
   tx.start();
   rx.start();
-  // Warm-up: payload pool, slot table, train pool and dirty sets reach
+  // Warm-up: payload pool, slot table, delivery lanes and dirty sets reach
   // their high-water marks.
   model.run_for(sim::msec(5));
 
@@ -223,7 +223,7 @@ TEST(AllocPin, PerftestWriteBesideReadStreamAllocatesNothingInSteadyState) {
   WriteBesideReadStream stream;
   // Warm-up: the packets in flight reach their high-water mark, and with it
   // the pool's page class and the ports' delivery lanes (about 12 ms in,
-  // once the READ responses' backlog peaks beside the WRITE trains).
+  // once the READ responses' backlog peaks beside the WRITE bursts).
   stream.run_for(sim::msec(20));
 
   const std::uint64_t writes0 = stream.writes();
@@ -240,9 +240,9 @@ TEST(AllocPin, PerftestWriteBesideReadStreamAllocatesNothingInSteadyState) {
   EXPECT_EQ(stream.faults(), 0u);
 }
 
-// Heap-bound pin: a READ response's packets wait in the responder port's
-// delivery lane, so the event heap holds the lane heads, the trains and the
-// pollers, not one entry per packet in flight.
+// Heap-bound pin: a READ response's packets and a WRITE burst's wait in
+// their port's delivery lane, so the event heap holds the lane heads and
+// the pollers, not one entry per packet in flight.
 TEST(HeapBoundPin, WriteBesideReadStreamKeepsPacketsInFlightOutOfTheHeap) {
   WriteBesideReadStream stream;
   stream.run_for(sim::msec(5));

@@ -1,7 +1,8 @@
 // Determinism guard for the simulator: the 8-host drain scenario runs twice
 // in one process and must render byte-identical format_drain_report output
 // — once on a fault-free fabric and once under a seeded lossy fault plan,
-// both through the transport's burst-coalesced emission and pooled events.
+// both through the transport's bursts, the fabric's delivery lanes and
+// pooled events.
 // Any hidden global state, pool-reuse ordering effect, or wall-clock
 // leakage into the sim shows up as a diff.
 //
@@ -29,8 +30,9 @@
 namespace migr::cluster {
 namespace {
 
-// Mixed message sizes: 8 KiB messages packetize into multi-packet trains
-// (burst-eligible on a clean fabric); 1 KiB messages stay single-packet.
+// Mixed message sizes: 8 KiB messages packetize into two packets, which a
+// QP alone in the transmit rotation sends as one burst; 1 KiB messages stay
+// single-packet.
 TrafficProfile stream_profile() {
   TrafficProfile p;
   p.send_interval = sim::usec(60);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -159,17 +160,19 @@ TEST_F(FabricTest, CtrlDropsAreExportedToTheRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// One admission step: a train and the same packets sent one by one
+// One admission step, checked against a reference model of it
 // ---------------------------------------------------------------------------
 
 // A frame with the RNIC wire-header layout the flight recorder decodes
 // (opcode at [0], destination QPN at [1..4], PSN at [9..16], 71 bytes), so
 // every record names its packet.
+constexpr std::size_t kHeaderBytes = 71;
+
 Packet framed(std::uint64_t psn, std::size_t body_bytes) {
   Packet p(1, 2, make_payload(body_bytes, static_cast<std::uint8_t>(psn)));
-  p.header.resize(71);
+  p.header.resize(kHeaderBytes);
   std::uint8_t* h = p.header.data();
-  for (std::size_t i = 0; i < 71; ++i) h[i] = 0;
+  for (std::size_t i = 0; i < kHeaderBytes; ++i) h[i] = 0;
   h[0] = 1;
   h[1] = 9;
   for (int i = 0; i < 8; ++i) h[9 + i] = static_cast<std::uint8_t>(psn >> (8 * i));
@@ -189,6 +192,55 @@ std::string render(const PortStats& s) {
          std::to_string(s.data_packets_reordered);
 }
 
+std::string render_delivery(sim::TimeNs at, std::uint64_t psn, std::size_t bytes) {
+  return " " + std::to_string(at) + "/" + std::to_string(psn) + "/" + std::to_string(bytes);
+}
+
+std::string render_record(sim::TimeNs at, std::uint64_t psn, std::size_t bytes,
+                          obs::PacketVerdict verdict) {
+  return render_delivery(at, psn, bytes) + "/" + obs::to_string(verdict);
+}
+
+// One seeded trial's inputs: loss and reorder faults, 1-64 framed packets of
+// mixed sizes sent from host 1 to host 2 at one instant, and either a
+// partitioned endpoint at admission or a partition of host 2 that flaps
+// while the packets are in flight.
+struct Trial {
+  Faults faults;
+  std::vector<std::size_t> bodies;  // body bytes; packet i carries PSN 1000 + i
+  HostId cut = 0;                   // partitioned before the sends (0: none)
+  sim::TimeNs flap_on = -1;         // host 2 partitioned over [flap_on, flap_off)
+  sim::TimeNs flap_off = -1;
+};
+
+Trial draw_trial(std::uint64_t seed) {
+  common::Rng params(seed * 0x9E3779B97F4A7C15ull + 1);
+  constexpr double kLoss[] = {0.0, 0.05, 0.3};
+  constexpr double kReorder[] = {0.0, 0.2, 0.6};
+  Trial t;
+  t.faults.data_loss_prob = kLoss[params.below(3)];
+  t.faults.reorder_prob = kReorder[params.below(3)];
+  t.faults.reorder_delay = static_cast<sim::DurationNs>(params.range(1, sim::usec(20)));
+  const std::uint64_t n = params.range(1, 64);
+  for (std::uint64_t i = 0; i < n; ++i) t.bodies.push_back(params.below(4097));
+  switch (params.below(4)) {
+    case 0:
+      t.cut = params.chance(0.5) ? 1 : 2;
+      break;
+    case 1:
+      t.flap_on = static_cast<sim::TimeNs>(params.range(0, sim::usec(30)));
+      t.flap_off = t.flap_on + static_cast<sim::TimeNs>(params.range(1, sim::usec(10)));
+      break;
+    default:
+      break;
+  }
+  return t;
+}
+
+// The probe that follows every trial: one packet held back by a delay drawn
+// from a 1 s range, so its arrival shows the fault rng's next draws.
+constexpr Faults kProbeFaults{.reorder_prob = 1.0, .reorder_delay = sim::sec(1)};
+
 struct TrialTally {
   std::uint64_t dropped = 0;
   std::uint64_t reordered = 0;
@@ -196,15 +248,11 @@ struct TrialTally {
   std::uint64_t mid_flight = 0;    // eaten in flight by a partition
 };
 
-// One seeded trial: a fresh fabric seeded `seed`, loss and reorder faults
-// and a partition drawn from `seed`, and 1-64 framed packets of mixed sizes
-// sent at one instant — as one train or one by one through send_data.
-// Everything observable renders into the returned string: deliveries (time,
-// order, PSN, bytes), port stats, link counters, recorder records, and the
-// fault rng's next draws (a probe packet held back by a reorder delay drawn
-// from a 1 s range).
-std::string run_trial(std::uint64_t seed, bool as_train, TrialTally* tally) {
-  common::Rng params(seed * 0x9E3779B97F4A7C15ull + 1);
+// Runs `t` through a fabric seeded `seed` with the flight recorder on, then
+// the probe. Everything observable renders into the returned string:
+// deliveries (time, PSN, bytes, in order), port stats, link counters and
+// recorder records.
+std::string run_fabric(std::uint64_t seed, const Trial& t, TrialTally* tally) {
   sim::EventLoop loop;
   Fabric fabric(loop, FabricConfig{}, seed);
   obs::FlightRecorder rec(1024);
@@ -214,51 +262,26 @@ std::string run_trial(std::uint64_t seed, bool as_train, TrialTally* tally) {
   EXPECT_TRUE(fabric.attach_host(2).is_ok());
   std::string out = "deliveries:";
   fabric.set_data_handler(2, [&](Packet&& p) {
-    out += " " + std::to_string(loop.now()) + "/" + std::to_string(framed_psn(p)) + "/" +
-           std::to_string(p.wire_size());
+    out += render_delivery(loop.now(), framed_psn(p), p.wire_size());
   });
   Fabric::Route* r = fabric.route(1, 2);
   const std::uint64_t bytes0 = r->bytes->value();
   const std::uint64_t packets0 = r->packets->value();
   const std::uint64_t drops0 = r->drops->value();
 
-  constexpr double kLoss[] = {0.0, 0.05, 0.3};
-  constexpr double kReorder[] = {0.0, 0.2, 0.6};
-  Faults f;
-  f.data_loss_prob = kLoss[params.below(3)];
-  f.reorder_prob = kReorder[params.below(3)];
-  f.reorder_delay = static_cast<sim::DurationNs>(params.range(1, sim::usec(20)));
-  fabric.set_faults(f);
-  const std::uint64_t n = params.range(1, 64);
-  std::vector<Packet> packets;
-  for (std::uint64_t i = 0; i < n; ++i) packets.push_back(framed(1000 + i, params.below(4097)));
-  switch (params.below(4)) {
-    case 0:  // a partitioned endpoint drops everything at admission
-      fabric.set_partitioned(params.chance(0.5) ? 1 : 2, true);
-      break;
-    case 1: {  // a partition flaps while the packets are in flight
-      const sim::TimeNs on = static_cast<sim::TimeNs>(params.range(0, sim::usec(30)));
-      const sim::TimeNs off = on + static_cast<sim::TimeNs>(params.range(1, sim::usec(10)));
-      loop.post_at(on, [&fabric] { fabric.set_partitioned(2, true); });
-      loop.post_at(off, [&fabric] { fabric.set_partitioned(2, false); });
-      break;
-    }
-    default:
-      break;
+  fabric.set_faults(t.faults);
+  if (t.cut != 0) fabric.set_partitioned(t.cut, true);
+  if (t.flap_on >= 0) {
+    loop.post_at(t.flap_on, [&fabric] { fabric.set_partitioned(2, true); });
+    loop.post_at(t.flap_off, [&fabric] { fabric.set_partitioned(2, false); });
   }
-
-  if (as_train) {
-    std::vector<Packet> train = fabric.acquire_train();
-    for (Packet& p : packets) train.push_back(std::move(p));
-    fabric.send_data_burst(*r, std::move(train));
-  } else {
-    for (Packet& p : packets) fabric.send_data(*r, std::move(p));
+  for (std::size_t i = 0; i < t.bodies.size(); ++i) {
+    fabric.send_data(*r, framed(1000 + i, t.bodies[i]));
   }
   loop.run();
   fabric.set_partitioned(1, false);
   fabric.set_partitioned(2, false);
-
-  fabric.set_faults(Faults{.reorder_prob = 1.0, .reorder_delay = sim::sec(1)});
+  fabric.set_faults(kProbeFaults);
   fabric.send_data(*r, framed(1, 8));
   loop.run();
 
@@ -268,8 +291,7 @@ std::string run_trial(std::uint64_t seed, bool as_train, TrialTally* tally) {
          std::to_string(r->drops->value() - drops0);
   out += "\nrecords:";
   for (const obs::PacketRecord& pr : rec.records(1)) {
-    out += " " + std::to_string(pr.ts_ns) + "/" + std::to_string(pr.psn) + "/" +
-           std::to_string(pr.bytes) + "/" + obs::to_string(pr.verdict);
+    out += render_record(pr.ts_ns, pr.psn, pr.bytes, pr.verdict);
     if (tally != nullptr) {
       switch (pr.verdict) {
         case obs::PacketVerdict::dropped: tally->dropped++; break;
@@ -284,12 +306,89 @@ std::string run_trial(std::uint64_t seed, bool as_train, TrialTally* tally) {
   return out;
 }
 
-TEST(FabricTrainTest, TrainMatchesPerPacketSendsUnderFaults) {
+// The admission step as fabric.hpp documents it, rendered like run_fabric.
+// Per packet, in send order: count it sent; reserve egress (serialization
+// starts when the port is free, delivery follows after propagation); drop
+// it if an endpoint is partitioned, with no draw; else one draw for loss;
+// else one draw for holding it back and, if held back, one for the extra
+// delay, all from common::Rng(seed). Deliveries run in time order, ties in
+// send order, and a partition flap (posted before the sends) eats a
+// delivery in [flap_on, flap_off).
+std::string run_model(std::uint64_t seed, const Trial& t) {
+  common::Rng rng(seed);
+  const FabricConfig cfg;
+  PortStats tx, rx;
+  std::uint64_t link_bytes = 0;
+  std::uint64_t link_packets = 0;
+  sim::TimeNs egress_free = 0;
+  std::string records;
+  struct Flight {
+    sim::TimeNs at;
+    std::uint64_t psn;
+    std::size_t bytes;
+  };
+  std::vector<Flight> flights;  // admitted, in send order
+
+  auto admit = [&](sim::TimeNs now, std::uint64_t psn, std::size_t bytes, const Faults& f,
+                   bool cut) {
+    tx.data_packets_tx++;
+    tx.data_bytes_tx += bytes;
+    link_packets++;
+    link_bytes += bytes;
+    egress_free = std::max(now, egress_free) +
+                  sim::transmit_time(bytes + cfg.header_bytes, cfg.link_gbps);
+    sim::TimeNs at = egress_free + cfg.propagation;
+    if (cut || (f.data_loss_prob > 0 && rng.chance(f.data_loss_prob))) {
+      tx.data_packets_dropped++;
+      records += render_record(now, psn, bytes,
+                               cut ? obs::PacketVerdict::partitioned : obs::PacketVerdict::dropped);
+      return;
+    }
+    obs::PacketVerdict verdict = obs::PacketVerdict::delivered;
+    if (f.reorder_prob > 0 && f.reorder_delay > 0 && rng.chance(f.reorder_prob)) {
+      at += static_cast<sim::DurationNs>(
+          rng.range(1, static_cast<std::uint64_t>(f.reorder_delay)));
+      tx.data_packets_reordered++;
+      verdict = obs::PacketVerdict::reordered;
+    }
+    records += render_record(now, psn, bytes, verdict);
+    flights.push_back({at, psn, bytes});
+  };
+
+  for (std::size_t i = 0; i < t.bodies.size(); ++i) {
+    admit(0, 1000 + i, kHeaderBytes + t.bodies[i], t.faults, t.cut != 0);
+  }
+  std::stable_sort(flights.begin(), flights.end(),
+                   [](const Flight& a, const Flight& b) { return a.at < b.at; });
+  std::string deliveries = "deliveries:";
+  sim::TimeNs now = std::max<sim::TimeNs>(0, t.flap_off);
+  for (const Flight& fl : flights) {
+    now = std::max(now, fl.at);
+    if (fl.at >= t.flap_on && fl.at < t.flap_off) {
+      records += render_record(fl.at, fl.psn, fl.bytes, obs::PacketVerdict::partitioned);
+      continue;
+    }
+    rx.data_packets_rx++;
+    rx.data_bytes_rx += fl.bytes;
+    deliveries += render_delivery(fl.at, fl.psn, fl.bytes);
+  }
+
+  flights.clear();
+  admit(now, 1, kHeaderBytes + 8, kProbeFaults, /*cut=*/false);
+  rx.data_packets_rx++;
+  rx.data_bytes_rx += flights[0].bytes;
+  deliveries += render_delivery(flights[0].at, flights[0].psn, flights[0].bytes);
+
+  return deliveries + "\nstats: " + render(tx) + " | " + render(rx) +
+         "\nlink: " + std::to_string(link_bytes) + "," + std::to_string(link_packets) + "," +
+         std::to_string(tx.data_packets_dropped) + "\nrecords:" + records;
+}
+
+TEST(FabricAdmissionTest, SendDataMatchesTheReferenceModelUnderFaults) {
   TrialTally tally;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const std::string one_by_one = run_trial(seed, /*as_train=*/false, nullptr);
-    const std::string train = run_trial(seed, /*as_train=*/true, &tally);
-    ASSERT_EQ(train, one_by_one) << "seed " << seed;
+    const Trial t = draw_trial(seed);
+    ASSERT_EQ(run_fabric(seed, t, &tally), run_model(seed, t)) << "seed " << seed;
   }
   // The sweep reaches every fault the admission step decides.
   EXPECT_GT(tally.dropped, 0u);

@@ -1,7 +1,7 @@
 // Flight-recorder unit tests: ring wraparound, dump-on-anomaly contents,
 // the disabled-mode zero-allocation guarantee (pinned with a counting
 // global operator new in this TU, like alloc_test), and the fabric hook
-// decoding real wire headers for single packets and trains.
+// decoding real wire headers at admission.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -177,9 +177,9 @@ TEST(FlightRecorderTest, EnabledSteadyStateRecordingDoesNotAllocate) {
 }
 
 // ---------------------------------------------------------------------------
-// Fabric hook: the admission step feeds the recorder for single packets and
-// trains alike, decoding the RNIC wire header (opcode, destination QPN, PSN)
-// at the documented fixed offsets.
+// Fabric hook: the admission step feeds the recorder for every packet,
+// decoding the RNIC wire header (opcode, destination QPN, PSN) at the
+// documented fixed offsets.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kWireHeaderBytes = 71;
@@ -249,54 +249,23 @@ TEST_F(FabricHookTest, PerPacketPathDecodesHeaderAndVerdicts) {
   held = rec_.records(1);
   ASSERT_EQ(held.size(), 3u);
   EXPECT_EQ(held[2].verdict, PacketVerdict::partitioned);
-}
 
-TEST_F(FabricHookTest, BurstFastPathRecordsEveryPacketOfTheTrain) {
-  auto send_train = [this](std::uint64_t first_psn) {
-    auto train = fabric_.acquire_train();
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      train.push_back(wire_packet(1, 2, /*op=*/2, /*dst_qpn=*/55, /*psn=*/first_psn + i));
-    }
-    fabric_.send_data_burst(*route_, std::move(train));
-    loop_.run();
-  };
-  send_train(100);
-  EXPECT_EQ(delivered_, 4);
-
-  auto held = rec_.records(1);
-  ASSERT_EQ(held.size(), 4u);
-  for (std::size_t i = 0; i < held.size(); ++i) {
-    EXPECT_EQ(held[i].psn, 100 + i);
+  // Back to back: packets sent at one instant are recorded one by one, in
+  // send order, and all arrive.
+  fabric_.set_partitioned(2, false);
+  for (std::uint64_t psn = 100; psn < 104; ++psn) {
+    fabric_.send_data(*route_, wire_packet(1, 2, /*op=*/2, /*dst_qpn=*/55, psn));
+  }
+  loop_.run();
+  EXPECT_EQ(delivered_, 5);
+  held = rec_.records(1);
+  ASSERT_EQ(held.size(), 7u);
+  for (std::size_t i = 3; i < 7; ++i) {
+    EXPECT_EQ(held[i].psn, 100 + (i - 3));
     EXPECT_EQ(held[i].qpn, 55u);
     EXPECT_EQ(held[i].opcode, 2u);
     EXPECT_EQ(held[i].verdict, PacketVerdict::delivered);
   }
-
-  // Certain loss: every packet of the train is recorded as dropped.
-  net::Faults f;
-  f.data_loss_prob = 1.0;
-  fabric_.set_faults(f);
-  send_train(200);
-  EXPECT_EQ(delivered_, 4);
-  held = rec_.records(1);
-  ASSERT_EQ(held.size(), 8u);
-  for (std::size_t i = 4; i < 8; ++i) {
-    EXPECT_EQ(held[i].psn, 200 + (i - 4));
-    EXPECT_EQ(held[i].verdict, PacketVerdict::dropped);
-  }
-
-  // Partitioned destination: dropped at admission with its own verdict.
-  fabric_.set_faults({});
-  fabric_.set_partitioned(2, true);
-  send_train(300);
-  EXPECT_EQ(delivered_, 4);
-  held = rec_.records(1);
-  ASSERT_EQ(held.size(), 12u);
-  for (std::size_t i = 8; i < 12; ++i) {
-    EXPECT_EQ(held[i].psn, 300 + (i - 8));
-    EXPECT_EQ(held[i].verdict, PacketVerdict::partitioned);
-  }
-  EXPECT_EQ(fabric_.stats(1).data_packets_dropped, 8u);
 }
 
 TEST_F(FabricHookTest, NonRnicFramesRecordWithSentinelOpcode) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -937,7 +938,7 @@ TEST_F(RnicRequesterFaultTest, ReadResponseIntoABufferWhoseMemoryIsGoneFailsLoca
   EXPECT_EQ(cqes[1].status, CqeStatus::local_protection_err);
   EXPECT_EQ(cqes[1].opcode, CqeOpcode::rdma_read);
   EXPECT_EQ(cqes[2].wr_id, 12u);
-  EXPECT_NE(cqes[2].status, CqeStatus::success);
+  EXPECT_EQ(cqes[2].status, CqeStatus::wr_flush_err);
   EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
 }
 
@@ -958,8 +959,161 @@ TEST_F(RnicRequesterFaultTest, AtomicResponseIntoABufferWhoseMemoryIsGoneFailsLo
   EXPECT_EQ(cqes[1].wr_id, 11u);
   EXPECT_EQ(cqes[1].status, CqeStatus::local_protection_err);
   EXPECT_EQ(cqes[2].wr_id, 12u);
-  EXPECT_NE(cqes[2].status, CqeStatus::success);
+  EXPECT_EQ(cqes[2].status, CqeStatus::wr_flush_err);
   EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+}
+
+// A local DMA fault at emission: the second packet of a two-packet WRITE
+// reads a page of device memory freed before it leaves. That WRITE
+// completes with a local protection error; the WRITE ahead of it, still
+// unacknowledged, and the one behind it are flushed.
+TEST_F(RnicRequesterFaultTest, WriteFromMemoryFreedBeforeItLeavesFailsLocally) {
+  auto [qa, qb] = connect_pair();
+  auto src = make_buf(*ctx_a_, pd_a_, proc::kPageSize);
+  auto dst = make_buf(*ctx_b_, pd_b_, 4 * proc::kPageSize);
+  const Mr mr = local_dm_mr();
+  // Leave the control-command window, so the QP is alone in the rotation
+  // and may burst: the fault then ends a burst after its first packet.
+  world_.loop().run_until(dev_a_->ctrl_pressure_until());
+  SendWr write;
+  write.opcode = WrOpcode::rdma_write;
+  write.remote_addr = dst.addr;
+  write.rkey = dst.mr.rkey;
+  write.wr_id = 10;
+  write.sge = {{src.addr, 512, src.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, write).is_ok());
+  write.wr_id = 11;
+  write.sge = {{src.addr, static_cast<std::uint32_t>(proc::kPageSize), src.mr.lkey},
+               {dm_.mapped_at, static_cast<std::uint32_t>(proc::kPageSize), mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, write).is_ok());
+  write.wr_id = 12;
+  write.sge = {{src.addr, 512, src.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, write).is_ok());
+  free_dm();
+  std::vector<Cqe> cqes;
+  for (int i = 0; i < 3; ++i) cqes.push_back(wait_cqe(*ctx_a_, cq_a_));
+  EXPECT_EQ(cqes[0].wr_id, 10u);
+  EXPECT_EQ(cqes[0].status, CqeStatus::wr_flush_err);
+  EXPECT_EQ(cqes[1].wr_id, 11u);
+  EXPECT_EQ(cqes[1].status, CqeStatus::local_protection_err);
+  EXPECT_EQ(cqes[1].opcode, CqeOpcode::rdma_write);
+  EXPECT_EQ(cqes[2].wr_id, 12u);
+  EXPECT_EQ(cqes[2].status, CqeStatus::wr_flush_err);
+  EXPECT_EQ(ctx_a_->query_qp_state(qa).value(), QpState::err);
+  EXPECT_EQ(world_.fabric().stats(1).data_packets_tx, 2u);  // WRITE 10, then 11's first
+}
+
+// ---------------------------------------------------------------------------
+// Transmit bursts: an RC QP alone in the transmit rotation emits up to 64
+// packets of one WQE in one pump slot; beside a busy QP, each of its
+// packets takes a slot of its own.
+// ---------------------------------------------------------------------------
+
+class RnicBurstTest : public RnicTest {
+ protected:
+  static constexpr std::uint32_t kBytes = 256 * 1024;  // 64 MTU-sized packets
+
+  void SetUp() override {
+    RnicTest::SetUp();
+    rec_.set_enabled(true);
+    world_.fabric().set_recorder(&rec_);
+  }
+  void TearDown() override { world_.fabric().set_recorder(nullptr); }
+
+  SendWr write_wr(const Buf& src, const Buf& dst, std::uint32_t bytes, std::uint64_t wr_id) {
+    SendWr wr;
+    wr.wr_id = wr_id;
+    wr.opcode = WrOpcode::rdma_write;
+    wr.remote_addr = dst.addr;
+    wr.rkey = dst.mr.rkey;
+    wr.sge = {{src.addr, bytes, src.mr.lkey}};
+    return wr;
+  }
+
+  /// Leave the control-command window the setup opened on both NICs.
+  void settle() {
+    world_.loop().run_until(
+        std::max(dev_a_->ctrl_pressure_until(), dev_b_->ctrl_pressure_until()));
+  }
+
+  /// Admission instants of the request packets addressed to `dst_qpn`.
+  std::vector<sim::TimeNs> admissions(Qpn dst_qpn) const {
+    std::vector<sim::TimeNs> out;
+    for (const obs::PacketRecord& r : rec_.records(1)) {
+      if (r.qpn == dst_qpn) out.push_back(r.ts_ns);
+    }
+    return out;
+  }
+
+  /// Runs one nanosecond at a time until a CQE shows up on host a's CQ;
+  /// returns it and the instants at which host b's NIC took in a packet.
+  std::pair<Cqe, std::vector<sim::TimeNs>> step_until_cqe() {
+    std::vector<sim::TimeNs> arrivals;
+    std::uint64_t seen = dev_b_->counters().rx_packets;
+    Cqe cqe;
+    const sim::TimeNs deadline = world_.loop().now() + sim::msec(1);
+    while (ctx_a_->poll_cq(cq_a_, {&cqe, 1}) == 0 && world_.loop().now() < deadline) {
+      world_.loop().run_until(world_.loop().now() + 1);
+      for (; seen < dev_b_->counters().rx_packets; ++seen) arrivals.push_back(world_.loop().now());
+    }
+    return {cqe, arrivals};
+  }
+
+  obs::FlightRecorder rec_{1024};
+};
+
+TEST_F(RnicBurstTest, LoneWriteLeavesInOneSlot) {
+  auto [qa, qb] = connect_pair();
+  auto src = make_buf(*ctx_a_, pd_a_, kBytes);
+  auto dst = make_buf(*ctx_b_, pd_b_, kBytes);
+  settle();
+  const sim::TimeNs t0 = world_.loop().now();
+  const std::uint64_t events0 = world_.loop().events_dispatched();
+  ASSERT_TRUE(ctx_a_->post_send(qa, write_wr(src, dst, kBytes, 1)).is_ok());
+  const auto [cqe, arrivals] = step_until_cqe();
+  EXPECT_EQ(cqe.status, CqeStatus::success);
+  world_.loop().run();
+
+  const std::vector<sim::TimeNs> sent = admissions(qb);
+  ASSERT_EQ(sent.size(), 64u);
+  for (sim::TimeNs at : sent) EXPECT_EQ(at, t0);  // one pump slot
+  // Back to back on the wire: 4,225 B frames (4 KiB + 71 B header + 58 B
+  // framing) serialize in 338 ns at 100 Gbps, then 2 us of propagation.
+  ASSERT_EQ(arrivals.size(), 64u);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(arrivals[i] - t0, static_cast<sim::TimeNs>(2000 + 338 * (i + 1))) << i;
+  }
+  // One pump slot, 64 arrivals, 5 ACKs (every 16th PSN and the last) and
+  // the retransmit timer, which lapses.
+  EXPECT_EQ(world_.loop().events_dispatched() - events0, 71u);
+}
+
+TEST_F(RnicBurstTest, BusyRotationGivesEveryPacketItsOwnSlot) {
+  auto [qa, qb] = connect_pair();
+  auto [qa2, qb2] = connect_pair();
+  auto src = make_buf(*ctx_a_, pd_a_, 2 * kBytes);
+  auto dst = make_buf(*ctx_b_, pd_b_, 2 * kBytes);
+  settle();
+  ASSERT_TRUE(ctx_a_->post_send(qa2, write_wr(src, dst, 2 * kBytes, 2)).is_ok());
+  ASSERT_TRUE(ctx_a_->post_send(qa, write_wr(src, dst, kBytes, 1)).is_ok());
+  world_.loop().run();
+  Cqe cqes[2];
+  ASSERT_EQ(ctx_a_->poll_cq(cq_a_, cqes), 2);
+  EXPECT_EQ(cqes[0].status, CqeStatus::success);
+  EXPECT_EQ(cqes[1].status, CqeStatus::success);
+
+  const std::vector<sim::TimeNs> sent = admissions(qb);
+  ASSERT_EQ(sent.size(), 64u);
+  for (std::size_t i = 1; i < sent.size(); ++i) EXPECT_LT(sent[i - 1], sent[i]) << i;
+  // The busy QP's packets take the slots in between.
+  const std::vector<sim::TimeNs> busy = admissions(qb2);
+  ASSERT_EQ(busy.size(), 128u);
+  for (std::size_t i = 1; i < sent.size(); ++i) {
+    EXPECT_EQ(std::count_if(busy.begin(), busy.end(),
+                            [&](sim::TimeNs at) { return at > sent[i - 1] && at < sent[i]; }),
+              1)
+        << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@
 # workload, results saved to build/BENCH_migrbench.json), a bench delta vs
 # the committed BENCH_*.json baselines (tools/bench_diff.py: a changed
 # simulated value fails, wall-time deltas are advisory), the fast figure
-# benches (tables kept under build/figures/), then the ASan+UBSan
-# sanitizer pass.
+# benches (each table must equal its committed copy under bench/tables/),
+# then the ASan+UBSan sanitizer pass with asserts on.
 #
 #   tools/ci.sh              # everything
 #   tools/ci.sh --fast       # skip the sanitizer pass
@@ -39,20 +39,20 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 # Deterministic seeded runs: the fault scenario suite, every property test
 # that drives traffic through injected loss/reordering/partitions, the
 # cluster suite (scheduler admission/retry plus the seeded lossy drain with
-# a mid-drain partition), the data path's train-vs-single-packet admission
-# sweep, the retransmit-timer deadline and event-population pins, the
-# mutation sweeps of the wire parser, of the image-payload and FT
-# epoch-frame readers, of the post-copy page request/reply readers and of
-# the TransferMux data/ACK frames, the hostile-string round trip through
-# every JSON artifact writer, the FT teardown tests (ending protection
-# releases what the standby staged), the responder's memory-fault replies
-# and the requester's failed READ/atomic landings, payload landing (a whole
-# page block handed to the page table, checked against the address-space
-# reference model), the event loop's seeded dispatch-order properties
-# (delivery lanes and heap rebuilds against a reference model) and the
-# event-heap bound pins.
+# a mid-drain partition), the data path's admission sweep against its
+# reference model, the transport's burst pins, the retransmit-timer
+# deadline and event-population pins, the mutation sweeps of the wire
+# parser, of the image-payload and FT epoch-frame readers, of the post-copy
+# page request/reply readers and of the TransferMux data/ACK frames, the
+# hostile-string round trip through every JSON artifact writer, the FT
+# teardown tests (ending protection releases what the standby staged), the
+# responder's memory-fault replies and the requester's failed landings and
+# emissions, payload landing (a whole page block handed to the page table,
+# checked against the address-space reference model), the event loop's
+# seeded dispatch-order properties (delivery lanes and heap rebuilds
+# against a reference model) and the event-heap bound pins.
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricTrainTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicRequesterFaultTest|RnicLandingTest|AddressSpaceModel|EventLoopProperty|HeapBoundPin)'
+  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricAdmissionTest|RnicBurstTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicRequesterFaultTest|RnicLandingTest|AddressSpaceModel|EventLoopProperty|HeapBoundPin)'
 
 echo "==> [3/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
@@ -220,15 +220,23 @@ echo "==> [10/11] fast figure benches (paper tables)"
 # Each bench exits non-zero on a failed migration (the fault sweep: on a
 # failed loss row or a failure scenario that does not roll back), and
 # Fig. 5 on a broken stream (bench/bench_util.hpp check_stream). Their
-# tables are simulated values, kept under build/figures/ so two builds'
-# tables can be compared with cmp. Fig. 3's sweep takes minutes (its
-# 4096-QP cells) and stays out.
+# tables are simulated values, a deterministic function of the code: each
+# lands under build/figures/ and must equal its committed copy under
+# bench/tables/, so a change that moves a simulated result fails here
+# until the same diff refreshes the table. Fig. 3's sweep takes minutes
+# (its 4096-QP cells) and stays out.
 FIG_DIR=build/figures
 mkdir -p "$FIG_DIR"
+FIG_STATUS=0
 for bench in bench_fig4_wbs bench_fig5_tput bench_fig6_hadoop bench_ablation_wbs \
              bench_migros_ablation bench_fault_sweep; do
   "build/bench/$bench" > "$FIG_DIR/$bench.txt"
+  if ! diff -u "bench/tables/$bench.txt" "$FIG_DIR/$bench.txt"; then
+    echo "FAIL: $bench's table differs from bench/tables/$bench.txt" >&2
+    FIG_STATUS=1
+  fi
 done
+[[ "$FIG_STATUS" == "0" ]] || exit 1
 
 if [[ "$FAST" == "1" ]]; then
   echo "==> [11/11] sanitizer pass skipped (--fast)"
@@ -237,5 +245,6 @@ fi
 
 echo "==> [11/11] sanitizer pass (address,undefined)"
 # One instrumented tree runs the suite under ASan and UBSan together, so
-# the parsers' bounds checks and view arithmetic run under both.
+# the parsers' bounds checks and view arithmetic run under both; it is
+# built without NDEBUG, so every assert in src/ runs too.
 tools/run_sanitized.sh address,undefined

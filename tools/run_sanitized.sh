@@ -23,7 +23,11 @@ esac
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$REPO_ROOT"
 
-cmake -B "$BUILD_DIR" -S . -DMIGR_SANITIZE="$SANITIZE" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# RelWithDebInfo's flags without its -DNDEBUG: the sanitized tree also runs
+# every assert in src/ (the other trees build with NDEBUG, so only this one
+# checks, e.g., that a delivery lane's times never decrease).
+cmake -B "$BUILD_DIR" -S . -DMIGR_SANITIZE="$SANITIZE" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
