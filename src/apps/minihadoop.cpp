@@ -278,7 +278,7 @@ void HadoopWorker::tick() {
   wr.remote_addr = replica_addr_;
   wr.rkey = replica_vrkey_;
   wr.sge = {{block_buf_, config_.block_size, block_mr_.vlkey}};
-  const auto st = node_.guest().post_send(qp.value(), wr);
+  const auto st = node_.guest().post_send(qp.value(), std::move(wr));
   if (st.is_ok()) {
     write_inflight_ = true;
   } else if (st.code() == common::Errc::failed_precondition) {

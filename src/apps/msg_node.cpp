@@ -61,7 +61,7 @@ Status MsgNode::connect(MsgNode& a, MsgNode& b) {
       wr.wr_id = peer.next_recv_seq++;
       wr.sge = {{peer.recv_buf + std::uint64_t{d} * self.config_.max_msg,
                  self.config_.max_msg, peer.recv_mr.vlkey}};
-      MIGR_RETURN_IF_ERROR(self.guest_->post_recv(peer.vqpn, wr));
+      MIGR_RETURN_IF_ERROR(self.guest_->post_recv(peer.vqpn, std::move(wr)));
     }
     return Status::ok();
   };
@@ -131,7 +131,7 @@ Status MsgNode::send_now(GuestId peer_id, const common::Bytes& payload) {
   wr.wr_id = peer.send_slot;
   wr.opcode = rnic::WrOpcode::send;
   wr.sge = {{addr, kLenBytes + len, peer.send_mr.vlkey}};
-  MIGR_RETURN_IF_ERROR(guest_->post_send(peer.vqpn, wr));
+  MIGR_RETURN_IF_ERROR(guest_->post_send(peer.vqpn, std::move(wr)));
   if (sli_ != nullptr) {
     if (peer.send_ts.empty()) {
       peer.send_ts.assign(config_.depth, 0);
@@ -238,7 +238,7 @@ void MsgNode::repost_recv(Peer& peer, std::uint64_t wr_id) {
   wr.wr_id = wr_id;
   wr.sge = {{peer.recv_buf + (wr_id % config_.depth) * config_.max_msg, config_.max_msg,
              peer.recv_mr.vlkey}};
-  if (!guest_->post_recv(peer.vqpn, wr).is_ok()) errors_++;
+  if (!guest_->post_recv(peer.vqpn, std::move(wr)).is_ok()) errors_++;
 }
 
 void MsgNode::deliver(const Peer& peer, const Cqe& cqe) {

@@ -114,7 +114,7 @@ void PerftestPeer::start() {
         wr.wr_id = slot.next_seq++;
         wr.sge = {{slot.buf_addr + std::uint64_t{d % config_.queue_depth} * config_.msg_size,
                    config_.msg_size, slot.mr.vlkey}};
-        if (!guest_->post_recv(slot.vqpn, wr).is_ok()) stats_.errors++;
+        if (!guest_->post_recv(slot.vqpn, std::move(wr)).is_ok()) stats_.errors++;
       }
     }
   }
@@ -207,7 +207,7 @@ void PerftestPeer::pump_sender(QpSlot& slot) {
       wr.remote_addr = slot.remote.addr;
       wr.rkey = slot.remote.vrkey;
     }
-    const auto st = guest_->post_send(slot.vqpn, wr);
+    const auto st = guest_->post_send(slot.vqpn, std::move(wr));
     if (!st.is_ok()) {
       if (st.code() != Errc::resource_exhausted) stats_.errors++;
       return;
@@ -250,7 +250,7 @@ void PerftestPeer::handle_cqe(const Cqe& cqe) {
     wr.sge = {{slot->buf_addr +
                    std::uint64_t{slot->next_seq % config_.queue_depth} * config_.msg_size,
                config_.msg_size, slot->mr.vlkey}};
-    if (guest_->post_recv(slot->vqpn, wr).is_ok()) {
+    if (guest_->post_recv(slot->vqpn, std::move(wr)).is_ok()) {
       slot->next_seq++;
     } else {
       stats_.errors++;

@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace migr::common {
@@ -32,7 +33,13 @@ class Ring {
   /// Monotonic producer index: number of elements ever pushed.
   std::uint64_t tail() const noexcept { return tail_; }
 
-  bool push(T v) {
+  bool push(const T& v) {
+    if (full()) return false;
+    slots_[tail_ % slots_.size()] = v;
+    ++tail_;
+    return true;
+  }
+  bool push(T&& v) {
     if (full()) return false;
     slots_[tail_ % slots_.size()] = std::move(v);
     ++tail_;

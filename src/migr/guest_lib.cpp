@@ -352,6 +352,10 @@ Status GuestContext::post_send(VQpn vqpn, rnic::SendWr wr) {
   if (qp->suspended || qp->hold_sends) {
     // Intercept and pretend the WR hit the wire (§3.4): the application
     // keeps its asynchronous view and just sees completions arrive later.
+    // An opcode the NIC would refuse is refused now, not in the image.
+    if (wr.opcode > rnic::kLastWrOpcode) {
+      return common::err(Errc::invalid_argument, "unknown WR opcode");
+    }
     qp->intercepted_sends.push_back(std::move(wr));
     return Status::ok();
   }

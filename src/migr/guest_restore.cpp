@@ -39,7 +39,7 @@ void GuestContext::harvest_pending_recvs(RdmaImage& image) {
     // RECVs intercepted during suspension follow the posted ones, keeping
     // the application's posting order.
     for (auto& wr : qp.intercepted_recvs) {
-      image.pending_recvs.push_back(VRecvWr{vqpn, 0, wr});
+      image.pending_recvs.push_back(VRecvWr{vqpn, 0, std::move(wr)});
     }
     qp.intercepted_recvs.clear();
   }
@@ -50,7 +50,7 @@ void GuestContext::harvest_pending_recvs(RdmaImage& image) {
       }
     }
     for (auto& wr : srq.intercepted_recvs) {
-      image.pending_recvs.push_back(VRecvWr{0, vsrq, wr});
+      image.pending_recvs.push_back(VRecvWr{0, vsrq, std::move(wr)});
     }
     srq.intercepted_recvs.clear();
   }

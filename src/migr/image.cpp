@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 namespace migr::migrlib {
 
@@ -28,6 +29,17 @@ Result<std::uint32_t> sge_count(ByteReader& r) {
   return n;
 }
 
+// An enum stored as one byte, rejected past its last value so that no
+// consumer's switch meets a value it has no case for.
+template <typename E>
+Result<E> get_enum(ByteReader& r, E last, const char* what) {
+  MIGR_ASSIGN_OR_RETURN(auto b, r.u8());
+  if (b > static_cast<std::uint8_t>(last)) {
+    return common::err(common::Errc::invalid_argument, std::string("rdma image: bad ") + what);
+  }
+  return static_cast<E>(b);
+}
+
 void put_send_wr(ByteWriter& w, const rnic::SendWr& wr) {
   w.u64(wr.wr_id);
   w.u8(static_cast<std::uint8_t>(wr.opcode));
@@ -50,8 +62,7 @@ void put_send_wr(ByteWriter& w, const rnic::SendWr& wr) {
 Result<rnic::SendWr> get_send_wr(ByteReader& r) {
   rnic::SendWr wr;
   MIGR_ASSIGN_OR_RETURN(wr.wr_id, r.u64());
-  MIGR_ASSIGN_OR_RETURN(auto op, r.u8());
-  wr.opcode = static_cast<rnic::WrOpcode>(op);
+  MIGR_ASSIGN_OR_RETURN(wr.opcode, get_enum(r, rnic::kLastWrOpcode, "WR opcode"));
   MIGR_ASSIGN_OR_RETURN(wr.signaled, r.boolean());
   MIGR_ASSIGN_OR_RETURN(wr.remote_addr, r.u64());
   MIGR_ASSIGN_OR_RETURN(wr.rkey, r.u32());
@@ -107,10 +118,8 @@ void put_cqe(ByteWriter& w, const rnic::Cqe& c) {
 Result<rnic::Cqe> get_cqe(ByteReader& r) {
   rnic::Cqe c;
   MIGR_ASSIGN_OR_RETURN(c.wr_id, r.u64());
-  MIGR_ASSIGN_OR_RETURN(auto st, r.u8());
-  c.status = static_cast<rnic::CqeStatus>(st);
-  MIGR_ASSIGN_OR_RETURN(auto op, r.u8());
-  c.opcode = static_cast<rnic::CqeOpcode>(op);
+  MIGR_ASSIGN_OR_RETURN(c.status, get_enum(r, rnic::kLastCqeStatus, "CQE status"));
+  MIGR_ASSIGN_OR_RETURN(c.opcode, get_enum(r, rnic::kLastCqeOpcode, "CQE opcode"));
   MIGR_ASSIGN_OR_RETURN(c.byte_len, r.u32());
   MIGR_ASSIGN_OR_RETURN(c.qpn, r.u32());
   MIGR_ASSIGN_OR_RETURN(c.has_imm, r.boolean());
@@ -295,8 +304,7 @@ Result<RdmaImage> RdmaImage::parse(std::span<const std::uint8_t> data) {
   img.qps.resize(n);
   for (auto& x : img.qps) {
     MIGR_ASSIGN_OR_RETURN(x.vqpn, r.u32());
-    MIGR_ASSIGN_OR_RETURN(auto ty, r.u8());
-    x.type = static_cast<rnic::QpType>(ty);
+    MIGR_ASSIGN_OR_RETURN(x.type, get_enum(r, rnic::kLastQpType, "QP type"));
     MIGR_ASSIGN_OR_RETURN(x.vpd, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.vsend_cq, r.u32());
     MIGR_ASSIGN_OR_RETURN(x.vrecv_cq, r.u32());

@@ -141,6 +141,7 @@ struct SendWqe {
   bool resp_done = false;           // ATOMIC: response landed
   bool executed = false;            // bind_mw: executed locally
 };
+static_assert(sizeof(SendWqe) <= 192, "SendWqe outgrew its SQ-slot budget");
 
 struct Qp {
   Qpn qpn = 0;

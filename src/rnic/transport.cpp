@@ -76,6 +76,9 @@ Status Device::validate_sges(Context& ctx, std::span<const Sge> sge, bool need_w
 }
 
 Status Context::post_send(Qpn qpn, SendWr wr) {
+  // No completion rule exists for an opcode outside WrOpcode: such a WQE
+  // would hold the SQ head until the retry budget ran out.
+  if (wr.opcode > kLastWrOpcode) return common::err(Errc::invalid_argument, "unknown WR opcode");
   Qp* qp = find_qp_mut(qpn);
   if (qp == nullptr) return common::err(Errc::not_found, "no such QP");
   if (qp->state != QpState::rts) {

@@ -4,10 +4,11 @@
 // migration source's NIC and the destination's.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 
 #include "net/fabric.hpp"
@@ -31,6 +32,7 @@ using Psn = std::uint64_t;
 using Handle = std::uint32_t;  // context-local object handle (PD/CQ/...)
 
 enum class QpType : std::uint8_t { rc, ud };
+constexpr QpType kLastQpType = QpType::ud;
 
 /// InfiniBand QP state machine (spec §10.3).
 enum class QpState : std::uint8_t { reset, init, rtr, rts, sqd, sqe, err };
@@ -55,6 +57,7 @@ enum class WrOpcode : std::uint8_t {
   atomic_fetch_and_add,
   bind_mw,
 };
+constexpr WrOpcode kLastWrOpcode = WrOpcode::bind_mw;
 
 inline bool is_one_sided(WrOpcode op) {
   return op == WrOpcode::rdma_write || op == WrOpcode::rdma_write_with_imm ||
@@ -72,6 +75,7 @@ enum class CqeStatus : std::uint8_t {
   retry_exceeded,        // peer unreachable
   wr_flush_err,          // QP transitioned to error, WR flushed
 };
+constexpr CqeStatus kLastCqeStatus = CqeStatus::wr_flush_err;
 
 enum class CqeOpcode : std::uint8_t {
   send,
@@ -81,6 +85,7 @@ enum class CqeOpcode : std::uint8_t {
   bind_mw,
   recv,  // receive completion (two-sided or write-with-imm)
 };
+constexpr CqeOpcode kLastCqeOpcode = CqeOpcode::recv;
 
 /// QP queue capacities.
 struct QpCaps {
@@ -101,53 +106,113 @@ struct Sge {
   Lkey lkey = 0;
 };
 
-/// Fixed-capacity inline scatter/gather list. Every post copies its WR into
-/// a device ring, so a heap-backed vector here costs an allocation per post
-/// on the steady-state message path. Capacity is double the device's 16-SGE
-/// validation limit so an over-limit post is still representable (and
-/// rejected with a Status by validate_sges) instead of asserting here.
+/// Scatter/gather list of at most kCapacity entries. Every post moves its WR
+/// into a device ring slot, and nearly every WR carries one SGE, so the
+/// first kInline entries live inline; a list that grows past them spills to
+/// one heap block of kCapacity entries, and a move hands that block over.
+/// Copy, move, assignment, resize and push_back touch only the size()
+/// entries in use. kCapacity is double the device's 16-SGE validation
+/// limit so an over-limit post is still representable (and rejected with a
+/// Status by validate_sges) instead of asserting here.
 class SgeList {
  public:
   static constexpr std::size_t kCapacity = 32;
+  static constexpr std::size_t kInline = 2;
 
-  SgeList() = default;
-  SgeList(std::initializer_list<Sge> init) { *this = init; }
+  // User-provided, so that even a value-initialized list leaves its inline
+  // storage unwritten.
+  SgeList() noexcept {}
+  SgeList(std::initializer_list<Sge> init) { assign(init.begin(), init.size()); }
+  SgeList(const SgeList& o) { assign(o.data(), o.len_); }
+  SgeList(SgeList&& o) noexcept { take(o); }
+  ~SgeList() { release(); }
+
+  SgeList& operator=(const SgeList& o) {
+    if (this != &o) assign(o.data(), o.len_);
+    return *this;
+  }
+  SgeList& operator=(SgeList&& o) noexcept {
+    if (this != &o) {
+      release();
+      take(o);
+    }
+    return *this;
+  }
   SgeList& operator=(std::initializer_list<Sge> init) {
-    assert(init.size() <= kCapacity);
-    len_ = 0;
-    for (const Sge& s : init) buf_[len_++] = s;
+    assign(init.begin(), init.size());
     return *this;
   }
 
   std::size_t size() const noexcept { return len_; }
   bool empty() const noexcept { return len_ == 0; }
   void clear() noexcept { len_ = 0; }
-  void push_back(const Sge& s) noexcept {
+  void push_back(const Sge& s) {
     assert(len_ < kCapacity);
-    buf_[len_++] = s;
+    reserve(len_ + 1);
+    std::construct_at(data() + len_, s);
+    ++len_;
   }
   /// vector-compatible resize: grown entries are default Sge{}.
-  void resize(std::size_t n) noexcept {
+  void resize(std::size_t n) {
     assert(n <= kCapacity);
-    for (std::size_t i = len_; i < n; ++i) buf_[i] = Sge{};
+    reserve(n);
+    for (std::size_t i = len_; i < n; ++i) std::construct_at(data() + i);
     len_ = static_cast<std::uint32_t>(n);
   }
 
-  Sge* data() noexcept { return buf_.data(); }
-  const Sge* data() const noexcept { return buf_.data(); }
-  Sge* begin() noexcept { return buf_.data(); }
-  Sge* end() noexcept { return buf_.data() + len_; }
-  const Sge* begin() const noexcept { return buf_.data(); }
-  const Sge* end() const noexcept { return buf_.data() + len_; }
-  Sge& operator[](std::size_t i) noexcept { return buf_[i]; }
-  const Sge& operator[](std::size_t i) const noexcept { return buf_[i]; }
+  Sge* data() noexcept { return heap_ != nullptr ? heap_ : inline_data(); }
+  const Sge* data() const noexcept { return heap_ != nullptr ? heap_ : inline_data(); }
+  Sge* begin() noexcept { return data(); }
+  Sge* end() noexcept { return data() + len_; }
+  const Sge* begin() const noexcept { return data(); }
+  const Sge* end() const noexcept { return data() + len_; }
+  Sge& operator[](std::size_t i) noexcept { return data()[i]; }
+  const Sge& operator[](std::size_t i) const noexcept { return data()[i]; }
 
-  operator std::span<Sge>() noexcept { return {buf_.data(), len_}; }
-  operator std::span<const Sge>() const noexcept { return {buf_.data(), len_}; }
+  operator std::span<Sge>() noexcept { return {data(), len_}; }
+  operator std::span<const Sge>() const noexcept { return {data(), len_}; }
 
  private:
-  std::array<Sge, kCapacity> buf_{};
+  Sge* inline_data() noexcept { return std::launder(reinterpret_cast<Sge*>(inline_)); }
+  const Sge* inline_data() const noexcept {
+    return std::launder(reinterpret_cast<const Sge*>(inline_));
+  }
+
+  // Makes room for n entries, spilling the inline ones to a heap block the
+  // first time n passes kInline.
+  void reserve(std::size_t n) {
+    if (n <= kInline || heap_ != nullptr) return;
+    Sge* block = std::allocator<Sge>{}.allocate(kCapacity);
+    std::uninitialized_copy_n(inline_data(), len_, block);
+    heap_ = block;
+  }
+  void release() noexcept {
+    if (heap_ != nullptr) std::allocator<Sge>{}.deallocate(heap_, kCapacity);
+    heap_ = nullptr;
+  }
+  void assign(const Sge* src, std::size_t n) {
+    assert(n <= kCapacity);
+    reserve(n);
+    std::uninitialized_copy_n(src, n, data());
+    len_ = static_cast<std::uint32_t>(n);
+  }
+  // Takes o's entries, its heap block itself if it has one, and leaves o
+  // empty and inline. This list must own no heap block.
+  void take(SgeList& o) noexcept {
+    if (o.heap_ != nullptr) {
+      heap_ = o.heap_;
+      o.heap_ = nullptr;
+    } else {
+      std::uninitialized_copy_n(o.inline_data(), o.len_, inline_data());
+    }
+    len_ = o.len_;
+    o.len_ = 0;
+  }
+
+  Sge* heap_ = nullptr;  // kCapacity entries once the list has spilled
   std::uint32_t len_ = 0;
+  // Storage for the first kInline entries; only [0, len_) is ever written.
+  alignas(Sge) unsigned char inline_[kInline * sizeof(Sge)];
 };
 
 /// Send-queue work request (ibv_send_wr).
@@ -179,6 +244,9 @@ struct SendWr {
   }
 };
 
+// A post moves the WR into its ring slot: keep the one-SGE WR small.
+static_assert(sizeof(SendWr) <= 128, "SendWr outgrew its post-path budget");
+
 /// Receive-queue work request (ibv_recv_wr).
 struct RecvWr {
   std::uint64_t wr_id = 0;
@@ -190,6 +258,8 @@ struct RecvWr {
     return n;
   }
 };
+
+static_assert(sizeof(RecvWr) <= 64, "RecvWr outgrew its post-path budget");
 
 /// Completion-queue entry (ibv_wc).
 struct Cqe {

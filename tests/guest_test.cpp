@@ -266,6 +266,26 @@ TEST_F(GuestTest, FakeCqPreservesOrderAcrossRealAndParkedEntries) {
   EXPECT_EQ(a_->poll_cq(cq_a_, {&cqe, 1}), 0);  // 3 is intercepted, not lost
 }
 
+// The library refuses an opcode the NIC would refuse while it intercepts
+// posts too: held, the WR would reach the final image, which the
+// destination then fails to parse.
+TEST_F(GuestTest, SuspendedPostRefusesUnknownOpcode) {
+  VQpn qa = qp(a_, pd_a_, cq_a_);
+  VQpn qb = qp(b_, pd_b_, cq_b_);
+  connect(qa, qb);
+  Buf sb = buf(a_, pd_a_, 1 << 16);
+  a_->suspend(SuspendScope{true, 0});
+  SendWr wr;
+  wr.opcode = static_cast<WrOpcode>(static_cast<std::uint8_t>(rnic::kLastWrOpcode) + 1);
+  wr.sge = {{sb.addr, 64, sb.mr.vlkey}};
+  EXPECT_EQ(a_->post_send(qa, wr).code(), Errc::invalid_argument);
+  wr.opcode = WrOpcode::send;
+  ASSERT_TRUE(a_->post_send(qa, wr).is_ok());  // intercepted
+  const RdmaImage img = a_->dump(/*final=*/true);
+  EXPECT_EQ(img.intercepted_sends.size(), 1u);
+  EXPECT_TRUE(RdmaImage::parse(img.serialize()).is_ok());
+}
+
 TEST_F(GuestTest, SuspendScopeIsPerPeer) {
   GuestContext* c = runtimes_[2]->create_guest(world_.add_process("c"), 30).value();
   VHandle pd_c = c->alloc_pd().value();

@@ -353,13 +353,19 @@ TEST_P(ImageRoundTrip, RandomRdmaImage) {
     s.vqpn = qp.vqpn;
     s.wr.wr_id = rng.next();
     s.wr.opcode = rng.chance(0.5) ? rnic::WrOpcode::send : rnic::WrOpcode::rdma_write;
-    s.wr.sge.resize(rng.range(0, 3));
+    s.wr.sge.resize(rng.range(0, rnic::SgeList::kCapacity));
     for (auto& sge : s.wr.sge) {
       sge.addr = rng.next();
       sge.length = static_cast<std::uint32_t>(rng.range(1, 1 << 16));
       sge.lkey = static_cast<std::uint32_t>(rng.next());
     }
     img.intercepted_sends.push_back(s);
+    migrlib::VRecvWr r;
+    r.vqpn = qp.vqpn;
+    r.wr.wr_id = rng.next();
+    r.wr.sge.resize(rng.range(0, rnic::SgeList::kCapacity));
+    for (auto& sge : r.wr.sge) sge = {rng.next(), 64, static_cast<std::uint32_t>(rng.next())};
+    img.pending_recvs.push_back(r);
     migrlib::FakeCqe f;
     f.vcq = static_cast<std::uint32_t>(rng.next());
     f.cqe.wr_id = rng.next();
@@ -373,6 +379,7 @@ TEST_P(ImageRoundTrip, RandomRdmaImage) {
   EXPECT_EQ(parsed->pds.size(), img.pds.size());
   EXPECT_EQ(parsed->qps.size(), img.qps.size());
   EXPECT_EQ(parsed->intercepted_sends.size(), img.intercepted_sends.size());
+  EXPECT_EQ(parsed->pending_recvs.size(), img.pending_recvs.size());
   for (std::size_t i = 0; i < img.qps.size(); ++i) {
     EXPECT_EQ(parsed->qps[i].vqpn, img.qps[i].vqpn);
     EXPECT_EQ(parsed->qps[i].dest_pqpn, img.qps[i].dest_pqpn);
@@ -432,6 +439,77 @@ TEST(ImageBounds, SgeCountPastSgeListCapacityRejected) {
     over.insert(over.begin() + static_cast<std::ptrdiff_t>(sges_end), extra.begin(), extra.end());
     EXPECT_EQ(migrlib::RdmaImage::parse(over).status().code(), common::Errc::invalid_argument);
   }
+}
+
+// Offset of the first occurrence of `marker`'s little-endian bytes in `img`.
+template <typename T>
+std::size_t offset_of(const common::Bytes& img, T marker) {
+  common::ByteWriter w;
+  if constexpr (sizeof(T) == 8) {
+    w.u64(marker);
+  } else {
+    w.u32(marker);
+  }
+  const common::Bytes pat = std::move(w).take();
+  const auto it = std::search(img.begin(), img.end(), pat.begin(), pat.end());
+  EXPECT_NE(it, img.end());
+  return static_cast<std::size_t>(it - img.begin());
+}
+
+// An image whose every byte-stored enum holds its last value, each found
+// through a marker in the field just before it.
+constexpr std::uint64_t kSendWrId = 0xA1B2C3D4E5F60718ull;
+constexpr std::uint64_t kCqeWrId = 0xA1B2C3D4E5F60719ull;
+constexpr std::uint32_t kQpVqpn = 0xC0FFEE11u;
+
+common::Bytes image_with_last_enum_values() {
+  migrlib::RdmaImage img;
+  img.intercepted_sends.push_back({7, {}});
+  img.intercepted_sends[0].wr.wr_id = kSendWrId;
+  img.intercepted_sends[0].wr.opcode = rnic::kLastWrOpcode;
+  img.fake_cq_entries.push_back({3, {}});
+  img.fake_cq_entries[0].cqe.wr_id = kCqeWrId;
+  img.fake_cq_entries[0].cqe.status = rnic::kLastCqeStatus;
+  img.fake_cq_entries[0].cqe.opcode = rnic::kLastCqeOpcode;
+  img.qps.push_back({});
+  img.qps[0].vqpn = kQpVqpn;
+  img.qps[0].type = rnic::kLastQpType;
+  return img.serialize();
+}
+
+// The enum byte at `at` parses at its last value and is rejected one past
+// it and at 0xFF. Parsed as-is, such a byte reaches a switch with no case
+// for it (a WR opcode past bind_mw never completes).
+void expect_enum_byte_bounded(std::size_t at, std::uint8_t last) {
+  const common::Bytes valid = image_with_last_enum_values();
+  ASSERT_TRUE(migrlib::RdmaImage::parse(valid).is_ok());
+  ASSERT_EQ(valid[at], last);
+  for (const std::uint8_t bad : {static_cast<std::uint8_t>(last + 1), std::uint8_t{0xFF}}) {
+    common::Bytes patched = valid;
+    patched[at] = bad;
+    EXPECT_EQ(migrlib::RdmaImage::parse(patched).status().code(), common::Errc::invalid_argument)
+        << "byte " << int{bad};
+  }
+}
+
+TEST(ImageBounds, WrOpcodePastLastValueRejected) {
+  expect_enum_byte_bounded(offset_of(image_with_last_enum_values(), kSendWrId) + 8,
+                           static_cast<std::uint8_t>(rnic::kLastWrOpcode));
+}
+
+TEST(ImageBounds, CqeStatusPastLastValueRejected) {
+  expect_enum_byte_bounded(offset_of(image_with_last_enum_values(), kCqeWrId) + 8,
+                           static_cast<std::uint8_t>(rnic::kLastCqeStatus));
+}
+
+TEST(ImageBounds, CqeOpcodePastLastValueRejected) {
+  expect_enum_byte_bounded(offset_of(image_with_last_enum_values(), kCqeWrId) + 9,
+                           static_cast<std::uint8_t>(rnic::kLastCqeOpcode));
+}
+
+TEST(ImageBounds, QpTypePastLastValueRejected) {
+  expect_enum_byte_bounded(offset_of(image_with_last_enum_values(), kQpVqpn) + 4,
+                           static_cast<std::uint8_t>(rnic::kLastQpType));
 }
 
 // ---------------------------------------------------------------------------
@@ -529,13 +607,13 @@ TEST_P(ImageMutationSweep, RdmaImage) {
     migrlib::VSendWr s;
     s.vqpn = qp.vqpn;
     s.wr.wr_id = rng.next();
-    s.wr.sge.resize(rng.range(0, 3));
+    s.wr.sge.resize(rng.range(0, rnic::SgeList::kCapacity));
     for (auto& sge : s.wr.sge) sge = {rng.next(), 64, static_cast<std::uint32_t>(rng.next())};
     img.intercepted_sends.push_back(s);
     migrlib::VRecvWr r;
     r.vqpn = qp.vqpn;
     r.wr.wr_id = rng.next();
-    r.wr.sge.resize(rng.range(0, 3));
+    r.wr.sge.resize(rng.range(0, rnic::SgeList::kCapacity));
     for (auto& sge : r.wr.sge) sge = {rng.next(), 64, static_cast<std::uint32_t>(rng.next())};
     img.pending_recvs.push_back(r);
     migrlib::FakeCqe f;

@@ -615,5 +615,34 @@ TEST_F(RnicEdgeTest, TooManySgesRejected) {
   EXPECT_EQ(ctx_a_->post_send(qa, wr).code(), Errc::invalid_argument);
 }
 
+// An opcode past WrOpcode's last value has no completion rule. Accepted, it
+// held the SQ head until the retry budget ran out, and the SEND behind it
+// completed wr_flush_err although its RECV had completed on the responder.
+TEST_F(RnicEdgeTest, UnknownOpcodeRefusedAndSendBehindItCompletes) {
+  auto [qa, qb] = pair();
+  Buf sb = buf(ctx_a_, pd_a_, 4096);
+  Buf rb = buf(ctx_b_, pd_b_, 4096);
+  RecvWr rwr;
+  rwr.wr_id = 9;
+  rwr.sge = {{rb.addr, 4096, rb.mr.lkey}};
+  ASSERT_TRUE(ctx_b_->post_recv(qb, rwr).is_ok());
+  SendWr bad;
+  bad.wr_id = 7;
+  bad.opcode = static_cast<WrOpcode>(static_cast<std::uint8_t>(kLastWrOpcode) + 1);
+  bad.sge = {{sb.addr, 8, sb.mr.lkey}};
+  EXPECT_EQ(ctx_a_->post_send(qa, bad).code(), Errc::invalid_argument);
+  SendWr wr;
+  wr.wr_id = 8;
+  wr.opcode = WrOpcode::send;
+  wr.sge = {{sb.addr, 8, sb.mr.lkey}};
+  ASSERT_TRUE(ctx_a_->post_send(qa, wr).is_ok());
+  const Cqe scqe = wait_cqe(ctx_a_, cq_a_);
+  EXPECT_EQ(scqe.wr_id, 8u);
+  EXPECT_EQ(scqe.status, CqeStatus::success);
+  const Cqe rcqe = wait_cqe(ctx_b_, cq_b_);
+  EXPECT_EQ(rcqe.wr_id, 9u);
+  EXPECT_EQ(rcqe.status, CqeStatus::success);
+}
+
 }  // namespace
 }  // namespace migr::rnic

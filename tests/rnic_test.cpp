@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -13,6 +14,134 @@ namespace migr::rnic {
 namespace {
 
 using common::Errc;
+
+// ---------------------------------------------------------------------------
+// SgeList: the first kInline entries live inline, longer lists spill to one
+// heap block. Every size below is run against every other, so each
+// operation crosses the inline/spill boundary in both directions.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSgeSizes[] = {0, 1, 2, 3, 16, SgeList::kCapacity};
+
+Sge tagged_sge(std::size_t i, std::uint32_t tag) {
+  return {0x1000ull * (i + 1) + tag, static_cast<std::uint32_t>(i + 1),
+          tag * 100 + static_cast<std::uint32_t>(i)};
+}
+
+SgeList tagged_list(std::size_t n, std::uint32_t tag) {
+  SgeList l;
+  for (std::size_t i = 0; i < n; ++i) l.push_back(tagged_sge(i, tag));
+  return l;
+}
+
+void expect_tagged(const SgeList& l, std::size_t n, std::uint32_t tag) {
+  ASSERT_EQ(l.size(), n);
+  ASSERT_EQ(l.end() - l.begin(), static_cast<std::ptrdiff_t>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const Sge want = tagged_sge(i, tag);
+    EXPECT_EQ(l[i].addr, want.addr) << "entry " << i;
+    EXPECT_EQ(l[i].length, want.length) << "entry " << i;
+    EXPECT_EQ(l[i].lkey, want.lkey) << "entry " << i;
+  }
+}
+
+// Two lists share storage when one's entries overlap the other's.
+bool shares_storage(const SgeList& a, const SgeList& b) {
+  if (a.empty() || b.empty()) return false;
+  const std::less<const Sge*> lt;
+  return lt(a.data(), b.data() + b.size()) && lt(b.data(), a.data() + a.size());
+}
+
+TEST(SgeList, CopyAndMoveKeepEntriesAndShareNothing) {
+  for (const std::size_t n : kSgeSizes) {
+    SCOPED_TRACE(n);
+    const SgeList src = tagged_list(n, 1);
+    SgeList copy(src);
+    expect_tagged(copy, n, 1);
+    EXPECT_FALSE(shares_storage(copy, src));
+    if (n > 0) {
+      copy[n - 1].lkey = 0xDEAD;  // a write to the copy leaves the source alone
+      EXPECT_EQ(src[n - 1].lkey, tagged_sge(n - 1, 1).lkey);
+    }
+
+    SgeList from = tagged_list(n, 2);
+    SgeList moved(std::move(from));
+    expect_tagged(moved, n, 2);
+    EXPECT_TRUE(from.empty());  // NOLINT(bugprone-use-after-move)
+    // The moved-from list is reusable and shares nothing with its heir.
+    from = tagged_list(n, 3);
+    expect_tagged(from, n, 3);
+    expect_tagged(moved, n, 2);
+    EXPECT_FALSE(shares_storage(from, moved));
+  }
+}
+
+TEST(SgeList, AssignmentOverEveryOtherSize) {
+  for (const std::size_t n : kSgeSizes) {
+    for (const std::size_t m : kSgeSizes) {
+      SCOPED_TRACE(testing::Message() << n << " over " << m);
+      const SgeList src = tagged_list(n, 1);
+      SgeList copied = tagged_list(m, 2);
+      copied = src;
+      expect_tagged(copied, n, 1);
+      expect_tagged(src, n, 1);
+      EXPECT_FALSE(shares_storage(copied, src));
+
+      SgeList from = tagged_list(n, 3);
+      SgeList moved = tagged_list(m, 4);
+      moved = std::move(from);
+      expect_tagged(moved, n, 3);
+      EXPECT_TRUE(from.empty());  // NOLINT(bugprone-use-after-move)
+      from = tagged_list(m, 5);
+      expect_tagged(from, m, 5);
+      expect_tagged(moved, n, 3);
+      EXPECT_FALSE(shares_storage(from, moved));
+
+      // Grown and shrunk in place: kept entries stay, grown ones are Sge{}.
+      SgeList resized = tagged_list(n, 6);
+      resized.resize(m);
+      ASSERT_EQ(resized.size(), m);
+      for (std::size_t i = 0; i < m; ++i) {
+        const Sge want = i < n ? tagged_sge(i, 6) : Sge{};
+        EXPECT_EQ(resized[i].addr, want.addr) << "entry " << i;
+        EXPECT_EQ(resized[i].length, want.length) << "entry " << i;
+        EXPECT_EQ(resized[i].lkey, want.lkey) << "entry " << i;
+      }
+      // push_back past the resized length still appends after it.
+      if (m < SgeList::kCapacity) {
+        resized.push_back(tagged_sge(m, 7));
+        ASSERT_EQ(resized.size(), m + 1);
+        EXPECT_EQ(resized[m].lkey, tagged_sge(m, 7).lkey);
+      }
+    }
+  }
+}
+
+TEST(SgeList, SelfAssignmentKeepsEntries) {
+  for (const std::size_t n : kSgeSizes) {
+    SCOPED_TRACE(n);
+    SgeList l = tagged_list(n, 1);
+    SgeList& alias = l;
+    l = alias;
+    expect_tagged(l, n, 1);
+    l = std::move(alias);
+    expect_tagged(l, n, 1);
+  }
+}
+
+TEST(SgeList, InitializerListAssignmentCrossesTheInlineBoundary) {
+  SgeList l = tagged_list(16, 1);
+  l = {tagged_sge(0, 2), tagged_sge(1, 2)};
+  expect_tagged(l, 2, 2);
+  l = {tagged_sge(0, 3), tagged_sge(1, 3), tagged_sge(2, 3)};
+  expect_tagged(l, 3, 3);
+  l = {tagged_sge(0, 4)};
+  expect_tagged(l, 1, 4);
+  l = {};
+  EXPECT_TRUE(l.empty());
+  const SgeList built{tagged_sge(0, 5), tagged_sge(1, 5), tagged_sge(2, 5)};
+  expect_tagged(built, 3, 5);
+}
 
 /// Two hosts, one process + context each, one PD/CQ each, helpers to make
 /// buffers and connected RC QP pairs.

@@ -50,9 +50,11 @@ echo "==> [2/11] lossy-seed suites (fault injection, adversarial migrations, los
 # emissions, payload landing (a whole page block handed to the page table,
 # checked against the address-space reference model), the event loop's
 # seeded dispatch-order properties (delivery lanes and heap rebuilds
-# against a reference model) and the event-heap bound pins.
+# against a reference model), the event-heap bound pins, the image
+# parsers' count and enum bounds, and the SGE list's inline/spill
+# ownership (copy, move and assignment across the two-entry boundary).
 ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricAdmissionTest|RnicBurstTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicRequesterFaultTest|RnicLandingTest|AddressSpaceModel|EventLoopProperty|HeapBoundPin)'
+  -R '(ScenarioRunner|MigrationAbort|AdversarialMigrationProperty|TransportProperty|ClusterScheduler|ClusterDrain|FabricAdmissionTest|RnicBurstTest|RnicTimerTest|TailLossAfterPartialAck|WireMutationSweep|PayloadMutationSweep|PostcopyMutationSweep|XferMutationSweep|ArtifactEscapeTest|FtTeardown|RnicResponderFaultTest|RnicRequesterFaultTest|RnicLandingTest|AddressSpaceModel|EventLoopProperty|HeapBoundPin|ImageBounds|SgeList)'
 
 echo "==> [3/11] blackout-anatomy artifacts (instrumented lossy drain + schema validation)"
 # One seeded lossy drain with the full observability stack armed: Chrome
